@@ -111,10 +111,6 @@ def _counts_pair(args, file_cfg):
     return docs[doc_i], docs[doc_j], paths
 
 
-def _counts_pair_inputs(paths: list[str]) -> dict:
-    return {p: p for p in paths}
-
-
 def _workers_default() -> int:
     env = os.environ.get("MIXWASS_THREADS")
     try:

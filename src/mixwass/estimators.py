@@ -4,7 +4,7 @@ Given (known or estimated) topics A, three estimators of the mixture
 weights are provided:
 
 * ``mle_weights`` -- the simplex-constrained maximum-likelihood estimate,
-  computed by multiplicative (EM) updates;
+  computed by EM updates accelerated with SQUAREM;
 * ``debias`` -- the one-step correction alpha_hat + Vhat^+ Psi(alpha_hat)
   that removes the boundary-induced asymptotic bias of the MLE and admits
   a Gaussian limit even for sparse weights;
@@ -15,6 +15,12 @@ weights are provided:
 covariance matrices.  Batched variants (module-private) process many
 documents against one topic matrix at once; the bootstrap and simulation
 drivers depend on them for throughput.
+
+The MLE has one batched kernel, ``_em_batch``; ``mle_weights`` is a batch
+of one.  It accelerates the multiplicative EM map with SQUAREM (Varadhan &
+Roland 2008, Scand. J. Statist.), keeping iterates in the simplex and the
+log-likelihood nondecreasing.  A fit stops when one EM map moves it by at
+most ``tol`` in l1; ``iterations`` counts EM-map evaluations.
 """
 
 from __future__ import annotations
@@ -128,45 +134,115 @@ def _check_feasible_rows(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return support
 
 
+def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Each row of U times M, as a stack of vector-matrix products.
+
+    Unlike one (B, n) @ (n, m) product, whose blocking depends on B, a
+    row's result does not depend on the other rows.
+    """
+    return (U[:, None, :] @ M)[:, 0, :]
+
+
+def _em_batch(
+    XB: np.ndarray,
+    A: np.ndarray,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SQUAREM-accelerated EM on a (p, B) matrix of frequency columns.
+
+    Returns (alphas (K, B), iterations (B,), converged (B,)).  A cycle takes
+    x1 = F(x0), x2 = F(x1), extrapolates to x0 - 2a r + a^2 v (r = x1 - x0,
+    v = x2 - 2 x1 + x0, S3 step a = -|r|/|v| <= -1) and applies F once more.
+    An extrapolant that is not finite and nonnegative, or has a lower
+    log-likelihood than x2, is retried with a + 1 halved, and replaced by x2
+    once a > -2.  A column stops when |x1 - x0|_1 <= tol; ``iterations``
+    and ``max_iter`` count evaluations of F.  A column's arithmetic does not
+    depend on the rest of the batch, so a batch of one gives the same bits.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    AT = np.ascontiguousarray(A.T)
+
+    def fitted(x):
+        return np.maximum(_rowdot(x, AT), 1e-300)
+
+    B, K = XB.shape[1], A.shape[1]
+    out = np.full((B, K), 1.0 / K)
+    iterations = np.zeros(B, dtype=np.int64)
+    done = np.zeros(B, dtype=bool)
+    active = np.arange(B)
+    X = np.ascontiguousarray(XB.T, dtype=float)
+    x0, R0, it = out.copy(), fitted(out), 0
+    while active.size and it < max_iter:
+        x1 = x0 * _rowdot(X / R0, A)
+        it += 1
+        stop = np.abs(x1 - x0).sum(axis=1) <= tol
+        out[active[stop]], iterations[active[stop]], done[active[stop]] = x1[stop], it, True
+        active, X, x0, x1 = active[~stop], X[~stop], x0[~stop], x1[~stop]
+        if it == max_iter or not active.size:
+            x0 = x1
+            break
+        x2 = x1 * _rowdot(X / fitted(x1), A)
+        it += 1
+        if it == max_iter:
+            x0 = x2
+            break
+        # x2 and R2 take each column's accepted extrapolant, if any.
+        r, v, R2 = x1 - x0, x2 - 2.0 * x1 + x0, fitted(x2)
+        L2 = (X * np.log(R2)).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.minimum(-np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1), -1.0)
+            trial = np.flatnonzero(np.isfinite(step) & (step < -1.0))
+            while trial.size:
+                a = step[trial, None]
+                xt = x0[trial] - 2.0 * a * r[trial] + a * a * v[trial]
+                xt /= xt.sum(axis=1, keepdims=True)  # compare likelihoods on the simplex
+                Rt = fitted(xt)
+                ok = np.all(np.isfinite(xt) & (xt >= 0.0), axis=1)
+                ok &= (X[trial] * np.log(Rt)).sum(axis=1) >= L2[trial]
+                x2[trial[ok]], R2[trial[ok]] = xt[ok], Rt[ok]
+                step[trial] = (a[:, 0] - 1.0) / 2.0
+                trial = trial[~ok & (step[trial] < -2.0)]
+        x0 = x2 * _rowdot(X / R2, A)
+        it += 1
+        R0 = fitted(x0)
+    out[active], iterations[active] = x0, it
+    out /= out.sum(axis=1, keepdims=True)
+    return out.T.copy(), iterations, done
+
+
 def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
-    """Simplex MLE of the mixture weights by multiplicative updates.
+    """Simplex MLE of the mixture weights by SQUAREM-accelerated EM.
 
     Maximizes sum_j X_j log(A_j . alpha) over the simplex from the uniform
-    start, iterating alpha_k <- alpha_k * sum_j X_j A_jk / (A_j . alpha)
-    until the l1 step falls below ``tol``.  The update keeps iterates in
-    the simplex and increases the objective monotonically.
+    start.  The EM map alpha_k <- alpha_k * sum_j X_j A_jk / (A_j . alpha)
+    keeps iterates in the simplex and never lowers the objective; SQUAREM
+    extrapolates along pairs of EM maps where that raises the objective.
+    The fit is ``_em_batch`` with the document as a batch of one, so it
+    equals the batched fit of the same document.
+
+    The fit stops when one EM map moves it by at most ``tol`` in l1;
+    ``iterations`` and ``max_iter`` count EM-map evaluations, and a fit
+    stopped by ``max_iter`` has ``converged=False``.  ``kkt_gap`` is the
+    stationarity defect of the returned point (compare ``TOL_KKT``).
     """
     Xv = _values(X, name="X")
     Am = _topics_array(A)
     if Xv.size != Am.shape[0]:
         raise InvalidParam(f"X has dim {Xv.size}, topics have {Am.shape[0]} rows")
     support = _check_feasible_rows(Xv, Am)
-    As = np.ascontiguousarray(Am[support])
-    Xs = Xv[support]
-    K = Am.shape[1]
-    alpha = np.full(K, 1.0 / K)
-    converged = False
-    iterations = 0
-    for it in range(max_iter):
-        r = As @ alpha
-        g = As.T @ (Xs / r)
-        new = alpha * g
-        iterations = it + 1
-        if np.abs(new - alpha).sum() <= tol:
-            alpha = new
-            converged = True
-            break
-        alpha = new
-    alpha = alpha / alpha.sum()
-    g = As.T @ (Xs / (As @ alpha))
+    alphas, iterations, converged = _em_batch(Xv[:, None], Am, tol, max_iter)
+    alpha = alphas[:, 0]
+    As = Am[support]
+    g = As.T @ (Xv[support] / (As @ alpha))
     active = alpha > TAU_SUPP
     gap = float(np.max(np.where(active, np.abs(g - 1.0), np.clip(g - 1.0, 0.0, None))))
     return WeightEstimate(
         alpha=alpha,
         method=Method.MLE,
         support=support,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
         kkt_gap=gap,
     )
 
@@ -302,106 +378,6 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
 # Batched internals: many documents against one topic matrix.  Same fixed
 # points as the public single-document paths (agreement is property-tested);
 # used by the bootstrap loops and simulation drivers.
-
-
-def _em_batch(
-    XB: np.ndarray,
-    A: np.ndarray,
-    tol: float = EM_TOL,
-    max_iter: int = EM_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """EM updates on a (p, B) matrix of frequency columns.
-
-    Returns (alphas (K, B), iterations (B,), converged (B,)).  Sparse
-    batches (bootstrap resamples with small m) are routed to a
-    scatter-gather implementation of the same update.
-    """
-    nnz = int(np.count_nonzero(XB))
-    if XB.size >= 4096 and nnz <= 0.25 * XB.size:
-        return _em_batch_sparse(XB, A, tol, max_iter)
-    return _em_batch_dense(XB, A, tol, max_iter)
-
-
-def _em_batch_dense(XB, A, tol, max_iter):
-    p, B = XB.shape
-    K = A.shape[1]
-    alphas = np.full((K, B), 1.0 / K)
-    iterations = np.zeros(B, dtype=np.int64)
-    done = np.zeros(B, dtype=bool)
-    active = np.arange(B)
-    X_act = XB
-    for it in range(max_iter):
-        R = A @ alphas[:, active]
-        np.maximum(R, 1e-300, out=R)
-        G = A.T @ (X_act / R)
-        new = alphas[:, active] * G
-        steps = np.abs(new - alphas[:, active]).sum(axis=0)
-        alphas[:, active] = new
-        iterations[active] = it + 1
-        finished = steps <= tol
-        if np.any(finished):
-            done[active[finished]] = True
-            active = active[~finished]
-            X_act = XB[:, active]
-            if active.size == 0:
-                break
-    alphas /= alphas.sum(axis=0, keepdims=True)
-    return alphas, iterations, done
-
-
-# Converged columns are compacted out of the flat arrays every this many
-# iterations; between compactions they keep iterating at their fixed point,
-# but their first-convergence snapshot is what gets returned.
-_EM_COMPACT_EVERY = 128
-
-
-def _em_batch_sparse(XB, A, tol, max_iter):
-    """Same update as the dense path, on the nonzero cells only."""
-    p, B = XB.shape
-    K = A.shape[1]
-    row_idx, col_idx = np.nonzero(XB)
-    xv = XB[row_idx, col_idx]
-    Arows = A[row_idx]  # (nnz, K)
-    alphas = np.full((K, B), 1.0 / K)
-    out = np.full((K, B), 1.0 / K)
-    iterations = np.zeros(B, dtype=np.int64)
-    done = np.zeros(B, dtype=bool)
-    cols = np.arange(B)  # active columns, compacted lazily
-    local = col_idx  # column positions within the active set
-    it = 0
-    while it < max_iter and cols.size:
-        n_active = cols.size
-        for _ in range(_EM_COMPACT_EVERY):
-            if it >= max_iter:
-                break
-            act = alphas[:, cols]
-            R = np.einsum("nk,nk->n", Arows, act[:, local].T)
-            np.maximum(R, 1e-300, out=R)
-            contrib = Arows * (xv / R)[:, None]
-            G = np.empty((K, n_active))
-            for k in range(K):
-                G[k] = np.bincount(local, weights=contrib[:, k], minlength=n_active)
-            new = act * G
-            steps = np.abs(new - act).sum(axis=0)
-            alphas[:, cols] = new
-            running = ~done[cols]
-            iterations[cols[running]] = it + 1
-            it += 1
-            fresh = (steps <= tol) & running
-            if np.any(fresh):
-                done[cols[fresh]] = True
-                out[:, cols[fresh]] = new[:, fresh]
-        keep = ~done[cols]
-        if not np.all(keep):
-            cols = cols[keep]
-            mask = keep[local]
-            row_idx, xv = row_idx[mask], xv[mask]
-            Arows = Arows[mask]
-            remap = np.cumsum(keep) - 1
-            local = remap[local[mask]]
-    out[:, ~done] = alphas[:, ~done]
-    out /= out.sum(axis=0, keepdims=True)
-    return out, iterations, done
 
 
 def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray, zeta: float = ZETA) -> np.ndarray:

@@ -93,9 +93,6 @@ class LimitSampleSet:
         idx = min(max(int(math.ceil(self.M * gamma)), 1), self.M)
         return float(self._sorted[idx - 1])
 
-    def empirical_cdf(self, t: float) -> float:
-        return float(np.searchsorted(self._sorted, t, side="right")) / self.M
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -212,10 +209,10 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     )
 
 
-# EM tolerance for bootstrap refits.  A size-m resample carries O(1/sqrt(m))
-# statistical error, so iterating the refit to 1e-10 buys nothing; 1e-6
-# keeps the optimization error orders of magnitude below the noise while
-# avoiding the 1/t boundary stall of near-perfect small-sample fits.
+# EM tolerance for bootstrap refits: a refit stops once one EM map moves it
+# by at most this much in l1.  A size-m resample carries O(1/sqrt(m)) noise,
+# so 1e-6 is far below it and skips the slow last cycles of refits whose
+# weights sit at or near the simplex boundary.
 BOOT_EM_TOL = 1e-6
 
 

@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import InvalidParam, MixwassError
 from .estimators import (
@@ -309,6 +308,15 @@ def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
 # Confidence-interval experiment (null and alternative designs)
 
 
+def _pair_estimates(docs_i: np.ndarray, docs_j: np.ndarray, A_hat_m: np.ndarray, poly: DualPolytope):
+    """Batched MLEs of both sides and the debiased distance of each pair."""
+    mle_i, _, _ = _em_batch(docs_i, A_hat_m)
+    mle_j, _, _ = _em_batch(docs_j, A_hat_m)
+    deb_i = _debias_batch(mle_i, docs_i, A_hat_m)
+    deb_j = _debias_batch(mle_j, docs_j, A_hat_m)
+    return mle_i, mle_j, support_batch(poly, (deb_i - deb_j).T)
+
+
 def _ci_chunk_worker(payload) -> list[dict]:
     (config, A_hat_m, poly, outer, reps, r_i, r_j, true_W, facet_delta) = payload
     N_i, N_j = config.N, config.size_j()
@@ -324,15 +332,29 @@ def _ci_chunk_worker(payload) -> list[dict]:
         counts_j.append(yj)
         docs_i[:, c] = yi / N_i
         docs_j[:, c] = yj / N_j
-    mle_i, _, _ = _em_batch(docs_i, A_hat_m)
-    mle_j, _, _ = _em_batch(docs_j, A_hat_m)
-    deb_i = _debias_batch(mle_i, docs_i, A_hat_m)
-    deb_j = _debias_batch(mle_j, docs_j, A_hat_m)
-    W_all = support_batch(poly, (deb_i - deb_j).T)
+    errors = [None] * reps.size
+    try:
+        mle_i, mle_j, W_all = _pair_estimates(docs_i, docs_j, A_hat_m, poly)
+    except MixwassError:
+        # Redo the chunk column by column so that only the failing
+        # replicate is lost.
+        mle_i = np.full((A_hat_m.shape[1], reps.size), np.nan)
+        mle_j = mle_i.copy()
+        W_all = np.full(reps.size, np.nan)
+        for c in range(reps.size):
+            try:
+                mi, mj, w = _pair_estimates(docs_i[:, [c]], docs_j[:, [c]], A_hat_m, poly)
+            except MixwassError as exc:
+                errors[c] = f"{type(exc).__name__}: {exc}"
+                continue
+            mle_i[:, c], mle_j[:, c], W_all[c] = mi[:, 0], mj[:, 0], w[0]
 
     records = []
     for c, rep in enumerate(reps):
-        rec = {"outer": int(outer), "rep": int(rep), "true_W": float(true_W), "W_tilde": float(W_all[c]), "methods": {}, "error": None}
+        rec = {"outer": int(outer), "rep": int(rep), "true_W": float(true_W), "W_tilde": float(W_all[c]), "methods": {}, "error": errors[c]}
+        if errors[c] is not None:
+            records.append(rec)
+            continue
         try:
             for method in config.methods:
                 if method == METHOD_PLUGIN:
@@ -448,6 +470,8 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
     expected to pass normality on active coordinates; the simplex-restricted
     MLE at a zero coordinate is the documented negative control.
     """
+    from scipy import stats as sstats  # only caller; keeps it out of `import mixwass`
+
     t0 = time.time()
     config = config.scaled()
     A, A_hat, _, _, _ = _setup(config)
@@ -527,11 +551,7 @@ def _conv_chunk_worker(payload) -> np.ndarray:
         rng = np.random.default_rng([config.seed, _S_DOCS, 0, int(rep)])
         docs_i[:, c] = rng.multinomial(N, r) / N
         docs_j[:, c] = rng.multinomial(N, r) / N
-    mle_i, _, _ = _em_batch(docs_i, A_hat_m)
-    mle_j, _, _ = _em_batch(docs_j, A_hat_m)
-    deb_i = _debias_batch(mle_i, docs_i, A_hat_m)
-    deb_j = _debias_batch(mle_j, docs_j, A_hat_m)
-    return support_batch(poly, (deb_i - deb_j).T)
+    return _pair_estimates(docs_i, docs_j, A_hat_m, poly)[2]
 
 
 def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
@@ -589,16 +609,12 @@ def _mle_ls_chunk_worker(payload) -> list[dict]:
         rng = np.random.default_rng([config.seed, _S_DOCS, outer, int(rep)])
         docs_i[:, c] = rng.multinomial(N, r) / N
         docs_j[:, c] = rng.multinomial(N, r) / N
-    mle_i, _, _ = _em_batch(docs_i, A_hat_m)
-    mle_j, _, _ = _em_batch(docs_j, A_hat_m)
-    deb_i = _debias_batch(mle_i, docs_i, A_hat_m)
-    deb_j = _debias_batch(mle_j, docs_j, A_hat_m)
+    W_deb = _pair_estimates(docs_i, docs_j, A_hat_m, poly)[2]
     d = A_hat_m.sum(axis=1)
     Bm = A_hat_m / d[:, None]
     M = A_hat_m.T @ Bm
     ls_i = np.linalg.solve(M, Bm.T @ docs_i)
     ls_j = np.linalg.solve(M, Bm.T @ docs_j)
-    W_deb = support_batch(poly, (deb_i - deb_j).T)
     W_ls = support_batch(poly, (ls_i - ls_j).T)
     root_n = math.sqrt(N)
     out = []

@@ -461,7 +461,10 @@ def wasserstein_primal(alpha, beta, cost: CostMatrix) -> tuple[float, np.ndarray
     for l in range(K - 1):
         A_eq[K + l, l::K] = 1.0
         b_eq[K + l] = b[l]
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default 1e-7 feasibility tolerances drift ~1e-8 from the dual on
+    # weights below 1e-7; at 1e-10, presolve calls some such LPs infeasible.
+    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
     if res.status != 0:
         raise LPFailure(f"transportation LP failed with status {res.status}: {res.message}")
     plan = np.clip(res.x.reshape(K, K), 0.0, None)

@@ -11,6 +11,7 @@ from mixwass import (
 )
 from mixwass.errors import InfeasibleRow, InvalidParam, SingularInformation
 from mixwass.estimators import (
+    TAU_SUPP,
     Method,
     _debias_batch,
     _em_batch,
@@ -265,6 +266,89 @@ def test_batch_paths_match_single():
         assert np.abs(single.alpha - mle_b[:, b]).max() <= 1e-8
         deb_single = debias(single, XB[:, b], A)
         assert np.abs(deb_single.alpha - deb_b[:, b]).max() <= 1e-8
+
+
+def _sparse_weights(rng, K, tau):
+    alpha = np.zeros(K)
+    alpha[rng.choice(K, size=tau, replace=False)] = rng.uniform(size=tau)
+    return alpha / alpha.sum()
+
+
+@pytest.mark.parametrize("K,tau", [(5, 0), (5, 3), (8, 0), (8, 3)])
+def test_em_default_tol_close_to_tight_fit(K, tau):
+    rng = np.random.default_rng(15)
+    p, N, B = 500, 1000, 16
+    A = random_topics(rng, p, K)
+    alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
+    XB = np.stack([rng.multinomial(N, A @ a) / N for a in alphas], axis=1)
+    fit, _, conv = _em_batch(XB, A)
+    tight, _, tight_conv = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
+    assert conv.all() and tight_conv.all()
+
+    def loglik(alphas):
+        return (XB * np.log(A @ alphas)).sum(axis=0)
+
+    assert np.all(loglik(fit) >= loglik(tight) - 1e-9)
+    # The stopping rule scales a coordinate's EM step by the coordinate, so
+    # a weight w below 1e-4 can stop about tol / w from the MLE with its
+    # step below tol.  Documents with such a weight get the 1e-6 bound only
+    # from a KKT stopping rule, which this kernel does not have.
+    err = np.abs(fit - tight).max(axis=0)
+    near_boundary = ((tight > TAU_SUPP) & (tight < 1e-4)).any(axis=0)
+    assert err[~near_boundary].max() <= 1e-6
+
+
+def test_em_batch_matches_single_on_sparse_batch():
+    # Bootstrap-shaped: m = 32 words per column over p = 500 words.
+    rng = np.random.default_rng(16)
+    p, K, B = 500, 5, 64
+    A = random_topics(rng, p, K)
+    XB = rng.multinomial(32, A @ rng.dirichlet(np.ones(K)), size=B).T / 32.0
+    mle_b, iters, conv = _em_batch(XB, A)
+    for b in range(B):
+        single = mle_weights(XB[:, b], A)
+        assert np.abs(single.alpha - mle_b[:, b]).max() <= 1e-8
+        assert single.iterations == iters[b] and single.converged == conv[b]
+
+
+def test_em_max_iter_is_honoured():
+    rng = np.random.default_rng(17)
+    K, p, B = 5, 100, 8
+    A = random_topics(rng, p, K)
+    XB = rng.multinomial(200, A @ _sparse_weights(rng, K, 3), size=B).T / 200.0
+    for max_iter in (0, 1, 2, 3, 4, 5, 7, 11):
+        alphas, iters, conv = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
+        assert np.all(iters == max_iter) and not conv.any()
+        assert np.abs(alphas.sum(axis=0) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
+        est = mle_weights(XB[:, 0], A, tol=0.0, max_iter=max_iter)
+        assert est.iterations == max_iter and not est.converged
+    # A cap between the columns' own iteration counts stops exactly the
+    # columns that need more, and leaves the others as they were.
+    full, iters, conv = _em_batch(XB, A)
+    assert conv.all()
+    cap = int(np.median(iters))
+    capped, capped_iters, capped_conv = _em_batch(XB, A, max_iter=cap)
+    early = iters <= cap
+    assert early.any() and not early.all()
+    assert np.array_equal(capped_conv, early)
+    assert np.all(capped_iters[~early] == cap)
+    assert np.array_equal(capped_iters[early], iters[early])
+    assert np.array_equal(capped[:, early], full[:, early])
+
+
+def test_em_objective_monotone_in_max_iter():
+    # Each EM-map evaluation the kernel spends, extrapolated or not, leaves
+    # the log-likelihood no lower than before.
+    rng = np.random.default_rng(18)
+    K, p, N, B = 5, 300, 1000, 32
+    A = random_topics(rng, p, K)
+    XB = np.stack([rng.multinomial(N, A @ _sparse_weights(rng, K, 3)) / N for _ in range(B)], axis=1)
+    prev = np.full(B, -np.inf)
+    for max_iter in range(1, 120):
+        alphas, _, _ = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
+        cur = (XB * np.log(A @ alphas)).sum(axis=0)
+        assert np.all(cur >= prev - 1e-12)
+        prev = cur
 
 
 def test_sigma_from_weights_matches_public():

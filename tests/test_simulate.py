@@ -1,11 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
+import mixwass
 from mixwass import SimConfig, gen_document, gen_topic_matrix, gen_weights, perturb_topics
-from mixwass.errors import InvalidParam
+from mixwass import simulate
+from mixwass.errors import InvalidParam, LPFailure
 from mixwass.simulate import (
     run_ci_experiment,
     run_convergence_experiment,
@@ -180,6 +185,40 @@ def test_failed_replicates_flag_report_invalid():
     assert rep.failures == 5
     assert rep.invalid
     assert all(r["error"] for r in rep.records)
+
+
+def test_ci_experiment_isolates_a_failing_replicate(monkeypatch):
+    # A fault in the batched stage costs only the replicate it belongs to.
+    cfg = SimConfig(n_reps=8, methods=("plugin",), **SMALL)
+    clean = run_ci_experiment(cfg)
+    bad_W = clean.records[5]["W_tilde"]
+    real_support_batch = simulate.support_batch
+
+    def faulty_support_batch(poly, directions):
+        W = real_support_batch(poly, directions)
+        if np.any(np.isclose(W, bad_W, rtol=1e-9, atol=0.0)):
+            raise LPFailure("injected fault")
+        return W
+
+    monkeypatch.setattr(simulate, "support_batch", faulty_support_batch)
+    rep = run_ci_experiment(cfg)
+    assert rep.failures == 1
+    assert rep.records[5]["error"] == "LPFailure: injected fault"
+    for c, (want, got) in enumerate(zip(clean.records, rep.records)):
+        if c == 5:
+            continue
+        assert got["error"] is None
+        assert got["W_tilde"] == pytest.approx(want["W_tilde"], rel=1e-9, abs=1e-12)
+        for key in ("lower", "upper"):
+            assert got["methods"]["plugin"][key] == pytest.approx(want["methods"]["plugin"][key], rel=1e-9, abs=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(mixwass.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mixwass; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_report_roundtrip_dict():

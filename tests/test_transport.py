@@ -157,6 +157,27 @@ def test_primal_matches_vertex_enumeration_and_dual():
     assert (plan * cost.entries).sum() == pytest.approx(value, abs=1e-9)
 
 
+def test_primal_matches_dual_near_zero_weights():
+    # MLEs at the simplex boundary have entries far below HiGHS's default
+    # 1e-7 feasibility tolerance; the primal must still match the dual.
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        K = int(rng.integers(4, 9))
+        cost = random_instance(rng, K)
+        poly = DualPolytope(cost)
+
+        def weights():
+            w = rng.dirichlet(np.ones(K))
+            tiny = rng.choice(K, size=K // 2, replace=False)
+            w[tiny] = 10.0 ** rng.uniform(-12, -7, size=tiny.size)
+            return w / w.sum()
+
+        a, b = weights(), weights()
+        primal, _ = wasserstein_primal(a, b, cost)
+        dual = support_batch(poly, (a - b)[None, :])[0]
+        assert abs(primal - dual) <= 1e-9
+
+
 def test_primal_dim_mismatch():
     cost = random_instance(np.random.default_rng(0), 3)
     with pytest.raises(DimError):
