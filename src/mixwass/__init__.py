@@ -24,7 +24,7 @@ from .errors import (  # noqa: F401
     Unbounded,
     ValidationError,
 )
-from .numlin import SymMatrixResult, pinv, psd_sqrt, psd_sqrt_pinv, sym_eig  # noqa: F401
+from .numlin import SymMatrixResult, pinv, psd_sqrt, sym_eig  # noqa: F401
 from .transport import (  # noqa: F401
     CostMatrix,
     DualPolytope,

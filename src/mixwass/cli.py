@@ -90,25 +90,49 @@ def _parse_delta(text):
     return float(text)
 
 
-def _counts_pair(args, file_cfg):
-    spec = _resolve(args, "counts", file_cfg, None)
+def _pair_inputs(args, cfg):
+    """Topics, document pair, metric and polytope of ``distance`` and ``ci``.
+
+    Returns (A, doc_i, doc_j, metric, poly, count paths).
+    """
+    topics_path = _resolve(args, "topics", cfg, None)
+    if not topics_path:
+        raise InvalidParam("--topics is required")
+    A = load_topics(topics_path)
+    spec = _resolve(args, "counts", cfg, None)
     if not spec:
         raise InvalidParam("--counts is required")
     paths = [s for s in str(spec).split(",") if s]
-    p_dim = _resolve(args, "p", file_cfg, None)
+    p_dim = _resolve(args, "p", cfg, None)
     docs = []
-    inputs = {}
     for path in paths:
         loaded = load_counts(path, p=int(p_dim) if p_dim else None)
         if not loaded:
             raise InvalidParam(f"{path} contains no documents")
         docs.extend(loaded)
-        inputs[path] = path
-    doc_i = int(_resolve(args, "doc_i", file_cfg, 0))
-    doc_j = int(_resolve(args, "doc_j", file_cfg, 1 if len(docs) > 1 else 0))
+    doc_i = int(_resolve(args, "doc_i", cfg, 0))
+    doc_j = int(_resolve(args, "doc_j", cfg, 1 if len(docs) > 1 else 0))
     if doc_i >= len(docs) or doc_j >= len(docs):
         raise InvalidParam(f"document indices {doc_i},{doc_j} out of range (have {len(docs)})")
-    return docs[doc_i], docs[doc_j], paths
+    metric = _resolve(args, "metric", cfg, "tv")
+    return A, docs[doc_i], docs[doc_j], metric, DualPolytope(cost_matrix(A, metric)), paths
+
+
+def _estimate(doc, A, method: str, with_cov: bool = False):
+    """Fit one document by ``method`` (mle, debias or wls).
+
+    Returns (MLE, estimate, covariance): the MLE is None for wls, and the
+    plug-in covariance of the estimate is computed only with ``with_cov``
+    (None for mle).
+    """
+    X = doc.frequencies
+    if method == "wls":
+        est = wls_weights(X, A)
+        return None, est, sigma_ls(est, X, A) if with_cov else None
+    mle = mle_weights(X, A)
+    if method == "mle":
+        return mle, mle, None
+    return mle, debias(mle, X, A), sigma_hat(mle, A) if with_cov else None
 
 
 def _workers_default() -> int:
@@ -224,16 +248,7 @@ def _cmd_estimate(args) -> int:
     seed = _seed_or_random(_resolve(args, "seed", cfg, 0))
     results = []
     for idx, doc in enumerate(docs):
-        X = doc.frequencies
-        if method == "wls":
-            est = wls_weights(X, A)
-            cov = sigma_ls(est, X, A)
-        else:
-            mle = mle_weights(X, A)
-            est, cov = mle, None
-            if method == "debias":
-                est = debias(mle, X, A)
-                cov = sigma_hat(mle, A)
+        _, est, cov = _estimate(doc, A, method, with_cov=True)
         results.append(
             {
                 "doc": idx,
@@ -253,25 +268,12 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_distance(args) -> int:
     cfg = _load_config_file(args.config)
-    topics_path = _resolve(args, "topics", cfg, None)
-    if not topics_path:
-        raise InvalidParam("--topics is required")
-    A = load_topics(topics_path)
-    doc_i, doc_j, paths = _counts_pair(args, cfg)
-    metric = _resolve(args, "metric", cfg, "tv")
+    A, doc_i, doc_j, metric, poly, paths = _pair_inputs(args, cfg)
     estimator = _resolve(args, "estimator", cfg, "debias")
     seed = _seed_or_random(_resolve(args, "seed", cfg, 0))
-    cost = cost_matrix(A, metric)
-    if estimator == "wls":
-        est_i = wls_weights(doc_i.frequencies, A)
-        est_j = wls_weights(doc_j.frequencies, A)
-    else:
-        est_i = mle_weights(doc_i.frequencies, A)
-        est_j = mle_weights(doc_j.frequencies, A)
-        if estimator == "debias":
-            est_i = debias(est_i, doc_i.frequencies, A)
-            est_j = debias(est_j, doc_j.frequencies, A)
-    w = distance_estimate(est_i, est_j, cost)
+    _, est_i, _ = _estimate(doc_i, A, estimator)
+    _, est_j, _ = _estimate(doc_j, A, estimator)
+    w = distance_estimate(est_i, est_j, poly)
     report = {
         "command": "distance",
         "metric": metric,
@@ -290,12 +292,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_ci(args) -> int:
     cfg = _load_config_file(args.config)
-    topics_path = _resolve(args, "topics", cfg, None)
-    if not topics_path:
-        raise InvalidParam("--topics is required")
-    A = load_topics(topics_path)
-    doc_i, doc_j, paths = _counts_pair(args, cfg)
-    metric = _resolve(args, "metric", cfg, "tv")
+    A, doc_i, doc_j, metric, poly, paths = _pair_inputs(args, cfg)
     level = float(_resolve(args, "level", cfg, 0.05))
     method = _resolve(args, "method", cfg, "plugin")
     M = int(_resolve(args, "M", cfg, 1000))
@@ -304,22 +301,20 @@ def _cmd_ci(args) -> int:
     delta = _parse_delta(_resolve(args, "delta", cfg, None))
     seed = _seed_or_random(_resolve(args, "seed", cfg, None))
 
-    cost = cost_matrix(A, metric)
-    poly = DualPolytope(cost)
-    X_i, X_j = doc_i.frequencies, doc_j.frequencies
-    ah_i = mle_weights(X_i, A)
-    ah_j = mle_weights(X_j, A)
-    at_i = debias(ah_i, X_i, A)
-    at_j = debias(ah_j, X_j, A)
-    W = distance_estimate(at_i, at_j, poly)
     if delta == "rate":
         delta = theorem_delta(min(doc_i.N, doc_j.N), A.p)
     if method == "plugin":
+        ah_i, at_i, _ = _estimate(doc_i, A, "debias")
+        ah_j, at_j, _ = _estimate(doc_j, A, "debias")
         samples = limit_sampler(ah_i, ah_j, A, poly, delta=delta, M=M, seed=seed)
-    elif method == "deriv-bs":
-        samples = derivative_bootstrap(doc_i, doc_j, A, poly, delta=delta, B=B, seed=seed)
+        W = distance_estimate(at_i, at_j, poly)
     else:
-        samples = m_out_of_n_bootstrap(doc_i, doc_j, A, poly, gamma=gamma, B=B, seed=seed)
+        # Both bootstraps fit the pair themselves and report the estimate.
+        if method == "deriv-bs":
+            samples = derivative_bootstrap(doc_i, doc_j, A, poly, delta=delta, B=B, seed=seed)
+        else:
+            samples = m_out_of_n_bootstrap(doc_i, doc_j, A, poly, gamma=gamma, B=B, seed=seed)
+        W = samples.meta["W_tilde"]
     ci = confidence_interval(W, samples, level, doc_i.N, doc_j.N)
     samples_out = _resolve(args, "samples_out", cfg, None)
     if samples_out:

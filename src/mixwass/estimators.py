@@ -1,4 +1,4 @@
-"""Mixture-weight estimators from a single document's word counts.
+"""Mixture-weight estimators from word counts.
 
 Given (known or estimated) topics A, three estimators of the mixture
 weights are provided:
@@ -12,13 +12,17 @@ weights are provided:
   estimate, a closed-form alternative with a slightly wider limit law.
 
 ``sigma_hat`` and ``sigma_ls`` give the corresponding plug-in asymptotic
-covariance matrices.  Batched variants (module-private) process many
-documents against one topic matrix at once; the bootstrap and simulation
-drivers depend on them for throughput.
+covariance matrices.
 
-The MLE has one batched kernel, ``_em_batch``; ``mle_weights`` is a batch
-of one.  It accelerates the multiplicative EM map with SQUAREM (Varadhan &
-Roland 2008, Scand. J. Statist.), keeping iterates in the simplex and the
+Each estimator is written once, for a batch of documents against one topic
+matrix: ``_em_batch`` for the MLE, ``_debias_batch`` for the correction and
+``_wls_operator`` for WLS.  The public single-document functions are
+batches of one that add validation and a ``WeightEstimate`` wrapper, and
+``_fit_debiased`` chains EM and the correction for the bootstrap and
+simulation drivers.
+
+``_em_batch`` accelerates the multiplicative EM map with SQUAREM (Varadhan
+& Roland 2008, Scand. J. Statist.), keeping iterates in the simplex and the
 log-likelihood nondecreasing.  A fit stops when one EM map moves it by at
 most ``tol`` in l1; ``iterations`` counts EM-map evaluations.
 """
@@ -258,6 +262,26 @@ def mle_objective(alpha, X, A) -> float:
     return float(Xv[s] @ np.log(r))
 
 
+def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray, zeta: float = ZETA) -> np.ndarray:
+    """One-step correction of a (K, B) batch of MLE columns (see ``debias``).
+
+    A column whose fitted probabilities all lie below ``zeta`` is returned
+    unchanged; ``debias`` rejects that case instead.
+    """
+    K, B = alphas.shape
+    R = A @ alphas  # (p, B)
+    mask = R > zeta
+    Rsafe = np.where(mask, R, 1.0)
+    resid = np.where(mask, (XB - R) / Rsafe, 0.0)
+    psi = A.T @ resid  # (K, B)
+    weights = np.where(mask, 1.0 / Rsafe, 0.0)  # (p, B)
+    V = np.einsum("jk,jb,jl->bkl", A, weights, A, optimize=True)  # (B, K, K)
+    out = np.empty_like(alphas)
+    for b in range(B):
+        out[:, b] = alphas[:, b] + numlin.pinv(V[b]) @ psi[:, b]
+    return out
+
+
 def debias(alpha_hat, X, A_hat, zeta: float = ZETA) -> WeightEstimate:
     """One-step bias correction of the simplex MLE.
 
@@ -265,29 +289,29 @@ def debias(alpha_hat, X, A_hat, zeta: float = ZETA) -> WeightEstimate:
     Psi(alpha_hat) = sum_{j in Jhat} (X_j - rhat_j)/rhat_j * Ahat_j and the
     weighting matrix Vhat = sum_{j in Jhat} Ahat_j Ahat_j^T / rhat_j, and
     returns alpha_hat + Vhat^+ Psi(alpha_hat).  The result sums to one but
-    may leave the simplex.
+    may leave the simplex.  This is ``_debias_batch`` on a batch of one.
     """
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else None
     a = base.alpha if base is not None else np.asarray(alpha_hat, dtype=float)
     Xv = _values(X, name="X")
     Am = _topics_array(A_hat)
-    r = Am @ a
-    J = np.flatnonzero(r > zeta)
+    J = np.flatnonzero(Am @ a > zeta)
     if J.size == 0:
         raise DegenerateSupport("no word has fitted probability above the support threshold")
-    AJ = Am[J]
-    rJ = r[J]
-    psi = AJ.T @ ((Xv[J] - rJ) / rJ)
-    V = (AJ / rJ[:, None]).T @ AJ
-    corrected = a + numlin.pinv(V) @ psi
     return WeightEstimate(
-        alpha=corrected,
+        alpha=_debias_batch(a[:, None], Xv[:, None], Am, zeta)[:, 0],
         method=Method.DEBIASED,
         support=J,
         iterations=base.iterations if base is not None else 0,
         converged=base.converged if base is not None else True,
         kkt_gap=base.kkt_gap if base is not None else None,
     )
+
+
+def _fit_debiased(XB: np.ndarray, A: np.ndarray, tol: float = EM_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """MLE and debiased estimate of each frequency column: ((K, B), (K, B))."""
+    mle, _, _ = _em_batch(XB, A, tol)
+    return mle, _debias_batch(mle, XB, A)
 
 
 def sigma_hat(alpha, A_hat, zeta: float = ZETA) -> CovEstimate:
@@ -316,6 +340,24 @@ def sigma_hat(alpha, A_hat, zeta: float = ZETA) -> CovEstimate:
     return CovEstimate(sigma=sigma, method=CovMethod.PLUGIN_MLE, rank=eig.rank)
 
 
+def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with positive mass and the WLS pseudo-inverse on them.
+
+    Returns (keep, Ahat^+) with Ahat^+ = Mhat^{-1} Ahat^T Dhat^{-1}, where
+    Dhat is the diagonal of topic-row l1 norms and Mhat = Ahat^T Dhat^{-1}
+    Ahat; the WLS estimates of frequency columns XB are Ahat^+ @ XB[keep].
+    """
+    d = A.sum(axis=1)
+    keep = np.flatnonzero(d > 0)
+    Ak = A[keep]
+    B = Ak / d[keep][:, None]  # Dhat^{-1} Ahat
+    try:
+        Minv = numlin.inv_at_rank(Ak.T @ B)
+    except numlin._SingularAtRank:
+        raise SingularDesign("weighted design matrix Ahat^T Dhat^{-1} Ahat is singular") from None
+    return keep, Minv @ B.T
+
+
 def wls_weights(X, A_hat) -> WeightEstimate:
     """Weighted least squares estimate Mhat^{-1} Ahat^T Dhat^{-1} X.
 
@@ -327,19 +369,9 @@ def wls_weights(X, A_hat) -> WeightEstimate:
     Am = _topics_array(A_hat)
     if Xv.size != Am.shape[0]:
         raise InvalidParam(f"X has dim {Xv.size}, topics have {Am.shape[0]} rows")
-    d = Am.sum(axis=1)
-    keep = np.flatnonzero(d > 0)
-    Ak = Am[keep]
-    dk = d[keep]
-    B = Ak / dk[:, None]  # Dhat^{-1} Ahat
-    M = Ak.T @ B
-    try:
-        Minv = numlin.inv_at_rank(M)
-    except numlin._SingularAtRank:
-        raise SingularDesign("weighted design matrix Ahat^T Dhat^{-1} Ahat is singular") from None
-    alpha = Minv @ (B.T @ Xv[keep])
+    keep, Aplus = _wls_operator(Am)
     return WeightEstimate(
-        alpha=alpha,
+        alpha=Aplus @ Xv[keep],
         method=Method.WLS,
         support=keep,
         iterations=0,
@@ -356,55 +388,8 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
     rv = _values(X_or_r, name="X_or_r")
-    Am = _topics_array(A_hat)
-    d = Am.sum(axis=1)
-    keep = d > 0
-    Ak = Am[keep]
-    dk = d[keep]
-    B = Ak / dk[:, None]
-    M = Ak.T @ B
-    try:
-        Minv = numlin.inv_at_rank(M)
-    except numlin._SingularAtRank:
-        raise SingularDesign("weighted design matrix Ahat^T Dhat^{-1} Ahat is singular") from None
-    Aplus = Minv @ B.T  # K x |keep|
+    keep, Aplus = _wls_operator(_topics_array(A_hat))
     sigma = (Aplus * rv[keep]) @ Aplus.T - np.outer(a, a)
     sigma = (sigma + sigma.T) / 2.0
     eig = numlin.sym_eig(sigma)
     return CovEstimate(sigma=sigma, method=CovMethod.PLUGIN_WLS, rank=eig.rank)
-
-
-# ---------------------------------------------------------------------------
-# Batched internals: many documents against one topic matrix.  Same fixed
-# points as the public single-document paths (agreement is property-tested);
-# used by the bootstrap loops and simulation drivers.
-
-
-def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray, zeta: float = ZETA) -> np.ndarray:
-    """Vectorized one-step correction for a (K, B) batch of MLE columns."""
-    K, B = alphas.shape
-    R = A @ alphas  # (p, B)
-    mask = R > zeta
-    Rsafe = np.where(mask, R, 1.0)
-    resid = np.where(mask, (XB - R) / Rsafe, 0.0)
-    psi = A.T @ resid  # (K, B)
-    weights = np.where(mask, 1.0 / Rsafe, 0.0)  # (p, B)
-    V = np.einsum("jk,jb,jl->bkl", A, weights, A, optimize=True)  # (B, K, K)
-    out = np.empty_like(alphas)
-    for b in range(B):
-        out[:, b] = alphas[:, b] + numlin.pinv(V[b]) @ psi[:, b]
-    return out
-
-
-def _sigma_from_weights(a: np.ndarray, A: np.ndarray, zeta: float = ZETA) -> np.ndarray:
-    """Raw plug-in covariance matrix for a weight vector (no wrapper)."""
-    r = A @ a
-    J = r > zeta
-    AJ = A[J]
-    H = (AJ / r[J][:, None]).T @ AJ
-    try:
-        Hinv = numlin.inv_at_rank(H)
-    except numlin._SingularAtRank:
-        raise SingularInformation("plug-in information matrix is singular") from None
-    sigma = Hinv - np.outer(a, a)
-    return (sigma + sigma.T) / 2.0

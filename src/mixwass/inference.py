@@ -28,8 +28,7 @@ from .errors import InvalidParam
 from .estimators import (
     CountVector,
     WeightEstimate,
-    _debias_batch,
-    _em_batch,
+    _fit_debiased,
     debias,
     mle_weights,
     sigma_hat,
@@ -138,6 +137,24 @@ def distance_estimate(alpha_i, alpha_j, cost) -> float:
     return float(support_batch(poly, (ai - aj)[None, :])[0])
 
 
+def _restrict(
+    base: DualPolytope, ai: np.ndarray, aj: np.ndarray, delta: float | None
+) -> tuple[DualPolytope, float | None, bool]:
+    """Polytope to sample for slab width ``delta``, with w_hat and zero feasibility.
+
+    ``delta=None`` keeps the unrestricted polytope, where f = 0 is feasible.
+    Otherwise w_hat is the dual value at ai - aj and the polytope is cut to
+    the slab of width ``delta`` around that optimal facet.
+    """
+    if delta is None:
+        return base, None, True
+    if delta < 0:
+        raise InvalidParam("delta must be >= 0 (or None for no restriction)")
+    w_hat = float(support_batch(base, (ai - aj)[None, :])[0])
+    poly = restricted_polytope(base.cost, ai, aj, w_hat, delta)
+    return poly, w_hat, abs(w_hat) <= delta + facet_slack(w_hat)
+
+
 def limit_sampler(
     alpha_i,
     alpha_j,
@@ -158,26 +175,12 @@ def limit_sampler(
     """
     if M < 1:
         raise InvalidParam("M must be >= 1")
-    if delta is not None and delta < 0:
-        raise InvalidParam("delta must be >= 0 (or None for no restriction)")
     ai = _weights(alpha_i)
     aj = _weights(alpha_j)
-    base = _as_polytope(cost)
-    cov = sigma_hat(ai, A_hat).sigma + sigma_hat(aj, A_hat).sigma
-    root = numlin.psd_sqrt(cov)
-    K = ai.size
-
-    w_hat = None
-    if delta is None:
-        poly = base
-        zero_feasible = True
-    else:
-        w_hat = float(support_batch(base, (ai - aj)[None, :])[0])
-        poly = restricted_polytope(base.cost, ai, aj, w_hat, delta)
-        zero_feasible = abs(w_hat) <= delta + facet_slack(w_hat)
-
+    poly, w_hat, zero_feasible = _restrict(_as_polytope(cost), ai, aj, delta)
+    root = numlin.psd_sqrt(sigma_hat(ai, A_hat).sigma + sigma_hat(aj, A_hat).sigma)
     rng = np.random.default_rng(seed)
-    Z = root @ rng.standard_normal(size=(K, M))
+    Z = root @ rng.standard_normal(size=(ai.size, M))
     samples = support_batch(poly, Z.T)
     if zero_feasible:
         # sup >= 0 whenever f = 0 is feasible; clamp LP-level noise.
@@ -214,12 +217,6 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
 # so 1e-6 is far below it and skips the slow last cycles of refits whose
 # weights sit at or near the simplex boundary.
 BOOT_EM_TOL = 1e-6
-
-
-def _fit_debiased_batch(XB: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched MLE + debias; returns (alphas_mle (K,B), alphas_debiased (K,B))."""
-    alphas, _, _ = _em_batch(XB, A, tol=BOOT_EM_TOL)
-    return alphas, _debias_batch(alphas, XB, A)
 
 
 def _point_estimates(X_i: CountVector, X_j: CountVector, A) -> tuple[WeightEstimate, WeightEstimate, WeightEstimate, WeightEstimate]:
@@ -271,8 +268,8 @@ def m_out_of_n_bootstrap(
         redraws += bad.size
         XBi[:, bad] = rng.multinomial(m_i, p_i, size=bad.size).T / m_i
         XBj[:, bad] = rng.multinomial(m_j, p_j, size=bad.size).T / m_j
-    _, at_bi = _fit_debiased_batch(XBi, Am)
-    _, at_bj = _fit_debiased_batch(XBj, Am)
+    _, at_bi = _fit_debiased(XBi, Am, tol=BOOT_EM_TOL)
+    _, at_bj = _fit_debiased(XBj, Am, tol=BOOT_EM_TOL)
     W_b = support_batch(poly, (at_bi - at_bj).T)
     samples = scale * (W_b - W)
     meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "redraws": redraws, "W_tilde": W}
@@ -297,27 +294,17 @@ def derivative_bootstrap(
     """
     if B < 1:
         raise InvalidParam("B must be >= 1")
-    if delta is not None and delta < 0:
-        raise InvalidParam("delta must be >= 0 (or None for no restriction)")
     base = _as_polytope(cost)
     Am = A_hat.matrix if isinstance(A_hat, TopicMatrix) else np.asarray(A_hat, dtype=float)
     ah_i, ah_j, at_i, at_j = _point_estimates(X_i, X_j, Am)
     scale = effective_root_n(X_i.N, X_j.N)
-
-    w_hat = None
-    if delta is None:
-        poly = base
-        zero_feasible = True
-    else:
-        w_hat = float(support_batch(base, (ah_i.alpha - ah_j.alpha)[None, :])[0])
-        poly = restricted_polytope(base.cost, ah_i.alpha, ah_j.alpha, w_hat, delta)
-        zero_feasible = abs(w_hat) <= delta + facet_slack(w_hat)
+    poly, w_hat, zero_feasible = _restrict(base, ah_i.alpha, ah_j.alpha, delta)
 
     rng = np.random.default_rng(seed)
     XBi = rng.multinomial(X_i.N, X_i.frequencies, size=B).T / X_i.N
     XBj = rng.multinomial(X_j.N, X_j.frequencies, size=B).T / X_j.N
-    _, at_bi = _fit_debiased_batch(XBi, Am)
-    _, at_bj = _fit_debiased_batch(XBj, Am)
+    _, at_bi = _fit_debiased(XBi, Am, tol=BOOT_EM_TOL)
+    _, at_bj = _fit_debiased(XBj, Am, tol=BOOT_EM_TOL)
     directions = scale * ((at_bi - at_bj) - (at_i.alpha - at_j.alpha)[:, None])
     samples = support_batch(poly, directions.T)
     if zero_feasible:

@@ -181,9 +181,6 @@ class RunManifest:
             inputs={name: file_digest(p) for name, p in (input_paths or {}).items()},
         )
 
-    def verify_inputs(self, input_paths: dict) -> bool:
-        return all(file_digest(p) == self.inputs.get(name) for name, p in input_paths.items())
-
 
 def save_report(report, path, manifest: RunManifest | None = None) -> None:
     """Serialize a report (dict or ExperimentReport) plus manifest to JSON."""

@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra for the estimators.
 
-Eigendecomposition, Moore-Penrose pseudo-inverse, and PSD square roots for
-the small (K x K) covariance and information matrices that arise when
-estimating mixture weights.  All operations are pure functions; K stays
+Eigendecomposition, Moore-Penrose pseudo-inverse, PSD square root and a
+rank-checked inverse for the small (K x K) covariance and information
+matrices that arise when estimating mixture weights.  All operations are pure functions; K stays
 small (tens at most), so everything is dense LAPACK via numpy.
 """
 
@@ -33,9 +33,6 @@ class SymMatrixResult:
     eigenvectors: np.ndarray  # columns are unit eigenvectors, same order
     rank: int
     rank_tolerance: float
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 def _as_symmetric(M, *, name: str = "M") -> np.ndarray:
@@ -99,23 +96,6 @@ def psd_sqrt(M, *, clip: float = 0.0) -> np.ndarray:
     res = sym_eig(M)
     w = np.clip(res.eigenvalues, clip, None)
     S = (res.eigenvectors * np.sqrt(w)) @ res.eigenvectors.T
-    return (S + S.T) / 2.0
-
-
-def psd_sqrt_pinv(M) -> np.ndarray:
-    """PSD square root of the pseudo-inverse of a PSD matrix.
-
-    Negative eigenvalues from roundoff are clipped to 0 before inversion;
-    the result S satisfies S @ S = pinv(M) for PSD inputs.
-    """
-    res = sym_eig(M)
-    w = np.clip(res.eigenvalues, 0.0, None)
-    lam_max = float(w.max(initial=0.0))
-    thr = res.rank_tolerance * lam_max
-    inv_sqrt = np.where(w > thr, 1.0, 0.0)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(inv_sqrt > 0, 1.0 / np.sqrt(np.where(w == 0.0, 1.0, w)), 0.0)
-    S = (res.eigenvectors * inv_sqrt) @ res.eigenvectors.T
     return (S + S.T) / 2.0
 
 

@@ -29,9 +29,9 @@ import numpy as np
 from .errors import InvalidParam, MixwassError
 from .estimators import (
     CountVector,
-    _debias_batch,
-    _em_batch,
-    _sigma_from_weights,
+    _fit_debiased,
+    _wls_operator,
+    sigma_hat,
     sigma_ls,
 )
 from .inference import (
@@ -298,6 +298,49 @@ def _setup(config: SimConfig):
     return A, A_hat, cost_true, cost_hat, poly
 
 
+def _draw_pairs(config: SimConfig, outer: int, reps: np.ndarray, r_i, r_j, N_j: int):
+    """Word counts (p, B) of each replicate's document pair.
+
+    Replicate ``rep`` draws its i then its j document from its own stream
+    (seed, docs, outer, rep), so a draw does not depend on the chunking.
+    """
+    counts = np.empty((2, config.p, reps.size), dtype=np.int64)
+    for c, rep in enumerate(reps):
+        rng = np.random.default_rng([config.seed, _S_DOCS, outer, int(rep)])
+        counts[0][:, c] = rng.multinomial(config.N, r_i)
+        counts[1][:, c] = rng.multinomial(N_j, r_j)
+    return counts[0], counts[1]
+
+
+def _pair_estimates(docs_i: np.ndarray, docs_j: np.ndarray, A_hat_m: np.ndarray, poly: DualPolytope):
+    """Batched MLEs of both sides, the debiased distance of each pair and errors.
+
+    A ``MixwassError`` in the batched stage redoes it column by column, so
+    only the failing pair is lost: its MLEs and distance are NaN and its
+    entry of the error list names the error (None for the others).
+    """
+
+    def stage(cols):
+        mle_i, deb_i = _fit_debiased(docs_i[:, cols], A_hat_m)
+        mle_j, deb_j = _fit_debiased(docs_j[:, cols], A_hat_m)
+        return mle_i, mle_j, support_batch(poly, (deb_i - deb_j).T)
+
+    B = docs_i.shape[1]
+    errors = [None] * B
+    try:
+        return (*stage(slice(None)), errors)
+    except MixwassError:
+        pass
+    mle_i, mle_j = np.full((2, A_hat_m.shape[1], B), np.nan)
+    W = np.full(B, np.nan)
+    for c in range(B):
+        try:
+            mle_i[:, [c]], mle_j[:, [c]], W[[c]] = stage([c])
+        except MixwassError as exc:
+            errors[c] = f"{type(exc).__name__}: {exc}"
+    return mle_i, mle_j, W, errors
+
+
 def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
     report.wall_clock_s = time.time() - t0
     report.created_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -308,46 +351,11 @@ def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
 # Confidence-interval experiment (null and alternative designs)
 
 
-def _pair_estimates(docs_i: np.ndarray, docs_j: np.ndarray, A_hat_m: np.ndarray, poly: DualPolytope):
-    """Batched MLEs of both sides and the debiased distance of each pair."""
-    mle_i, _, _ = _em_batch(docs_i, A_hat_m)
-    mle_j, _, _ = _em_batch(docs_j, A_hat_m)
-    deb_i = _debias_batch(mle_i, docs_i, A_hat_m)
-    deb_j = _debias_batch(mle_j, docs_j, A_hat_m)
-    return mle_i, mle_j, support_batch(poly, (deb_i - deb_j).T)
-
-
 def _ci_chunk_worker(payload) -> list[dict]:
     (config, A_hat_m, poly, outer, reps, r_i, r_j, true_W, facet_delta) = payload
     N_i, N_j = config.N, config.size_j()
-    # Draw the chunk's documents with per-replicate streams.
-    docs_i = np.empty((config.p, reps.size))
-    docs_j = np.empty((config.p, reps.size))
-    counts_i, counts_j = [], []
-    for c, rep in enumerate(reps):
-        rng = np.random.default_rng([config.seed, _S_DOCS, outer, int(rep)])
-        yi = rng.multinomial(N_i, r_i)
-        yj = rng.multinomial(N_j, r_j)
-        counts_i.append(yi)
-        counts_j.append(yj)
-        docs_i[:, c] = yi / N_i
-        docs_j[:, c] = yj / N_j
-    errors = [None] * reps.size
-    try:
-        mle_i, mle_j, W_all = _pair_estimates(docs_i, docs_j, A_hat_m, poly)
-    except MixwassError:
-        # Redo the chunk column by column so that only the failing
-        # replicate is lost.
-        mle_i = np.full((A_hat_m.shape[1], reps.size), np.nan)
-        mle_j = mle_i.copy()
-        W_all = np.full(reps.size, np.nan)
-        for c in range(reps.size):
-            try:
-                mi, mj, w = _pair_estimates(docs_i[:, [c]], docs_j[:, [c]], A_hat_m, poly)
-            except MixwassError as exc:
-                errors[c] = f"{type(exc).__name__}: {exc}"
-                continue
-            mle_i[:, c], mle_j[:, c], W_all[c] = mi[:, 0], mj[:, 0], w[0]
+    counts_i, counts_j = _draw_pairs(config, outer, reps, r_i, r_j, N_j)
+    mle_i, mle_j, W_all, errors = _pair_estimates(counts_i / N_i, counts_j / N_j, A_hat_m, poly)
 
     records = []
     for c, rep in enumerate(reps):
@@ -369,8 +377,8 @@ def _ci_chunk_worker(payload) -> list[dict]:
                     )
                 elif method == METHOD_DERIV_BS:
                     samples = derivative_bootstrap(
-                        CountVector(counts_i[c]),
-                        CountVector(counts_j[c]),
+                        CountVector(counts_i[:, c]),
+                        CountVector(counts_j[:, c]),
                         A_hat_m,
                         poly,
                         delta=facet_delta,
@@ -379,8 +387,8 @@ def _ci_chunk_worker(payload) -> list[dict]:
                     )
                 else:
                     samples = m_out_of_n_bootstrap(
-                        CountVector(counts_i[c]),
-                        CountVector(counts_j[c]),
+                        CountVector(counts_i[:, c]),
+                        CountVector(counts_j[:, c]),
                         A_hat_m,
                         poly,
                         gamma=config.gamma,
@@ -477,24 +485,20 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
     A, A_hat, _, _, _ = _setup(config)
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
-    sigma = _sigma_from_weights(alpha, A.matrix)
+    sigma = sigma_hat(alpha, A.matrix).sigma
     n_reps = config.n_reps
 
     XB = np.empty((config.p, n_reps))
     for rep in range(n_reps):
         rng = np.random.default_rng([config.seed, _S_DOCS, 0, rep])
         XB[:, rep] = rng.multinomial(config.N, r) / config.N
-    mle, _, _ = _em_batch(XB, A_hat.matrix)
-    deb = _debias_batch(mle, XB, A_hat.matrix)
+    mle, deb = _fit_debiased(XB, A_hat.matrix)
 
     draws = {"mle": mle, "debiased": deb}
     sigmas = {"mle": sigma, "debiased": sigma}
     if EST_WLS in config.estimators:
-        d = A_hat.matrix.sum(axis=1)
-        Bm = A_hat.matrix / d[:, None]
-        M = A_hat.matrix.T @ Bm
-        wls = np.linalg.solve(M, Bm.T @ XB)
-        draws["wls"] = wls
+        keep, Aplus = _wls_operator(A_hat.matrix)
+        draws["wls"] = Aplus @ XB[keep]
         sigmas["wls"] = sigma_ls(alpha, r, A_hat).sigma
 
     records = []
@@ -543,15 +547,11 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
 
 
 def _conv_chunk_worker(payload) -> np.ndarray:
+    """Debiased distances of the chunk's pairs; NaN where a pair failed."""
     (config, A_hat_m, poly, reps, r) = payload
     N = config.N
-    docs_i = np.empty((config.p, reps.size))
-    docs_j = np.empty((config.p, reps.size))
-    for c, rep in enumerate(reps):
-        rng = np.random.default_rng([config.seed, _S_DOCS, 0, int(rep)])
-        docs_i[:, c] = rng.multinomial(N, r) / N
-        docs_j[:, c] = rng.multinomial(N, r) / N
-    return _pair_estimates(docs_i, docs_j, A_hat_m, poly)[2]
+    counts_i, counts_j = _draw_pairs(config, 0, reps, r, r, N)
+    return _pair_estimates(counts_i / N, counts_j / N, A_hat_m, poly)[2]
 
 
 def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
@@ -569,9 +569,10 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
 
     tasks = [(config, A_hat.matrix, poly, reps, r) for reps in _chunks(config.n_reps)]
     W = np.concatenate(_pmap(_conv_chunk_worker, tasks, config.workers))
-    stat_draws = effective_root_n(config.N, config.N) * W
+    failures = int(np.isnan(W).sum())
+    stat_draws = effective_root_n(config.N, config.N) * W[~np.isnan(W)]
 
-    sigma = _sigma_from_weights(alpha, A.matrix)
+    sigma = sigma_hat(alpha, A.matrix).sigma
     root = numlin.psd_sqrt(2.0 * sigma)
     rng = np.random.default_rng([config.seed, _S_LAW])
     Z = root @ rng.standard_normal(size=(config.K, config.M))
@@ -592,6 +593,8 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
         seed=config.seed,
         summary=summary,
         records=[{"stat_draws": stat_draws.tolist(), "limit_draws": limit_draws.tolist()}],
+        failures=failures,
+        invalid=failures > 0.01 * config.n_reps,
     )
     return _finish(report, t0)
 
@@ -603,23 +606,20 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
 def _mle_ls_chunk_worker(payload) -> list[dict]:
     (config, A_hat_m, poly, outer, reps, r, quantiles) = payload
     N = config.N
-    docs_i = np.empty((config.p, reps.size))
-    docs_j = np.empty((config.p, reps.size))
-    for c, rep in enumerate(reps):
-        rng = np.random.default_rng([config.seed, _S_DOCS, outer, int(rep)])
-        docs_i[:, c] = rng.multinomial(N, r) / N
-        docs_j[:, c] = rng.multinomial(N, r) / N
-    W_deb = _pair_estimates(docs_i, docs_j, A_hat_m, poly)[2]
-    d = A_hat_m.sum(axis=1)
-    Bm = A_hat_m / d[:, None]
-    M = A_hat_m.T @ Bm
-    ls_i = np.linalg.solve(M, Bm.T @ docs_i)
-    ls_j = np.linalg.solve(M, Bm.T @ docs_j)
-    W_ls = support_batch(poly, (ls_i - ls_j).T)
+    counts_i, counts_j = _draw_pairs(config, outer, reps, r, r, N)
+    docs_i, docs_j = counts_i / N, counts_j / N
+    _, _, W_deb, errors = _pair_estimates(docs_i, docs_j, A_hat_m, poly)
+    keep, Aplus = _wls_operator(A_hat_m)
+    W_ls = support_batch(poly, (Aplus @ docs_i[keep] - Aplus @ docs_j[keep]).T)
     root_n = math.sqrt(N)
     out = []
     for c, rep in enumerate(reps):
         rec = {"outer": int(outer), "rep": int(rep)}
+        if errors[c] is not None:
+            # The pair is compared on both estimators or on neither.
+            rec["error"] = errors[c]
+            out.append(rec)
+            continue
         for name, w in (("mle_debiased", W_deb[c]), ("wls", W_ls[c])):
             q_lo, q_hi = quantiles[name]
             rec[name] = {
@@ -647,7 +647,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
     for outer in range(config.n_outer):
         alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer]).values
         r = A.matrix @ alpha
-        sig_mle = _sigma_from_weights(alpha, A.matrix)
+        sig_mle = sigma_hat(alpha, A.matrix).sigma
         sig_ls = sigma_ls(alpha, r, A).sigma
         G = np.random.default_rng([config.seed, _S_LAW, outer]).standard_normal(size=(config.K, config.M))
         quantiles = {}
@@ -661,6 +661,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
             tasks.append((config, A_hat.matrix, poly, outer, reps, r, quantiles))
 
     records = [rec for out in _pmap(_mle_ls_chunk_worker, tasks, config.workers) for rec in out]
+    ok = [r for r in records if "error" not in r]
     root_n = math.sqrt(config.N)
     per_outer = []
     for meta in law_meta:
@@ -675,12 +676,12 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
     diffs = np.array([o["length_wls"] - o["length_mle"] for o in per_outer])
     summary = {}
     for name in ("mle_debiased", "wls"):
-        covered = np.array([r[name]["covered"] for r in records])
-        lengths = np.array([r[name]["length"] for r in records])
+        covered = np.array([r[name]["covered"] for r in ok])
+        lengths = np.array([r[name]["length"] for r in ok])
         summary[name] = {
-            "coverage": float(covered.mean()),
-            "mean_length": float(lengths.mean()),
-            "n": len(records),
+            "coverage": float(covered.mean()) if ok else float("nan"),
+            "mean_length": float(lengths.mean()) if ok else float("nan"),
+            "n": len(ok),
         }
     summary["paired_length_diff"] = {
         "mean": float(diffs.mean()),
@@ -693,5 +694,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
         seed=config.seed,
         summary=summary,
         records=records,
+        failures=len(records) - len(ok),
+        invalid=len(records) - len(ok) > 0.01 * len(records),
     )
     return _finish(report, t0)

@@ -33,6 +33,12 @@ SIMPLEX_TOL = 1e-8
 # combinatorially and the LP path remains available.
 _QHULL_MAX_K = 12
 
+# HiGHS options of the primal and dual distance LPs.  At the default 1e-7
+# feasibility tolerances both drift up to ~1e-8 from the exact value on
+# weights below 1e-7; at 1e-10, presolve calls some transportation LPs
+# infeasible.
+_LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
 # Facet slabs get this much numerical slack so that an optimal face computed
 # by one LP stays feasible for the next at HiGHS's ~1e-7 feasibility scale.
 FACET_SLACK_UNIT = 1e-7
@@ -394,6 +400,7 @@ def kr_dual_value(u, polytope: DualPolytope) -> tuple[float, np.ndarray]:
         b_ub=b,
         bounds=[(None, None)] * (K - 1),
         method="highs",
+        options=_LP_OPTIONS,
     )
     if res.status == 3:
         raise Unbounded("dual LP is unbounded for the given direction")
@@ -461,10 +468,7 @@ def wasserstein_primal(alpha, beta, cost: CostMatrix) -> tuple[float, np.ndarray
     for l in range(K - 1):
         A_eq[K + l, l::K] = 1.0
         b_eq[K + l] = b[l]
-    # HiGHS's default 1e-7 feasibility tolerances drift ~1e-8 from the dual on
-    # weights below 1e-7; at 1e-10, presolve calls some such LPs infeasible.
-    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=_LP_OPTIONS)
     if res.status != 0:
         raise LPFailure(f"transportation LP failed with status {res.status}: {res.message}")
     plan = np.clip(res.x.reshape(K, K), 0.0, None)

@@ -15,7 +15,7 @@ from mixwass.estimators import (
     Method,
     _debias_batch,
     _em_batch,
-    _sigma_from_weights,
+    _wls_operator,
     mle_objective,
 )
 
@@ -261,11 +261,15 @@ def test_batch_paths_match_single():
     mle_b, iters, conv = _em_batch(XB, A)
     assert conv.all()
     deb_b = _debias_batch(mle_b, XB, A)
+    # The drivers' batched WLS: the operator applied to all columns at once.
+    keep, Aplus = _wls_operator(A)
+    wls_b = Aplus @ XB[keep]
     for b in range(B):
         single = mle_weights(XB[:, b], A)
         assert np.abs(single.alpha - mle_b[:, b]).max() <= 1e-8
         deb_single = debias(single, XB[:, b], A)
         assert np.abs(deb_single.alpha - deb_b[:, b]).max() <= 1e-8
+        assert np.abs(wls_weights(XB[:, b], A).alpha - wls_b[:, b]).max() <= 1e-12
 
 
 def _sparse_weights(rng, K, tau):
@@ -349,13 +353,6 @@ def test_em_objective_monotone_in_max_iter():
         cur = (XB * np.log(A @ alphas)).sum(axis=0)
         assert np.all(cur >= prev - 1e-12)
         prev = cur
-
-
-def test_sigma_from_weights_matches_public():
-    rng = np.random.default_rng(13)
-    A = random_topics(rng, 30, 3)
-    alpha = rng.dirichlet(np.ones(3))
-    assert np.abs(_sigma_from_weights(alpha, A) - sigma_hat(alpha, A).sigma).max() == 0.0
 
 
 # --- CountVector ----------------------------------------------------------------

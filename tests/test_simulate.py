@@ -187,11 +187,38 @@ def test_failed_replicates_flag_report_invalid():
     assert all(r["error"] for r in rep.records)
 
 
-def test_ci_experiment_isolates_a_failing_replicate(monkeypatch):
+def _ci_pairs(rep):
+    return [
+        (r["W_tilde"], r["methods"]["plugin"]["lower"], r["methods"]["plugin"]["upper"])
+        for r in rep.records
+        if r["error"] is None
+    ]
+
+
+def _conv_pairs(rep):
+    return [(w / np.sqrt(rep.config["N"]),) for w in rep.records[0]["stat_draws"]]
+
+
+def _mle_ls_pairs(rep):
+    return [(r["mle_debiased"]["W"], r["wls"]["W"]) for r in rep.records if "error" not in r]
+
+
+# Each driver with the per-pair values of its report; the first value of a
+# pair is its debiased distance estimate.
+FAULT_DRIVERS = {
+    "ci": (run_ci_experiment, dict(methods=("plugin",)), _ci_pairs),
+    "convergence": (run_convergence_experiment, {}, _conv_pairs),
+    "mle-vs-wls": (run_mle_vs_wls_experiment, dict(n_outer=1), _mle_ls_pairs),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(FAULT_DRIVERS))
+def test_ci_experiment_isolates_a_failing_replicate(monkeypatch, driver):
     # A fault in the batched stage costs only the replicate it belongs to.
-    cfg = SimConfig(n_reps=8, methods=("plugin",), **SMALL)
-    clean = run_ci_experiment(cfg)
-    bad_W = clean.records[5]["W_tilde"]
+    run, extra, pairs = FAULT_DRIVERS[driver]
+    cfg = SimConfig(n_reps=8, **extra, **SMALL)
+    clean = run(cfg)
+    bad_W = pairs(clean)[5][0]
     real_support_batch = simulate.support_batch
 
     def faulty_support_batch(poly, directions):
@@ -201,16 +228,16 @@ def test_ci_experiment_isolates_a_failing_replicate(monkeypatch):
         return W
 
     monkeypatch.setattr(simulate, "support_batch", faulty_support_batch)
-    rep = run_ci_experiment(cfg)
-    assert rep.failures == 1
-    assert rep.records[5]["error"] == "LPFailure: injected fault"
-    for c, (want, got) in enumerate(zip(clean.records, rep.records)):
-        if c == 5:
-            continue
-        assert got["error"] is None
-        assert got["W_tilde"] == pytest.approx(want["W_tilde"], rel=1e-9, abs=1e-12)
-        for key in ("lower", "upper"):
-            assert got["methods"]["plugin"][key] == pytest.approx(want["methods"]["plugin"][key], rel=1e-9, abs=1e-12)
+    rep = run(cfg)
+    assert rep.failures == 1 and rep.invalid
+    if driver != "convergence":
+        assert rep.records[5]["error"] == "LPFailure: injected fault"
+    want = pairs(clean)
+    del want[5]
+    got = pairs(rep)
+    assert len(got) == len(want)
+    for w, g in zip(want, got):
+        assert g == pytest.approx(w, rel=1e-9, abs=1e-12)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -159,7 +159,8 @@ def test_primal_matches_vertex_enumeration_and_dual():
 
 def test_primal_matches_dual_near_zero_weights():
     # MLEs at the simplex boundary have entries far below HiGHS's default
-    # 1e-7 feasibility tolerance; the primal must still match the dual.
+    # 1e-7 feasibility tolerance; the primal LP and the dual LP must still
+    # match the vertex dual.
     rng = np.random.default_rng(17)
     for _ in range(20):
         K = int(rng.integers(4, 9))
@@ -175,7 +176,9 @@ def test_primal_matches_dual_near_zero_weights():
         a, b = weights(), weights()
         primal, _ = wasserstein_primal(a, b, cost)
         dual = support_batch(poly, (a - b)[None, :])[0]
+        lp_dual, _ = kr_dual_value(a - b, poly)
         assert abs(primal - dual) <= 1e-9
+        assert abs(lp_dual - dual) <= 1e-9
 
 
 def test_primal_dim_mismatch():
