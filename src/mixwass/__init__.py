@@ -28,7 +28,6 @@ from .numlin import SymMatrixResult, pinv, psd_sqrt, sym_eig  # noqa: F401
 from .transport import (  # noqa: F401
     CostMatrix,
     DualPolytope,
-    FacetConstraint,
     ProbVec,
     TopicMatrix,
     cost_matrix,

@@ -143,15 +143,13 @@ def _restrict(
     """Polytope to sample for slab width ``delta``, with w_hat and zero feasibility.
 
     ``delta=None`` keeps the unrestricted polytope, where f = 0 is feasible.
-    Otherwise w_hat is the dual value at ai - aj and the polytope is cut to
-    the slab of width ``delta`` around that optimal facet.
+    Otherwise the polytope is cut to the slab of width ``delta`` around the
+    optimal facet at ai - aj, whose dual value is w_hat.
     """
     if delta is None:
         return base, None, True
-    if delta < 0:
-        raise InvalidParam("delta must be >= 0 (or None for no restriction)")
-    w_hat = float(support_batch(base, (ai - aj)[None, :])[0])
-    poly = restricted_polytope(base.cost, ai, aj, w_hat, delta)
+    poly = restricted_polytope(base, ai, aj, delta)
+    w_hat = poly.slab[1]
     return poly, w_hat, abs(w_hat) <= delta + facet_slack(w_hat)
 
 

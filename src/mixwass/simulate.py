@@ -288,14 +288,15 @@ def _chunks(n: int) -> list[np.ndarray]:
 
 
 def _setup(config: SimConfig):
-    """Topics, estimation topics (possibly noisy), cost, polytope."""
+    """Topics, estimation topics (possibly noisy), true cost, and the polytopes
+    of the estimated and true costs (one object when ``a_noise`` is 0)."""
     A = gen_topic_matrix(config.p, config.K, [config.seed, _S_TOPICS])
     A_hat = perturb_topics(A, config.a_noise, [config.seed, _S_NOISE])
     cost_true = cost_matrix(A, config.metric)
-    cost_hat = cost_matrix(A_hat, config.metric) if config.a_noise else cost_true
-    poly = DualPolytope(cost_hat)
+    true_poly = DualPolytope(cost_true)
+    poly = DualPolytope(cost_matrix(A_hat, config.metric)) if config.a_noise else true_poly
     poly.vertices()  # warm the cache before handing to workers
-    return A, A_hat, cost_true, cost_hat, poly
+    return A, A_hat, cost_true, poly, true_poly
 
 
 def _draw_pairs(config: SimConfig, outer: int, reps: np.ndarray, r_i, r_j, N_j: int):
@@ -421,7 +422,7 @@ def run_ci_experiment(config: SimConfig) -> ExperimentReport:
     """
     t0 = time.time()
     config = config.scaled()
-    A, A_hat, cost_true, cost_hat, poly = _setup(config)
+    A, A_hat, cost_true, poly, _ = _setup(config)
     facet_delta = None if config.design == "null" else config.resolve_delta()
 
     tasks = []
@@ -563,7 +564,7 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
     """
     t0 = time.time()
     config = config.scaled()
-    A, A_hat, cost_true, cost_hat, poly = _setup(config)
+    A, A_hat, _, poly, true_poly = _setup(config)
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
 
@@ -576,7 +577,6 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
     root = numlin.psd_sqrt(2.0 * sigma)
     rng = np.random.default_rng([config.seed, _S_LAW])
     Z = root @ rng.standard_normal(size=(config.K, config.M))
-    true_poly = DualPolytope(cost_true)
     limit_draws = np.maximum(support_batch(true_poly, Z.T), 0.0)
 
     d = ks_distance(stat_draws, limit_draws)
@@ -640,8 +640,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
     """
     t0 = time.time()
     config = config.scaled()
-    A, A_hat, cost_true, cost_hat, poly = _setup(config)
-    true_poly = DualPolytope(cost_true)
+    A, A_hat, _, poly, true_poly = _setup(config)
     tasks = []
     law_meta = []
     for outer in range(config.n_outer):

@@ -7,11 +7,11 @@ polytope of vectors satisfying f_k - f_l <= d(A_k, A_l) with f_1 = 0.
 Both routes go through scipy's HiGHS solver; the dual polytope additionally
 caches its vertex set (Qhull) so that Monte Carlo loops can evaluate the
 support function as a single matrix product instead of one LP per draw.
+There is one vertex cache per base polytope: a restriction to a slab around
+the optimal facet is a view that reads its base's vertices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -29,9 +29,12 @@ from .errors import (
 # Probability vectors must sum to one within this tolerance.
 SIMPLEX_TOL = 1e-8
 
-# Vertex enumeration is skipped above this dimension; the count explodes
-# combinatorially and the LP path remains available.
-_QHULL_MAX_K = 12
+# Vertex enumeration is skipped above this dimension and support values
+# come from one LP per direction.  The base polytope has C(2K-2, K-1)
+# vertices: at K=11 Qhull took 57 s for its 184,756, and an M=1000
+# support_batch over them builds a 1.5 GB product, while the LP route
+# costs about 2.7 ms per direction.
+_QHULL_MAX_K = 10
 
 # HiGHS options of the primal and dual distance LPs.  At the default 1e-7
 # feasibility tolerances both drift up to ~1e-8 from the exact value on
@@ -39,8 +42,9 @@ _QHULL_MAX_K = 12
 # infeasible.
 _LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
-# Facet slabs get this much numerical slack so that an optimal face computed
-# by one LP stays feasible for the next at HiGHS's ~1e-7 feasibility scale.
+# Positive-width facet slabs, and the vertex filter of an optimal face, get
+# this much numerical slack so that the face computed by one route stays
+# feasible for the other.
 FACET_SLACK_UNIT = 1e-7
 
 
@@ -178,7 +182,8 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
     """Pairwise distances between the columns of a topic matrix.
 
     ``metric`` is ``"tv"`` (default), ``"l2"``, or a user-supplied K x K
-    pairwise table (validated for symmetry and zero diagonal).
+    pairwise table (validated for symmetry, zero diagonal and the triangle
+    inequality).
     """
     M = _topics_array(A)
     K = M.shape[1]
@@ -196,16 +201,13 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
     table = np.asarray(metric, dtype=float)
     if table.shape != (K, K):
         raise InvalidCost(f"pairwise table must be {K}x{K}, got {table.shape}")
-    return CostMatrix(table, metric="table")
-
-
-@dataclass(frozen=True)
-class FacetConstraint:
-    """Slab |f^T u - target| <= delta added to the dual polytope."""
-
-    direction: np.ndarray
-    target: float
-    delta: float
+    cost = CostMatrix(table, metric="table")
+    # Off a metric the dual value is the shortest-path transport cost, which
+    # falls below the primal one; C[k, l] <= C[k, m] + C[m, l] for all m.
+    C = cost.entries
+    if (C - (C[:, :, None] + C[None, :, :]).min(axis=1)).max(initial=0.0) > 1e-10:
+        raise InvalidCost("cost table violates the triangle inequality")
+    return cost
 
 
 class DualPolytope:
@@ -215,20 +217,19 @@ class DualPolytope:
     on the remaining K-1 free coordinates.  Immutable after construction and
     safe to share across concurrent workers; the halfspace description and
     (when available) the vertex set are computed lazily and cached.
+
+    ``DualPolytope(cost)`` is the base polytope, and it holds the one vertex
+    cache of its cost.  ``restricted_polytope`` returns a view on a base: it
+    adds the slab ``slab = (direction, target, delta)`` to the base's
+    halfspaces and reads the base's vertices instead of enumerating again.
     """
 
-    def __init__(self, cost: CostMatrix, facet: FacetConstraint | None = None):
+    def __init__(self, cost: CostMatrix):
         if not isinstance(cost, CostMatrix):
             cost = CostMatrix(cost)
-        if facet is not None:
-            u = np.asarray(facet.direction, dtype=float)
-            if u.shape != (cost.K,):
-                raise DimError(f"facet direction has shape {u.shape}, expected ({cost.K},)")
-            if facet.delta < 0:
-                raise InvalidParam("facet slack delta must be >= 0")
-            facet = FacetConstraint(u, float(facet.target), float(facet.delta))
         self.cost = cost
-        self.facet = facet
+        self.base: DualPolytope | None = None
+        self.slab: tuple[np.ndarray, float, float] | None = None
         self._halfspaces: tuple[np.ndarray, np.ndarray] | None = None
         self._vertices: np.ndarray | None = None
         self._vertices_tried = False
@@ -241,6 +242,17 @@ class DualPolytope:
     def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
         """Inequalities (A, b) with A x <= b over the K-1 free coordinates."""
         if self._halfspaces is not None:
+            return self._halfspaces
+        if self.slab is not None:
+            A, b = self.base.halfspaces()
+            u, t, d = self.slab
+            if d == 0.0:
+                # Pin f^T u to the base LP's own optimum with no slack, so
+                # the LP sees the optimal face itself, not a slab around it.
+                lo = hi = kr_dual_value(u, self.base)[0]
+            else:
+                lo, hi = t - d - facet_slack(t), t + d + facet_slack(t)
+            self._halfspaces = (np.vstack([A, u[1:], -u[1:]]), np.append(b, [hi, -lo]))
             return self._halfspaces
         K = self.K
         C = self.cost.entries
@@ -257,71 +269,45 @@ class DualPolytope:
                     r[l - 1] = -1.0
                 rows.append(r)
                 rhs.append(C[k, l])
-        if self.facet is not None:
-            u = self.facet.direction[1:]
-            t, d = self.facet.target, self.facet.delta
-            eps = facet_slack(t)
-            rows.append(u)
-            rhs.append(t + d + eps)
-            rows.append(-u)
-            rhs.append(-(t - d - eps))
-        A = np.asarray(rows, dtype=float)
-        b = np.asarray(rhs, dtype=float)
-        self._halfspaces = (A, b)
+        self._halfspaces = (np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float))
         return self._halfspaces
-
-    def _base_vertices(self) -> np.ndarray | None:
-        """Vertices of the unrestricted polytope (no facet), or None."""
-        K = self.K
-        if K == 1:
-            return np.zeros((1, 1))
-        if K > _QHULL_MAX_K:
-            return None
-        base = DualPolytope(self.cost) if self.facet is not None else self
-        A, b = base.halfspaces()
-        V = _enumerate_vertices(A, b)
-        if V is None:
-            return None
-        return np.column_stack([np.zeros(V.shape[0]), V])
 
     def vertices(self) -> np.ndarray | None:
         """Vertex set as rows of length K (f_1 = 0), or None if unavailable.
 
-        With a zero-slack facet whose target is the polytope's own maximum,
-        the restricted set is an optimal face and its vertices are the base
-        vertices attaining the maximum.  Positive-slack slabs are enumerated
-        directly when they have interior; otherwise callers fall back to LPs.
+        A zero-width slab is the optimal face of the base, whose vertices
+        are the base vertices attaining the maximum.  Positive-width slabs
+        are enumerated directly when they cut the base and have interior;
+        otherwise callers fall back to LPs.
         """
-        if self._vertices_tried:
-            return self._vertices
-        self._vertices_tried = True
-        V = self._base_vertices()
-        if V is None or self.facet is None:
-            self._vertices = V
-            return V
-        u, t, d = self.facet.direction, self.facet.target, self.facet.delta
+        if not self._vertices_tried:
+            self._vertices_tried = True
+            self._vertices = self._enumerate() if self.slab is None else self._slab_vertices()
+        return self._vertices
+
+    def _enumerate(self) -> np.ndarray | None:
+        if self.K == 1:
+            return np.zeros((1, 1))
+        if self.K > _QHULL_MAX_K:
+            return None
+        V = _enumerate_vertices(*self.halfspaces())
+        return None if V is None else np.column_stack([np.zeros(V.shape[0]), V])
+
+    def _slab_vertices(self) -> np.ndarray | None:
+        V = self.base.vertices()
+        if V is None:
+            return None
+        u, t, d = self.slab
         eps = facet_slack(t)
         vals = V @ u
         top = float(vals.max())
         if d == 0.0:
-            # Exact only on the optimal face; arbitrary targets need the LP.
-            if t < top - eps or t > top + eps:
-                self._vertices = None
-                return None
-            face = V[vals >= top - eps]
-            self._vertices = face
-            return face
+            return V[vals >= top - eps]
         if t + d >= top - eps and t - d <= float(vals.min()) + eps:
             # Slab inactive: restriction equals the base polytope.
-            self._vertices = V
             return V
-        A, b = self.halfspaces()
-        W = _enumerate_vertices(A, b)
-        if W is None:
-            self._vertices = None
-            return None
-        self._vertices = np.column_stack([np.zeros(W.shape[0]), W])
-        return self._vertices
+        W = _enumerate_vertices(*self.halfspaces())
+        return None if W is None else np.column_stack([np.zeros(W.shape[0]), W])
 
     def contains(self, f, tol: float = 1e-8) -> bool:
         f = np.asarray(f, dtype=float)
@@ -428,20 +414,25 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     return np.array([kr_dual_value(u, polytope)[0] for u in U])
 
 
-def restricted_polytope(cost: CostMatrix, alpha_hat, beta_hat, w_hat: float, delta: float) -> DualPolytope:
-    """Dual polytope intersected with |f^T(alpha - beta) - w_hat| <= delta.
+def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float) -> DualPolytope:
+    """View of ``base`` cut to the slab |f^T(alpha - beta) - w_hat| <= delta.
 
-    ``w_hat`` should be the dual value of the same direction over the
-    unrestricted polytope, in which case the optimal face stays feasible.
+    w_hat is the support function of ``base`` at alpha_hat - beta_hat, so
+    the optimal face always stays feasible; at ``delta=0`` the vertices are
+    that face's.  The result stores w_hat as ``slab[1]`` and reads the
+    vertex cache of ``base``.
     """
     if delta < 0:
         raise InvalidParam("delta must be >= 0")
     a = _values(alpha_hat, name="alpha_hat")
     b = _values(beta_hat, name="beta_hat")
-    if a.size != b.size or a.size != cost.K:
-        raise DimError("alpha_hat/beta_hat dimensions must match the cost matrix")
-    facet = FacetConstraint(direction=a - b, target=float(w_hat), delta=float(delta))
-    return DualPolytope(cost, facet)
+    if a.size != b.size or a.size != base.K:
+        raise DimError("alpha_hat/beta_hat dimensions must match the polytope")
+    u = a - b
+    poly = DualPolytope(base.cost)
+    poly.base = base
+    poly.slab = (u, float(support_batch(base, u[None, :])[0]), float(delta))
+    return poly
 
 
 def wasserstein_primal(alpha, beta, cost: CostMatrix) -> tuple[float, np.ndarray]:

@@ -19,9 +19,11 @@ from mixwass import (
     limit_sampler,
     m_out_of_n_bootstrap,
     mle_weights,
+    restricted_polytope,
     sigma_hat,
     wasserstein_primal,
 )
+from mixwass import transport
 from mixwass.errors import InvalidParam
 from mixwass.numlin import psd_sqrt
 
@@ -230,6 +232,29 @@ def test_bootstrap_reuses_polytope_cache():
     s1 = m_out_of_n_bootstrap(X_i, X_j, A, poly, gamma=0.5, B=10, seed=1)
     s2 = m_out_of_n_bootstrap(X_i, X_j, A, cost, gamma=0.5, B=10, seed=1)
     assert np.allclose(s1.samples, s2.samples, atol=1e-12)
+
+
+def test_delta0_restrictions_read_the_base_vertex_cache(monkeypatch):
+    # An optimal face is a filter of its base polytope's vertex set: once
+    # the base is enumerated, no delta=0 restriction enumerates again.
+    A, cost, alpha, X_i, X_j = small_instance(seed=15, K=5)
+    calls = []
+    enumerate_vertices = transport._enumerate_vertices
+
+    def counted(A_ub, b_ub):
+        calls.append(A_ub.shape)
+        return enumerate_vertices(A_ub, b_ub)
+
+    monkeypatch.setattr(transport, "_enumerate_vertices", counted)
+    base = DualPolytope(cost)
+    base.vertices()
+    assert len(calls) == 1
+    est_i = mle_weights(X_i.frequencies, A)
+    est_j = mle_weights(X_j.frequencies, A)
+    limit_sampler(est_i, est_j, A, base, delta=0.0, M=50, seed=1)
+    derivative_bootstrap(X_i, X_j, A, base, delta=0.0, B=10, seed=2)
+    restricted_polytope(base, est_i.alpha, est_j.alpha, 0.0).vertices()
+    assert len(calls) == 1
 
 
 # --- KS --------------------------------------------------------------------------

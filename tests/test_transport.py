@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixwass import (
@@ -121,6 +121,42 @@ def test_user_table_validation():
         cost_matrix(TopicMatrix(np.eye(2)), np.array([[0.1, 0.3], [0.3, 0.0]]))
 
 
+def _breaks_triangle(C) -> bool:
+    K = len(C)
+    return any(C[k, l] > C[k, m] + C[m, l] + 1e-10 for k in range(K) for l in range(K) for m in range(K))
+
+
+def _table_case(K):
+    """Upper triangle of a K x K table and two weight vectors."""
+    n = K * (K - 1) // 2
+    entries = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 5.0]), min_size=n, max_size=n)
+    weights = st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K)
+    return st.tuples(entries, weights, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(_table_case))
+@example(([1.0, 5.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
+def test_user_table_primal_matches_dual_or_is_refused(case):
+    upper, wa, wb = case
+    K = len(wa)
+    table = np.zeros((K, K))
+    table[np.triu_indices(K, 1)] = upper
+    table += table.T
+    a = np.array(wa) / np.sum(wa)
+    b = np.array(wb) / np.sum(wb)
+    try:
+        cost = cost_matrix(TopicMatrix(np.eye(K)), table)
+    except InvalidCost:
+        # Off a metric the dual is the shortest-path cost, not the primal.
+        assert _breaks_triangle(table)
+        return
+    assert not _breaks_triangle(table)
+    primal, _ = wasserstein_primal(a, b, cost)
+    dual, _ = kr_dual_value(a - b, DualPolytope(cost))
+    assert abs(primal - dual) <= 1e-8
+
+
 # --- wasserstein_primal -----------------------------------------------------
 
 
@@ -228,7 +264,7 @@ def test_dual_inactive_facet_matches_unconstrained():
     a = rng.dirichlet(np.ones(4))
     b = rng.dirichlet(np.ones(4))
     base, _ = kr_dual_value(a - b, DualPolytope(cost))
-    wide = restricted_polytope(cost, a, b, base, cost.max_entry() + 1.0)
+    wide = restricted_polytope(DualPolytope(cost), a, b, cost.max_entry() + 1.0)
     constrained, _ = kr_dual_value(a - b, wide)
     assert constrained == pytest.approx(base, abs=1e-9)
 
@@ -249,9 +285,9 @@ def test_dual_argmax_feasible():
 def test_restricted_null_case_is_full_polytope():
     cost = random_instance(np.random.default_rng(12), 3)
     a = np.array([0.3, 0.3, 0.4])
-    poly = restricted_polytope(cost, a, a, 0.0, 0.0)
-    rng = np.random.default_rng(13)
     base = DualPolytope(cost)
+    poly = restricted_polytope(base, a, a, 0.0)
+    rng = np.random.default_rng(13)
     for _ in range(5):
         u = rng.normal(size=3)
         v1, _ = kr_dual_value(u, poly)
@@ -267,7 +303,7 @@ def test_restricted_maximizers_stay_feasible():
         b = rng.dirichlet(np.ones(3))
         base = DualPolytope(cost)
         w, f = kr_dual_value(a - b, base)
-        poly = restricted_polytope(cost, a, b, w, 0.0)
+        poly = restricted_polytope(base, a, b, 0.0)
         assert poly.contains(f, tol=1e-7)
         w2, _ = kr_dual_value(a - b, poly)
         assert w2 == pytest.approx(w, abs=1e-8)
@@ -276,7 +312,7 @@ def test_restricted_maximizers_stay_feasible():
 def test_restricted_rejects_negative_delta():
     cost = random_instance(np.random.default_rng(15), 3)
     with pytest.raises(InvalidParam):
-        restricted_polytope(cost, np.full(3, 1 / 3), np.full(3, 1 / 3), 0.0, -0.1)
+        restricted_polytope(DualPolytope(cost), np.full(3, 1 / 3), np.full(3, 1 / 3), -0.1)
 
 
 # --- properties: convexity, Dirac agreement, upper bound, stability ---------
@@ -364,18 +400,32 @@ def test_vertices_match_lp():
         assert np.abs(fast - slow).max() <= 1e-8
 
 
-def test_vertex_face_restriction_matches_lp():
+@pytest.mark.parametrize("K", [2, 3, 5, 8])
+def test_vertex_face_restriction_matches_lp(K):
     rng = np.random.default_rng(22)
-    cost = random_instance(rng, 4)
-    a = rng.dirichlet(np.ones(4))
-    b = rng.dirichlet(np.ones(4))
+    cost = random_instance(rng, K)
+    a = rng.dirichlet(np.ones(K))
+    b = rng.dirichlet(np.ones(K))
     base = DualPolytope(cost)
-    w, _ = kr_dual_value(a - b, base)
     for delta in (0.0, 0.05):
-        poly = restricted_polytope(cost, a, b, w, delta)
-        U = rng.normal(size=(15, 4))
+        poly = restricted_polytope(base, a, b, delta)
+        U = rng.normal(size=(15, K))
         fast = support_batch(poly, U)
         slow = np.array([kr_dual_value(u, poly)[0] for u in U])
         # The facet slab carries FACET_SLACK_UNIT of feasibility slack, so
         # the engines agree to slack scale here, not LP scale.
         assert np.abs(fast - slow).max() <= 2e-5
+
+
+def test_lp_route_beyond_enumeration_bound():
+    # K=11 has 184,756 vertices, too many to enumerate; every support
+    # value then comes from the dual LP, which matches the primal.
+    rng = np.random.default_rng(23)
+    cost = random_instance(rng, 11)
+    poly = DualPolytope(cost)
+    assert poly.vertices() is None
+    for _ in range(3):
+        a = rng.dirichlet(np.ones(11))
+        b = rng.dirichlet(np.ones(11))
+        primal, _ = wasserstein_primal(a, b, cost)
+        assert support_batch(poly, a - b)[0] == pytest.approx(primal, abs=1e-8)
