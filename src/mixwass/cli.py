@@ -90,32 +90,40 @@ def _parse_delta(text):
     return float(text)
 
 
-def _pair_inputs(args, cfg):
-    """Topics, document pair, metric and polytope of ``distance`` and ``ci``.
+def _load_inputs(args, cfg):
+    """Topics and documents of ``estimate``, ``distance`` and ``ci``.
 
-    Returns (A, doc_i, doc_j, metric, poly, count paths).
+    The topics are read first and fix p: every counts file is read against
+    it.  Returns (A, documents, topics path, counts paths).
     """
     topics_path = _resolve(args, "topics", cfg, None)
-    if not topics_path:
-        raise InvalidParam("--topics is required")
-    A = load_topics(topics_path)
     spec = _resolve(args, "counts", cfg, None)
-    if not spec:
-        raise InvalidParam("--counts is required")
+    if not topics_path or not spec:
+        raise InvalidParam("--counts and --topics are required")
+    A = load_topics(topics_path)
     paths = [s for s in str(spec).split(",") if s]
-    p_dim = _resolve(args, "p", cfg, None)
     docs = []
     for path in paths:
-        loaded = load_counts(path, p=int(p_dim) if p_dim else None)
+        loaded = load_counts(path, p=A.p)
         if not loaded:
             raise InvalidParam(f"{path} contains no documents")
         docs.extend(loaded)
+    return A, docs, topics_path, paths
+
+
+def _pair_inputs(args, cfg):
+    """Topics, document pair, metric and polytope of ``distance`` and ``ci``.
+
+    Returns (A, doc_i, doc_j, metric, poly, input files for the manifest).
+    """
+    A, docs, topics_path, paths = _load_inputs(args, cfg)
     doc_i = int(_resolve(args, "doc_i", cfg, 0))
     doc_j = int(_resolve(args, "doc_j", cfg, 1 if len(docs) > 1 else 0))
     if doc_i >= len(docs) or doc_j >= len(docs):
         raise InvalidParam(f"document indices {doc_i},{doc_j} out of range (have {len(docs)})")
     metric = _resolve(args, "metric", cfg, "tv")
-    return A, docs[doc_i], docs[doc_j], metric, DualPolytope(cost_matrix(A, metric)), paths
+    inputs = {"topics": topics_path, **{p: p for p in paths}}
+    return A, docs[doc_i], docs[doc_j], metric, DualPolytope(cost_matrix(A, metric)), inputs
 
 
 def _estimate(doc, A, method: str, with_cov: bool = False):
@@ -157,14 +165,12 @@ def build_parser() -> _Parser:
     add_common(sp)
     sp.add_argument("--counts", help="counts CSV (long or dense form)")
     sp.add_argument("--topics", help="topics CSV (p rows x K columns)")
-    sp.add_argument("--p", type=int, help="dictionary size for long-form counts")
     sp.add_argument("--method", choices=["mle", "debias", "wls"])
 
     sp = sub.add_parser("distance", help="distance estimate between two documents")
     add_common(sp)
     sp.add_argument("--counts", help="one or two counts CSVs, comma separated")
     sp.add_argument("--topics")
-    sp.add_argument("--p", type=int)
     sp.add_argument("--doc-i", dest="doc_i", type=int)
     sp.add_argument("--doc-j", dest="doc_j", type=int)
     sp.add_argument("--metric", choices=["tv", "l2"])
@@ -174,7 +180,6 @@ def build_parser() -> _Parser:
     add_common(sp)
     sp.add_argument("--counts")
     sp.add_argument("--topics")
-    sp.add_argument("--p", type=int)
     sp.add_argument("--doc-i", dest="doc_i", type=int)
     sp.add_argument("--doc-j", dest="doc_j", type=int)
     sp.add_argument("--metric", choices=["tv", "l2"])
@@ -238,12 +243,7 @@ _TABLE_RUNNERS = {
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config_file(args.config)
-    topics_path = _resolve(args, "topics", cfg, None)
-    counts_path = _resolve(args, "counts", cfg, None)
-    if not topics_path or not counts_path:
-        raise InvalidParam("--counts and --topics are required")
-    A = load_topics(topics_path)
-    docs = load_counts(counts_path, p=A.p)
+    A, docs, topics_path, paths = _load_inputs(args, cfg)
     method = _resolve(args, "method", cfg, "debias")
     seed = _seed_or_random(_resolve(args, "seed", cfg, 0))
     results = []
@@ -261,14 +261,15 @@ def _cmd_estimate(args) -> int:
             }
         )
     report = {"command": "estimate", "method": method, "estimates": results, "seed": seed}
-    manifest = RunManifest.create("estimate", {"method": method}, seed, {"counts": counts_path, "topics": topics_path})
+    inputs = {"topics": topics_path, **{("counts" if len(paths) == 1 else p): p for p in paths}}
+    manifest = RunManifest.create("estimate", {"method": method}, seed, inputs)
     _emit(report, manifest, _resolve(args, "out", cfg, None))
     return EXIT_OK
 
 
 def _cmd_distance(args) -> int:
     cfg = _load_config_file(args.config)
-    A, doc_i, doc_j, metric, poly, paths = _pair_inputs(args, cfg)
+    A, doc_i, doc_j, metric, poly, inputs = _pair_inputs(args, cfg)
     estimator = _resolve(args, "estimator", cfg, "debias")
     seed = _seed_or_random(_resolve(args, "seed", cfg, 0))
     _, est_i, _ = _estimate(doc_i, A, estimator)
@@ -285,14 +286,14 @@ def _cmd_distance(args) -> int:
         "alpha_j": est_j.alpha.tolist(),
         "seed": seed,
     }
-    manifest = RunManifest.create("distance", {"metric": metric, "estimator": estimator}, seed, {p: p for p in paths})
+    manifest = RunManifest.create("distance", {"metric": metric, "estimator": estimator}, seed, inputs)
     _emit(report, manifest, _resolve(args, "out", cfg, None))
     return EXIT_OK
 
 
 def _cmd_ci(args) -> int:
     cfg = _load_config_file(args.config)
-    A, doc_i, doc_j, metric, poly, paths = _pair_inputs(args, cfg)
+    A, doc_i, doc_j, metric, poly, inputs = _pair_inputs(args, cfg)
     level = float(_resolve(args, "level", cfg, 0.05))
     method = _resolve(args, "method", cfg, "plugin")
     M = int(_resolve(args, "M", cfg, 1000))
@@ -339,7 +340,7 @@ def _cmd_ci(args) -> int:
         "ci",
         {"method": method, "metric": metric, "level": level, "M": M, "B": B, "gamma": gamma, "delta": str(delta)},
         seed,
-        {p: p for p in paths},
+        inputs,
     )
     _emit(report, manifest, _resolve(args, "out", cfg, None))
     return EXIT_OK

@@ -262,15 +262,15 @@ def mle_objective(alpha, X, A) -> float:
     return float(Xv[s] @ np.log(r))
 
 
-def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray, zeta: float = ZETA) -> np.ndarray:
+def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarray:
     """One-step correction of a (K, B) batch of MLE columns (see ``debias``).
 
-    A column whose fitted probabilities all lie below ``zeta`` is returned
+    A column whose fitted probabilities all lie below ``ZETA`` is returned
     unchanged; ``debias`` rejects that case instead.
     """
     K, B = alphas.shape
     R = A @ alphas  # (p, B)
-    mask = R > zeta
+    mask = R > ZETA
     Rsafe = np.where(mask, R, 1.0)
     resid = np.where(mask, (XB - R) / Rsafe, 0.0)
     psi = A.T @ resid  # (K, B)
@@ -282,10 +282,10 @@ def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray, zeta: float
     return out
 
 
-def debias(alpha_hat, X, A_hat, zeta: float = ZETA) -> WeightEstimate:
+def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     """One-step bias correction of the simplex MLE.
 
-    With Jhat = {j : Ahat_j . alpha_hat > zeta}, computes the score
+    With Jhat = {j : Ahat_j . alpha_hat > ZETA}, computes the score
     Psi(alpha_hat) = sum_{j in Jhat} (X_j - rhat_j)/rhat_j * Ahat_j and the
     weighting matrix Vhat = sum_{j in Jhat} Ahat_j Ahat_j^T / rhat_j, and
     returns alpha_hat + Vhat^+ Psi(alpha_hat).  The result sums to one but
@@ -295,11 +295,11 @@ def debias(alpha_hat, X, A_hat, zeta: float = ZETA) -> WeightEstimate:
     a = base.alpha if base is not None else np.asarray(alpha_hat, dtype=float)
     Xv = _values(X, name="X")
     Am = _topics_array(A_hat)
-    J = np.flatnonzero(Am @ a > zeta)
+    J = np.flatnonzero(Am @ a > ZETA)
     if J.size == 0:
         raise DegenerateSupport("no word has fitted probability above the support threshold")
     return WeightEstimate(
-        alpha=_debias_batch(a[:, None], Xv[:, None], Am, zeta)[:, 0],
+        alpha=_debias_batch(a[:, None], Xv[:, None], Am)[:, 0],
         method=Method.DEBIASED,
         support=J,
         iterations=base.iterations if base is not None else 0,
@@ -314,7 +314,7 @@ def _fit_debiased(XB: np.ndarray, A: np.ndarray, tol: float = EM_TOL) -> tuple[n
     return mle, _debias_batch(mle, XB, A)
 
 
-def sigma_hat(alpha, A_hat, zeta: float = ZETA) -> CovEstimate:
+def sigma_hat(alpha, A_hat) -> CovEstimate:
     """Plug-in asymptotic covariance of the debiased weight estimator.
 
     sigma = (sum_{j in Jhat} Ahat_j Ahat_j^T / rhat_j)^{-1} - alpha alpha^T
@@ -324,7 +324,7 @@ def sigma_hat(alpha, A_hat, zeta: float = ZETA) -> CovEstimate:
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
     Am = _topics_array(A_hat)
     r = Am @ a
-    J = r > zeta
+    J = r > ZETA
     if not np.any(J):
         raise DegenerateSupport("fitted word probabilities are all below the support threshold")
     AJ = Am[J]

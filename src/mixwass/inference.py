@@ -236,8 +236,7 @@ def m_out_of_n_bootstrap(
 
     Each replicate resamples m_l = ceil(N_l^gamma) words from the observed
     frequencies of document l, reruns the MLE + debias + distance pipeline,
-    and emits the centered, sqrt(m)-scaled distance.  Replicates whose
-    resample cannot be estimated are redrawn (count reported in ``meta``).
+    and emits the centered, sqrt(m)-scaled distance.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidParam("gamma must be in (0, 1)")
@@ -252,25 +251,13 @@ def m_out_of_n_bootstrap(
     scale = effective_root_n(m_i, m_j)
 
     rng = np.random.default_rng(seed)
-    p_i = X_i.frequencies
-    p_j = X_j.frequencies
-    XBi = rng.multinomial(m_i, p_i, size=B).T / m_i
-    XBj = rng.multinomial(m_j, p_j, size=B).T / m_j
-    redraws = 0
-    # A resample of size m >= 1 from the observed support is always
-    # estimable when the original document was; the guard is for safety.
-    for attempt in range(100):
-        bad = np.flatnonzero((XBi.sum(axis=0) <= 0) | (XBj.sum(axis=0) <= 0))
-        if bad.size == 0:
-            break
-        redraws += bad.size
-        XBi[:, bad] = rng.multinomial(m_i, p_i, size=bad.size).T / m_i
-        XBj[:, bad] = rng.multinomial(m_j, p_j, size=bad.size).T / m_j
+    XBi = rng.multinomial(m_i, X_i.frequencies, size=B).T / m_i
+    XBj = rng.multinomial(m_j, X_j.frequencies, size=B).T / m_j
     _, at_bi = _fit_debiased(XBi, Am, tol=BOOT_EM_TOL)
     _, at_bj = _fit_debiased(XBj, Am, tol=BOOT_EM_TOL)
     W_b = support_batch(poly, (at_bi - at_bj).T)
     samples = scale * (W_b - W)
-    meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "redraws": redraws, "W_tilde": W}
+    meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": W}
     return LimitSampleSet(samples, delta=None, seed=seed, zero_feasible=False, meta=meta)
 
 

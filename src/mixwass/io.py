@@ -25,84 +25,92 @@ from .transport import TopicMatrix
 LONG_HEADER = ("doc_id", "word_id", "count")
 
 
-def _split_csv_line(line: str) -> list[str]:
-    return [tok.strip() for tok in line.split(",")]
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file with their 1-based line numbers."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
 
 
-def _read_text(path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"cannot read {p}: no such file")
-    return p.read_text()
+def _floats(lines: list[str], width: int) -> np.ndarray | None:
+    """The lines as a (len(lines), width) float table; None if a token is not a number."""
+    try:
+        return np.array(",".join(lines).split(",") if lines else [], dtype=float).reshape(len(lines), width)
+    except ValueError:
+        return None
+
+
+def _read_table(numbered: list[tuple[int, str]], width: int, checks=()) -> np.ndarray:
+    """Comma-separated lines as a float table of ``width`` columns.
+
+    A line fails when it has another number of columns, when one of its
+    tokens is not a number, or when one of ``checks`` flags it; a check is
+    (reason, function from the table to a per-row failure mask).  Raises
+    :class:`ParseError` at the first line that fails, with its first reason.
+    """
+    lines = [ln for _, ln in numbered]
+    ragged = np.flatnonzero(np.array([ln.count(",") for ln in lines], dtype=int) != width - 1)
+    end = int(ragged[0]) if ragged.size else len(lines)
+    why = f"expected {width} columns"
+    table = _floats(lines[:end], width)
+    if table is None:
+        end = next(i for i, ln in enumerate(lines) if _floats([ln], width) is None)
+        why = "a token is not a number"
+        table = _floats(lines[:end], width)
+    for reason, check in checks:
+        bad = np.flatnonzero(check(table))
+        if bad.size and bad[0] < end:
+            end, why = int(bad[0]), reason
+    if end < len(lines):
+        lineno, line = numbered[end]
+        raise ParseError(f"{why}: {line.strip()!r}", lineno)
+    return table
+
+
+def _count_checks(long_form: bool, p: int | None) -> list:
+    """Checks of a counts table: long form with word ids below ``p``, or dense.
+
+    Counts are summed in int64, so a file's running total stays below 2**62.
+    """
+    counts = (lambda T: T[:, 2]) if long_form else (lambda T: T.sum(axis=1))
+    checks = [
+        (
+            "an entry is not an int64 integer",
+            lambda T: ~(np.isfinite(T) & (T == np.floor(T)) & (np.abs(T) < 2.0**63)).all(axis=1),
+        ),
+        ("an entry is negative", lambda T: (T < 0).any(axis=1)),
+        ("the counts up to this line sum past 2**62", lambda T: np.cumsum(counts(T)) >= 2.0**62),
+    ]
+    if long_form and p is not None:
+        checks.append((f"word_id out of range [0, {p})", lambda T: T[:, 1] >= p))
+    return checks
 
 
 def load_counts(path, p: int | None = None) -> list[CountVector]:
     """Load per-document word counts from CSV.
 
     Long form (``doc_id,word_id,count`` header, or headerless three-column
-    rows when ``p`` is given and differs from 3) accumulates counts per
-    document; dense form has one document per row with ``p`` columns.
-    Raises :class:`ParseError` with a line number on malformed input.
+    rows unless ``p`` is 3) sums the counts of each document over its rows;
+    dense form has one document per row with ``p`` columns.  Raises
+    :class:`ParseError` with a line number on malformed input.
     """
-    text = _read_text(path)
-    lines = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not lines:
+    numbered = _read_lines(path)
+    if not numbered:
         return []
-    first_no, first = lines[0]
-    tokens = _split_csv_line(first)
-    long_form = tuple(t.lower() for t in tokens) == LONG_HEADER
-    if long_form:
-        lines = lines[1:]
-    elif len(tokens) == 3 and (p is None or p != 3):
-        long_form = True
-
-    def parse_int(tok: str, lineno: int, what: str) -> int:
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ParseError(f"{what} {tok!r} is not a number", lineno) from None
-        if val != int(val):
-            raise ParseError(f"{what} {tok!r} is not an integer", lineno)
-        return int(val)
-
-    if long_form:
-        docs: dict[int, dict[int, int]] = {}
-        max_word = -1
-        for lineno, line in lines:
-            toks = _split_csv_line(line)
-            if len(toks) != 3:
-                raise ParseError(f"expected 3 columns, got {len(toks)}", lineno)
-            doc = parse_int(toks[0], lineno, "doc_id")
-            word = parse_int(toks[1], lineno, "word_id")
-            cnt = parse_int(toks[2], lineno, "count")
-            if doc < 0 or word < 0:
-                raise ParseError("doc_id and word_id must be non-negative", lineno)
-            if cnt < 0:
-                raise ParseError(f"negative count {cnt}", lineno)
-            if p is not None and word >= p:
-                raise ParseError(f"word_id {word} out of range [0, {p})", lineno)
-            docs.setdefault(doc, {})
-            docs[doc][word] = docs[doc].get(word, 0) + cnt
-            max_word = max(max_word, word)
-        dim = p if p is not None else max_word + 1
-        out = []
-        for doc_id in sorted(docs):
-            counts = np.zeros(dim, dtype=np.int64)
-            for w, c in docs[doc_id].items():
-                counts[w] = c
-            out.append(CountVector(counts))
-        return out
-
-    width = len(tokens) if p is None else p
-    rows = []
-    for lineno, line in lines:
-        toks = _split_csv_line(line)
-        if len(toks) != width:
-            raise ParseError(f"expected {width} columns, got {len(toks)}", lineno)
-        rows.append([parse_int(t, lineno, "count") for t in toks])
-        if min(rows[-1]) < 0:
-            raise ParseError("negative count", lineno)
-    return [CountVector(np.asarray(row, dtype=np.int64)) for row in rows]
+    first = tuple(t.strip().lower() for t in numbered[0][1].split(","))
+    long_form = first == LONG_HEADER or (len(first) == 3 and p != 3)
+    if first == LONG_HEADER:
+        numbered = numbered[1:]
+    width = 3 if long_form else (len(first) if p is None else p)
+    table = _read_table(numbered, width, _count_checks(long_form, p)).astype(np.int64)
+    if long_form and len(table):
+        doc_ids, doc = np.unique(table[:, 0], return_inverse=True)
+        counts = np.zeros((doc_ids.size, p if p is not None else int(table[:, 1].max()) + 1), dtype=np.int64)
+        np.add.at(counts, (doc, table[:, 1]), table[:, 2])
+        table = counts
+    return [CountVector(row) for row in table]
 
 
 def save_counts(docs: list[CountVector], path) -> None:
@@ -120,21 +128,10 @@ def load_topics(path) -> TopicMatrix:
     Columns whose sums are within 1e-6 of one are renormalized; larger
     deviation raises :class:`InvalidSimplex`.
     """
-    text = _read_text(path)
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        toks = _split_csv_line(line)
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError:
-            raise ParseError(f"non-numeric entry in {toks!r}", lineno) from None
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-            raise ParseError(f"ragged row: expected {len(rows[0])} columns", lineno)
-    if not rows:
+    numbered = _read_lines(path)
+    if not numbered:
         raise ParseError("topics file is empty", None)
-    M = np.asarray(rows, dtype=float)
+    M = _read_table(numbered, numbered[0][1].count(",") + 1)
     sums = M.sum(axis=0)
     off = np.abs(sums - 1.0)
     if off.max() > 1e-6:
@@ -201,10 +198,7 @@ def save_limit_samples(sample_set: LimitSampleSet, path) -> None:
 
 
 def load_limit_samples(path) -> np.ndarray:
-    text = _read_text(path).splitlines()
-    if not text or text[0].strip() != "sample":
+    numbered = _read_lines(path)
+    if not numbered or numbered[0][0] != 1 or numbered[0][1].strip() != "sample":
         raise ParseError("expected 'sample' header", 1)
-    try:
-        return np.asarray([float(t) for t in text[1:] if t.strip()], dtype=float)
-    except ValueError:
-        raise ParseError("non-numeric sample value", None) from None
+    return _read_table(numbered[1:], 1)[:, 0]

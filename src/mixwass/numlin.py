@@ -35,20 +35,20 @@ class SymMatrixResult:
     rank_tolerance: float
 
 
-def _as_symmetric(M, *, name: str = "M") -> np.ndarray:
+def _as_symmetric(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidMatrix(f"{name} must be square, got shape {M.shape}")
+        raise InvalidMatrix(f"M must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise InvalidMatrix(f"{name} has non-finite entries")
+        raise InvalidMatrix("M has non-finite entries")
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     asym = float(np.abs(M - M.T).max(initial=0.0))
     if asym > 1e-6 * scale:
-        raise InvalidMatrix(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+        raise InvalidMatrix(f"M is not symmetric (max asymmetry {asym:.3e})")
     return (M + M.T) / 2.0
 
 
-def sym_eig(M, rank_tolerance: float | None = None) -> SymMatrixResult:
+def sym_eig(M) -> SymMatrixResult:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     The input is symmetrized as (M + M^T)/2 before factorization.  Raises
@@ -56,8 +56,7 @@ def sym_eig(M, rank_tolerance: float | None = None) -> SymMatrixResult:
     """
     S = _as_symmetric(M)
     K = S.shape[0]
-    if rank_tolerance is None:
-        rank_tolerance = K * RANK_TOL_UNIT
+    rank_tolerance = K * RANK_TOL_UNIT
     w, U = np.linalg.eigh(S)
     order = np.argsort(w)[::-1]
     w = w[order]
@@ -91,15 +90,15 @@ def pinv(M) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def psd_sqrt(M, *, clip: float = 0.0) -> np.ndarray:
-    """Symmetric PSD square root, clipping eigenvalues below ``clip`` to 0."""
+def psd_sqrt(M) -> np.ndarray:
+    """Symmetric PSD square root, clipping negative eigenvalues to 0."""
     res = sym_eig(M)
-    w = np.clip(res.eigenvalues, clip, None)
+    w = np.clip(res.eigenvalues, 0.0, None)
     S = (res.eigenvectors * np.sqrt(w)) @ res.eigenvectors.T
     return (S + S.T) / 2.0
 
 
-def inv_at_rank(M, *, name: str = "matrix") -> np.ndarray:
+def inv_at_rank(M) -> np.ndarray:
     """Exact inverse of a symmetric matrix checked to be full rank.
 
     Raises ``np.linalg.LinAlgError`` style failure as :class:`InvalidMatrix`
@@ -108,7 +107,7 @@ def inv_at_rank(M, *, name: str = "matrix") -> np.ndarray:
     """
     res = sym_eig(M)
     if res.rank < res.dim:
-        raise _SingularAtRank(name)
+        raise _SingularAtRank()
     w = res.eigenvalues
     Inv = (res.eigenvectors / w) @ res.eigenvectors.T
     return (Inv + Inv.T) / 2.0

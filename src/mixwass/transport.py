@@ -201,9 +201,16 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
     table = np.asarray(metric, dtype=float)
     if table.shape != (K, K):
         raise InvalidCost(f"pairwise table must be {K}x{K}, got {table.shape}")
+    return _metric_table(table)
+
+
+def _metric_table(table) -> CostMatrix:
+    """A user-supplied cost table, refused unless it is a metric.
+
+    Off a metric the dual value is the shortest-path transport cost, which
+    falls below the primal one; C[k, l] <= C[k, m] + C[m, l] for all m.
+    """
     cost = CostMatrix(table, metric="table")
-    # Off a metric the dual value is the shortest-path transport cost, which
-    # falls below the primal one; C[k, l] <= C[k, m] + C[m, l] for all m.
     C = cost.entries
     if (C - (C[:, :, None] + C[None, :, :]).min(axis=1)).max(initial=0.0) > 1e-10:
         raise InvalidCost("cost table violates the triangle inequality")
@@ -222,12 +229,11 @@ class DualPolytope:
     cache of its cost.  ``restricted_polytope`` returns a view on a base: it
     adds the slab ``slab = (direction, target, delta)`` to the base's
     halfspaces and reads the base's vertices instead of enumerating again.
+    A raw cost table must be a metric; a ``CostMatrix`` is taken as it is.
     """
 
     def __init__(self, cost: CostMatrix):
-        if not isinstance(cost, CostMatrix):
-            cost = CostMatrix(cost)
-        self.cost = cost
+        self.cost = cost if isinstance(cost, CostMatrix) else _metric_table(cost)
         self.base: DualPolytope | None = None
         self.slab: tuple[np.ndarray, float, float] | None = None
         self._halfspaces: tuple[np.ndarray, np.ndarray] | None = None

@@ -24,7 +24,7 @@ from mixwass import (
     wasserstein_primal,
 )
 from mixwass import transport
-from mixwass.errors import InvalidParam
+from mixwass.errors import InvalidCost, InvalidParam
 from mixwass.numlin import psd_sqrt
 
 
@@ -63,6 +63,12 @@ def test_distance_dirac_pair():
     cost = cost_matrix(A, "tv")
     e0, e2 = np.eye(3)[0], np.eye(3)[2]
     assert distance_estimate(e0, e2, cost) == pytest.approx(cost.entries[0, 2], abs=1e-9)
+
+
+def test_raw_cost_table_is_refused_off_a_metric():
+    # Its dual value would be the shortest-path cost 2.0; the primal is 5.0.
+    with pytest.raises(InvalidCost):
+        distance_estimate([1, 0, 0], [0, 0, 1], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
 # --- limit_sampler --------------------------------------------------------------
@@ -200,7 +206,6 @@ def test_m_of_n_single_replicate_deterministic():
     assert s1.M == 1
     assert np.array_equal(s1.samples, s2.samples)
     assert s1.meta["m_i"] == int(np.ceil(X_i.N**0.5))
-    assert s1.meta["redraws"] == 0
 
 
 def test_m_of_n_validates_gamma():

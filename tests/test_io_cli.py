@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mixwass
 from mixwass import CountVector, gen_topic_matrix
 from mixwass.cli import main
 from mixwass.errors import InvalidSimplex, ParseError
@@ -66,6 +74,47 @@ def test_load_counts_errors_carry_line_numbers(tmp_path):
     path.write_text("1,2\n1,2,3\n")
     with pytest.raises(ParseError):
         load_counts(path, p=4)
+    for token in ("inf", "nan", "1e300", "9.3e18"):
+        path.write_text(f"doc_id,word_id,count\n0,1,2\n\n0,2,{token}\n")
+        with pytest.raises(ParseError, match="line 4"):
+            load_counts(path)
+    # Counts are summed in int64: a running total past 2**62 is refused.
+    path.write_text("doc_id,word_id,count\n0,1,3000000000000000000\n0,1,3000000000000000000\n")
+    with pytest.raises(ParseError, match="line 3"):
+        load_counts(path)
+
+
+@st.composite
+def _count_matrix(draw):
+    """Counts of 1-4 documents over 1-8 words; every document has a word."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    C = np.array(draw(st.lists(st.integers(0, 50), min_size=n * p, max_size=n * p)), dtype=np.int64).reshape(n, p)
+    C[np.arange(n), np.arange(n) % p] += 1
+    return C
+
+
+@settings(max_examples=60, deadline=None)
+@given(_count_matrix(), st.randoms(use_true_random=False))
+def test_counts_roundtrip_long_and_dense(C, rnd):
+    # Long form with arbitrary doc ids, shuffled rows, each count split over
+    # duplicate (doc, word) rows, and blank lines.
+    n, p = C.shape
+    ids = sorted(rnd.sample(range(1000), n))
+    rows = []
+    for d, w in zip(*np.nonzero(C)):
+        part = rnd.randint(0, int(C[d, w]))
+        rows += [f"{ids[d]},{w},{part}", f"{ids[d]}, {w} ,{C[d, w] - part}"]
+    rows += [""] * rnd.randint(0, 3)
+    rnd.shuffle(rows)
+    dense = [",".join(map(str, row)) for row in C]
+    with tempfile.TemporaryDirectory() as tmp:
+        long_path, dense_path = Path(tmp) / "long.csv", Path(tmp) / "dense.csv"
+        long_path.write_text("\n".join(["doc_id,word_id,count", *rows]) + "\n")
+        dense_path.write_text("\n\n".join(dense) + "\n")
+        for docs in (load_counts(long_path, p=p), load_counts(dense_path, p=p)):
+            assert len(docs) == n
+            assert all(d.counts.dtype == np.int64 for d in docs)
+            assert np.array_equal(np.array([d.counts for d in docs]), C)
 
 
 def test_counts_roundtrip(tmp_path):
@@ -322,3 +371,91 @@ def test_cli_report_regenerates_bit_identically(tmp_path):
     r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
     r1.pop("created_utc"), r2.pop("created_utc")
     assert r1 == r2
+
+
+_BAD_TOKENS = ["inf", "nan", "1e300", "-1", "2.5", "x", ""]
+
+
+def _fuzz_inputs():
+    """Valid long-form counts and topics files (p=12, K=3), as lists of lines."""
+    rng = np.random.default_rng(4)
+    A = gen_topic_matrix(12, 3, 4)
+    X = rng.multinomial(200, A.matrix @ np.full(3, 1 / 3), size=2)
+    counts = ["doc_id,word_id,count"] + [f"{d},{w},{X[d, w]}" for d, w in zip(*np.nonzero(X))]
+    topics = [",".join(repr(float(v)) for v in row) for row in A.matrix]
+    return counts, topics
+
+
+@st.composite
+def _malformed(draw, lines):
+    """``lines`` broken by one edit, plus blank lines that break nothing."""
+    lines = list(lines)
+    edit = draw(st.sampled_from(["substitute", "drop", "add", "header"]))
+    if edit == "header":
+        # A misspelt counts header, or a header on the headerless topics.
+        if lines[0].startswith("doc_id"):
+            lines[0] = "doc,word,count"
+        else:
+            lines.insert(0, "a,b,c")
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(",")
+        if edit == "substitute":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        elif edit == "drop":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        else:
+            tokens.append(draw(st.sampled_from(["0", *_BAD_TOKENS])))
+        lines[i] = ",".join(tokens)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return lines
+
+
+_COUNTS, _TOPICS = _fuzz_inputs()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["counts", "topics"]), st.sampled_from(["estimate", "distance", "ci"]), st.data())
+def test_cli_malformed_inputs_exit_2_or_3(which, command, data):
+    files = {"counts": _COUNTS, "topics": _TOPICS}
+    files[which] = data.draw(_malformed(files[which]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in files.items():
+            (Path(tmp) / f"{name}.csv").write_text("\n".join(body) + "\n")
+        argv = [command, "--counts", f"{tmp}/counts.csv", "--topics", f"{tmp}/topics.csv"]
+        assert main(argv) in (2, 3)
+
+
+def test_cli_subprocess_non_finite_count_is_a_clean_error(tmp_path):
+    (tmp_path / "topics.csv").write_text("\n".join(_TOPICS) + "\n")
+    (tmp_path / "bad.csv").write_text("doc_id,word_id,count\n0,1,5\n0,2,inf\n")
+    src = str(Path(mixwass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "mixwass.cli", "estimate", "--counts", str(tmp_path / "bad.csv"), "--topics", str(tmp_path / "topics.csv")]
+    res = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert [ln for ln in res.stderr.splitlines() if ln.startswith("error:")] == ["error: line 3: an entry is not an int64 integer: '0,2,inf'"]
+
+
+def test_cli_counts_read_against_topics_p(tmp_path):
+    # save_counts writes no rows for unused words, so these documents' long
+    # form ends at word 44 while the topics have p=50 rows.
+    rng = np.random.default_rng(2)
+    A = gen_topic_matrix(50, 3, 6)
+    r = (A.matrix @ np.array([0.5, 0.3, 0.2]))[:45]
+    docs = [CountVector(np.concatenate([rng.multinomial(300, r / r.sum()), np.zeros(5, dtype=np.int64)])) for _ in range(2)]
+    topics, counts = tmp_path / "A.csv", tmp_path / "c.csv"
+    save_topics(A, topics)
+    save_counts(docs, counts)
+    inputs = ["--counts", str(counts), "--topics", str(topics)]
+    assert main(["distance", *inputs, "--estimator", "mle", "--out", str(tmp_path / "d.json")]) == 0
+    assert main(["estimate", *inputs, "--method", "mle", "--out", str(tmp_path / "e.json")]) == 0
+    assert main(["ci", *inputs, "--M", "400", "--seed", "1", "--out", str(tmp_path / "ci.json")]) == 0
+    dist = load_report(tmp_path / "d.json")["report"]
+    est = load_report(tmp_path / "e.json")["report"]["estimates"]
+    assert [dist["alpha_i"], dist["alpha_j"]] == [e["alpha"] for e in est]
+    assert set(load_report(tmp_path / "e.json")["manifest"]["inputs"]) == {"topics", "counts"}
+    for name in ("d.json", "ci.json"):
+        assert set(load_report(tmp_path / name)["manifest"]["inputs"]) == {"topics", str(counts)}
