@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, build_hash
-from .errors import InvalidParam, MixwassError, NumericalError, ValidationError
+from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError
 from .estimators import debias, mle_weights, sigma_hat, sigma_ls, wls_weights
 from .inference import (
     confidence_interval,
@@ -62,8 +62,13 @@ def _load_config_file(path: str | None) -> dict:
     if p.suffix.lower() == ".toml":
         import tomllib
 
-        return tomllib.loads(p.read_text())
-    return json.loads(p.read_text())
+        loads, malformed = tomllib.loads, tomllib.TOMLDecodeError
+    else:
+        loads, malformed = json.loads, json.JSONDecodeError
+    try:
+        return loads(p.read_text())
+    except malformed as exc:
+        raise ParseError(f"config file {path}: {exc}") from None
 
 
 def _resolve(args, key: str, file_cfg: dict, default):
@@ -119,7 +124,7 @@ def _pair_inputs(args, cfg):
     A, docs, topics_path, paths = _load_inputs(args, cfg)
     doc_i = int(_resolve(args, "doc_i", cfg, 0))
     doc_j = int(_resolve(args, "doc_j", cfg, 1 if len(docs) > 1 else 0))
-    if doc_i >= len(docs) or doc_j >= len(docs):
+    if not (0 <= doc_i < len(docs) and 0 <= doc_j < len(docs)):
         raise InvalidParam(f"document indices {doc_i},{doc_j} out of range (have {len(docs)})")
     metric = _resolve(args, "metric", cfg, "tv")
     inputs = {"topics": topics_path, **{p: p for p in paths}}

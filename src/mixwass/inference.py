@@ -210,13 +210,6 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     )
 
 
-# EM tolerance for bootstrap refits: a refit stops once one EM map moves it
-# by at most this much in l1.  A size-m resample carries O(1/sqrt(m)) noise,
-# so 1e-6 is far below it and skips the slow last cycles of refits whose
-# weights sit at or near the simplex boundary.
-BOOT_EM_TOL = 1e-6
-
-
 def _point_estimates(X_i: CountVector, X_j: CountVector, A) -> tuple[WeightEstimate, WeightEstimate, WeightEstimate, WeightEstimate]:
     ah_i = mle_weights(X_i.frequencies, A)
     ah_j = mle_weights(X_j.frequencies, A)
@@ -253,8 +246,8 @@ def m_out_of_n_bootstrap(
     rng = np.random.default_rng(seed)
     XBi = rng.multinomial(m_i, X_i.frequencies, size=B).T / m_i
     XBj = rng.multinomial(m_j, X_j.frequencies, size=B).T / m_j
-    _, at_bi = _fit_debiased(XBi, Am, tol=BOOT_EM_TOL)
-    _, at_bj = _fit_debiased(XBj, Am, tol=BOOT_EM_TOL)
+    _, at_bi = _fit_debiased(XBi, Am)
+    _, at_bj = _fit_debiased(XBj, Am)
     W_b = support_batch(poly, (at_bi - at_bj).T)
     samples = scale * (W_b - W)
     meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": W}
@@ -288,8 +281,8 @@ def derivative_bootstrap(
     rng = np.random.default_rng(seed)
     XBi = rng.multinomial(X_i.N, X_i.frequencies, size=B).T / X_i.N
     XBj = rng.multinomial(X_j.N, X_j.frequencies, size=B).T / X_j.N
-    _, at_bi = _fit_debiased(XBi, Am, tol=BOOT_EM_TOL)
-    _, at_bj = _fit_debiased(XBj, Am, tol=BOOT_EM_TOL)
+    _, at_bi = _fit_debiased(XBi, Am)
+    _, at_bj = _fit_debiased(XBj, Am)
     directions = scale * ((at_bi - at_bj) - (at_i.alpha - at_j.alpha)[:, None])
     samples = support_batch(poly, directions.T)
     if zero_feasible:

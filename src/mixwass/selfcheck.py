@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from . import numlin
-from .estimators import _fit_debiased, debias, mle_objective, mle_weights, sigma_hat
+from .estimators import TOL_KKT, _fit_debiased, debias, mle_objective, mle_weights, sigma_hat
 from .inference import confidence_interval, limit_sampler
 from .simulate import SimConfig, gen_topic_matrix, run_ci_experiment
 from .transport import (
@@ -269,19 +269,38 @@ def check_quantile_monotone(seed: int = 24) -> tuple[str, bool, str]:
 
 
 def check_batch_matches_single(seed: int = 25) -> tuple[str, bool, str]:
-    """Batched EM and debias agree with the single-document paths."""
+    """Batched EM and debias give the single-document paths' bits."""
     rng = np.random.default_rng(seed)
     K, p, B = 4, 60, 8
     A = gen_topic_matrix(p, K, seed).matrix
     alpha = rng.dirichlet(np.ones(K))
     XB = rng.multinomial(300, A @ alpha, size=B).T / 300.0
     mle_b, deb_b = _fit_debiased(XB, A)
-    worst = 0.0
+    differ = 0
     for b in range(B):
         est = mle_weights(XB[:, b], A)
-        worst = max(worst, float(np.abs(est.alpha - mle_b[:, b]).max()))
-        worst = max(worst, float(np.abs(debias(est, XB[:, b], A).alpha - deb_b[:, b]).max()))
-    return ("batch-vs-single", worst <= 1e-8, f"max deviation {worst:.2e}")
+        differ += not np.array_equal(est.alpha, mle_b[:, b])
+        differ += not np.array_equal(debias(est, XB[:, b], A).alpha, deb_b[:, b])
+    return ("batch-vs-single", differ == 0, f"{differ} of {2 * B} columns differ")
+
+
+def check_mle_certified(n_instances: int = 40, seed: int = 28) -> tuple[str, bool, str]:
+    """Every MLE fit of random dense and sparse instances meets its KKT
+    certificate and says so."""
+    rng = np.random.default_rng(seed)
+    worst, failed = 0.0, 0
+    for i in range(n_instances):
+        K = int(rng.integers(2, 11))
+        A = gen_topic_matrix(10 * K, K, [seed, i]).matrix
+        alpha = rng.dirichlet(np.ones(K))
+        if i % 2:  # sparse: about half the topics absent
+            alpha[rng.uniform(size=K) < 0.5] = 0.0
+            alpha = alpha / alpha.sum() if alpha.sum() > 0 else np.eye(K)[0]
+        N = int(rng.choice([50, 500, 5000]))
+        est = mle_weights(rng.multinomial(N, A @ alpha) / N, A)
+        worst = max(worst, est.kkt_gap)
+        failed += not (est.converged and est.kkt_gap <= TOL_KKT)
+    return ("mle-certified", failed == 0, f"{failed} uncertified, max KKT gap {worst:.2e}")
 
 
 def check_worker_determinism(seed: int = 26) -> tuple[str, bool, str]:
@@ -322,6 +341,7 @@ ALL_CHECKS = [
     check_sampler_reproducible,
     check_quantile_monotone,
     check_batch_matches_single,
+    check_mle_certified,
     check_worker_determinism,
     check_ci_length_decreases,
 ]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixwass import (
     CountVector,
@@ -10,11 +12,14 @@ from mixwass import (
     wls_weights,
 )
 from mixwass.errors import InfeasibleRow, InvalidParam, SingularInformation
+from mixwass import estimators
 from mixwass.estimators import (
-    TAU_SUPP,
+    EM_MAX_ITER,
+    TOL_KKT,
     Method,
     _debias_batch,
     _em_batch,
+    _kkt_gaps,
     _wls_operator,
     mle_objective,
 )
@@ -272,6 +277,19 @@ def test_batch_paths_match_single():
         assert np.abs(wls_weights(XB[:, b], A).alpha - wls_b[:, b]).max() <= 1e-12
 
 
+def test_debias_batch_bits_do_not_depend_on_batch_size():
+    rng = np.random.default_rng(22)
+    for K, p in [(3, 40), (5, 200), (8, 500), (10, 500)]:
+        A = random_topics(rng, p, K)
+        XB = rng.multinomial(300, A @ rng.dirichlet(np.ones(K)), size=40).T / 300.0
+        mle, _, _ = _em_batch(XB, A)
+        whole = _debias_batch(mle, XB, A)
+        for size in (1, 3):
+            for s in range(0, 40, size):
+                cols = slice(s, s + size)
+                assert np.array_equal(_debias_batch(mle[:, cols], XB[:, cols], A), whole[:, cols])
+
+
 def _sparse_weights(rng, K, tau):
     alpha = np.zeros(K)
     alpha[rng.choice(K, size=tau, replace=False)] = rng.uniform(size=tau)
@@ -293,13 +311,76 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
         return (XB * np.log(A @ alphas)).sum(axis=0)
 
     assert np.all(loglik(fit) >= loglik(tight) - 1e-9)
-    # The stopping rule scales a coordinate's EM step by the coordinate, so
-    # a weight w below 1e-4 can stop about tol / w from the MLE with its
-    # step below tol.  Documents with such a weight get the 1e-6 bound only
-    # from a KKT stopping rule, which this kernel does not have.
-    err = np.abs(fit - tight).max(axis=0)
-    near_boundary = ((tight > TAU_SUPP) & (tight < 1e-4)).any(axis=0)
-    assert err[~near_boundary].max() <= 1e-6
+    # Every fit carries its KKT certificate, boundary weights included.
+    assert _kkt_gaps(XB, A, fit).max() <= TOL_KKT
+    assert np.abs(fit - tight).max() <= 1e-6
+
+
+def _documents(rng, A, K, tau, B, N=1000):
+    alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
+    return np.stack([rng.multinomial(N, A @ a) / N for a in alphas], axis=1)
+
+
+@pytest.mark.parametrize("K,tau", [(5, 0), (5, 3), (8, 0), (8, 3), (10, 0), (10, 4)])
+def test_newton_finished_fits_equal_single_fits_bit_for_bit(K, tau):
+    rng = np.random.default_rng(19)
+    A = random_topics(rng, 500, K)
+    XB = _documents(rng, A, K, tau, 24)
+    fit, iters, conv = _em_batch(XB, A)
+    assert conv.all()
+    if tau:  # the finish sets exact zeros on the boundary
+        assert (fit == 0.0).any()
+    for b in range(XB.shape[1]):
+        single, s_iters, s_conv = _em_batch(XB[:, [b]], A)
+        assert np.array_equal(single[:, 0], fit[:, b])
+        assert s_iters[0] == iters[b] and s_conv[0] == conv[b]
+
+
+def test_em_near_degenerate_boundary_certifies():
+    # Column 5 has a weight that the MLE puts on the boundary while EM
+    # leaves it decaying; Newton must zero it and certify the rest.
+    rng = np.random.default_rng(16)
+    A = random_topics(rng, 500, 5)
+    XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)], axis=1)
+    x = XB[:, [5]]
+    fit, _, conv = _em_batch(x, A)
+    tight, _, _ = _em_batch(x, A, tol=1e-15, max_iter=1_000_000)
+    assert conv[0] and _kkt_gaps(x, A, fit)[0] <= TOL_KKT
+    assert np.abs(fit - tight).max() <= 1e-6
+
+
+def test_em_column_with_fewer_words_than_topics_is_isolated():
+    rng = np.random.default_rng(20)
+    K = 8
+    A = random_topics(rng, 200, K)
+    XB = _documents(rng, A, K, 3, 12)
+    fit, iters, conv = _em_batch(XB, A)
+    odd = XB.copy()
+    odd[:, 4] = 0.0
+    odd[[3, 50, 70], 4] = [0.5, 0.25, 0.25]  # three distinct words, K = 8 topics
+    odd_fit, odd_iters, odd_conv = _em_batch(odd, A)
+    others = np.arange(XB.shape[1]) != 4
+    assert np.array_equal(odd_fit[:, others], fit[:, others])
+    assert np.array_equal(odd_iters[others], iters[others]) and np.array_equal(odd_conv[others], conv[others])
+    assert np.all(odd_fit[:, 4] >= 0.0) and abs(odd_fit[:, 4].sum() - 1.0) <= 1e-12
+    # Its face systems are singular; the minimum-norm step still certifies it.
+    assert odd_conv[4] and _kkt_gaps(odd[:, [4]], A, odd_fit[:, [4]])[0] <= TOL_KKT
+
+
+def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
+    # With no Newton steps allowed, a fit is certified only if EM alone
+    # reaches the KKT tolerance; the rest rerun SQUAREM to the tight step.
+    rng = np.random.default_rng(21)
+    K = 5
+    A = random_topics(rng, 500, K)
+    XB = _documents(rng, A, K, 3, 16)
+    tight, _, _ = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
+    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
+    fit, iters, conv = _em_batch(XB, A)
+    assert not conv.all() and np.all(iters < EM_MAX_ITER)
+    assert np.array_equal(conv, _kkt_gaps(XB, A, fit) <= TOL_KKT)
+    gain = (XB * np.log(A @ fit)).sum(axis=0) - (XB * np.log(A @ tight)).sum(axis=0)
+    assert np.all(gain >= -1e-9)
 
 
 def test_em_batch_matches_single_on_sparse_batch():
@@ -368,6 +449,19 @@ def test_count_vector_validation():
         CountVector(np.array([0.5, 0.5]))
     with pytest.raises(InvalidParam):
         CountVector(np.zeros(3, dtype=int))
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+def test_count_vector_total_never_wraps(counts):
+    # The int64 sum of such counts can wrap; the total must be exact or refused.
+    c = np.array(counts, dtype=np.int64)
+    if sum(counts) >= 2**63:
+        with pytest.raises(InvalidParam):
+            CountVector(c)
+    elif sum(counts) > 0:
+        assert CountVector(c).N == sum(counts)
+    with pytest.raises(InvalidParam):
+        CountVector(np.array([5 * 10**18, 5 * 10**18]))
 
 
 def test_estimators_deterministic():

@@ -312,6 +312,22 @@ def test_cli_config_file_with_flag_override(data):
     assert rep["M"] == 400 and rep["seed"] == 3 and rep["level"] == 0.1
 
 
+@pytest.mark.parametrize("name,text", [("bad.json", '{"counts": 1,'), ("bad.toml", 'counts = "a\nM = ')])
+def test_cli_malformed_config_file_exits_2(data, capsys, name, text):
+    tmp, _, _ = data
+    cfg = tmp / name
+    cfg.write_text(text)
+    assert main(["ci", "--config", str(cfg)]) == 2
+    assert f"config file {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--doc-i", "-1"], ["--doc-j", "-2"], ["--doc-i", "2"]])
+def test_cli_document_index_out_of_range_exits_2(data, capsys, flags):
+    tmp, topics, counts = data
+    assert main(["distance", "--counts", str(counts), "--topics", str(topics), *flags]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_cli_simulate_table_quick(tmp_path):
     out = tmp_path / "table.json"
     code = main(
