@@ -16,11 +16,13 @@ weights are provided:
 covariance matrices.
 
 Each estimator is written once, for a batch of documents against one topic
-matrix: ``_em_batch`` for the MLE, ``_debias_batch`` for the correction and
-``_wls_operator`` for WLS.  The public single-document functions are
-batches of one that add validation and a ``WeightEstimate`` wrapper, and
-``_fit_debiased`` chains EM and the correction for the bootstrap and
-simulation drivers.
+matrix: ``_em_batch`` for the MLE, ``_debias_batch`` for the correction,
+``_wls_operator`` for WLS and ``_sigma_batch`` for the plug-in covariance
+that the limit law of ``inference`` samples, itself written once for a
+batch of document pairs.  The public single-document functions are batches
+of one that add validation and a ``WeightEstimate`` or ``CovEstimate``
+wrapper, and ``_fit_debiased`` chains EM and the correction for the
+bootstrap and simulation drivers.
 
 ``_em_batch`` fits in two phases.  SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist.) accelerates the multiplicative EM map until one map moves a fit
@@ -441,8 +443,9 @@ def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarr
     """One-step correction of a (K, B) batch of MLE columns (see ``debias``).
 
     A column whose fitted probabilities all lie below ``ZETA`` is returned
-    unchanged; ``debias`` rejects that case instead.  Every product is per
-    column, so a column gives the same bits in any batch.
+    unchanged; ``debias`` rejects that case instead.  The pseudo-inverses are
+    one stacked call.  Every product is per column, so a column gives the
+    same bits in any batch.
     """
     A = np.ascontiguousarray(A, dtype=float)
     AT = np.ascontiguousarray(A.T)
@@ -453,8 +456,7 @@ def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarr
     Rsafe = np.where(mask, R, 1.0)
     psi = _rowdot(np.where(mask, (X - R) / Rsafe, 0.0), A)  # (B, K)
     V = _grams(np.where(mask, 1.0 / Rsafe, 0.0), A, AT)
-    for b in range(x.shape[0]):
-        x[b] += numlin.pinv(V[b]) @ psi[b]
+    x += (numlin.pinv(V) @ psi[:, :, None])[:, :, 0]
     return x.T.copy()
 
 
@@ -490,30 +492,49 @@ def _fit_debiased(XB: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return mle, _debias_batch(mle, XB, A)
 
 
+def _sigma_batch(alphas: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Plug-in covariances (B, K, K) of a (K, B) batch of weight columns.
+
+    See ``sigma_hat``.  A column whose fitted probabilities all lie below
+    ``ZETA`` raises :class:`DegenerateSupport`, and one whose information
+    matrix is singular raises :class:`SingularInformation`; either error
+    fails the whole batch.  The information matrices of columns with every
+    fitted probability above ``ZETA`` are one stacked product, the others
+    are taken on their support one by one, and all are inverted in one
+    stacked call.  Every product is per column, so a column gives the same
+    bits in any batch.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    x = np.ascontiguousarray(alphas.T, dtype=float)  # (B, K)
+    r = (A @ x[:, :, None])[:, :, 0]  # one matrix-vector product per column
+    J = r > ZETA
+    full = J.all(axis=1)
+    H = np.empty((len(x), A.shape[1], A.shape[1]))
+    H[full] = (A / r[full][:, :, None]).transpose(0, 2, 1) @ A
+    for b in np.flatnonzero(~full):
+        if not J[b].any():
+            raise DegenerateSupport("fitted word probabilities are all below the support threshold")
+        AJ = A[J[b]]
+        H[b] = (AJ / r[b, J[b]][:, None]).T @ AJ
+    try:
+        Hinv = numlin.inv_at_rank(H)
+    except numlin._SingularAtRank:
+        raise SingularInformation("plug-in information matrix is singular") from None
+    sigma = Hinv - x[:, :, None] * x[:, None, :]
+    return (sigma + sigma.transpose(0, 2, 1)) / 2.0
+
+
 def sigma_hat(alpha, A_hat) -> CovEstimate:
     """Plug-in asymptotic covariance of the debiased weight estimator.
 
     sigma = (sum_{j in Jhat} Ahat_j Ahat_j^T / rhat_j)^{-1} - alpha alpha^T
     with rhat = Ahat alpha.  Raises :class:`SingularInformation` when the
-    information matrix is singular at rank tolerance.
+    information matrix is singular at rank tolerance.  This is
+    ``_sigma_batch`` on a batch of one, plus the rank of the result.
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    Am = _topics_array(A_hat)
-    r = Am @ a
-    J = r > ZETA
-    if not np.any(J):
-        raise DegenerateSupport("fitted word probabilities are all below the support threshold")
-    AJ = Am[J]
-    rJ = r[J]
-    H = (AJ / rJ[:, None]).T @ AJ
-    try:
-        Hinv = numlin.inv_at_rank(H)
-    except numlin._SingularAtRank:
-        raise SingularInformation("plug-in information matrix is singular") from None
-    sigma = Hinv - np.outer(a, a)
-    sigma = (sigma + sigma.T) / 2.0
-    eig = numlin.sym_eig(sigma)
-    return CovEstimate(sigma=sigma, method=CovMethod.PLUGIN_MLE, rank=eig.rank)
+    sigma = _sigma_batch(a[:, None], _topics_array(A_hat))[0]
+    return CovEstimate(sigma=sigma, method=CovMethod.PLUGIN_MLE, rank=numlin.sym_eig(sigma).rank)
 
 
 def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

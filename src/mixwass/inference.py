@@ -8,6 +8,14 @@ estimated by Monte Carlo; quantiles of the sample set yield confidence
 intervals.  Two bootstrap baselines (m-out-of-N and derivative-based) are
 provided for comparison.
 
+The plug-in limit law is written once, for a batch of document pairs:
+``_plugin_limits`` restricts each pair's polytope and stacks its plug-in
+covariances, and ``_limit_draws`` sums them, takes their PSD roots in one
+stacked call, draws each law's Gaussians from its own seed and evaluates
+the draws over the law's polytope.  ``limit_sampler`` is a batch of one,
+the simulation drivers pass whole chunks of replicates, and a law gives
+the same bits in any batch.
+
 Scaling convention: with document sizes N_i, N_j the statistic
 sqrt(2 N_i N_j / (N_i + N_j)) * (West - W) converges to the limit law
 sampled here (covariance Sigma_i + Sigma_j); at N_i = N_j = N the factor
@@ -29,13 +37,14 @@ from .estimators import (
     CountVector,
     WeightEstimate,
     _fit_debiased,
+    _sigma_batch,
     debias,
     mle_weights,
-    sigma_hat,
 )
 from .transport import (
     DualPolytope,
     TopicMatrix,
+    _topics_array,
     facet_slack,
     restricted_polytope,
     support_batch,
@@ -153,6 +162,47 @@ def _restrict(
     return poly, w_hat, abs(w_hat) <= delta + facet_slack(w_hat)
 
 
+def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
+    """Draws of sup_f f^T Z with Z ~ N(0, sigma_i[b] + sigma_j[b]) for B laws.
+
+    ``sigma_i`` and ``sigma_j`` are (B, K, K) stacks.  Law b takes the PSD
+    square root of its summed covariance, draws its (K, M) standard normals
+    from ``default_rng(seeds[b])`` and evaluates them over ``polys[b]``.
+    The roots are one stacked call.  Each law's draws are their own
+    ``support_batch`` call, so only one law's draws are held at a time: one
+    call over a whole chunk measured slower, and over a one-vertex face the
+    product is matrix-vector, whose bits depend on the rows' layout.  Laws
+    with ``clamp[b]`` set have f = 0 feasible, so their draws are clamped
+    at 0 against LP-level noise.  Returns the (B, M) draws; a law gets the
+    same bits in any batch.
+    """
+    root = numlin.psd_sqrt(sigma_i + sigma_j)
+    K = root.shape[-1]
+    out = np.empty((len(root), M))
+    for b, (poly, seed) in enumerate(zip(polys, seeds)):
+        Z = root[b] @ np.random.default_rng(seed).standard_normal(size=(K, M))
+        out[b] = support_batch(poly, Z.T)
+    clamp = np.asarray(clamp, dtype=bool)
+    out[clamp] = np.maximum(out[clamp], 0.0)
+    return out
+
+
+def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int, seeds) -> list[LimitSampleSet]:
+    """Plug-in limit laws of B document pairs (see ``limit_sampler``).
+
+    ``alphas_i`` and ``alphas_j`` are (K, B) batches of simplex estimates
+    and ``seeds`` holds one seed per pair.  An error in any pair fails the
+    batch.
+    """
+    A = _topics_array(A_hat)
+    polys, w_hats, zero_feasible = zip(*(_restrict(base, ai, aj, delta) for ai, aj in zip(alphas_i.T, alphas_j.T)))
+    draws = _limit_draws(_sigma_batch(alphas_i, A), _sigma_batch(alphas_j, A), polys, seeds, M, zero_feasible)
+    return [
+        LimitSampleSet(d, delta=delta, seed=seed, zero_feasible=z, meta={"w_hat": w})
+        for d, seed, z, w in zip(draws, seeds, zero_feasible, w_hats)
+    ]
+
+
 def limit_sampler(
     alpha_i,
     alpha_j,
@@ -169,22 +219,14 @@ def limit_sampler(
     N(0, Sigma_i + Sigma_j) through the PSD square root of the clipped sum.
     ``delta`` >= 0 restricts the polytope to the slab around the estimated
     optimal facet; ``delta=None`` samples the unrestricted polytope, the
-    procedure for testing at the null.
+    procedure for testing at the null.  This is ``_plugin_limits`` on a
+    batch of one.
     """
     if M < 1:
         raise InvalidParam("M must be >= 1")
     ai = _weights(alpha_i)
     aj = _weights(alpha_j)
-    poly, w_hat, zero_feasible = _restrict(_as_polytope(cost), ai, aj, delta)
-    root = numlin.psd_sqrt(sigma_hat(ai, A_hat).sigma + sigma_hat(aj, A_hat).sigma)
-    rng = np.random.default_rng(seed)
-    Z = root @ rng.standard_normal(size=(ai.size, M))
-    samples = support_batch(poly, Z.T)
-    if zero_feasible:
-        # sup >= 0 whenever f = 0 is feasible; clamp LP-level noise.
-        samples = np.maximum(samples, 0.0)
-    meta = {"w_hat": w_hat}
-    return LimitSampleSet(samples, delta=delta, seed=seed, zero_feasible=zero_feasible, meta=meta)
+    return _plugin_limits(ai[:, None], aj[:, None], A_hat, _as_polytope(cost), delta, M, [seed])[0]
 
 
 def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_i: int, N_j: int) -> ConfidenceInterval:

@@ -2,8 +2,15 @@
 
 Eigendecomposition, Moore-Penrose pseudo-inverse, PSD square root and a
 rank-checked inverse for the small (K x K) covariance and information
-matrices that arise when estimating mixture weights.  All operations are pure functions; K stays
-small (tens at most), so everything is dense LAPACK via numpy.
+matrices that arise when estimating mixture weights.  All operations are
+pure functions; K stays small (tens at most), so everything is dense LAPACK
+via numpy.
+
+One stacked eigensolver, ``_eig_stack``, factors a (B, K, K) stack in one
+LAPACK call.  ``pinv``, ``psd_sqrt`` and ``inv_at_rank`` take a single
+matrix or such a stack, and ``sym_eig`` is a stack of one.  Each slice is
+factored and multiplied on its own, so a matrix gets the same bits alone
+as in any stack.
 """
 
 from __future__ import annotations
@@ -35,17 +42,45 @@ class SymMatrixResult:
     rank_tolerance: float
 
 
-def _as_symmetric(M) -> np.ndarray:
+def _as_stack(M) -> tuple[np.ndarray, bool]:
+    """M as a symmetrized (B, K, K) stack, and whether it was one matrix."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidMatrix(f"M must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    single = M.ndim == 2
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise InvalidMatrix(f"M must be square or a stack of square matrices, got shape {M.shape}")
+    S = M[None] if single else M
+    if not np.isfinite(S).all():
         raise InvalidMatrix("M has non-finite entries")
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    asym = float(np.abs(M - M.T).max(initial=0.0))
-    if asym > 1e-6 * scale:
-        raise InvalidMatrix(f"M is not symmetric (max asymmetry {asym:.3e})")
-    return (M + M.T) / 2.0
+    ST = S.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2), initial=0.0))
+    asym = np.abs(S - ST).max(axis=(1, 2), initial=0.0)
+    bad = asym > 1e-6 * scale
+    if bad.any():
+        raise InvalidMatrix(f"M is not symmetric (max asymmetry {asym[bad][0]:.3e})")
+    return (S + ST) / 2.0, single
+
+
+def _eig_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetrized (B, K, K) stack, eigenvalues descending:
+    (eigenvalues (B, K), eigenvectors (B, K, K) as columns)."""
+    w, U = np.linalg.eigh(S)
+    order = np.argsort(w, axis=-1)[:, ::-1]
+    b = np.arange(len(w))[:, None]
+    return w[b, order], U[b[:, :, None], np.arange(S.shape[-1])[:, None], order[:, None, :]]
+
+
+def _rank(w: np.ndarray) -> np.ndarray:
+    """Rank (B,) of each row of descending eigenvalues, as in ``SymMatrixResult``."""
+    lam_max = np.maximum(w.max(axis=-1, initial=0.0), 0.0)
+    return (w > w.shape[-1] * RANK_TOL_UNIT * lam_max[:, None]).sum(axis=-1)
+
+
+def _compose(Ud: np.ndarray, U: np.ndarray, single: bool) -> np.ndarray:
+    """Symmetrized Ud U^T of each slice, Ud being U with scaled columns;
+    one matrix if ``single``."""
+    P = Ud @ U.transpose(0, 2, 1)
+    P = (P + P.transpose(0, 2, 1)) / 2.0
+    return P[0] if single else P
 
 
 def sym_eig(M) -> SymMatrixResult:
@@ -54,63 +89,56 @@ def sym_eig(M) -> SymMatrixResult:
     The input is symmetrized as (M + M^T)/2 before factorization.  Raises
     :class:`InvalidMatrix` for non-finite entries or gross asymmetry.
     """
-    S = _as_symmetric(M)
-    K = S.shape[0]
-    rank_tolerance = K * RANK_TOL_UNIT
-    w, U = np.linalg.eigh(S)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    U = U[:, order]
-    lam_max = max(float(w[0]) if K else 0.0, 0.0)
-    rank = int(np.sum(w > rank_tolerance * lam_max)) if lam_max > 0 else 0
+    S, single = _as_stack(M)
+    if not single:
+        raise InvalidMatrix(f"M must be square, got shape {S.shape}")
+    w, U = _eig_stack(S)
     return SymMatrixResult(
-        dim=K,
-        eigenvalues=w,
-        eigenvectors=U,
-        rank=rank,
-        rank_tolerance=float(rank_tolerance),
+        dim=S.shape[-1],
+        eigenvalues=w[0],
+        eigenvectors=U[0],
+        rank=int(_rank(w)[0]),
+        rank_tolerance=float(S.shape[-1] * RANK_TOL_UNIT),
     )
 
 
 def pinv(M) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
+    """Moore-Penrose pseudo-inverse of a symmetric matrix or of each in a stack.
 
     Eigenvalues with |lambda| below the relative rank tolerance are treated
     as zero; the rest are inverted, so the Penrose identities hold for
     indefinite symmetric inputs as well as PSD ones.
     """
-    res = sym_eig(M)
-    w = res.eigenvalues
-    absmax = float(np.abs(w).max(initial=0.0))
-    thr = res.rank_tolerance * absmax
-    inv = np.where(np.abs(w) > thr, 1.0, 0.0)
+    S, single = _as_stack(M)
+    w, U = _eig_stack(S)
+    thr = S.shape[-1] * RANK_TOL_UNIT * np.abs(w).max(axis=-1, initial=0.0)
+    keep = np.abs(w) > thr[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(inv > 0, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    P = (res.eigenvectors * inv) @ res.eigenvectors.T
-    return (P + P.T) / 2.0
+        inv = np.where(keep, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    return _compose(U * inv[:, None, :], U, single)
 
 
 def psd_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root, clipping negative eigenvalues to 0."""
-    res = sym_eig(M)
-    w = np.clip(res.eigenvalues, 0.0, None)
-    S = (res.eigenvectors * np.sqrt(w)) @ res.eigenvectors.T
-    return (S + S.T) / 2.0
+    """Symmetric PSD square root of a matrix or of each in a stack,
+    clipping negative eigenvalues to 0."""
+    S, single = _as_stack(M)
+    w, U = _eig_stack(S)
+    return _compose(U * np.sqrt(np.clip(w, 0.0, None))[:, None, :], U, single)
 
 
 def inv_at_rank(M) -> np.ndarray:
-    """Exact inverse of a symmetric matrix checked to be full rank.
+    """Exact inverse of a symmetric matrix, or of each in a stack, checked
+    to be full rank.
 
-    Raises ``np.linalg.LinAlgError`` style failure as :class:`InvalidMatrix`
-    only for malformed input; singularity is reported by the caller, which
-    owns the domain-specific error type.
+    Malformed input raises :class:`InvalidMatrix`.  A singular matrix, or a
+    stack with any singular slice, raises ``_SingularAtRank``, which the
+    caller translates into its domain-specific error type.
     """
-    res = sym_eig(M)
-    if res.rank < res.dim:
+    S, single = _as_stack(M)
+    w, U = _eig_stack(S)
+    if np.any(_rank(w) < S.shape[-1]):
         raise _SingularAtRank()
-    w = res.eigenvalues
-    Inv = (res.eigenvectors / w) @ res.eigenvectors.T
-    return (Inv + Inv.T) / 2.0
+    return _compose(U / w[:, None, :], U, single)
 
 
 class _SingularAtRank(Exception):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import numlin
 from .estimators import TOL_KKT, _fit_debiased, debias, mle_objective, mle_weights, sigma_hat
-from .inference import confidence_interval, limit_sampler
+from .inference import _plugin_limits, confidence_interval, limit_sampler
 from .simulate import SimConfig, gen_topic_matrix, run_ci_experiment
 from .transport import (
     DualPolytope,
@@ -284,6 +284,27 @@ def check_batch_matches_single(seed: int = 25) -> tuple[str, bool, str]:
     return ("batch-vs-single", differ == 0, f"{differ} of {2 * B} columns differ")
 
 
+def check_limit_batch_matches_single(seed: int = 29) -> tuple[str, bool, str]:
+    """The batched plug-in limit law gives each of 8 replicates the bits of
+    its own ``limit_sampler`` call, on the full polytope and on the delta=0
+    face."""
+    rng = np.random.default_rng(seed)
+    K, p, N, B, M = 5, 60, 300, 8, 200
+    A = gen_topic_matrix(p, K, seed).matrix
+    poly = DualPolytope(cost_matrix(A, "tv"))
+    alpha = rng.dirichlet(np.ones(K), size=2)
+    X = [rng.multinomial(N, A @ a, size=B).T / N for a in alpha]
+    mle_i, mle_j = (_fit_debiased(x, A)[0] for x in X)
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=B)]
+    differ = 0
+    for delta in (None, 0.0):
+        laws = _plugin_limits(mle_i, mle_j, A, poly, delta, M, seeds)
+        for b, law in enumerate(laws):
+            one = limit_sampler(mle_i[:, b], mle_j[:, b], A, poly, delta=delta, M=M, seed=seeds[b])
+            differ += not np.array_equal(law.samples, one.samples)
+    return ("limit-batch-vs-single", differ == 0, f"{differ} of {2 * B} laws differ")
+
+
 def check_mle_certified(n_instances: int = 40, seed: int = 28) -> tuple[str, bool, str]:
     """Every MLE fit of random dense and sparse instances meets its KKT
     certificate and says so."""
@@ -341,6 +362,7 @@ ALL_CHECKS = [
     check_sampler_reproducible,
     check_quantile_monotone,
     check_batch_matches_single,
+    check_limit_batch_matches_single,
     check_mle_certified,
     check_worker_determinism,
     check_ci_length_decreases,

@@ -30,22 +30,23 @@ from .errors import InvalidParam, MixwassError
 from .estimators import (
     CountVector,
     _fit_debiased,
+    _sigma_batch,
     _wls_operator,
     sigma_hat,
     sigma_ls,
 )
 from .inference import (
     LimitSampleSet,
+    _limit_draws,
+    _plugin_limits,
     confidence_interval,
     derivative_bootstrap,
     effective_root_n,
     ks_distance,
     ks_two_sample_pvalue,
-    limit_sampler,
     m_out_of_n_bootstrap,
     theorem_delta,
 )
-from . import numlin
 from .transport import (
     DualPolytope,
     ProbVec,
@@ -108,6 +109,10 @@ class SimConfig:
             raise InvalidParam("tau must be 0 (dense) or in [1, K]")
         if self.n_reps < 1 or self.n_outer < 1:
             raise InvalidParam("replicate counts must be >= 1")
+        if self.M < 1 or self.B < 1:
+            raise InvalidParam("Monte Carlo sizes M and B must be >= 1")
+        if self.workers < 1:
+            raise InvalidParam("workers must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidParam("gamma must be in (0, 1)")
         if not 0.0 < self.level < 1.0:
@@ -313,33 +318,44 @@ def _draw_pairs(config: SimConfig, outer: int, reps: np.ndarray, r_i, r_j, N_j: 
     return counts[0], counts[1]
 
 
+def _by_column(stage, cols: list[int]) -> list:
+    """``stage(cols)``: one output per column, computed as one batch.
+
+    A ``MixwassError`` in the batch redoes the columns one at a time, so
+    only a failing column is lost; its entry is then the error's
+    "Type: message" string.
+    """
+    try:
+        return stage(cols)
+    except MixwassError:
+        pass
+    out = []
+    for c in cols:
+        try:
+            out += stage([c])
+        except MixwassError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
 def _pair_estimates(docs_i: np.ndarray, docs_j: np.ndarray, A_hat_m: np.ndarray, poly: DualPolytope):
     """Batched MLEs of both sides, the debiased distance of each pair and errors.
 
-    A ``MixwassError`` in the batched stage redoes it column by column, so
-    only the failing pair is lost: its MLEs and distance are NaN and its
-    entry of the error list names the error (None for the others).
+    Only a failing pair is lost (see ``_by_column``): its MLEs and distance
+    are NaN and its entry of the error list names the error (None for the
+    others).
     """
 
     def stage(cols):
         mle_i, deb_i = _fit_debiased(docs_i[:, cols], A_hat_m)
         mle_j, deb_j = _fit_debiased(docs_j[:, cols], A_hat_m)
-        return mle_i, mle_j, support_batch(poly, (deb_i - deb_j).T)
+        return list(zip(mle_i.T, mle_j.T, support_batch(poly, (deb_i - deb_j).T)))
 
-    B = docs_i.shape[1]
-    errors = [None] * B
-    try:
-        return (*stage(slice(None)), errors)
-    except MixwassError:
-        pass
-    mle_i, mle_j = np.full((2, A_hat_m.shape[1], B), np.nan)
-    W = np.full(B, np.nan)
-    for c in range(B):
-        try:
-            mle_i[:, [c]], mle_j[:, [c]], W[[c]] = stage([c])
-        except MixwassError as exc:
-            errors[c] = f"{type(exc).__name__}: {exc}"
-    return mle_i, mle_j, W, errors
+    fits = _by_column(stage, list(range(docs_i.shape[1])))
+    errors = [f if isinstance(f, str) else None for f in fits]
+    lost = (np.full(A_hat_m.shape[1], np.nan), np.full(A_hat_m.shape[1], np.nan), np.nan)
+    mle_i, mle_j, W = zip(*(lost if e else f for f, e in zip(fits, errors)))
+    return np.array(mle_i).T, np.array(mle_j).T, np.array(W), errors
 
 
 def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
@@ -357,6 +373,16 @@ def _ci_chunk_worker(payload) -> list[dict]:
     N_i, N_j = config.N, config.size_j()
     counts_i, counts_j = _draw_pairs(config, outer, reps, r_i, r_j, N_j)
     mle_i, mle_j, W_all, errors = _pair_estimates(counts_i / N_i, counts_j / N_j, A_hat_m, poly)
+    cols = [c for c in range(len(reps)) if errors[c] is None]
+    plugin = {}
+    if METHOD_PLUGIN in config.methods and cols:
+        seeds = {c: _seed_int(config.seed, _S_MC, outer, int(reps[c])) for c in cols}
+
+        def plugin_stage(cc):
+            return _plugin_limits(mle_i[:, cc], mle_j[:, cc], A_hat_m, poly, facet_delta, config.M, [seeds[c] for c in cc])
+
+        # The chunk's plug-in limit laws in one batch: a law or an error string per replicate.
+        plugin = dict(zip(cols, _by_column(plugin_stage, cols)))
 
     records = []
     for c, rep in enumerate(reps):
@@ -367,15 +393,10 @@ def _ci_chunk_worker(payload) -> list[dict]:
         try:
             for method in config.methods:
                 if method == METHOD_PLUGIN:
-                    samples = limit_sampler(
-                        mle_i[:, c],
-                        mle_j[:, c],
-                        A_hat_m,
-                        poly,
-                        delta=facet_delta,
-                        M=config.M,
-                        seed=_seed_int(config.seed, _S_MC, outer, int(rep)),
-                    )
+                    samples = plugin[c]
+                    if isinstance(samples, str):
+                        rec["error"] = samples
+                        break
                 elif method == METHOD_DERIV_BS:
                     samples = derivative_bootstrap(
                         CountVector(counts_i[:, c]),
@@ -573,11 +594,8 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
     failures = int(np.isnan(W).sum())
     stat_draws = effective_root_n(config.N, config.N) * W[~np.isnan(W)]
 
-    sigma = sigma_hat(alpha, A.matrix).sigma
-    root = numlin.psd_sqrt(2.0 * sigma)
-    rng = np.random.default_rng([config.seed, _S_LAW])
-    Z = root @ rng.standard_normal(size=(config.K, config.M))
-    limit_draws = np.maximum(support_batch(true_poly, Z.T), 0.0)
+    sigma = _sigma_batch(alpha[:, None], A.matrix)
+    limit_draws = _limit_draws(sigma, sigma, [true_poly], [[config.seed, _S_LAW]], config.M, [True])[0]
 
     d = ks_distance(stat_draws, limit_draws)
     pval = ks_two_sample_pvalue(stat_draws, limit_draws)
@@ -646,14 +664,13 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
     for outer in range(config.n_outer):
         alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer]).values
         r = A.matrix @ alpha
-        sig_mle = sigma_hat(alpha, A.matrix).sigma
-        sig_ls = sigma_ls(alpha, r, A).sigma
-        G = np.random.default_rng([config.seed, _S_LAW, outer]).standard_normal(size=(config.K, config.M))
+        # Both laws draw the same normals from the outer pair's seed.
+        sig = np.stack([_sigma_batch(alpha[:, None], A.matrix)[0], sigma_ls(alpha, r, A).sigma])
+        law_seed = [config.seed, _S_LAW, outer]
+        draws = _limit_draws(sig, sig, [true_poly] * 2, [law_seed] * 2, config.M, [True, True])
         quantiles = {}
-        for name, sig in (("mle_debiased", sig_mle), ("wls", sig_ls)):
-            Z = numlin.psd_sqrt(2.0 * sig) @ G
-            draws = np.sort(np.maximum(support_batch(true_poly, Z.T), 0.0))
-            samp = LimitSampleSet(draws, delta=None, seed=config.seed, zero_feasible=True)
+        for name, d in zip(("mle_debiased", "wls"), draws):
+            samp = LimitSampleSet(d, delta=None, seed=config.seed, zero_feasible=True)
             quantiles[name] = (samp.quantile(config.level / 2), samp.quantile(1 - config.level / 2))
         law_meta.append({"outer": outer, "quantiles": {k: list(v) for k, v in quantiles.items()}})
         for reps in _chunks(config.n_reps):

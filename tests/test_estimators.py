@@ -11,7 +11,7 @@ from mixwass import (
     sigma_ls,
     wls_weights,
 )
-from mixwass.errors import InfeasibleRow, InvalidParam, SingularInformation
+from mixwass.errors import DegenerateSupport, InfeasibleRow, InvalidParam, SingularInformation
 from mixwass import estimators
 from mixwass.estimators import (
     EM_MAX_ITER,
@@ -20,6 +20,7 @@ from mixwass.estimators import (
     _debias_batch,
     _em_batch,
     _kkt_gaps,
+    _sigma_batch,
     _wls_operator,
     mle_objective,
 )
@@ -192,6 +193,49 @@ def test_sigma_singular_information():
     A = np.column_stack([col, col])
     with pytest.raises(SingularInformation):
         sigma_hat(np.array([0.5, 0.5]), A)
+
+
+def _sparse_topics(rng, p, K):
+    """Topics where words 0-4 occur only under topic 0 and words 5-9 only
+    under topic 1; every other word occurs under every topic."""
+    A = rng.uniform(0.05, 1.0, size=(p, K))
+    A[0:5, 1:] = 0.0
+    A[5:10, [0, *range(2, K)]] = 0.0
+    return A / A.sum(axis=0)
+
+
+@pytest.mark.parametrize("K,p", [(3, 40), (5, 500), (8, 500), (10, 300)])
+def test_sigma_batch_equals_sigma_hat_bit_for_bit(K, p):
+    rng = np.random.default_rng(K)
+    for A in (random_topics(rng, p, K), _sparse_topics(rng, p, K)):
+        alphas = rng.dirichlet(np.ones(K), size=12).T
+        # In sparse topics, zero weight on topic 0 leaves words 0-4 at fitted
+        # probability 0, and a weight of 1e-14 on topic 1 leaves words 5-9
+        # below ZETA: those columns take the information matrix on their
+        # support.
+        alphas[:, 3] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
+        alphas[:, 7] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
+        if A[0, 1] == 0.0:
+            assert np.all((A @ alphas[:, [3, 7]] <= estimators.ZETA).any(axis=0))
+        batch = _sigma_batch(alphas, A)
+        for b in range(alphas.shape[1]):
+            assert np.array_equal(batch[b], sigma_hat(alphas[:, b], A).sigma), b
+        assert np.array_equal(_sigma_batch(alphas[:, [7]], A)[0], batch[7])
+
+
+def test_sigma_batch_raises_for_a_failing_column():
+    rng = np.random.default_rng(1)
+    K = 4
+    A = _sparse_topics(rng, 30, K)
+    alphas = rng.dirichlet(np.ones(K), size=3).T
+    alphas[:, 1] = np.eye(K)[0]  # words 5-9 drop out, the shared words keep full rank
+    assert np.all(np.isfinite(_sigma_batch(alphas, A)))
+    col = np.full(6, 1.0 / 6)
+    dup = np.column_stack([col, col])
+    with pytest.raises(SingularInformation):
+        _sigma_batch(np.array([[0.3, 0.5], [0.7, 0.5]]), dup)
+    with pytest.raises(DegenerateSupport):
+        _sigma_batch(np.array([[0.5, 0.0], [0.5, 0.0]]), np.eye(2))
 
 
 # --- wls ---------------------------------------------------------------------

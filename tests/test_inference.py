@@ -24,6 +24,7 @@ from mixwass import (
     wasserstein_primal,
 )
 from mixwass import transport
+from mixwass.inference import _limit_draws, _plugin_limits
 from mixwass.errors import InvalidCost, InvalidParam
 from mixwass.numlin import psd_sqrt
 
@@ -139,6 +140,44 @@ def test_sampler_validates_params():
         limit_sampler(est, est, A, cost, delta=-0.1, M=10, seed=0)
     with pytest.raises(InvalidParam):
         limit_sampler(est, est, A, cost, delta=None, M=0, seed=0)
+
+
+@pytest.mark.parametrize("K", [3, 5])
+@pytest.mark.parametrize("delta", [None, 0.0, 0.05])
+def test_batched_limit_law_equals_per_pair_limit_sampler(K, delta):
+    # One batch of pairs gives each pair the bits of its own limit_sampler call.
+    rng = np.random.default_rng(K)
+    A = gen_topic_matrix(60, K, K)
+    poly = DualPolytope(cost_matrix(A, "tv"))
+    B, N = 6, 300
+    alpha = rng.dirichlet(np.ones(K), size=2)
+    ests = [
+        np.column_stack([mle_weights(rng.multinomial(N, A.matrix @ a) / N, A).alpha for _ in range(B)]) for a in alpha
+    ]
+    seeds = [int(s) for s in rng.integers(0, 2**31, size=B)]
+    laws = _plugin_limits(ests[0], ests[1], A, poly, delta, 200, seeds)
+    for b, law in enumerate(laws):
+        one = limit_sampler(ests[0][:, b], ests[1][:, b], A, poly, delta=delta, M=200, seed=seeds[b])
+        assert np.array_equal(law.samples, one.samples)
+        assert (law.zero_feasible, law.meta, law.seed, law.delta) == (one.zero_feasible, one.meta, one.seed, one.delta)
+
+
+@pytest.mark.parametrize("M", [1, 2, 300])
+def test_limit_draws_batch_equals_batches_of_one(M):
+    rng = np.random.default_rng(8)
+    K = 4
+    A = gen_topic_matrix(40, K, 8)
+    base = DualPolytope(cost_matrix(A, "tv"))
+    G = rng.normal(size=(5, K, K))
+    sig = G @ G.transpose(0, 2, 1)
+    polys = [base, base, restricted_polytope(base, *rng.dirichlet(np.ones(K), size=2), 0.0), base, base]
+    seeds = [3, [1, 2], 3, 4, 5]
+    clamp = [True, False, False, True, True]
+    draws = _limit_draws(sig, sig[::-1], polys, seeds, M, clamp)
+    assert draws.shape == (5, M)
+    for b in range(5):
+        one = _limit_draws(sig[[b]], sig[::-1][[b]], [polys[b]], [seeds[b]], M, [clamp[b]])
+        assert np.array_equal(draws[b], one[0])
 
 
 # --- confidence_interval ---------------------------------------------------------

@@ -359,6 +359,14 @@ def test_cli_simulate_table_quick(tmp_path):
     assert rep["fingerprint"]
 
 
+@pytest.mark.parametrize("flags", [["--workers", "-3"], ["--M", "0"], ["--B", "0"]])
+def test_cli_simulate_table_bad_sizes_exit_2(tmp_path, capsys, flags):
+    args = ["simulate-table", "null-ci", "--K", "3", "--p", "40", "--reps", "2", "--seed", "1", *flags]
+    assert main([*args, "--out", str(tmp_path / "t.json")]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_cli_report_regenerates_bit_identically(tmp_path):
     args = [
         "simulate-table",

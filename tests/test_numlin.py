@@ -101,3 +101,55 @@ def test_psd_sqrt_roundtrip():
     M = B @ B.T
     S = numlin.psd_sqrt(M)
     assert np.abs(S @ S - M).max() <= 1e-8
+
+
+def _mixed_stack(rng, K):
+    """PSD, singular PSD, indefinite, singular indefinite and zero matrices."""
+    G = rng.normal(size=(K, K))
+    L = rng.normal(size=(K, max(1, K - 2)))
+    S = rng.normal(size=(K, K))
+    D = np.diag(np.r_[rng.normal(size=K - 1), 0.0])
+    Q, _ = np.linalg.qr(rng.normal(size=(K, K)))
+    return np.stack([G @ G.T, L @ L.T, S + S.T, Q @ D @ Q.T, np.zeros((K, K))])
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 8])
+def test_stacked_pinv_and_psd_sqrt_equal_per_matrix_calls(K):
+    # A stack gives every slice the bits of the slice on its own.
+    rng = np.random.default_rng(K)
+    Ms = _mixed_stack(rng, K)
+    for fn in (numlin.pinv, numlin.psd_sqrt):
+        stacked = fn(Ms)
+        assert stacked.shape == Ms.shape
+        for b, M in enumerate(Ms):
+            assert np.array_equal(stacked[b], fn(M)), (fn.__name__, b)
+
+
+@pytest.mark.parametrize("K", [1, 3, 6, 10])
+def test_stacked_inv_at_rank_equals_per_matrix_calls(K):
+    # Full rank in the PSD sense; conditioning from about 1 to 1e8.
+    rng = np.random.default_rng(100 + K)
+    G = rng.normal(size=(6, K, K))
+    Ms = G @ G.transpose(0, 2, 1) + np.logspace(0, -8, 6)[:, None, None] * np.eye(K)
+    stacked = numlin.inv_at_rank(Ms)
+    for b, M in enumerate(Ms):
+        assert np.array_equal(stacked[b], numlin.inv_at_rank(M))
+
+
+def test_stacked_inv_at_rank_rejects_a_singular_slice():
+    Ms = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+    with pytest.raises(numlin._SingularAtRank):
+        numlin.inv_at_rank(Ms)
+
+
+@pytest.mark.parametrize("fn", [numlin.pinv, numlin.psd_sqrt, numlin.inv_at_rank])
+def test_stack_with_a_nonfinite_slice_raises(fn):
+    Ms = np.stack([np.eye(3)] * 3)
+    Ms[1, 0, 2] = Ms[1, 2, 0] = np.inf
+    with pytest.raises(InvalidMatrix):
+        fn(Ms)
+    with pytest.raises(InvalidMatrix):
+        fn(np.ones((2, 3, 4)))
+    Ms[1] = [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(InvalidMatrix, match="not symmetric"):
+        fn(Ms)

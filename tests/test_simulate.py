@@ -9,8 +9,8 @@ from scipy import stats as sstats
 
 import mixwass
 from mixwass import SimConfig, gen_document, gen_topic_matrix, gen_weights, perturb_topics
-from mixwass import simulate
-from mixwass.errors import InvalidParam, LPFailure
+from mixwass import DualPolytope, cost_matrix, limit_sampler, mle_weights, simulate
+from mixwass.errors import InvalidParam, LPFailure, SingularInformation
 from mixwass.simulate import (
     run_ci_experiment,
     run_convergence_experiment,
@@ -87,6 +87,12 @@ def test_config_validation():
         SimConfig(methods=("nope",))
     with pytest.raises(InvalidParam):
         SimConfig(design="both")
+
+
+def test_config_rejects_empty_monte_carlo_and_bad_workers():
+    for bad in (dict(M=0), dict(B=0), dict(workers=-3), dict(workers=0)):
+        with pytest.raises(InvalidParam):
+            SimConfig(**bad)
 
 
 def test_config_quick_scaling():
@@ -238,6 +244,36 @@ def test_ci_experiment_isolates_a_failing_replicate(monkeypatch, driver):
     assert len(got) == len(want)
     for w, g in zip(want, got):
         assert g == pytest.approx(w, rel=1e-9, abs=1e-12)
+
+
+def test_plugin_chunk_loses_only_the_replicate_with_singular_information(monkeypatch):
+    # Topic 0 owns words 0-9 and shares none.  A document of only those
+    # words fits alpha = e_0, whose information matrix over its support
+    # (words 0-9) has rank 1: sigma_hat raises SingularInformation.
+    K, p, N = 3, 40, 200
+    rng = np.random.default_rng(3)
+    A = rng.uniform(0.1, 1.0, size=(p, K))
+    A[:10, 1:] = 0.0
+    A[10:, 0] = 0.0
+    A /= A.sum(axis=0)
+    counts_i = rng.multinomial(N, A @ np.full(K, 1.0 / K), size=6).T
+    counts_j = rng.multinomial(N, A @ np.full(K, 1.0 / K), size=6).T
+    counts_i[:, 2] = rng.multinomial(N, A[:, 0])
+    monkeypatch.setattr(simulate, "_draw_pairs", lambda config, outer, reps, *rest: (counts_i[:, reps], counts_j[:, reps]))
+    config = SimConfig(K=K, p=p, N=N, M=200, level=0.3, n_reps=6, methods=("plugin",))
+    poly = DualPolytope(cost_matrix(A, "tv"))
+
+    def chunk(reps):
+        return simulate._ci_chunk_worker((config, A, poly, 0, np.asarray(reps), None, None, 0.0, None))
+
+    records = chunk(range(6))
+    mle = [mle_weights(counts[:, 2] / N, A) for counts in (counts_i, counts_j)]
+    with pytest.raises(SingularInformation) as exc:
+        limit_sampler(*mle, A, poly, delta=None, M=200, seed=0)
+    assert [r["error"] for r in records] == [None, None, f"SingularInformation: {exc.value}", None, None, None]
+    assert np.isfinite(records[2]["W_tilde"])  # the pair itself was estimated
+    for c in range(6):
+        assert chunk([c]) == [records[c]]
 
 
 def test_import_leaves_scipy_stats_unloaded():

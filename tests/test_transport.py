@@ -15,6 +15,7 @@ from mixwass import (
     tv_distance,
     wasserstein_primal,
 )
+from mixwass import transport
 from mixwass.errors import DimError, InvalidCost, InvalidParam, InvalidSimplex
 
 from oracles import transport_min_by_vertex_enumeration
@@ -415,6 +416,26 @@ def test_vertex_face_restriction_matches_lp(K):
         # The facet slab carries FACET_SLACK_UNIT of feasibility slack, so
         # the engines agree to slack scale here, not LP scale.
         assert np.abs(fast - slow).max() <= 2e-5
+
+
+@pytest.mark.parametrize("K", [3, 5, 8, 10])
+def test_blocked_vertex_product_equals_one_product(K, monkeypatch):
+    # The vertex route runs U @ V^T in row blocks; every row keeps the bits
+    # of the unblocked product, at the default budget and at budgets of two
+    # and three rows (1000 = 333 * 3 + 1 leaves a one-row tail).
+    rng = np.random.default_rng(24 + K)
+    poly = DualPolytope(random_instance(rng, K))
+    V = poly.vertices()
+    assert V is not None
+    U = rng.normal(size=(64 if K == 10 else 1000, K))
+    want = (U @ V.T).max(axis=1)
+    assert np.array_equal(support_batch(poly, U), want)
+    assert np.array_equal(support_batch(poly, np.asfortranarray(U)), want)
+    for rows in (2, 3):
+        monkeypatch.setattr(transport, "_VERTEX_BLOCK", rows * V.shape[0] + 1)
+        assert np.array_equal(support_batch(poly, U), want)
+    assert np.array_equal(support_batch(poly, U[:1]), (U[:1] @ V.T).max(axis=1))
+    assert support_batch(poly, U[:0]).shape == (0,)
 
 
 def test_lp_route_beyond_enumeration_bound():
