@@ -2,9 +2,17 @@
 
 Commands: ``estimate``, ``distance``, ``ci``, ``simulate-table`` (with the
 experiment kinds ``null-ci``, ``alt-ci``, ``mle-vs-wls``, ``ks-convergence``,
-``normality``) and ``selftest``.  Flags override values from an optional
-JSON/TOML config file.  Exit codes: 0 success, 1 usage, 2 validation error,
-3 numerical failure.
+``normality``) and ``selftest``.
+
+Each option is declared once, in ``build_parser``, with its type, choices
+and default, and every source of a value goes through that declaration.
+A flag overrides the JSON/TOML ``--config`` file, whose keys are the
+options' dest names (the ``SimConfig`` field names for ``simulate-table``),
+and the file overrides ``MIXWASS_THREADS``, the lowest-precedence source of
+``workers``.  A ``null`` in the file means "not set"; an unknown key or an
+ill-typed value is a validation error naming the file and the key.  Range
+checks belong to the library calls.  Exit codes: 0 success, 1 usage, 2
+validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .inference import (
     m_out_of_n_bootstrap,
     theorem_delta,
 )
-from .io import RunManifest, load_counts, load_topics, save_limit_samples, save_report
+from .io import RunManifest, load_counts, load_topics, report_json, save_limit_samples, save_report
 from .simulate import (
     SimConfig,
     run_ci_experiment,
@@ -53,82 +61,118 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def comma_list(text: str) -> tuple[str, ...]:
+    """The non-empty items of a comma-separated list; there must be one."""
+    items = tuple(s for s in text.split(",") if s)
+    if not items:
+        raise ValueError(text)
+    return items
+
+
+def slab_width(text: str) -> float | str | None:
+    """A ``--delta`` value: a float, 'none' (the unrestricted polytope) or 'rate'."""
+    if text == "none":
+        return None
+    return "rate" if text == "rate" else float(text)
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise InvalidParam(f"config file {path} does not exist")
-    if p.suffix.lower() == ".toml":
+    if Path(path).suffix.lower() == ".toml":
         import tomllib
 
-        loads, malformed = tomllib.loads, tomllib.TOMLDecodeError
+        loads = tomllib.loads
     else:
-        loads, malformed = json.loads, json.JSONDecodeError
+        loads = json.loads
     try:
-        return loads(p.read_text())
-    except malformed as exc:
+        table = loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise ParseError(f"config file {path}: {exc}") from None
+    if not isinstance(table, dict):
+        raise ParseError(f"config file {path}: expected a table of option values, not {type(table).__name__}")
+    return table
 
 
-def _resolve(args, key: str, file_cfg: dict, default):
-    """Flag value if given, else config-file value, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _typed(action: argparse.Action, value, where: str):
+    """A config-file or environment ``value`` through its option's type and choices.
+
+    A switch takes a boolean, an option without a type a string, and a typed
+    option a string or a number, which it reads as its flag would.  Only a
+    ``comma_list`` option takes an array, of strings.  ``where`` names the
+    source in the error.
+    """
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise InvalidParam(f"{where}: expected true or false, not {value!r}")
+    if action.type is comma_list and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        value = ",".join(value)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float) if action.type else str):
+        raise InvalidParam(f"{where}: expected {'a string or a number' if action.type else 'a string'}, not {value!r}")
+    try:
+        value = action.type(str(value)) if action.type else value
+    except ValueError:
+        raise InvalidParam(f"{where}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise InvalidParam(f"{where}: {value!r} is not one of {', '.join(action.choices)}")
+    return value
 
 
-def _seed_or_random(value) -> int:
-    if value is not None:
-        return int(value)
+def _settings(command: argparse.ArgumentParser, argv: list[str], config: str | None) -> argparse.Namespace:
+    """A command's options from ``argv`` over the lower-precedence sources.
+
+    Each option takes its flag, else its key in the ``config`` file, else
+    (for ``workers``) ``MIXWASS_THREADS``, else its declared default.
+    """
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
+    given = {}
+    threads = os.environ.get("MIXWASS_THREADS")
+    if threads and "workers" in options:
+        given["workers"] = _typed(options["workers"], threads, "MIXWASS_THREADS")
+    for key, value in _load_config_file(config).items():
+        if key not in options:
+            raise InvalidParam(f"config file {config}: unknown key {key!r} (keys: {', '.join(sorted(options))})")
+        if value is not None:
+            given[key] = _typed(options[key], value, f"config file {config}: key {key!r}")
+    # argparse sets a default only where the namespace holds no value yet.
+    return command.parse_args(argv, namespace=argparse.Namespace(**given))
+
+
+def _random_seed() -> int:
     return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
 
 
-def _parse_delta(text):
-    if text is None or text == "none":
-        return None if text == "none" else 0.0
-    if text == "rate":
-        return "rate"
-    return float(text)
-
-
-def _load_inputs(args, cfg):
+def _load_inputs(args):
     """Topics and documents of ``estimate``, ``distance`` and ``ci``.
 
     The topics are read first and fix p: every counts file is read against
-    it.  Returns (A, documents, topics path, counts paths).
+    it.  Returns (A, documents).
     """
-    topics_path = _resolve(args, "topics", cfg, None)
-    spec = _resolve(args, "counts", cfg, None)
-    if not topics_path or not spec:
+    if not args.counts or not args.topics:
         raise InvalidParam("--counts and --topics are required")
-    A = load_topics(topics_path)
-    paths = [s for s in str(spec).split(",") if s]
+    A = load_topics(args.topics)
     docs = []
-    for path in paths:
+    for path in args.counts:
         loaded = load_counts(path, p=A.p)
         if not loaded:
             raise InvalidParam(f"{path} contains no documents")
         docs.extend(loaded)
-    return A, docs, topics_path, paths
+    return A, docs
 
 
-def _pair_inputs(args, cfg):
-    """Topics, document pair, metric and polytope of ``distance`` and ``ci``.
+def _pair_inputs(args):
+    """Topics, document pair and polytope of ``distance`` and ``ci``.
 
-    Returns (A, doc_i, doc_j, metric, poly, input files for the manifest).
+    Returns (A, doc_i, doc_j, poly, input files for the manifest).
     """
-    A, docs, topics_path, paths = _load_inputs(args, cfg)
-    doc_i = int(_resolve(args, "doc_i", cfg, 0))
-    doc_j = int(_resolve(args, "doc_j", cfg, 1 if len(docs) > 1 else 0))
+    A, docs = _load_inputs(args)
+    doc_i = args.doc_i
+    doc_j = args.doc_j if args.doc_j is not None else (1 if len(docs) > 1 else 0)
     if not (0 <= doc_i < len(docs) and 0 <= doc_j < len(docs)):
         raise InvalidParam(f"document indices {doc_i},{doc_j} out of range (have {len(docs)})")
-    metric = _resolve(args, "metric", cfg, "tv")
-    inputs = {"topics": topics_path, **{p: p for p in paths}}
-    return A, docs[doc_i], docs[doc_j], metric, DualPolytope(cost_matrix(A, metric)), inputs
+    inputs = {"topics": args.topics, **{p: p for p in args.counts}}
+    return A, docs[doc_i], docs[doc_j], DualPolytope(cost_matrix(A, args.metric)), inputs
 
 
 def _estimate(doc, A, method: str, with_cov: bool = False):
@@ -148,112 +192,97 @@ def _estimate(doc, A, method: str, with_cov: bool = False):
     return mle, debias(mle, X, A), sigma_hat(mle, A) if with_cov else None
 
 
-def _workers_default() -> int:
-    env = os.environ.get("MIXWASS_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+def _certificates(mle_i, mle_j) -> dict:
+    """Whether each document's MLE is certified; null for wls, which fits none."""
+    return {
+        f"{key}_{side}": getattr(mle, key) if mle is not None else None
+        for side, mle in (("i", mle_i), ("j", mle_j))
+        for key in ("converged", "kkt_gap")
+    }
+
+
+# Each kind's runner and the settings in which it differs from SimConfig's defaults.
+_TABLES = {
+    "null-ci": (run_ci_experiment, {}),
+    "alt-ci": (run_ci_experiment, dict(M=500, B=500, design="alternative", methods=("plugin", "deriv_bs", "m_of_n"))),
+    "mle-vs-wls": (run_mle_vs_wls_experiment, dict(N=500, M=10000)),
+    "ks-convergence": (run_convergence_experiment, dict(K=10, p=300, n_reps=2000, M=2000)),
+    "normality": (run_normality_experiment, dict(p=1000, N=500, tau=3, n_reps=500, estimators=("mle_debiased", "wls"))),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mixwass", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mixwass {__version__} ({build_hash()})")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
+    # The options of more than one command; a dest is a config-file key.
+    shared = {
+        "--config": dict(help="JSON or TOML file of option values keyed by dest; flags override it"),
+        "--seed": dict(type=int),
+        "--out": dict(help="output JSON report path"),
+        "--counts": dict(type=comma_list, help="counts CSVs (long or dense form), comma separated"),
+        "--topics": dict(help="topics CSV (p rows x K columns)"),
+        "--doc-i": dict(dest="doc_i", type=int),
+        "--doc-j": dict(dest="doc_j", type=int, help="default: 1 with two or more documents, else 0"),
+        "--metric": dict(choices=["tv", "l2"]),
+        "--level": dict(type=float),
+        "--M": dict(type=int),
+        "--B": dict(type=int),
+        "--gamma": dict(type=float),
+        "--delta": dict(type=slab_width, help="slab width: a float, 'none', or 'rate'"),
+        "--quick": dict(action="store_true"),
+    }
 
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON or TOML config file; flags override it")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output JSON report path")
+    def command(name, run, help, flags, argument_default=None, **defaults):
+        sp = sub.add_parser(name, help=help, argument_default=argument_default)
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
+        sp.set_defaults(run=run, **defaults)
+        return sp
 
-    sp = sub.add_parser("estimate", help="estimate mixture weights for documents")
-    add_common(sp)
-    sp.add_argument("--counts", help="counts CSV (long or dense form)")
-    sp.add_argument("--topics", help="topics CSV (p rows x K columns)")
+    inputs = ["--config", "--seed", "--out", "--counts", "--topics"]
+    pair = [*inputs, "--doc-i", "--doc-j", "--metric"]
+    limit = ["--level", "--M", "--B", "--gamma", "--delta"]
+
+    sp = command("estimate", _cmd_estimate, "estimate mixture weights for documents", inputs, seed=0, method="debias")
     sp.add_argument("--method", choices=["mle", "debias", "wls"])
 
-    sp = sub.add_parser("distance", help="distance estimate between two documents")
-    add_common(sp)
-    sp.add_argument("--counts", help="one or two counts CSVs, comma separated")
-    sp.add_argument("--topics")
-    sp.add_argument("--doc-i", dest="doc_i", type=int)
-    sp.add_argument("--doc-j", dest="doc_j", type=int)
-    sp.add_argument("--metric", choices=["tv", "l2"])
+    sp = command("distance", _cmd_distance, "distance estimate between two documents", pair, seed=0, doc_i=0, metric="tv", estimator="debias")
     sp.add_argument("--estimator", choices=["debias", "mle", "wls"])
 
-    sp = sub.add_parser("ci", help="confidence interval for the distance")
-    add_common(sp)
-    sp.add_argument("--counts")
-    sp.add_argument("--topics")
-    sp.add_argument("--doc-i", dest="doc_i", type=int)
-    sp.add_argument("--doc-j", dest="doc_j", type=int)
-    sp.add_argument("--metric", choices=["tv", "l2"])
-    sp.add_argument("--level", type=float)
+    sp = command("ci", _cmd_ci, "confidence interval for the distance", [*pair, *limit], doc_i=0, metric="tv", method="plugin")
+    sp.set_defaults(level=0.05, M=1000, B=1000, gamma=0.5, delta=0.0)
     sp.add_argument("--method", choices=["plugin", "deriv-bs", "m-of-n"])
-    sp.add_argument("--M", type=int)
-    sp.add_argument("--B", type=int)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--delta", help="slab width: a float, 'none', or 'rate'")
     sp.add_argument("--samples-out", dest="samples_out", help="CSV dump of the limit samples")
 
-    sp = sub.add_parser("simulate-table", help="regenerate a simulation table")
-    sp.add_argument(
-        "kind",
-        choices=["null-ci", "alt-ci", "mle-vs-wls", "ks-convergence", "normality"],
-    )
-    add_common(sp)
-    for flag, typ in [
-        ("--K", int),
-        ("--p", int),
-        ("--N", int),
-        ("--Nj", int),
-        ("--tau", int),
-        ("--reps", int),
-        ("--outer", int),
-        ("--M", int),
-        ("--B", int),
-        ("--gamma", float),
-        ("--level", float),
-        ("--workers", int),
-        ("--a-noise", float),
+    # A setting left unset stays out of the namespace: the kind's defaults fill it.
+    flags = ["--config", "--seed", "--out", "--metric", *limit, "--quick"]
+    sp = command("simulate-table", _cmd_simulate_table, "regenerate a simulation table", flags, argument_default=argparse.SUPPRESS, config=None, out=None)
+    sp.add_argument("kind", choices=_TABLES)
+    for flag, dest, typ in [
+        ("--K", "K", int),
+        ("--p", "p", int),
+        ("--N", "N", int),
+        ("--Nj", "N_j", int),
+        ("--tau", "tau", int),
+        ("--reps", "n_reps", int),
+        ("--outer", "n_outer", int),
+        ("--workers", "workers", int),
+        ("--a-noise", "a_noise", float),
     ]:
-        sp.add_argument(flag, type=typ, dest=flag.lstrip("-").replace("-", "_"))
-    sp.add_argument("--delta", help="slab width: a float, 'none', or 'rate'")
-    sp.add_argument("--metric", choices=["tv", "l2"])
-    sp.add_argument("--methods", help="comma list from plugin,deriv_bs,m_of_n")
-    sp.add_argument("--quick", action="store_true", default=None)
+        sp.add_argument(flag, dest=dest, type=typ)
+    sp.add_argument("--methods", type=comma_list, help="comma list from plugin,deriv_bs,m_of_n")
 
-    sp = sub.add_parser("selftest", help="run the property suites")
-    sp.add_argument("--quick", action="store_true", default=None)
-
+    command("selftest", _cmd_selftest, "run the property suites", ["--quick"])
     return parser
 
 
-_TABLE_DEFAULTS = {
-    "null-ci": dict(K=5, p=500, N=1000, tau=0, n_reps=200, M=1000, B=1000, design="null", methods=("plugin",)),
-    "alt-ci": dict(K=5, p=500, N=1000, tau=0, n_reps=200, n_outer=10, M=500, B=500, design="alternative", methods=("plugin", "deriv_bs", "m_of_n")),
-    "mle-vs-wls": dict(K=5, p=500, N=500, tau=0, n_reps=200, n_outer=10, M=10000),
-    "ks-convergence": dict(K=10, p=300, N=1000, tau=0, n_reps=2000, M=2000),
-    "normality": dict(K=5, p=1000, N=500, tau=3, n_reps=500, estimators=("mle_debiased", "wls")),
-}
-
-_TABLE_RUNNERS = {
-    "null-ci": run_ci_experiment,
-    "alt-ci": run_ci_experiment,
-    "mle-vs-wls": run_mle_vs_wls_experiment,
-    "ks-convergence": run_convergence_experiment,
-    "normality": run_normality_experiment,
-}
-
-
 def _cmd_estimate(args) -> int:
-    cfg = _load_config_file(args.config)
-    A, docs, topics_path, paths = _load_inputs(args, cfg)
-    method = _resolve(args, "method", cfg, "debias")
-    seed = _seed_or_random(_resolve(args, "seed", cfg, 0))
+    A, docs = _load_inputs(args)
     results = []
     for idx, doc in enumerate(docs):
-        _, est, cov = _estimate(doc, A, method, with_cov=True)
+        _, est, cov = _estimate(doc, A, args.method, with_cov=True)
         results.append(
             {
                 "doc": idx,
@@ -262,74 +291,60 @@ def _cmd_estimate(args) -> int:
                 "method": est.method.value,
                 "iterations": est.iterations,
                 "converged": est.converged,
+                "kkt_gap": est.kkt_gap,
                 "sigma": cov.sigma.tolist() if cov else None,
             }
         )
-    report = {"command": "estimate", "method": method, "estimates": results, "seed": seed}
-    inputs = {"topics": topics_path, **{("counts" if len(paths) == 1 else p): p for p in paths}}
-    manifest = RunManifest.create("estimate", {"method": method}, seed, inputs)
-    _emit(report, manifest, _resolve(args, "out", cfg, None))
+    report = {"command": "estimate", "method": args.method, "estimates": results, "seed": args.seed}
+    inputs = {"topics": args.topics, **{("counts" if len(args.counts) == 1 else p): p for p in args.counts}}
+    manifest = RunManifest.create("estimate", {"method": args.method}, args.seed, inputs)
+    _emit(report, manifest, args.out)
     return EXIT_OK
 
 
 def _cmd_distance(args) -> int:
-    cfg = _load_config_file(args.config)
-    A, doc_i, doc_j, metric, poly, inputs = _pair_inputs(args, cfg)
-    estimator = _resolve(args, "estimator", cfg, "debias")
-    seed = _seed_or_random(_resolve(args, "seed", cfg, 0))
-    _, est_i, _ = _estimate(doc_i, A, estimator)
-    _, est_j, _ = _estimate(doc_j, A, estimator)
-    w = distance_estimate(est_i, est_j, poly)
+    A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
+    mle_i, est_i, _ = _estimate(doc_i, A, args.estimator)
+    mle_j, est_j, _ = _estimate(doc_j, A, args.estimator)
     report = {
         "command": "distance",
-        "metric": metric,
-        "estimator": estimator,
-        "W_tilde": w,
+        "metric": args.metric,
+        "estimator": args.estimator,
+        "W_tilde": distance_estimate(est_i, est_j, poly),
         "N_i": doc_i.N,
         "N_j": doc_j.N,
         "alpha_i": est_i.alpha.tolist(),
         "alpha_j": est_j.alpha.tolist(),
-        "seed": seed,
+        "seed": args.seed,
+        **_certificates(mle_i, mle_j),
     }
-    manifest = RunManifest.create("distance", {"metric": metric, "estimator": estimator}, seed, inputs)
-    _emit(report, manifest, _resolve(args, "out", cfg, None))
+    manifest = RunManifest.create("distance", {"metric": args.metric, "estimator": args.estimator}, args.seed, inputs)
+    _emit(report, manifest, args.out)
     return EXIT_OK
 
 
 def _cmd_ci(args) -> int:
-    cfg = _load_config_file(args.config)
-    A, doc_i, doc_j, metric, poly, inputs = _pair_inputs(args, cfg)
-    level = float(_resolve(args, "level", cfg, 0.05))
-    method = _resolve(args, "method", cfg, "plugin")
-    M = int(_resolve(args, "M", cfg, 1000))
-    B = int(_resolve(args, "B", cfg, 1000))
-    gamma = float(_resolve(args, "gamma", cfg, 0.5))
-    delta = _parse_delta(_resolve(args, "delta", cfg, None))
-    seed = _seed_or_random(_resolve(args, "seed", cfg, None))
-
-    if delta == "rate":
-        delta = theorem_delta(min(doc_i.N, doc_j.N), A.p)
-    if method == "plugin":
-        ah_i, at_i, _ = _estimate(doc_i, A, "debias")
-        ah_j, at_j, _ = _estimate(doc_j, A, "debias")
-        samples = limit_sampler(ah_i, ah_j, A, poly, delta=delta, M=M, seed=seed)
-        W = distance_estimate(at_i, at_j, poly)
+    A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
+    seed = args.seed if args.seed is not None else _random_seed()
+    delta = theorem_delta(min(doc_i.N, doc_j.N), A.p) if args.delta == "rate" else args.delta
+    # Every method's interval is centred on this fit's debiased distance.
+    mle_i, est_i, _ = _estimate(doc_i, A, "debias")
+    mle_j, est_j, _ = _estimate(doc_j, A, "debias")
+    W = distance_estimate(est_i, est_j, poly)
+    if args.method == "plugin":
+        samples = limit_sampler(mle_i, mle_j, A, poly, delta=delta, M=args.M, seed=seed)
+    elif args.method == "deriv-bs":
+        samples = derivative_bootstrap(doc_i, doc_j, A, poly, delta=delta, B=args.B, seed=seed)
     else:
-        # Both bootstraps fit the pair themselves and report the estimate.
-        if method == "deriv-bs":
-            samples = derivative_bootstrap(doc_i, doc_j, A, poly, delta=delta, B=B, seed=seed)
-        else:
-            samples = m_out_of_n_bootstrap(doc_i, doc_j, A, poly, gamma=gamma, B=B, seed=seed)
-        W = samples.meta["W_tilde"]
-    ci = confidence_interval(W, samples, level, doc_i.N, doc_j.N)
-    samples_out = _resolve(args, "samples_out", cfg, None)
-    if samples_out:
-        save_limit_samples(samples, samples_out)
+        samples = m_out_of_n_bootstrap(doc_i, doc_j, A, poly, gamma=args.gamma, B=args.B, seed=seed)
+    ci = confidence_interval(W, samples, args.level, doc_i.N, doc_j.N)
+    if args.samples_out:
+        save_limit_samples(samples, args.samples_out)
     report = {
         "command": "ci",
-        "method": method,
-        "metric": metric,
-        "level": level,
+        "method": args.method,
+        "metric": args.metric,
+        "level": args.level,
         "point": ci.point,
         "lower": ci.lower,
         "upper": ci.upper,
@@ -339,55 +354,24 @@ def _cmd_ci(args) -> int:
         "M": samples.M,
         "delta": samples.delta,
         "seed": seed,
-        "samples_path": str(samples_out) if samples_out else None,
+        "samples_path": args.samples_out or None,
+        **_certificates(mle_i, mle_j),
     }
-    manifest = RunManifest.create(
-        "ci",
-        {"method": method, "metric": metric, "level": level, "M": M, "B": B, "gamma": gamma, "delta": str(delta)},
-        seed,
-        inputs,
-    )
-    _emit(report, manifest, _resolve(args, "out", cfg, None))
+    settings = {k: getattr(args, k) for k in ("method", "metric", "level", "M", "B", "gamma")}
+    manifest = RunManifest.create("ci", {**settings, "delta": str(delta)}, seed, inputs)
+    _emit(report, manifest, args.out)
     return EXIT_OK
 
 
 def _cmd_simulate_table(args) -> int:
-    cfg = _load_config_file(args.config)
-    base = dict(_TABLE_DEFAULTS[args.kind])
-    overrides = {
-        "K": args.K,
-        "p": args.p,
-        "N": args.N,
-        "N_j": args.Nj,
-        "tau": args.tau,
-        "n_reps": args.reps,
-        "n_outer": args.outer,
-        "M": args.M,
-        "B": args.B,
-        "gamma": args.gamma,
-        "level": args.level,
-        "workers": args.workers,
-        "a_noise": args.a_noise,
-        "metric": args.metric,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
-        elif key in cfg:
-            base[key] = cfg[key]
-    if args.methods:
-        base["methods"] = tuple(args.methods.split(","))
-    if args.delta is not None or "delta" in cfg:
-        base["delta"] = _parse_delta(args.delta if args.delta is not None else cfg["delta"])
-    base["seed"] = _seed_or_random(_resolve(args, "seed", cfg, None))
-    base["quick"] = bool(args.quick or cfg.get("quick", False))
-    if "workers" not in base or not base.get("workers"):
-        base["workers"] = _workers_default()
-    config = SimConfig(**base)
-    report = _TABLE_RUNNERS[args.kind](config)
+    runner, defaults = _TABLES[args.kind]
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    given.setdefault("seed", _random_seed())
+    config = SimConfig(**{**defaults, **given})
+    report = runner(config)
     manifest = RunManifest.create(f"simulate-table {args.kind}", config.to_dict(), config.seed)
-    out = _resolve(args, "out", cfg, None)
-    _emit(report, manifest, out)
+    _emit(report, manifest, args.out)
     return EXIT_OK
 
 
@@ -395,7 +379,7 @@ def _cmd_selftest(args) -> int:
     from .selfcheck import run_selftest
 
     t0 = time.time()
-    results = run_selftest(quick=bool(args.quick))
+    results = run_selftest(quick=args.quick)
     n_fail = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -405,33 +389,24 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
 
 
-def _emit(report: dict, manifest: RunManifest, out: str | None) -> None:
+def _emit(report, manifest: RunManifest, out: str | None) -> None:
     if out:
         save_report(report, out, manifest)
         print(f"report written to {out}")
     else:
-        doc = {"manifest": dataclasses.asdict(manifest), "report": report}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(report_json(report, manifest), end="")
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "distance":
-            return _cmd_distance(args)
-        if args.command == "ci":
-            return _cmd_ci(args)
-        if args.command == "simulate-table":
-            return _cmd_simulate_table(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown command {args.command!r}")
+        command = parser.commands[args.command]
+        return args.run(_settings(command, argv[argv.index(args.command) + 1 :], getattr(args, "config", None)))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -441,7 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     except MixwassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ def _read_lines(path) -> list[tuple[int, str]]:
     """The non-blank lines of a text file with their 1-based line numbers."""
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
 
@@ -179,11 +179,16 @@ class RunManifest:
         )
 
 
-def save_report(report, path, manifest: RunManifest | None = None) -> None:
-    """Serialize a report (dict or ExperimentReport) plus manifest to JSON."""
+def report_json(report, manifest: RunManifest | None = None) -> str:
+    """The JSON document of a report (dict or ExperimentReport) and its manifest."""
     body = report.to_dict() if hasattr(report, "to_dict") else report
     doc = {"manifest": dataclasses.asdict(manifest) if manifest else None, "report": body}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def save_report(report, path, manifest: RunManifest | None = None) -> None:
+    """Write :func:`report_json` to ``path``."""
+    Path(path).write_text(report_json(report, manifest))
 
 
 def load_report(path) -> dict:

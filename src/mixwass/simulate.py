@@ -127,8 +127,8 @@ class SimConfig:
                 raise InvalidParam(f"unknown estimator {e!r}")
         if isinstance(self.delta, str) and self.delta != "rate":
             raise InvalidParam("delta must be a float, None, or 'rate'")
-        if isinstance(self.delta, (int, float)) and self.delta < 0:
-            raise InvalidParam("delta must be >= 0")
+        if isinstance(self.delta, (int, float)) and not (math.isfinite(self.delta) and self.delta >= 0):
+            raise InvalidParam("delta must be finite and >= 0")
 
     @property
     def N_i(self) -> int:

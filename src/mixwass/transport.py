@@ -451,8 +451,8 @@ def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float) -
     that face's.  The result stores w_hat as ``slab[1]`` and reads the
     vertex cache of ``base``.
     """
-    if delta < 0:
-        raise InvalidParam("delta must be >= 0")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise InvalidParam("delta must be finite and >= 0")
     a = _values(alpha_hat, name="alpha_hat")
     b = _values(beta_hat, name="beta_hat")
     if a.size != b.size or a.size != base.K:

@@ -1,0 +1,272 @@
+"""The CLI's option resolution: flags, config files and MIXWASS_THREADS.
+
+Every option is declared once and each source of its value goes through
+that declaration, so an ill-typed or unknown setting is an error wherever
+it comes from.  The smoke matrix runs every command to stdout and to a file.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mixwass
+from mixwass import CountVector, cost_matrix, derivative_bootstrap, gen_topic_matrix, m_out_of_n_bootstrap
+from mixwass.cli import _settings, build_parser, main
+from mixwass.io import load_counts, load_topics, save_counts, save_topics
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Topics (p=40, K=3) and two documents of 400 words."""
+    tmp = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(1)
+    A = gen_topic_matrix(40, 3, 2)
+    r = A.matrix @ rng.dirichlet(np.ones(3))
+    save_topics(A, tmp / "topics.csv")
+    save_counts([CountVector(rng.multinomial(400, r)) for _ in range(2)], tmp / "counts.csv")
+    return tmp, ["--counts", str(tmp / "counts.csv"), "--topics", str(tmp / "topics.csv")]
+
+
+_TABLE = ["--K", "3", "--p", "40", "--N", "120", "--reps", "4", "--outer", "2", "--M", "60", "--B", "60", "--level", "0.35", "--seed", "5"]
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _config(tmp, table) -> str:
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(table))
+    return str(path)
+
+
+# --- smoke matrix -------------------------------------------------------------
+
+_SMOKE = [
+    *[["estimate", "--method", m] for m in ("mle", "debias", "wls")],
+    ["distance", "--estimator", "debias"],
+    *[["ci", "--method", m, "--M", "400", "--B", "400", "--seed", "3"] for m in ("plugin", "deriv-bs", "m-of-n")],
+    *[["simulate-table", kind, *_TABLE] for kind in ("null-ci", "alt-ci", "mle-vs-wls", "ks-convergence", "normality")],
+]
+
+
+@pytest.mark.parametrize("argv", _SMOKE, ids=lambda a: "-".join(a[:3]))
+def test_cli_smoke_stdout_and_out_give_the_same_report(files, tmp_path, capsys, argv):
+    inputs = [] if argv[0] == "simulate-table" else files[1]
+    code, out, _ = _run([*argv, *inputs], capsys)
+    assert code == 0
+    printed = json.loads(out)
+    code, out, _ = _run([*argv, *inputs, "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0 and out.startswith("report written to")
+    written = json.loads((tmp_path / "r.json").read_text())
+    assert set(printed) == set(written) == {"manifest", "report"}
+    assert printed["manifest"]["config_hash"] == written["manifest"]["config_hash"]
+    if argv[0] == "simulate-table":
+        assert printed["report"]["fingerprint"] == written["report"]["fingerprint"]
+    else:
+        assert printed["report"] == written["report"]
+
+
+def test_cli_subprocess_simulate_table_to_stdout():
+    src = str(Path(mixwass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("MIXWASS_THREADS", None)
+    cmd = [sys.executable, "-m", "mixwass.cli", "simulate-table", "null-ci", *_TABLE]
+    res = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["report"]["summary"]["plugin"]["n"] == 4
+
+
+# --- one regression test per defect of the old resolution ---------------------
+
+
+def test_cli_simulate_table_zero_workers_exit_2(tmp_path, capsys):
+    code, _, err = _run(["simulate-table", "null-ci", *_TABLE, "--workers", "0", "--out", str(tmp_path / "t.json")], capsys)
+    assert code == 2 and "workers must be >= 1" in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("threads,message", [("abc", "MIXWASS_THREADS: invalid int value 'abc'"), ("0", "workers must be >= 1")])
+def test_cli_bad_mixwass_threads_exit_2(monkeypatch, capsys, threads, message):
+    monkeypatch.setenv("MIXWASS_THREADS", threads)
+    code, _, err = _run(["simulate-table", "null-ci", *_TABLE], capsys)
+    assert code == 2 and message in err
+
+
+def test_cli_ill_typed_delta_flag_is_a_usage_error(files, capsys):
+    code, _, err = _run(["ci", *files[1], "--delta", "abc"], capsys)
+    assert code == 1 and "usage" in err and "--delta" in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+@pytest.mark.parametrize("method", ["plugin", "deriv-bs"])
+def test_cli_non_finite_delta_exits_2(files, tmp_path, capsys, delta, method):
+    code, _, err = _run(["ci", *files[1], "--method", method, "--B", "400", "--delta", delta, "--out", str(tmp_path / "ci.json")], capsys)
+    assert code == 2 and "delta must be finite" in err
+    assert not (tmp_path / "ci.json").exists()
+
+
+@pytest.mark.parametrize(
+    "table,named",
+    [
+        ({"level": "abc"}, "key 'level': invalid float value 'abc'"),
+        ({"doc_i": "x"}, "key 'doc_i': invalid int value 'x'"),
+        ({"M": 100.9}, "key 'M': invalid int value 100.9"),
+        ({"levle": 0.3}, "unknown key 'levle'"),
+        ([1, 2], "expected a table of option values, not list"),
+    ],
+    ids=["level-abc", "doc_i-x", "M-float", "unknown-key", "not-a-table"],
+)
+def test_cli_ci_bad_config_file_exits_2_naming_file_and_key(files, tmp_path, capsys, table, named):
+    cfg = _config(tmp_path, table)
+    # At level 0.2, M=100 is enough: a truncated M would run.
+    code, _, err = _run(["ci", *files[1], "--level", "0.2", "--config", cfg], capsys)
+    assert code == 2
+    assert f"config file {cfg}: {named}" in err
+
+
+@pytest.mark.parametrize(
+    "table,named",
+    [({"quick": "false"}, "key 'quick': expected true or false, not 'false'"), ({"reps": 2}, "unknown key 'reps'")],
+    ids=["quick-string", "flag-name-as-key"],
+)
+def test_cli_simulate_table_bad_config_file_exits_2(tmp_path, capsys, table, named):
+    cfg = _config(tmp_path, table)
+    code, _, err = _run(["simulate-table", "null-ci", *_TABLE, "--config", cfg], capsys)
+    assert code == 2 and f"config file {cfg}: {named}" in err
+
+
+def test_cli_simulate_table_config_methods_array(tmp_path):
+    cfg = _config(tmp_path, {"methods": ["m_of_n"], "n_reps": 3})
+    assert main(["simulate-table", "alt-ci", *_TABLE, "--config", cfg, "--out", str(tmp_path / "t.json")]) == 0
+    report = json.loads((tmp_path / "t.json").read_text())["report"]
+    assert report["config"]["methods"] == ["m_of_n"]
+    assert set(report["summary"]) == {"m_of_n"} and report["summary"]["m_of_n"]["n"] == 2 * 4
+
+
+# --- one resolution for every source --------------------------------------------
+
+
+def _table_settings(argv, cfg=None):
+    parser = build_parser()
+    return _settings(parser.commands["simulate-table"], ["null-ci", *argv], cfg)
+
+
+def test_cli_precedence_flag_config_environment_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("MIXWASS_THREADS", raising=False)
+    assert not hasattr(_table_settings([]), "workers")
+    monkeypatch.setenv("MIXWASS_THREADS", "3")
+    assert _table_settings([]).workers == 3
+    cfg = _config(tmp_path, {"workers": 2, "M": None})
+    assert _table_settings([], cfg).workers == 2
+    assert not hasattr(_table_settings([], cfg), "M")
+    assert _table_settings(["--workers", "1"], cfg).workers == 1
+    monkeypatch.setenv("MIXWASS_THREADS", "")
+    assert not hasattr(_table_settings([]), "workers")
+
+
+def test_cli_config_file_gives_the_flags_fingerprint(tmp_path):
+    keys = {"--K": "K", "--p": "p", "--N": "N", "--reps": "n_reps", "--outer": "n_outer", "--M": "M", "--B": "B", "--level": "level", "--seed": "seed"}
+    pairs = dict(zip(_TABLE[::2], _TABLE[1::2]))
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("".join(f"{keys[flag]} = {value}\n" for flag, value in pairs.items()) + 'delta = "none"\nmethods = ["plugin"]\n')
+    assert main(["simulate-table", "null-ci", *_TABLE, "--delta", "none", "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["simulate-table", "null-ci", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 0
+    a, b = (json.loads((tmp_path / n).read_text()) for n in ("a.json", "b.json"))
+    assert a["manifest"]["config_hash"] == b["manifest"]["config_hash"]
+    assert a["report"]["fingerprint"] == b["report"]["fingerprint"]
+    assert a["report"]["config"]["delta"] is None
+
+
+_COMMAND_KEYS = {
+    "estimate": ["counts", "topics", "seed", "out", "method"],
+    "distance": ["counts", "topics", "seed", "out", "doc_i", "doc_j", "metric", "estimator"],
+}
+_JUNK_KEYS = ["config", "levle", "reps", "", "M", "quick"]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["mle", "wls", "l2", "0", "1.0", ",", "none"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _valid_values(tmp: Path) -> dict:
+    """Values that run, so that some drawn files exit 0."""
+    counts, methods = str(tmp / "counts.csv"), st.sampled_from(["mle", "debias", "wls"])
+    return {
+        "counts": st.sampled_from([counts, [counts], f"{counts},"]),
+        "topics": st.just(str(tmp / "topics.csv")),
+        "seed": st.integers(0, 2**64),
+        "method": methods,
+        "estimator": methods,
+        "doc_i": st.integers(0, 1),
+        "doc_j": st.integers(0, 1),
+        "metric": st.sampled_from(["tv", "l2"]),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_COMMAND_KEYS)), st.booleans(), st.data())
+def test_cli_config_file_of_any_json_exits_0_2_or_3(files, command, with_flags, data):
+    valid = _valid_values(files[0])
+    keys = data.draw(st.lists(st.sampled_from(_COMMAND_KEYS[command]), unique=True), label="keys")
+    # At most one key holds any JSON value, and at most one is junk.
+    wild = data.draw(st.sampled_from([None, *keys]), label="wild")
+    keys += data.draw(st.lists(st.sampled_from(_JUNK_KEYS), max_size=1), label="junk")
+    table = {k: data.draw(valid[k] if k in valid and k != wild else _JSON, label=k) for k in keys}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(table))
+        # The --out flag keeps a drawn "out" key from writing anywhere.
+        argv = [command, "--config", str(cfg), "--out", f"{tmp}/r.json", *(files[1] if with_flags else [])]
+        assert main(argv) in (0, 2, 3)
+
+
+# --- ci: one fit for every method, and its certificate ---------------------------
+
+
+def test_cli_ci_centres_every_method_on_its_own_fit(files, tmp_path):
+    tmp, inputs = files
+    A = load_topics(tmp / "topics.csv")
+    doc_i, doc_j = load_counts(tmp / "counts.csv", p=A.p)
+    cost = cost_matrix(A, "tv")
+    points = []
+    for method in ("plugin", "deriv-bs", "m-of-n"):
+        assert main(["ci", *inputs, "--method", method, "--B", "400", "--seed", "2", "--out", str(tmp_path / "ci.json")]) == 0
+        report = json.loads((tmp_path / "ci.json").read_text())["report"]
+        points.append(report["point"])
+        assert report["converged_i"] is True and report["converged_j"] is True
+        assert 0.0 <= report["kkt_gap_i"] <= 1e-9 and 0.0 <= report["kkt_gap_j"] <= 1e-9
+    assert points[0] == points[1] == points[2]
+    assert derivative_bootstrap(doc_i, doc_j, A, cost, B=20).meta["W_tilde"] == points[0]
+    assert m_out_of_n_bootstrap(doc_i, doc_j, A, cost, B=20).meta["W_tilde"] == points[0]
+
+
+@pytest.mark.parametrize("estimator", ["mle", "debias", "wls"])
+def test_cli_reports_carry_the_mle_certificate(files, tmp_path, estimator):
+    _, inputs = files
+    assert main(["distance", *inputs, "--estimator", estimator, "--out", str(tmp_path / "d.json")]) == 0
+    assert main(["estimate", *inputs, "--method", estimator, "--out", str(tmp_path / "e.json")]) == 0
+    dist = json.loads((tmp_path / "d.json").read_text())["report"]
+    gaps = [e["kkt_gap"] for e in json.loads((tmp_path / "e.json").read_text())["report"]["estimates"]]
+    if estimator == "wls":
+        assert [dist[k] for k in ("converged_i", "converged_j", "kkt_gap_i", "kkt_gap_j")] == [None] * 4
+        assert gaps == [None, None]
+    else:
+        assert dist["converged_i"] is True and dist["converged_j"] is True
+        assert [dist["kkt_gap_i"], dist["kkt_gap_j"]] == gaps

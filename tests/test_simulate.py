@@ -95,6 +95,12 @@ def test_config_rejects_empty_monte_carlo_and_bad_workers():
             SimConfig(**bad)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.1])
+def test_config_rejects_non_finite_or_negative_delta(delta):
+    with pytest.raises(InvalidParam, match="delta"):
+        SimConfig(delta=delta)
+
+
 def test_config_quick_scaling():
     cfg = SimConfig(n_reps=500, M=2000, B=2000, quick=True)
     scaled = cfg.scaled()

@@ -10,6 +10,7 @@ from mixwass import (
     TopicMatrix,
     cost_matrix,
     kr_dual_value,
+    limit_sampler,
     restricted_polytope,
     support_batch,
     tv_distance,
@@ -314,6 +315,21 @@ def test_restricted_rejects_negative_delta():
     cost = random_instance(np.random.default_rng(15), 3)
     with pytest.raises(InvalidParam):
         restricted_polytope(DualPolytope(cost), np.full(3, 1 / 3), np.full(3, 1 / 3), -0.1)
+
+
+@pytest.mark.parametrize("K", [5, 11])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_restricted_rejects_non_finite_delta(K, delta):
+    # K=5 reads the vertex cache, K=11 is past the enumeration bound and
+    # solves LPs: neither route may see a non-finite slab.
+    rng = np.random.default_rng(16)
+    base = DualPolytope(random_instance(rng, K))
+    a, b = rng.dirichlet(np.ones(K), size=2)
+    with pytest.raises(InvalidParam, match="finite"):
+        restricted_polytope(base, a, b, delta)
+    A = TopicMatrix(rng.dirichlet(np.ones(2 * K), size=K).T)
+    with pytest.raises(InvalidParam, match="finite"):
+        limit_sampler(a, b, A, base, delta=delta, M=10)
 
 
 # --- properties: convexity, Dirac agreement, upper bound, stability ---------
