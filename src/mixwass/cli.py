@@ -30,14 +30,7 @@ import numpy as np
 from . import __version__, build_hash
 from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError
 from .estimators import debias, mle_weights, sigma_hat, sigma_ls, wls_weights
-from .inference import (
-    confidence_interval,
-    derivative_bootstrap,
-    distance_estimate,
-    limit_sampler,
-    m_out_of_n_bootstrap,
-    theorem_delta,
-)
+from .inference import METHODS, _fit_pair, confidence_interval, distance_estimate, theorem_delta
 from .io import RunManifest, load_counts, load_topics, report_json, save_limit_samples, save_report
 from .simulate import (
     SimConfig,
@@ -201,6 +194,9 @@ def _certificates(mle_i, mle_j) -> dict:
     }
 
 
+# The CLI's spelling of each interval method.
+_CI_METHODS = {name.replace("_", "-"): name for name in METHODS}
+
 # Each kind's runner and the settings in which it differs from SimConfig's defaults.
 _TABLES = {
     "null-ci": (run_ci_experiment, {}),
@@ -253,7 +249,7 @@ def build_parser() -> _Parser:
 
     sp = command("ci", _cmd_ci, "confidence interval for the distance", [*pair, *limit], doc_i=0, metric="tv", method="plugin")
     sp.set_defaults(level=0.05, M=1000, B=1000, gamma=0.5, delta=0.0)
-    sp.add_argument("--method", choices=["plugin", "deriv-bs", "m-of-n"])
+    sp.add_argument("--method", choices=list(_CI_METHODS))
     sp.add_argument("--samples-out", dest="samples_out", help="CSV dump of the limit samples")
 
     # A setting left unset stays out of the namespace: the kind's defaults fill it.
@@ -327,17 +323,12 @@ def _cmd_ci(args) -> int:
     A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
     seed = args.seed if args.seed is not None else _random_seed()
     delta = theorem_delta(min(doc_i.N, doc_j.N), A.p) if args.delta == "rate" else args.delta
+    method = METHODS[_CI_METHODS[args.method]]
+    settings = method.settings(args.level, M=args.M, B=args.B, gamma=args.gamma, delta=delta)
     # Every method's interval is centred on this fit's debiased distance.
-    mle_i, est_i, _ = _estimate(doc_i, A, "debias")
-    mle_j, est_j, _ = _estimate(doc_j, A, "debias")
-    W = distance_estimate(est_i, est_j, poly)
-    if args.method == "plugin":
-        samples = limit_sampler(mle_i, mle_j, A, poly, delta=delta, M=args.M, seed=seed)
-    elif args.method == "deriv-bs":
-        samples = derivative_bootstrap(doc_i, doc_j, A, poly, delta=delta, B=args.B, seed=seed)
-    else:
-        samples = m_out_of_n_bootstrap(doc_i, doc_j, A, poly, gamma=args.gamma, B=args.B, seed=seed)
-    ci = confidence_interval(W, samples, args.level, doc_i.N, doc_j.N)
+    pairs, mle_i, mle_j = _fit_pair(doc_i, doc_j, A.matrix, poly)
+    samples = method.sampler(pairs, A.matrix, poly, [seed], settings)[0]
+    ci = confidence_interval(float(pairs.W[0]), samples, args.level, doc_i.N, doc_j.N)
     if args.samples_out:
         save_limit_samples(samples, args.samples_out)
     report = {
@@ -357,8 +348,8 @@ def _cmd_ci(args) -> int:
         "samples_path": args.samples_out or None,
         **_certificates(mle_i, mle_j),
     }
-    settings = {k: getattr(args, k) for k in ("method", "metric", "level", "M", "B", "gamma")}
-    manifest = RunManifest.create("ci", {**settings, "delta": str(delta)}, seed, inputs)
+    # The manifest hashes only the settings that the chosen method reads.
+    manifest = RunManifest.create("ci", {**{k: getattr(args, k) for k in ("method", "metric", "level")}, **settings}, seed, inputs)
     _emit(report, manifest, args.out)
     return EXIT_OK
 

@@ -83,11 +83,6 @@ class Method(str, enum.Enum):
     WLS = "wls"
 
 
-class CovMethod(str, enum.Enum):
-    PLUGIN_MLE = "plugin_mle"
-    PLUGIN_WLS = "plugin_wls"
-
-
 @dataclass(frozen=True)
 class CountVector:
     """Word counts of one document; N is the total number of words."""
@@ -124,20 +119,14 @@ class WeightEstimate:
     """Estimated mixture weights plus solver diagnostics.
 
     The MLE variant lies in the simplex; debiased and WLS variants sum to
-    one but may have negative entries.  ``support`` records the word index
-    set the estimator actually used.
+    one but may have negative entries.
     """
 
     alpha: np.ndarray
     method: Method
-    support: np.ndarray
     iterations: int
     converged: bool
     kkt_gap: float | None = None
-
-    @property
-    def K(self) -> int:
-        return self.alpha.size
 
 
 @dataclass(frozen=True)
@@ -145,11 +134,10 @@ class CovEstimate:
     """Plug-in asymptotic covariance matrix (symmetric, PSD up to roundoff)."""
 
     sigma: np.ndarray
-    method: CovMethod
     rank: int
 
 
-def _check_feasible_rows(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _check_feasible_rows(X: np.ndarray, A: np.ndarray) -> None:
     support = np.flatnonzero(X > 0)
     if support.size == 0:
         raise InvalidParam("frequency vector has empty support")
@@ -159,7 +147,6 @@ def _check_feasible_rows(X: np.ndarray, A: np.ndarray) -> np.ndarray:
         raise InfeasibleRow(
             f"word {int(bad[0])} has positive count but zero probability under every topic"
         )
-    return support
 
 
 def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -416,12 +403,11 @@ def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> Weigh
     Am = _topics_array(A)
     if Xv.size != Am.shape[0]:
         raise InvalidParam(f"X has dim {Xv.size}, topics have {Am.shape[0]} rows")
-    support = _check_feasible_rows(Xv, Am)
+    _check_feasible_rows(Xv, Am)
     alphas, iterations, converged = _em_batch(Xv[:, None], Am, tol, max_iter)
     return WeightEstimate(
         alpha=alphas[:, 0],
         method=Method.MLE,
-        support=support,
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
         kkt_gap=float(_kkt_gaps(Xv[:, None], Am, alphas)[0]),
@@ -473,13 +459,11 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     a = base.alpha if base is not None else np.asarray(alpha_hat, dtype=float)
     Xv = _values(X, name="X")
     Am = _topics_array(A_hat)
-    J = np.flatnonzero(Am @ a > ZETA)
-    if J.size == 0:
+    if not np.any(Am @ a > ZETA):
         raise DegenerateSupport("no word has fitted probability above the support threshold")
     return WeightEstimate(
         alpha=_debias_batch(a[:, None], Xv[:, None], Am)[:, 0],
         method=Method.DEBIASED,
-        support=J,
         iterations=base.iterations if base is not None else 0,
         converged=base.converged if base is not None else True,
         kkt_gap=base.kkt_gap if base is not None else None,
@@ -534,7 +518,7 @@ def sigma_hat(alpha, A_hat) -> CovEstimate:
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
     sigma = _sigma_batch(a[:, None], _topics_array(A_hat))[0]
-    return CovEstimate(sigma=sigma, method=CovMethod.PLUGIN_MLE, rank=numlin.sym_eig(sigma).rank)
+    return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)
 
 
 def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +554,6 @@ def wls_weights(X, A_hat) -> WeightEstimate:
     return WeightEstimate(
         alpha=Aplus @ Xv[keep],
         method=Method.WLS,
-        support=keep,
         iterations=0,
         converged=True,
     )
@@ -589,4 +572,4 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
     sigma = (Aplus * rv[keep]) @ Aplus.T - np.outer(a, a)
     sigma = (sigma + sigma.T) / 2.0
     eig = numlin.sym_eig(sigma)
-    return CovEstimate(sigma=sigma, method=CovMethod.PLUGIN_WLS, rank=eig.rank)
+    return CovEstimate(sigma=sigma, rank=eig.rank)

@@ -8,13 +8,15 @@ estimated by Monte Carlo; quantiles of the sample set yield confidence
 intervals.  Two bootstrap baselines (m-out-of-N and derivative-based) are
 provided for comparison.
 
-The plug-in limit law is written once, for a batch of document pairs:
-``_plugin_limits`` restricts each pair's polytope and stacks its plug-in
-covariances, and ``_limit_draws`` sums them, takes their PSD roots in one
-stacked call, draws each law's Gaussians from its own seed and evaluates
-the draws over the law's polytope.  ``limit_sampler`` is a batch of one,
-the simulation drivers pass whole chunks of replicates, and a law gives
-the same bits in any batch.
+Each interval method is written once, for a batch of fitted pairs
+(``FittedPairs``: the caller's MLEs, debiased fits and debiased distances,
+never refitted), in the ``METHODS`` table with the settings it reads:
+``plugin`` (M, delta) samples the plug-in limit law, ``deriv_bs`` (B,
+delta) and ``m_of_n`` (B, gamma) are the bootstraps, which share one
+resampling kernel.  The plug-in law of a batch is one ``_plugin_limits``
+call, whose ``_limit_draws`` takes all PSD roots in one stacked call.
+``limit_sampler``, ``derivative_bootstrap`` and ``m_out_of_n_bootstrap``
+are batches of one, and a pair gets the same bits in any batch.
 
 Scaling convention: with document sizes N_i, N_j the statistic
 sqrt(2 N_i N_j / (N_i + N_j)) * (West - W) converges to the limit law
@@ -25,7 +27,9 @@ quantiles by that effective root-N.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,6 @@ from .estimators import (
 )
 from .transport import (
     DualPolytope,
-    TopicMatrix,
     _topics_array,
     facet_slack,
     restricted_polytope,
@@ -89,10 +92,6 @@ class LimitSampleSet:
         self.zero_feasible = bool(zero_feasible)
         self.meta = dict(meta or {})
         self._sorted = np.sort(s)
-
-    @property
-    def sorted(self) -> np.ndarray:
-        return self._sorted
 
     def quantile(self, gamma: float) -> float:
         """Order statistic at index ceil(M * gamma) (right-continuous inverse)."""
@@ -162,6 +161,14 @@ def _restrict(
     return poly, w_hat, abs(w_hat) <= delta + facet_slack(w_hat)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of a method's seed: a non-negative integer or a sequence of them."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidParam(f"seed must be a non-negative integer, not {seed!r}") from None
+
+
 def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
     """Draws of sup_f f^T Z with Z ~ N(0, sigma_i[b] + sigma_j[b]) for B laws.
 
@@ -180,7 +187,7 @@ def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
     K = root.shape[-1]
     out = np.empty((len(root), M))
     for b, (poly, seed) in enumerate(zip(polys, seeds)):
-        Z = root[b] @ np.random.default_rng(seed).standard_normal(size=(K, M))
+        Z = root[b] @ _rng(seed).standard_normal(size=(K, M))
         out[b] = support_batch(poly, Z.T)
     clamp = np.asarray(clamp, dtype=bool)
     out[clamp] = np.maximum(out[clamp], 0.0)
@@ -224,9 +231,15 @@ def limit_sampler(
     """
     if M < 1:
         raise InvalidParam("M must be >= 1")
-    ai = _weights(alpha_i)
-    aj = _weights(alpha_j)
-    return _plugin_limits(ai[:, None], aj[:, None], A_hat, _as_polytope(cost), delta, M, [seed])[0]
+    return _plugin_limits(_weights(alpha_i)[:, None], _weights(alpha_j)[:, None], A_hat, _as_polytope(cost), delta, M, [seed])[0]
+
+
+def _check_level(level: float, size: int, name: str = "M") -> None:
+    """Refuse a ``level`` outside (0, 1), or one whose tail quantiles ``size`` draws cannot estimate."""
+    if not 0.0 < level < 1.0:
+        raise InvalidParam("level must be in (0, 1)")
+    if size < 20.0 / level:
+        raise InvalidParam(f"need {name} >= {20.0 / level:.0f} samples for level {level}")
 
 
 def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_i: int, N_j: int) -> ConfidenceInterval:
@@ -235,10 +248,7 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     ``level`` is the significance t (0.05 gives a 95% interval) and must
     satisfy M >= 20/t so the tail quantiles are estimable.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidParam("level must be in (0, 1)")
-    if limits.M < 20.0 / level:
-        raise InvalidParam(f"need M >= {20.0 / level:.0f} samples for level {level}")
+    _check_level(level, limits.M)
     s = math.sqrt(N_i * N_j / (N_i + N_j))
     divisor = effective_root_n(N_i, N_j)
     q_hi = limits.quantile(1.0 - level / 2.0)
@@ -252,10 +262,111 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     )
 
 
-def _point_estimates(X_i: CountVector, X_j: CountVector, A) -> tuple[WeightEstimate, WeightEstimate, WeightEstimate, WeightEstimate]:
-    ah_i = mle_weights(X_i.frequencies, A)
-    ah_j = mle_weights(X_j.frequencies, A)
-    return ah_i, ah_j, debias(ah_i, X_i.frequencies, A), debias(ah_j, X_j.frequencies, A)
+@dataclass(frozen=True)
+class FittedPairs:
+    """B fitted document pairs: (p, B) word frequencies and the sides' sizes,
+    (K, B) MLEs and debiased fits, and (B,) debiased distances."""
+
+    X_i: np.ndarray
+    X_j: np.ndarray
+    N_i: int
+    N_j: int
+    mle_i: np.ndarray
+    mle_j: np.ndarray
+    deb_i: np.ndarray
+    deb_j: np.ndarray
+    W: np.ndarray
+
+    def take(self, cols) -> FittedPairs:
+        arrays = ("X_i", "X_j", "mle_i", "mle_j", "deb_i", "deb_j", "W")
+        return dataclasses.replace(self, **{f: getattr(self, f)[..., cols] for f in arrays})
+
+
+def _fit_pair(X_i: CountVector, X_j: CountVector, A: np.ndarray, poly: DualPolytope):
+    """One observed pair fitted as a batch of one, and its MLEs with their certificates."""
+    mle = [mle_weights(X.frequencies, A) for X in (X_i, X_j)]
+    deb = [debias(m, X.frequencies, A) for m, X in zip(mle, (X_i, X_j))]
+    fits = (e.alpha[:, None] for e in (*mle, *deb))
+    W = np.array([distance_estimate(*deb, poly)])
+    return FittedPairs(X_i.frequencies[:, None], X_j.frequencies[:, None], X_i.N, X_j.N, *fits, W), mle[0], mle[1]
+
+
+def _plugin_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitSampleSet]:
+    return _plugin_limits(pairs.mle_i, pairs.mle_j, A, poly, settings["delta"], settings["M"], seeds)
+
+
+def _resampled_fits(pairs: FittedPairs, c: int, sizes, A, B: int, seed) -> list[np.ndarray]:
+    """Debiased fits (K, B) of B multinomial resamples of each side of pair
+    ``c``, of ``sizes`` words; the i side's resamples are drawn first."""
+    rng = _rng(seed)
+    XB = [rng.multinomial(m, X[:, c], size=B).T / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
+    return [_fit_debiased(x, A)[1] for x in XB]
+
+
+def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[LimitSampleSet]:
+    """Derivative bootstrap of each pair (see ``derivative_bootstrap``)."""
+    delta, scale, out = settings["delta"], effective_root_n(pairs.N_i, pairs.N_j), []
+    for c, seed in enumerate(seeds):
+        poly, w_hat, zero_feasible = _restrict(base, pairs.mle_i[:, c], pairs.mle_j[:, c], delta)
+        at_bi, at_bj = _resampled_fits(pairs, c, (pairs.N_i, pairs.N_j), A, settings["B"], seed)
+        directions = scale * ((at_bi - at_bj) - (pairs.deb_i[:, c] - pairs.deb_j[:, c])[:, None])
+        samples = support_batch(poly, directions.T)
+        if zero_feasible:
+            samples = np.maximum(samples, 0.0)
+        meta = {"w_hat": w_hat, "W_tilde": float(pairs.W[c])}
+        out.append(LimitSampleSet(samples, delta=delta, seed=seed, zero_feasible=zero_feasible, meta=meta))
+    return out
+
+
+def _m_of_n_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitSampleSet]:
+    """m-out-of-N bootstrap of each pair (see ``m_out_of_n_bootstrap``)."""
+    gamma, out = settings["gamma"], []
+    m_i, m_j = (math.ceil(N**gamma) for N in (pairs.N_i, pairs.N_j))
+    for c, seed in enumerate(seeds):
+        at_bi, at_bj = _resampled_fits(pairs, c, (m_i, m_j), A, settings["B"], seed)
+        W_b = support_batch(poly, (at_bi - at_bj).T)
+        samples = effective_root_n(m_i, m_j) * (W_b - pairs.W[c])
+        meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": float(pairs.W[c])}
+        out.append(LimitSampleSet(samples, delta=None, seed=seed, zero_feasible=False, meta=meta))
+    return out
+
+
+@dataclass(frozen=True)
+class IntervalMethod:
+    """``sampler(pairs, A, poly, seeds, settings)`` gives one ``LimitSampleSet``
+    per pair of a ``FittedPairs`` batch, reading the Monte Carlo ``size`` and
+    one other ``setting``, and an error in any pair fails the call.  A
+    ``batched`` sampler stacks a batch's work; the others go pair by pair."""
+
+    sampler: Callable[..., list[LimitSampleSet]]
+    size: str
+    setting: str
+    batched: bool
+
+    def settings(self, level: float | None = None, **values) -> dict:
+        """The settings it reads, from ``values``; with a ``level``, the size meets ``confidence_interval``'s rule."""
+        size = values[self.size]
+        if size < 1:
+            raise InvalidParam(f"{self.size} must be >= 1")
+        if level is not None:
+            _check_level(level, size, self.size)
+        if self.setting == "gamma" and not 0.0 < values["gamma"] < 1.0:
+            raise InvalidParam("gamma must be in (0, 1)")
+        return {self.size: size, self.setting: values[self.setting]}
+
+
+METHODS = {
+    "plugin": IntervalMethod(_plugin_samples, "M", "delta", batched=True),
+    "deriv_bs": IntervalMethod(_derivative_samples, "B", "delta", batched=False),
+    "m_of_n": IntervalMethod(_m_of_n_samples, "B", "gamma", batched=False),
+}
+
+
+def _observed_pair_samples(name: str, X_i: CountVector, X_j: CountVector, A_hat, cost, seed, **values) -> LimitSampleSet:
+    """Method ``name`` on one observed pair, fitted as ``ci`` fits it."""
+    settings = METHODS[name].settings(**values)
+    A, poly = _topics_array(A_hat), _as_polytope(cost)
+    return METHODS[name].sampler(_fit_pair(X_i, X_j, A, poly)[0], A, poly, [seed], settings)[0]
 
 
 def m_out_of_n_bootstrap(
@@ -273,27 +384,7 @@ def m_out_of_n_bootstrap(
     frequencies of document l, reruns the MLE + debias + distance pipeline,
     and emits the centered, sqrt(m)-scaled distance.
     """
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParam("gamma must be in (0, 1)")
-    if B < 1:
-        raise InvalidParam("B must be >= 1")
-    poly = _as_polytope(cost)
-    Am = A_hat.matrix if isinstance(A_hat, TopicMatrix) else np.asarray(A_hat, dtype=float)
-    ah_i, ah_j, at_i, at_j = _point_estimates(X_i, X_j, Am)
-    W = distance_estimate(at_i, at_j, poly)
-    m_i = int(math.ceil(X_i.N**gamma))
-    m_j = int(math.ceil(X_j.N**gamma))
-    scale = effective_root_n(m_i, m_j)
-
-    rng = np.random.default_rng(seed)
-    XBi = rng.multinomial(m_i, X_i.frequencies, size=B).T / m_i
-    XBj = rng.multinomial(m_j, X_j.frequencies, size=B).T / m_j
-    _, at_bi = _fit_debiased(XBi, Am)
-    _, at_bj = _fit_debiased(XBj, Am)
-    W_b = support_batch(poly, (at_bi - at_bj).T)
-    samples = scale * (W_b - W)
-    meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": W}
-    return LimitSampleSet(samples, delta=None, seed=seed, zero_feasible=False, meta=meta)
+    return _observed_pair_samples("m_of_n", X_i, X_j, A_hat, cost, seed, B=B, gamma=gamma)
 
 
 def derivative_bootstrap(
@@ -312,25 +403,7 @@ def derivative_bootstrap(
     the direction sqrt(N_eff)(alpha_b_i - alpha_b_j - alpha_i + alpha_j) is
     evaluated on the same data-driven polytope as the plug-in sampler.
     """
-    if B < 1:
-        raise InvalidParam("B must be >= 1")
-    base = _as_polytope(cost)
-    Am = A_hat.matrix if isinstance(A_hat, TopicMatrix) else np.asarray(A_hat, dtype=float)
-    ah_i, ah_j, at_i, at_j = _point_estimates(X_i, X_j, Am)
-    scale = effective_root_n(X_i.N, X_j.N)
-    poly, w_hat, zero_feasible = _restrict(base, ah_i.alpha, ah_j.alpha, delta)
-
-    rng = np.random.default_rng(seed)
-    XBi = rng.multinomial(X_i.N, X_i.frequencies, size=B).T / X_i.N
-    XBj = rng.multinomial(X_j.N, X_j.frequencies, size=B).T / X_j.N
-    _, at_bi = _fit_debiased(XBi, Am)
-    _, at_bj = _fit_debiased(XBj, Am)
-    directions = scale * ((at_bi - at_bj) - (at_i.alpha - at_j.alpha)[:, None])
-    samples = support_batch(poly, directions.T)
-    if zero_feasible:
-        samples = np.maximum(samples, 0.0)
-    meta = {"w_hat": w_hat, "W_tilde": distance_estimate(at_i, at_j, base)}
-    return LimitSampleSet(samples, delta=delta, seed=seed, zero_feasible=zero_feasible, meta=meta)
+    return _observed_pair_samples("deriv_bs", X_i, X_j, A_hat, cost, seed, B=B, delta=delta)
 
 
 def ks_distance(samples_a, samples_b) -> float:

@@ -11,9 +11,9 @@ import dataclasses
 import numpy as np
 
 from . import numlin
-from .estimators import TOL_KKT, _fit_debiased, debias, mle_objective, mle_weights, sigma_hat
-from .inference import _plugin_limits, confidence_interval, limit_sampler
-from .simulate import SimConfig, gen_topic_matrix, run_ci_experiment
+from .estimators import TOL_KKT, CountVector, _fit_debiased, debias, mle_objective, mle_weights, sigma_hat
+from .inference import METHODS, confidence_interval, derivative_bootstrap, limit_sampler, m_out_of_n_bootstrap
+from .simulate import SimConfig, _pair_estimates, gen_topic_matrix, run_ci_experiment
 from .transport import (
     DualPolytope,
     CostMatrix,
@@ -284,25 +284,32 @@ def check_batch_matches_single(seed: int = 25) -> tuple[str, bool, str]:
     return ("batch-vs-single", differ == 0, f"{differ} of {2 * B} columns differ")
 
 
-def check_limit_batch_matches_single(seed: int = 29) -> tuple[str, bool, str]:
-    """The batched plug-in limit law gives each of 8 replicates the bits of
-    its own ``limit_sampler`` call, on the full polytope and on the delta=0
-    face."""
+def check_limit_batch_matches_single(seed: int = 29, K: int = 5, deltas=(None, 0.0)) -> tuple[str, bool, str]:
+    """Every interval method over a chunk of 8 fitted pairs gives each pair
+    the bits of its public single-pair function (``limit_sampler``,
+    ``derivative_bootstrap``, ``m_out_of_n_bootstrap``), at each slab width
+    of ``deltas``; by default on the full polytope and on the delta=0 face."""
     rng = np.random.default_rng(seed)
-    K, p, N, B, M = 5, 60, 300, 8, 200
+    p, N, n, M, B = 60, 300, 8, 200, 40
     A = gen_topic_matrix(p, K, seed).matrix
     poly = DualPolytope(cost_matrix(A, "tv"))
     alpha = rng.dirichlet(np.ones(K), size=2)
-    X = [rng.multinomial(N, A @ a, size=B).T / N for a in alpha]
-    mle_i, mle_j = (_fit_debiased(x, A)[0] for x in X)
-    seeds = [int(s) for s in rng.integers(0, 2**32, size=B)]
+    counts = [rng.multinomial(N, A @ a, size=n).T for a in alpha]
+    pairs, _ = _pair_estimates(*counts, N, N, A, poly)
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=n)]
+    docs = [[CountVector(c[:, b]) for c in counts] for b in range(n)]
+    single = {
+        "plugin": lambda b, d: limit_sampler(pairs.mle_i[:, b], pairs.mle_j[:, b], A, poly, delta=d, M=M, seed=seeds[b]),
+        "deriv_bs": lambda b, d: derivative_bootstrap(*docs[b], A, poly, delta=d, B=B, seed=seeds[b]),
+        "m_of_n": lambda b, d: m_out_of_n_bootstrap(*docs[b], A, poly, gamma=0.5, B=B, seed=seeds[b]),
+    }
     differ = 0
-    for delta in (None, 0.0):
-        laws = _plugin_limits(mle_i, mle_j, A, poly, delta, M, seeds)
-        for b, law in enumerate(laws):
-            one = limit_sampler(mle_i[:, b], mle_j[:, b], A, poly, delta=delta, M=M, seed=seeds[b])
-            differ += not np.array_equal(law.samples, one.samples)
-    return ("limit-batch-vs-single", differ == 0, f"{differ} of {2 * B} laws differ")
+    for delta in deltas:
+        for name, method in METHODS.items():
+            for b, law in enumerate(method.sampler(pairs, A, poly, seeds, dict(M=M, B=B, gamma=0.5, delta=delta))):
+                one = single[name](b, delta)
+                differ += not (np.array_equal(law.samples, one.samples) and law.meta == one.meta)
+    return ("limit-batch-vs-single", differ == 0, f"{differ} of {len(deltas) * len(METHODS) * n} sample sets differ")
 
 
 def check_mle_certified(n_instances: int = 40, seed: int = 28) -> tuple[str, bool, str]:

@@ -36,15 +36,14 @@ from .estimators import (
     sigma_ls,
 )
 from .inference import (
+    METHODS,
+    FittedPairs,
     LimitSampleSet,
     _limit_draws,
-    _plugin_limits,
     confidence_interval,
-    derivative_bootstrap,
     effective_root_n,
     ks_distance,
     ks_two_sample_pvalue,
-    m_out_of_n_bootstrap,
     theorem_delta,
 )
 from .transport import (
@@ -58,17 +57,14 @@ from .transport import (
 
 RNG_FAMILY = "numpy PCG64 via SeedSequence streams"
 
-METHOD_PLUGIN = "plugin"
-METHOD_DERIV_BS = "deriv_bs"
-METHOD_M_OF_N = "m_of_n"
-METHODS = (METHOD_PLUGIN, METHOD_DERIV_BS, METHOD_M_OF_N)
-
 EST_MLE_DEBIASED = "mle_debiased"
 EST_WLS = "wls"
 ESTIMATORS = (EST_MLE_DEBIASED, EST_WLS)
 
 # Stream ids for SeedSequence-derived generators.
 _S_TOPICS, _S_WEIGHTS, _S_DOCS, _S_MC, _S_BOOT, _S_LAW, _S_NOISE = range(7)
+# Each interval method's stream; a replicate's seed appends (outer, rep).
+_METHOD_STREAMS = {"plugin": (_S_MC,), "deriv_bs": (_S_BOOT, 1), "m_of_n": (_S_BOOT, 2)}
 
 # Replicates are processed in fixed-size chunks so that batched linear
 # algebra sees the same inputs regardless of the worker count.
@@ -93,7 +89,7 @@ class SimConfig:
     metric: str = "tv"
     seed: int = 0
     design: str = "null"
-    methods: tuple[str, ...] = (METHOD_PLUGIN,)
+    methods: tuple[str, ...] = ("plugin",)
     estimators: tuple[str, ...] = (EST_MLE_DEBIASED,)
     level: float = 0.05
     quick: bool = False
@@ -113,6 +109,8 @@ class SimConfig:
             raise InvalidParam("Monte Carlo sizes M and B must be >= 1")
         if self.workers < 1:
             raise InvalidParam("workers must be >= 1")
+        if self.seed < 0:
+            raise InvalidParam("seed must be >= 0")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidParam("gamma must be in (0, 1)")
         if not 0.0 < self.level < 1.0:
@@ -129,10 +127,6 @@ class SimConfig:
             raise InvalidParam("delta must be a float, None, or 'rate'")
         if isinstance(self.delta, (int, float)) and not (math.isfinite(self.delta) and self.delta >= 0):
             raise InvalidParam("delta must be finite and >= 0")
-
-    @property
-    def N_i(self) -> int:
-        return self.N
 
     def size_j(self) -> int:
         return self.N_j if self.N_j is not None else self.N
@@ -321,41 +315,36 @@ def _draw_pairs(config: SimConfig, outer: int, reps: np.ndarray, r_i, r_j, N_j: 
 def _by_column(stage, cols: list[int]) -> list:
     """``stage(cols)``: one output per column, computed as one batch.
 
-    A ``MixwassError`` in the batch redoes the columns one at a time, so
-    only a failing column is lost; its entry is then the error's
+    A ``MixwassError`` in a batch of several columns redoes them one at a
+    time, so only a failing column is lost; its entry is then the error's
     "Type: message" string.
     """
     try:
         return stage(cols)
-    except MixwassError:
-        pass
-    out = []
-    for c in cols:
-        try:
-            out += stage([c])
-        except MixwassError as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
-    return out
+    except MixwassError as exc:
+        if len(cols) == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+    return [out for c in cols for out in _by_column(stage, [c])]
 
 
-def _pair_estimates(docs_i: np.ndarray, docs_j: np.ndarray, A_hat_m: np.ndarray, poly: DualPolytope):
-    """Batched MLEs of both sides, the debiased distance of each pair and errors.
+def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat_m: np.ndarray, poly: DualPolytope):
+    """``FittedPairs`` of (p, B) word counts, one batch per side, and errors.
 
-    Only a failing pair is lost (see ``_by_column``): its MLEs and distance
-    are NaN and its entry of the error list names the error (None for the
-    others).
+    Only a failing pair is lost (see ``_by_column``): its fits and distance
+    are NaN and its entry of the error list names the error (else None).
     """
+    X_i, X_j = counts_i / N_i, counts_j / N_j
 
     def stage(cols):
-        mle_i, deb_i = _fit_debiased(docs_i[:, cols], A_hat_m)
-        mle_j, deb_j = _fit_debiased(docs_j[:, cols], A_hat_m)
-        return list(zip(mle_i.T, mle_j.T, support_batch(poly, (deb_i - deb_j).T)))
+        mle_i, deb_i = _fit_debiased(X_i[:, cols], A_hat_m)
+        mle_j, deb_j = _fit_debiased(X_j[:, cols], A_hat_m)
+        return list(zip(mle_i.T, mle_j.T, deb_i.T, deb_j.T, support_batch(poly, (deb_i - deb_j).T)))
 
-    fits = _by_column(stage, list(range(docs_i.shape[1])))
+    fits = _by_column(stage, list(range(X_i.shape[1])))
     errors = [f if isinstance(f, str) else None for f in fits]
-    lost = (np.full(A_hat_m.shape[1], np.nan), np.full(A_hat_m.shape[1], np.nan), np.nan)
-    mle_i, mle_j, W = zip(*(lost if e else f for f, e in zip(fits, errors)))
-    return np.array(mle_i).T, np.array(mle_j).T, np.array(W), errors
+    lost = (np.full(A_hat_m.shape[1], np.nan),) * 4 + (np.nan,)
+    fields = (np.array(v).T for v in zip(*(lost if e else f for f, e in zip(fits, errors))))
+    return FittedPairs(X_i, X_j, N_i, N_j, *fields), errors
 
 
 def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
@@ -372,61 +361,29 @@ def _ci_chunk_worker(payload) -> list[dict]:
     (config, A_hat_m, poly, outer, reps, r_i, r_j, true_W, facet_delta) = payload
     N_i, N_j = config.N, config.size_j()
     counts_i, counts_j = _draw_pairs(config, outer, reps, r_i, r_j, N_j)
-    mle_i, mle_j, W_all, errors = _pair_estimates(counts_i / N_i, counts_j / N_j, A_hat_m, poly)
-    cols = [c for c in range(len(reps)) if errors[c] is None]
-    plugin = {}
-    if METHOD_PLUGIN in config.methods and cols:
-        seeds = {c: _seed_int(config.seed, _S_MC, outer, int(reps[c])) for c in cols}
+    pairs, errors = _pair_estimates(counts_i, counts_j, N_i, N_j, A_hat_m, poly)
+    records = [
+        {"outer": int(outer), "rep": int(rep), "true_W": float(true_W), "W_tilde": float(W), "methods": {}, "error": e}
+        for rep, W, e in zip(reps, pairs.W, errors)
+    ]
+    settings = dict(M=config.M, B=config.B, gamma=config.gamma, delta=facet_delta)
+    # One stage per method, in order; a replicate that a method fails skips the later ones.
+    for name in config.methods:
+        method = METHODS[name]
+        live = [c for c, rec in enumerate(records) if rec["error"] is None]
+        seeds = {c: _seed_int(config.seed, *_METHOD_STREAMS[name], outer, int(reps[c])) for c in live}
 
-        def plugin_stage(cc):
-            return _plugin_limits(mle_i[:, cc], mle_j[:, cc], A_hat_m, poly, facet_delta, config.M, [seeds[c] for c in cc])
+        def stage(cols):
+            return method.sampler(pairs.take(cols), A_hat_m, poly, [seeds[c] for c in cols], settings)
 
-        # The chunk's plug-in limit laws in one batch: a law or an error string per replicate.
-        plugin = dict(zip(cols, _by_column(plugin_stage, cols)))
-
-    records = []
-    for c, rep in enumerate(reps):
-        rec = {"outer": int(outer), "rep": int(rep), "true_W": float(true_W), "W_tilde": float(W_all[c]), "methods": {}, "error": errors[c]}
-        if errors[c] is not None:
-            records.append(rec)
-            continue
-        try:
-            for method in config.methods:
-                if method == METHOD_PLUGIN:
-                    samples = plugin[c]
-                    if isinstance(samples, str):
-                        rec["error"] = samples
-                        break
-                elif method == METHOD_DERIV_BS:
-                    samples = derivative_bootstrap(
-                        CountVector(counts_i[:, c]),
-                        CountVector(counts_j[:, c]),
-                        A_hat_m,
-                        poly,
-                        delta=facet_delta,
-                        B=config.B,
-                        seed=_seed_int(config.seed, _S_BOOT, 1, outer, int(rep)),
-                    )
-                else:
-                    samples = m_out_of_n_bootstrap(
-                        CountVector(counts_i[:, c]),
-                        CountVector(counts_j[:, c]),
-                        A_hat_m,
-                        poly,
-                        gamma=config.gamma,
-                        B=config.B,
-                        seed=_seed_int(config.seed, _S_BOOT, 2, outer, int(rep)),
-                    )
-                ci = confidence_interval(float(W_all[c]), samples, config.level, N_i, N_j)
-                rec["methods"][method] = {
-                    "lower": ci.lower,
-                    "upper": ci.upper,
-                    "length": ci.width,
-                    "covered": bool(ci.lower <= true_W <= ci.upper),
-                }
-        except MixwassError as exc:
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-        records.append(rec)
+        groups = [live] if method.batched and live else [[c] for c in live]
+        for c, samples in zip(live, [out for cols in groups for out in _by_column(stage, cols)]):
+            if isinstance(samples, str):
+                records[c]["error"] = samples
+            else:
+                ci = confidence_interval(float(pairs.W[c]), samples, config.level, N_i, N_j)
+                covered = bool(ci.lower <= true_W <= ci.upper)
+                records[c]["methods"][name] = {"lower": ci.lower, "upper": ci.upper, "length": ci.width, "covered": covered}
     return records
 
 
@@ -443,28 +400,27 @@ def run_ci_experiment(config: SimConfig) -> ExperimentReport:
     """
     t0 = time.time()
     config = config.scaled()
-    A, A_hat, cost_true, poly, _ = _setup(config)
     facet_delta = None if config.design == "null" else config.resolve_delta()
+    for name in config.methods:  # a size too small for the level is refused before any fit
+        METHODS[name].settings(config.level, M=config.M, B=config.B, gamma=config.gamma, delta=facet_delta)
+    A, A_hat, cost_true, poly, _ = _setup(config)
 
-    tasks = []
     if config.design == "null":
-        alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
-        r = A.matrix @ alpha
-        for reps in _chunks(config.n_reps):
-            tasks.append((config, A_hat.matrix, poly, 0, reps, r, r, 0.0, facet_delta))
+        r = A.matrix @ gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
+        designs = [(r, r, 0.0)]
     else:
+        designs = []
         for outer in range(config.n_outer):
-            a_i = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer, 0]).values
-            a_j = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer, 1]).values
-            true_W, _ = wasserstein_primal(a_i, a_j, cost_true)
-            r_i = A.matrix @ a_i
-            r_j = A.matrix @ a_j
-            for reps in _chunks(config.n_reps):
-                tasks.append((config, A_hat.matrix, poly, outer, reps, r_i, r_j, true_W, facet_delta))
-
+            a_i, a_j = (gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer, s]).values for s in (0, 1))
+            designs.append((A.matrix @ a_i, A.matrix @ a_j, wasserstein_primal(a_i, a_j, cost_true)[0]))
+    tasks = [
+        (config, A_hat.matrix, poly, outer, reps, r_i, r_j, true_W, facet_delta)
+        for outer, (r_i, r_j, true_W) in enumerate(designs)
+        for reps in _chunks(config.n_reps)
+    ]
     records = [rec for out in _pmap(_ci_chunk_worker, tasks, config.workers) for rec in out]
-    failures = sum(1 for r in records if r["error"] is not None)
     ok = [r for r in records if r["error"] is None]
+    failures = len(records) - len(ok)
     summary = {}
     for method in config.methods:
         lengths = np.array([r["methods"][method]["length"] for r in ok])
@@ -573,7 +529,7 @@ def _conv_chunk_worker(payload) -> np.ndarray:
     (config, A_hat_m, poly, reps, r) = payload
     N = config.N
     counts_i, counts_j = _draw_pairs(config, 0, reps, r, r, N)
-    return _pair_estimates(counts_i / N, counts_j / N, A_hat_m, poly)[2]
+    return _pair_estimates(counts_i, counts_j, N, N, A_hat_m, poly)[0].W
 
 
 def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
@@ -625,10 +581,9 @@ def _mle_ls_chunk_worker(payload) -> list[dict]:
     (config, A_hat_m, poly, outer, reps, r, quantiles) = payload
     N = config.N
     counts_i, counts_j = _draw_pairs(config, outer, reps, r, r, N)
-    docs_i, docs_j = counts_i / N, counts_j / N
-    _, _, W_deb, errors = _pair_estimates(docs_i, docs_j, A_hat_m, poly)
+    pairs, errors = _pair_estimates(counts_i, counts_j, N, N, A_hat_m, poly)
     keep, Aplus = _wls_operator(A_hat_m)
-    W_ls = support_batch(poly, (Aplus @ docs_i[keep] - Aplus @ docs_j[keep]).T)
+    W_ls = support_batch(poly, (Aplus @ pairs.X_i[keep] - Aplus @ pairs.X_j[keep]).T)
     root_n = math.sqrt(N)
     out = []
     for c, rep in enumerate(reps):
@@ -638,7 +593,7 @@ def _mle_ls_chunk_worker(payload) -> list[dict]:
             rec["error"] = errors[c]
             out.append(rec)
             continue
-        for name, w in (("mle_debiased", W_deb[c]), ("wls", W_ls[c])):
+        for name, w in (("mle_debiased", pairs.W[c]), ("wls", W_ls[c])):
             q_lo, q_hi = quantiles[name]
             rec[name] = {
                 "W": float(w),
@@ -659,8 +614,8 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
     t0 = time.time()
     config = config.scaled()
     A, A_hat, _, poly, true_poly = _setup(config)
-    tasks = []
-    law_meta = []
+    tasks, per_outer = [], []
+    root_n = math.sqrt(config.N)
     for outer in range(config.n_outer):
         alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer]).values
         r = A.matrix @ alpha
@@ -672,23 +627,12 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
         for name, d in zip(("mle_debiased", "wls"), draws):
             samp = LimitSampleSet(d, delta=None, seed=config.seed, zero_feasible=True)
             quantiles[name] = (samp.quantile(config.level / 2), samp.quantile(1 - config.level / 2))
-        law_meta.append({"outer": outer, "quantiles": {k: list(v) for k, v in quantiles.items()}})
-        for reps in _chunks(config.n_reps):
-            tasks.append((config, A_hat.matrix, poly, outer, reps, r, quantiles))
+        length = {name: (q_hi - q_lo) / root_n for name, (q_lo, q_hi) in quantiles.items()}
+        per_outer.append({"outer": outer, "length_mle": length["mle_debiased"], "length_wls": length["wls"]})
+        tasks += [(config, A_hat.matrix, poly, outer, reps, r, quantiles) for reps in _chunks(config.n_reps)]
 
     records = [rec for out in _pmap(_mle_ls_chunk_worker, tasks, config.workers) for rec in out]
     ok = [r for r in records if "error" not in r]
-    root_n = math.sqrt(config.N)
-    per_outer = []
-    for meta in law_meta:
-        q = meta["quantiles"]
-        per_outer.append(
-            {
-                "outer": meta["outer"],
-                "length_mle": (q["mle_debiased"][1] - q["mle_debiased"][0]) / root_n,
-                "length_wls": (q["wls"][1] - q["wls"][0]) / root_n,
-            }
-        )
     diffs = np.array([o["length_wls"] - o["length_mle"] for o in per_outer])
     summary = {}
     for name in ("mle_debiased", "wls"):

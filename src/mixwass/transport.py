@@ -105,9 +105,6 @@ class ProbVec:
     def dim(self) -> int:
         return self.values.size
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def __repr__(self) -> str:
         return f"ProbVec({self.values!r})"
 
@@ -140,9 +137,6 @@ class TopicMatrix:
     @property
     def K(self) -> int:
         return self.matrix.shape[1]
-
-    def column(self, k: int) -> ProbVec:
-        return ProbVec(self.matrix[:, k] / self.matrix[:, k].sum())
 
 
 def tv_distance(u, v) -> float:
@@ -420,8 +414,10 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     enumeration succeeded, otherwise one LP per direction; both routes agree
     to LP tolerance and equality is enforced by the property suite.  The
     vertex route takes the maximum of U @ V^T over row blocks of at most
-    ``_VERTEX_BLOCK`` entries; a row gets the bits it gets in one unblocked
-    product, which for a single direction is a matrix-vector product.
+    ``_VERTEX_BLOCK`` entries and at least two rows, since a one-row block
+    is a matrix-vector product with other bits: a one-row tail joins the
+    block before it and a lone direction runs as a two-row block, so a row
+    gets the same bits alone and in any number of rows.
     """
     U = np.asarray(directions, dtype=float)
     if U.ndim == 1:
@@ -431,10 +427,10 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     V = polytope.vertices()
     if V is not None and V.shape[0] > 0:
         n = U.shape[0]
+        if n == 1:
+            return (np.vstack([U, U]) @ V.T).max(axis=1)[:1]
         bounds = list(range(0, n, max(2, _VERTEX_BLOCK // V.shape[0]))) + [n]
         if len(bounds) > 2 and n - bounds[-2] == 1:
-            # A one-row block would be a matrix-vector product, whose bits
-            # differ from the row's bits in a matrix product.
             del bounds[-2]
         out = np.empty(n)
         for s, e in zip(bounds[:-1], bounds[1:]):

@@ -270,3 +270,65 @@ def test_cli_reports_carry_the_mle_certificate(files, tmp_path, estimator):
     else:
         assert dist["converged_i"] is True and dist["converged_j"] is True
         assert [dist["kkt_gap_i"], dist["kkt_gap_j"]] == gaps
+
+
+# --- ci: the manifest, the level bound and the seed ------------------------------
+
+
+def _ci_hash(inputs, tmp_path, *flags) -> str:
+    assert main(["ci", *inputs, "--level", "0.4", "--seed", "2", *flags, "--out", str(tmp_path / "ci.json")]) == 0
+    return json.loads((tmp_path / "ci.json").read_text())["manifest"]["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "method,unread", [("plugin", ("--B", "50", "60")), ("m-of-n", ("--delta", "0", "0.1")), ("deriv-bs", ("--gamma", "0.3", "0.6"))]
+)
+def test_cli_ci_manifest_hashes_only_the_settings_its_method_reads(files, tmp_path, method, unread):
+    flag, a, b = unread
+    base = ["--method", method, "--M", "100", "--B", "100"]
+    assert _ci_hash(files[1], tmp_path, *base, flag, a) == _ci_hash(files[1], tmp_path, *base, flag, b)
+    assert _ci_hash(files[1], tmp_path, *base) != _ci_hash(files[1], tmp_path, *base, "--level", "0.3")
+
+
+def _count_em_batch(monkeypatch) -> list[int]:
+    sizes = []
+    real = mixwass.estimators._em_batch
+
+    def counted(XB, *args, **kwargs):
+        sizes.append(XB.shape[1])
+        return real(XB, *args, **kwargs)
+
+    monkeypatch.setattr(mixwass.estimators, "_em_batch", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("method", ["deriv-bs", "m-of-n"])
+def test_cli_bootstrap_ci_fits_each_document_once(files, tmp_path, monkeypatch, method):
+    sizes = _count_em_batch(monkeypatch)
+    assert main(["ci", *files[1], "--method", method, "--B", "60", "--level", "0.4", "--out", str(tmp_path / "ci.json")]) == 0
+    assert sorted(sizes) == [1, 1, 60, 60]
+
+
+@pytest.mark.parametrize("method,size", [("plugin", "M"), ("deriv-bs", "B"), ("m-of-n", "B")])
+def test_cli_ci_size_too_small_for_the_level_exits_2_before_any_fit(files, capsys, monkeypatch, method, size):
+    sizes = _count_em_batch(monkeypatch)
+    code, _, err = _run(["ci", *files[1], "--method", method, f"--{size}", "399"], capsys)
+    assert code == 2 and f"need {size} >= 400 samples for level 0.05" in err
+    assert sizes == []
+
+
+def test_cli_simulate_table_size_too_small_for_the_level_exits_2(capsys):
+    table = ["--K", "3", "--p", "40", "--N", "120", "--reps", "8", "--outer", "2", "--M", "100", "--B", "50", "--level", "0.3"]
+    code, out, err = _run(["simulate-table", "alt-ci", *table, "--seed", "5"], capsys)
+    assert code == 2 and "need B >= 67 samples for level 0.3" in err and out == ""
+
+
+@pytest.mark.parametrize("method", ["plugin", "deriv-bs", "m-of-n"])
+def test_cli_ci_negative_seed_exits_2(files, capsys, method):
+    code, _, err = _run(["ci", *files[1], "--method", method, "--B", "400", "--seed", "-1"], capsys)
+    assert code == 2 and "seed" in err
+
+
+def test_cli_simulate_table_negative_seed_exits_2(capsys):
+    code, _, err = _run(["simulate-table", "null-ci", *_TABLE, "--seed", "-1"], capsys)
+    assert code == 2 and "seed must be >= 0" in err

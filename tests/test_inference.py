@@ -25,6 +25,7 @@ from mixwass import (
 )
 from mixwass import transport
 from mixwass.inference import _limit_draws, _plugin_limits
+from mixwass.selfcheck import check_limit_batch_matches_single
 from mixwass.errors import InvalidCost, InvalidParam
 from mixwass.numlin import psd_sqrt
 
@@ -178,6 +179,26 @@ def test_limit_draws_batch_equals_batches_of_one(M):
     for b in range(5):
         one = _limit_draws(sig[[b]], sig[::-1][[b]], [polys[b]], [seeds[b]], M, [clamp[b]])
         assert np.array_equal(draws[b], one[0])
+
+
+@pytest.mark.parametrize("K", [3, 5])
+@pytest.mark.parametrize("delta", [None, 0.0, 0.05])
+def test_every_interval_method_over_a_chunk_equals_its_public_function(K, delta):
+    # plugin, deriv_bs and m_of_n through the table, over 8 fitted pairs,
+    # give each pair the bits of its own single-pair public call.
+    name, ok, detail = check_limit_batch_matches_single(seed=K, K=K, deltas=(delta,))
+    assert ok, detail
+
+
+def test_negative_seed_is_invalid_param():
+    A, cost, alpha, X_i, X_j = small_instance(seed=16)
+    est = mle_weights(X_i.frequencies, A)
+    with pytest.raises(InvalidParam, match="seed"):
+        limit_sampler(est, est, A, cost, delta=None, M=10, seed=-1)
+    with pytest.raises(InvalidParam, match="seed"):
+        derivative_bootstrap(X_i, X_j, A, cost, B=5, seed=-1)
+    with pytest.raises(InvalidParam, match="seed"):
+        m_out_of_n_bootstrap(X_i, X_j, A, cost, B=5, seed=-1)
 
 
 # --- confidence_interval ---------------------------------------------------------

@@ -380,7 +380,7 @@ def test_cli_report_regenerates_bit_identically(tmp_path):
         "--reps",
         "4",
         "--M",
-        "60",
+        "80",
         "--level",
         "0.3",
         "--seed",
@@ -391,6 +391,7 @@ def test_cli_report_regenerates_bit_identically(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     r1 = load_report(out1)["report"]
     r2 = load_report(out2)["report"]
+    assert r1["failures"] == 0
     assert r1["fingerprint"] == r2["fingerprint"]
     r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
     r1.pop("created_utc"), r2.pop("created_utc")

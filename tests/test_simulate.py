@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats as sstats
 
 import mixwass
 from mixwass import SimConfig, gen_document, gen_topic_matrix, gen_weights, perturb_topics
-from mixwass import DualPolytope, cost_matrix, limit_sampler, mle_weights, simulate
+from mixwass import DualPolytope, cost_matrix, estimators, inference, limit_sampler, mle_weights, simulate
 from mixwass.errors import InvalidParam, LPFailure, SingularInformation
 from mixwass.simulate import (
     run_ci_experiment,
@@ -124,9 +125,11 @@ def test_ci_experiment_single_record():
 
 
 def test_ci_experiment_deterministic_fingerprint():
-    cfg = SimConfig(n_reps=8, methods=("plugin", "m_of_n"), **SMALL)
+    # B=80 meets the level-0.3 minimum of 67 draws, so m-of-n runs.
+    cfg = SimConfig(n_reps=8, methods=("plugin", "m_of_n"), **{**SMALL, "B": 80})
     r1 = run_ci_experiment(cfg)
     r2 = run_ci_experiment(cfg)
+    assert r1.failures == 0
     assert r1.fingerprint() == r2.fingerprint()
 
 
@@ -189,14 +192,58 @@ def test_mle_vs_wls_experiment_smoke():
         assert o["length_mle"] > 0 and o["length_wls"] > 0
 
 
-def test_failed_replicates_flag_report_invalid():
-    # M below the quantile minimum for the level fails every replicate;
-    # the report is flagged invalid instead of silently aggregating.
-    cfg = SimConfig(K=3, p=40, N=100, n_reps=5, M=50, level=0.05, seed=1, methods=("plugin",))
+def test_failed_replicates_flag_report_invalid(monkeypatch):
+    # A sampler that fails every replicate; the report is flagged invalid
+    # instead of silently aggregating.
+    def singular(alphas, A):
+        raise SingularInformation("injected fault")
+
+    monkeypatch.setattr(inference, "_sigma_batch", singular)
+    cfg = SimConfig(K=3, p=40, N=100, n_reps=5, M=500, level=0.05, seed=1, methods=("plugin",))
     rep = run_ci_experiment(cfg)
     assert rep.failures == 5
     assert rep.invalid
-    assert all(r["error"] for r in rep.records)
+    assert all(r["error"] == "SingularInformation: injected fault" for r in rep.records)
+
+
+def _em_batch_sizes(monkeypatch) -> Counter:
+    """Counts of ``_em_batch`` calls by batch size, from now on."""
+    sizes = Counter()
+    real = estimators._em_batch
+
+    def counted(XB, *args, **kwargs):
+        sizes[XB.shape[1]] += 1
+        return real(XB, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_em_batch", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("method,size", [("plugin", "M"), ("deriv_bs", "B"), ("m_of_n", "B")])
+def test_ci_experiment_refuses_a_size_too_small_for_its_level_before_any_fit(monkeypatch, method, size):
+    # 20/level = 400 draws at level 0.05: the run stops before it fits a pair.
+    sizes = _em_batch_sizes(monkeypatch)
+    cfg = SimConfig(K=3, p=40, N=100, n_reps=5, M=500, B=500, level=0.05, seed=1, methods=(method,))
+    with pytest.raises(InvalidParam, match=f"need {size} >= 400 samples for level 0.05"):
+        run_ci_experiment(dataclasses.replace(cfg, **{size: 399}))
+    assert not sizes
+
+
+def test_bootstraps_take_the_chunk_fits_and_refit_no_pair(monkeypatch):
+    # Per side, each chunk is one batch of 8 fits and each bootstrap one of
+    # B resamples; no pair is fitted again as a batch of one.
+    sizes = _em_batch_sizes(monkeypatch)
+    cfg = SimConfig(
+        K=3, p=40, N=120, n_reps=8, n_outer=1, M=100, B=100, level=0.3, seed=5, design="alternative", methods=("deriv_bs", "m_of_n")
+    )
+    rep = run_ci_experiment(cfg)
+    assert rep.failures == 0
+    assert dict(sizes) == {100: 32, 8: 2}
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(InvalidParam, match="seed must be >= 0"):
+        SimConfig(seed=-1)
 
 
 def _ci_pairs(rep):

@@ -454,6 +454,17 @@ def test_blocked_vertex_product_equals_one_product(K, monkeypatch):
     assert support_batch(poly, U[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("K", [3, 5, 8, 10])
+def test_lone_direction_gets_its_bits_in_a_block(K):
+    # A lone direction runs as a two-row block, not as a matrix-vector
+    # product, so alone it gets the bits it gets among 300 directions.
+    rng = np.random.default_rng(40 + K)
+    poly = DualPolytope(random_instance(rng, K))
+    U = rng.normal(size=(300, K))
+    batch = support_batch(poly, U)
+    assert all(support_batch(poly, u[None, :])[0] == w for u, w in zip(U, batch))
+
+
 def test_lp_route_beyond_enumeration_bound():
     # K=11 has 184,756 vertices, too many to enumerate; every support
     # value then comes from the dual LP, which matches the primal.
