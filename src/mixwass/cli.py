@@ -326,8 +326,8 @@ def _cmd_ci(args) -> int:
     method = METHODS[_CI_METHODS[args.method]]
     settings = method.settings(args.level, M=args.M, B=args.B, gamma=args.gamma, delta=delta)
     # Every method's interval is centred on this fit's debiased distance.
-    pairs, mle_i, mle_j = _fit_pair(doc_i, doc_j, A.matrix, poly)
-    samples = method.sampler(pairs, A.matrix, poly, [seed], settings)[0]
+    pairs, mle_i, mle_j = _fit_pair(doc_i, doc_j, A, poly)
+    samples = method.sampler(pairs, A, poly, [seed], settings)[0]
     ci = confidence_interval(float(pairs.W[0]), samples, args.level, doc_i.N, doc_j.N)
     if args.samples_out:
         save_limit_samples(samples, args.samples_out)

@@ -22,7 +22,10 @@ that the limit law of ``inference`` samples, itself written once for a
 batch of document pairs.  The public single-document functions are batches
 of one that add validation and a ``WeightEstimate`` or ``CovEstimate``
 wrapper, and ``_fit_debiased`` chains EM and the correction for the
-bootstrap and simulation drivers.
+bootstrap and simulation drivers.  Every per-document product is
+``_rowdot``, a stack of fixed two-row GEMMs, and every Gram A^T diag(w) A
+is one ``_rowdot`` against the topic matrix's outer table, which a
+``TopicMatrix`` builds once; so a document gets the same bits in any batch.
 
 ``_em_batch`` fits in two phases.  SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist.) accelerates the multiplicative EM map until one map moves a fit
@@ -37,6 +40,7 @@ certificate holds; ``iterations`` counts EM maps and Newton steps.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +53,7 @@ from .errors import (
     SingularDesign,
     SingularInformation,
 )
-from .transport import _topics_array, _values
+from .transport import TopicMatrix, _outer_rows, _topics_array, _values
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -70,9 +74,6 @@ _EM_TIGHT_TOL = 1e-10
 # Newton steps per polish, and halvings per step, before a fit is uncertified.
 _NEWTON_MAX_STEPS = 20
 _NEWTON_MAX_HALVINGS = 30
-
-# Rows per stacked (K, p) product in ``_grams``: 64 rows at K=10, p=500 hold 2.6 MB.
-_GRAM_CHUNK = 64
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -150,12 +151,30 @@ def _check_feasible_rows(X: np.ndarray, A: np.ndarray) -> None:
 
 
 def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Each row of U times M, as a stack of vector-matrix products.
+    """Each row of U times M, as a stack of fixed two-row GEMMs.
 
-    Unlike one (B, n) @ (n, m) product, whose blocking depends on B, a
-    row's result does not depend on the other rows.
+    U runs as (2, n) @ (n, m) blocks, and an odd last row is doubled into
+    a block of its own.  One (B, n) @ (n, m) product would block by B, and
+    a one-row product is matrix-vector, with other bits; a two-row block
+    gives a row the same bits at any batch size and position.
     """
-    return (U[:, None, :] @ M)[:, 0, :]
+    n = len(U)
+    if n <= 2:  # one block: the same GEMM without the stacking overhead
+        return ((np.concatenate((U, U)) if n == 1 else U) @ M)[:n]
+    if n % 2:
+        U = np.concatenate((U, U[-1:]))
+    return (U.reshape(-1, 2, U.shape[1]) @ M).reshape(-1, M.shape[1])[:n]
+
+
+def _design(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A topic matrix (``TopicMatrix`` or array) as C-ordered A, A^T and outer table.
+
+    A ``TopicMatrix`` keeps its outer table, so every fit against it
+    shares one; an array's table is built per call.
+    """
+    Am = np.ascontiguousarray(_topics_array(A), dtype=float)
+    AA = A.outers if isinstance(A, TopicMatrix) else _outer_rows(Am)
+    return Am, np.ascontiguousarray(Am.T), AA
 
 
 def _fitted(x: np.ndarray, AT: np.ndarray) -> np.ndarray:
@@ -179,18 +198,19 @@ def _kkt_gaps(XB: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return _gap(x, _rowdot(X / _fitted(x, np.ascontiguousarray(A.T)), A))
 
 
-def _grams(W: np.ndarray, A: np.ndarray, AT: np.ndarray) -> np.ndarray:
+def _grams(W: np.ndarray, AA: np.ndarray) -> np.ndarray:
     """A^T diag(w) A for each row w of W, as a stack of (K, K) matrices.
 
-    Rows go through in chunks, which bounds the (rows, K, p) temporary;
-    each row's product does not depend on the chunk it is in.
+    ``AA`` is the topic matrix's outer table (``TopicMatrix.outers``),
+    whose row j is vec(A_j A_j^T), so the Grams are one ``_rowdot``: a
+    row's Gram does not depend on the batch, and since entries (k, l) and
+    (l, k) of the table are equal columns, every Gram is exactly symmetric.
     """
-    G = np.empty((len(W), A.shape[1], A.shape[1]))
-    for s in range(0, len(W), _GRAM_CHUNK):
-        G[s : s + _GRAM_CHUNK] = (AT * W[s : s + _GRAM_CHUNK, None, :]) @ A
-    return G
+    K = math.isqrt(AA.shape[1])
+    return _rowdot(W, AA).reshape(-1, K, K)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _squarem(X, A, AT, x, tol, budget):
     """SQUAREM-accelerated EM on frequency rows X from weight rows x.
 
@@ -222,19 +242,18 @@ def _squarem(X, A, AT, x, tol, budget):
         # x2 and R2 take each row's accepted extrapolant, if any.
         r, v, R2 = x1 - x0, x2 - 2.0 * x1 + x0, _fitted(x2, AT)
         L2 = (X * np.log(R2)).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.minimum(-np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1), -1.0)
-            trial = np.flatnonzero(np.isfinite(step) & (step < -1.0))
-            while trial.size:
-                a = step[trial, None]
-                xt = x0[trial] - 2.0 * a * r[trial] + a * a * v[trial]
-                xt /= xt.sum(axis=1, keepdims=True)  # compare likelihoods on the simplex
-                Rt = _fitted(xt, AT)
-                ok = np.all(np.isfinite(xt) & (xt >= 0.0), axis=1)
-                ok &= (X[trial] * np.log(Rt)).sum(axis=1) >= L2[trial]
-                x2[trial[ok]], R2[trial[ok]] = xt[ok], Rt[ok]
-                step[trial] = (a[:, 0] - 1.0) / 2.0
-                trial = trial[~ok & (step[trial] < -2.0)]
+        step = np.minimum(-np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1), -1.0)
+        trial = np.flatnonzero(np.isfinite(step) & (step < -1.0))
+        while trial.size:
+            a = step[trial, None]
+            xt = x0[trial] - 2.0 * a * r[trial] + a * a * v[trial]
+            xt /= xt.sum(axis=1, keepdims=True)  # compare likelihoods on the simplex
+            Rt = _fitted(xt, AT)
+            ok = np.all(np.isfinite(xt) & (xt >= 0.0), axis=1)
+            ok &= (X[trial] * np.log(Rt)).sum(axis=1) >= L2[trial]
+            x2[trial[ok]], R2[trial[ok]] = xt[ok], Rt[ok]
+            step[trial] = (a[:, 0] - 1.0) / 2.0
+            trial = trial[~ok & (step[trial] < -2.0)]
         x0 = x2 * _rowdot(X / R2, A)
         it += 1
         keep = budget[active] > it
@@ -273,7 +292,8 @@ def _face_step(H: np.ndarray, gm1: np.ndarray, free: np.ndarray) -> np.ndarray:
         return d
 
 
-def _newton_finish(X, A, AT, x, budget):
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _newton_finish(X, A, AT, AA, x, budget):
     """Active-set Newton polish of weight rows x to the KKT certificate.
 
     Returns (weights, Newton steps used, certified).  Each step solves for
@@ -303,34 +323,33 @@ def _newton_finish(X, A, AT, x, budget):
         active, X, x, R, g = active[keep], X[keep], x[keep], R[keep], g[keep]
         if not active.size:
             break
-        H = _grams(X / R / R, A, AT)
+        H = _grams(X / R / R, AA)
         free = (x > 0.0) | (g > 1.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = _face_step(H, g - 1.0, free)
-            while True:
-                drop = free & (x == 0.0) & (d < 0.0)
-                rows = np.flatnonzero(drop.any(axis=1))
-                if not rows.size:
-                    break
-                free[rows] &= ~drop[rows]
-                d[rows] = _face_step(H[rows], g[rows] - 1.0, free[rows])
-            ratio = np.where(free & (d < 0.0), x / -d, np.inf)
-            t = np.minimum(ratio.min(axis=1), 1.0)
-            moved = np.zeros(len(x), dtype=bool)
-            trial = np.arange(len(x))
-            for _ in range(_NEWTON_MAX_HALVINGS):
-                if not trial.size:
-                    break
-                xt = np.maximum(x[trial] + t[trial, None] * d[trial], 0.0)
-                xt[ratio[trial] <= t[trial, None]] = 0.0
-                xt /= xt.sum(axis=1, keepdims=True)
-                dx, Xt = xt - x[trial], X[trial]
-                terms = np.where(Xt > 0.0, Xt * np.log1p(_rowdot(dx, AT) / R[trial]), 0.0)
-                acc = terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x[trial].sum(axis=1))
-                hit = trial[acc]
-                x[hit], R[hit], moved[hit] = xt[acc], _fitted(xt[acc], AT), True
-                t[trial] /= 2.0
-                trial = trial[~acc]
+        d = _face_step(H, g - 1.0, free)
+        while True:
+            drop = free & (x == 0.0) & (d < 0.0)
+            rows = np.flatnonzero(drop.any(axis=1))
+            if not rows.size:
+                break
+            free[rows] &= ~drop[rows]
+            d[rows] = _face_step(H[rows], g[rows] - 1.0, free[rows])
+        ratio = np.where(free & (d < 0.0), x / -d, np.inf)
+        t = np.minimum(ratio.min(axis=1), 1.0)
+        moved = np.zeros(len(x), dtype=bool)
+        trial = np.arange(len(x))
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            if not trial.size:
+                break
+            xt = np.maximum(x[trial] + t[trial, None] * d[trial], 0.0)
+            xt[ratio[trial] <= t[trial, None]] = 0.0
+            xt /= xt.sum(axis=1, keepdims=True)
+            dx, Xt = xt - x[trial], X[trial]
+            terms = np.where(Xt > 0.0, Xt * np.log1p(_rowdot(dx, AT) / R[trial]), 0.0)
+            acc = terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x[trial].sum(axis=1))
+            hit = trial[acc]
+            x[hit], R[hit], moved[hit] = xt[acc], _fitted(xt[acc], AT), True
+            t[trial] /= 2.0
+            trial = trial[~acc]
         steps += 1
         # A row whose step failed has no way forward.
         out[active[~moved]], used[active[~moved]] = x[~moved], steps
@@ -361,8 +380,7 @@ def _em_batch(
     and Newton steps together.  A column's arithmetic does not depend on
     the rest of the batch, so a batch of one gives the same bits.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    AT = np.ascontiguousarray(A.T)
+    A, AT, AA = _design(A)
     X = np.ascontiguousarray(XB.T, dtype=float)
     B, K = X.shape[0], A.shape[1]
     budget = np.full(B, max_iter, dtype=np.int64)
@@ -374,12 +392,15 @@ def _em_batch(
         if retry:
             back = ~converged[cols] & (iterations[cols] < max_iter)
             cols, start = cols[back], start[back]
+            if not cols.size:
+                break
             tight = min(tol, _EM_TIGHT_TOL)
             out[cols], used, stopped = _squarem(X[cols], A, AT, start, tight, budget[cols] - iterations[cols])
             iterations[cols] += used
             cols = cols[stopped]
-        out[cols], used, converged[cols] = _newton_finish(X[cols], A, AT, out[cols], budget[cols] - iterations[cols])
-        iterations[cols] += used
+        if cols.size:
+            out[cols], used, converged[cols] = _newton_finish(X[cols], A, AT, AA, out[cols], budget[cols] - iterations[cols])
+            iterations[cols] += used
     return out.T.copy(), iterations, converged
 
 
@@ -404,7 +425,7 @@ def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> Weigh
     if Xv.size != Am.shape[0]:
         raise InvalidParam(f"X has dim {Xv.size}, topics have {Am.shape[0]} rows")
     _check_feasible_rows(Xv, Am)
-    alphas, iterations, converged = _em_batch(Xv[:, None], Am, tol, max_iter)
+    alphas, iterations, converged = _em_batch(Xv[:, None], A, tol, max_iter)
     return WeightEstimate(
         alpha=alphas[:, 0],
         method=Method.MLE,
@@ -433,15 +454,14 @@ def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarr
     one stacked call.  Every product is per column, so a column gives the
     same bits in any batch.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    AT = np.ascontiguousarray(A.T)
+    A, AT, AA = _design(A)
     x = np.array(alphas.T, dtype=float, order="C")  # a copy: rows are updated in place
     X = np.ascontiguousarray(XB.T, dtype=float)
     R = _rowdot(x, AT)  # (B, p)
     mask = R > ZETA
     Rsafe = np.where(mask, R, 1.0)
     psi = _rowdot(np.where(mask, (X - R) / Rsafe, 0.0), A)  # (B, K)
-    V = _grams(np.where(mask, 1.0 / Rsafe, 0.0), A, AT)
+    V = _grams(np.where(mask, 1.0 / Rsafe, 0.0), AA)
     x += (numlin.pinv(V) @ psi[:, :, None])[:, :, 0]
     return x.T.copy()
 
@@ -462,7 +482,7 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     if not np.any(Am @ a > ZETA):
         raise DegenerateSupport("no word has fitted probability above the support threshold")
     return WeightEstimate(
-        alpha=_debias_batch(a[:, None], Xv[:, None], Am)[:, 0],
+        alpha=_debias_batch(a[:, None], Xv[:, None], A_hat)[:, 0],
         method=Method.DEBIASED,
         iterations=base.iterations if base is not None else 0,
         converged=base.converged if base is not None else True,
@@ -476,30 +496,24 @@ def _fit_debiased(XB: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return mle, _debias_batch(mle, XB, A)
 
 
-def _sigma_batch(alphas: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _sigma_batch(alphas: np.ndarray, A) -> np.ndarray:
     """Plug-in covariances (B, K, K) of a (K, B) batch of weight columns.
 
     See ``sigma_hat``.  A column whose fitted probabilities all lie below
     ``ZETA`` raises :class:`DegenerateSupport`, and one whose information
     matrix is singular raises :class:`SingularInformation`; either error
-    fails the whole batch.  The information matrices of columns with every
-    fitted probability above ``ZETA`` are one stacked product, the others
-    are taken on their support one by one, and all are inverted in one
-    stacked call.  Every product is per column, so a column gives the same
-    bits in any batch.
+    fails the whole batch.  The information matrices are one ``_grams``
+    call, with weight 1/r_j on the support and 0 off it, and they are
+    inverted in one stacked call.  Every product is per column, so a
+    column gives the same bits in any batch.
     """
-    A = np.ascontiguousarray(A, dtype=float)
+    A, AT, AA = _design(A)
     x = np.ascontiguousarray(alphas.T, dtype=float)  # (B, K)
-    r = (A @ x[:, :, None])[:, :, 0]  # one matrix-vector product per column
+    r = _rowdot(x, AT)
     J = r > ZETA
-    full = J.all(axis=1)
-    H = np.empty((len(x), A.shape[1], A.shape[1]))
-    H[full] = (A / r[full][:, :, None]).transpose(0, 2, 1) @ A
-    for b in np.flatnonzero(~full):
-        if not J[b].any():
-            raise DegenerateSupport("fitted word probabilities are all below the support threshold")
-        AJ = A[J[b]]
-        H[b] = (AJ / r[b, J[b]][:, None]).T @ AJ
+    if not J.any(axis=1).all():
+        raise DegenerateSupport("fitted word probabilities are all below the support threshold")
+    H = _grams(np.where(J, 1.0 / np.where(J, r, 1.0), 0.0), AA)
     try:
         Hinv = numlin.inv_at_rank(H)
     except numlin._SingularAtRank:
@@ -517,7 +531,7 @@ def sigma_hat(alpha, A_hat) -> CovEstimate:
     ``_sigma_batch`` on a batch of one, plus the rank of the result.
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    sigma = _sigma_batch(a[:, None], _topics_array(A_hat))[0]
+    sigma = _sigma_batch(a[:, None], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)
 
 

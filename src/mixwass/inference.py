@@ -47,7 +47,6 @@ from .estimators import (
 )
 from .transport import (
     DualPolytope,
-    _topics_array,
     facet_slack,
     restricted_polytope,
     support_batch,
@@ -177,8 +176,7 @@ def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
     from ``default_rng(seeds[b])`` and evaluates them over ``polys[b]``.
     The roots are one stacked call.  Each law's draws are their own
     ``support_batch`` call, so only one law's draws are held at a time: one
-    call over a whole chunk measured slower, and over a one-vertex face the
-    product is matrix-vector, whose bits depend on the rows' layout.  Laws
+    call over a whole chunk measured slower.  Laws
     with ``clamp[b]`` set have f = 0 feasible, so their draws are clamped
     at 0 against LP-level noise.  Returns the (B, M) draws; a law gets the
     same bits in any batch.
@@ -201,9 +199,8 @@ def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int,
     and ``seeds`` holds one seed per pair.  An error in any pair fails the
     batch.
     """
-    A = _topics_array(A_hat)
     polys, w_hats, zero_feasible = zip(*(_restrict(base, ai, aj, delta) for ai, aj in zip(alphas_i.T, alphas_j.T)))
-    draws = _limit_draws(_sigma_batch(alphas_i, A), _sigma_batch(alphas_j, A), polys, seeds, M, zero_feasible)
+    draws = _limit_draws(_sigma_batch(alphas_i, A_hat), _sigma_batch(alphas_j, A_hat), polys, seeds, M, zero_feasible)
     return [
         LimitSampleSet(d, delta=delta, seed=seed, zero_feasible=z, meta={"w_hat": w})
         for d, seed, z, w in zip(draws, seeds, zero_feasible, w_hats)
@@ -282,7 +279,7 @@ class FittedPairs:
         return dataclasses.replace(self, **{f: getattr(self, f)[..., cols] for f in arrays})
 
 
-def _fit_pair(X_i: CountVector, X_j: CountVector, A: np.ndarray, poly: DualPolytope):
+def _fit_pair(X_i: CountVector, X_j: CountVector, A, poly: DualPolytope):
     """One observed pair fitted as a batch of one, and its MLEs with their certificates."""
     mle = [mle_weights(X.frequencies, A) for X in (X_i, X_j)]
     deb = [debias(m, X.frequencies, A) for m, X in zip(mle, (X_i, X_j))]
@@ -344,7 +341,11 @@ class IntervalMethod:
     batched: bool
 
     def settings(self, level: float | None = None, **values) -> dict:
-        """The settings it reads, from ``values``; with a ``level``, the size meets ``confidence_interval``'s rule."""
+        """The settings it reads, from ``values``; with a ``level``, the size meets ``confidence_interval``'s rule.
+
+        A ``delta`` is None (the unrestricted polytope) or finite and >= 0,
+        so a bad slab width is refused before any fit.
+        """
         size = values[self.size]
         if size < 1:
             raise InvalidParam(f"{self.size} must be >= 1")
@@ -352,6 +353,9 @@ class IntervalMethod:
             _check_level(level, size, self.size)
         if self.setting == "gamma" and not 0.0 < values["gamma"] < 1.0:
             raise InvalidParam("gamma must be in (0, 1)")
+        delta = values[self.setting] if self.setting == "delta" else None
+        if delta is not None and not (math.isfinite(delta) and delta >= 0):
+            raise InvalidParam("delta must be finite and >= 0")
         return {self.size: size, self.setting: values[self.setting]}
 
 
@@ -365,8 +369,8 @@ METHODS = {
 def _observed_pair_samples(name: str, X_i: CountVector, X_j: CountVector, A_hat, cost, seed, **values) -> LimitSampleSet:
     """Method ``name`` on one observed pair, fitted as ``ci`` fits it."""
     settings = METHODS[name].settings(**values)
-    A, poly = _topics_array(A_hat), _as_polytope(cost)
-    return METHODS[name].sampler(_fit_pair(X_i, X_j, A, poly)[0], A, poly, [seed], settings)[0]
+    poly = _as_polytope(cost)
+    return METHODS[name].sampler(_fit_pair(X_i, X_j, A_hat, poly)[0], A_hat, poly, [seed], settings)[0]
 
 
 def m_out_of_n_bootstrap(

@@ -269,19 +269,25 @@ def check_quantile_monotone(seed: int = 24) -> tuple[str, bool, str]:
 
 
 def check_batch_matches_single(seed: int = 25) -> tuple[str, bool, str]:
-    """Batched EM and debias give the single-document paths' bits."""
+    """Batched EM and debias give the single-document paths' bits, in a
+    batch of 8 and in a batch of 3, whose last column is a doubled row of
+    the two-row products."""
     rng = np.random.default_rng(seed)
     K, p, B = 4, 60, 8
     A = gen_topic_matrix(p, K, seed).matrix
     alpha = rng.dirichlet(np.ones(K))
     XB = rng.multinomial(300, A @ alpha, size=B).T / 300.0
-    mle_b, deb_b = _fit_debiased(XB, A)
-    differ = 0
+    single = []
     for b in range(B):
         est = mle_weights(XB[:, b], A)
-        differ += not np.array_equal(est.alpha, mle_b[:, b])
-        differ += not np.array_equal(debias(est, XB[:, b], A).alpha, deb_b[:, b])
-    return ("batch-vs-single", differ == 0, f"{differ} of {2 * B} columns differ")
+        single.append((est.alpha, debias(est, XB[:, b], A).alpha))
+    differ = 0
+    for n in (B, 3):
+        mle_b, deb_b = _fit_debiased(XB[:, :n], A)
+        for b in range(n):
+            differ += not np.array_equal(single[b][0], mle_b[:, b])
+            differ += not np.array_equal(single[b][1], deb_b[:, b])
+    return ("batch-vs-single", differ == 0, f"{differ} of {2 * (B + 3)} columns differ")
 
 
 def check_limit_batch_matches_single(seed: int = 29, K: int = 5, deltas=(None, 0.0)) -> tuple[str, bool, str]:

@@ -50,6 +50,7 @@ from .transport import (
     DualPolytope,
     ProbVec,
     TopicMatrix,
+    _topics_array,
     cost_matrix,
     support_batch,
     wasserstein_primal,
@@ -327,7 +328,7 @@ def _by_column(stage, cols: list[int]) -> list:
     return [out for c in cols for out in _by_column(stage, [c])]
 
 
-def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat_m: np.ndarray, poly: DualPolytope):
+def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat, poly: DualPolytope):
     """``FittedPairs`` of (p, B) word counts, one batch per side, and errors.
 
     Only a failing pair is lost (see ``_by_column``): its fits and distance
@@ -336,13 +337,13 @@ def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat_m: np.ndarray,
     X_i, X_j = counts_i / N_i, counts_j / N_j
 
     def stage(cols):
-        mle_i, deb_i = _fit_debiased(X_i[:, cols], A_hat_m)
-        mle_j, deb_j = _fit_debiased(X_j[:, cols], A_hat_m)
+        mle_i, deb_i = _fit_debiased(X_i[:, cols], A_hat)
+        mle_j, deb_j = _fit_debiased(X_j[:, cols], A_hat)
         return list(zip(mle_i.T, mle_j.T, deb_i.T, deb_j.T, support_batch(poly, (deb_i - deb_j).T)))
 
     fits = _by_column(stage, list(range(X_i.shape[1])))
     errors = [f if isinstance(f, str) else None for f in fits]
-    lost = (np.full(A_hat_m.shape[1], np.nan),) * 4 + (np.nan,)
+    lost = (np.full(poly.K, np.nan),) * 4 + (np.nan,)
     fields = (np.array(v).T for v in zip(*(lost if e else f for f, e in zip(fits, errors))))
     return FittedPairs(X_i, X_j, N_i, N_j, *fields), errors
 
@@ -358,10 +359,10 @@ def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
 
 
 def _ci_chunk_worker(payload) -> list[dict]:
-    (config, A_hat_m, poly, outer, reps, r_i, r_j, true_W, facet_delta) = payload
+    (config, A_hat, poly, outer, reps, r_i, r_j, true_W, facet_delta) = payload
     N_i, N_j = config.N, config.size_j()
     counts_i, counts_j = _draw_pairs(config, outer, reps, r_i, r_j, N_j)
-    pairs, errors = _pair_estimates(counts_i, counts_j, N_i, N_j, A_hat_m, poly)
+    pairs, errors = _pair_estimates(counts_i, counts_j, N_i, N_j, A_hat, poly)
     records = [
         {"outer": int(outer), "rep": int(rep), "true_W": float(true_W), "W_tilde": float(W), "methods": {}, "error": e}
         for rep, W, e in zip(reps, pairs.W, errors)
@@ -374,7 +375,7 @@ def _ci_chunk_worker(payload) -> list[dict]:
         seeds = {c: _seed_int(config.seed, *_METHOD_STREAMS[name], outer, int(reps[c])) for c in live}
 
         def stage(cols):
-            return method.sampler(pairs.take(cols), A_hat_m, poly, [seeds[c] for c in cols], settings)
+            return method.sampler(pairs.take(cols), A_hat, poly, [seeds[c] for c in cols], settings)
 
         groups = [live] if method.batched and live else [[c] for c in live]
         for c, samples in zip(live, [out for cols in groups for out in _by_column(stage, cols)]):
@@ -414,7 +415,7 @@ def run_ci_experiment(config: SimConfig) -> ExperimentReport:
             a_i, a_j = (gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer, s]).values for s in (0, 1))
             designs.append((A.matrix @ a_i, A.matrix @ a_j, wasserstein_primal(a_i, a_j, cost_true)[0]))
     tasks = [
-        (config, A_hat.matrix, poly, outer, reps, r_i, r_j, true_W, facet_delta)
+        (config, A_hat, poly, outer, reps, r_i, r_j, true_W, facet_delta)
         for outer, (r_i, r_j, true_W) in enumerate(designs)
         for reps in _chunks(config.n_reps)
     ]
@@ -463,14 +464,14 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
     A, A_hat, _, _, _ = _setup(config)
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
-    sigma = sigma_hat(alpha, A.matrix).sigma
+    sigma = sigma_hat(alpha, A).sigma
     n_reps = config.n_reps
 
     XB = np.empty((config.p, n_reps))
     for rep in range(n_reps):
         rng = np.random.default_rng([config.seed, _S_DOCS, 0, rep])
         XB[:, rep] = rng.multinomial(config.N, r) / config.N
-    mle, deb = _fit_debiased(XB, A_hat.matrix)
+    mle, deb = _fit_debiased(XB, A_hat)
 
     draws = {"mle": mle, "debiased": deb}
     sigmas = {"mle": sigma, "debiased": sigma}
@@ -526,10 +527,10 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
 
 def _conv_chunk_worker(payload) -> np.ndarray:
     """Debiased distances of the chunk's pairs; NaN where a pair failed."""
-    (config, A_hat_m, poly, reps, r) = payload
+    (config, A_hat, poly, reps, r) = payload
     N = config.N
     counts_i, counts_j = _draw_pairs(config, 0, reps, r, r, N)
-    return _pair_estimates(counts_i, counts_j, N, N, A_hat_m, poly)[0].W
+    return _pair_estimates(counts_i, counts_j, N, N, A_hat, poly)[0].W
 
 
 def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
@@ -545,12 +546,12 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
 
-    tasks = [(config, A_hat.matrix, poly, reps, r) for reps in _chunks(config.n_reps)]
+    tasks = [(config, A_hat, poly, reps, r) for reps in _chunks(config.n_reps)]
     W = np.concatenate(_pmap(_conv_chunk_worker, tasks, config.workers))
     failures = int(np.isnan(W).sum())
     stat_draws = effective_root_n(config.N, config.N) * W[~np.isnan(W)]
 
-    sigma = _sigma_batch(alpha[:, None], A.matrix)
+    sigma = _sigma_batch(alpha[:, None], A)
     limit_draws = _limit_draws(sigma, sigma, [true_poly], [[config.seed, _S_LAW]], config.M, [True])[0]
 
     d = ks_distance(stat_draws, limit_draws)
@@ -578,11 +579,11 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
 
 
 def _mle_ls_chunk_worker(payload) -> list[dict]:
-    (config, A_hat_m, poly, outer, reps, r, quantiles) = payload
+    (config, A_hat, poly, outer, reps, r, quantiles) = payload
     N = config.N
     counts_i, counts_j = _draw_pairs(config, outer, reps, r, r, N)
-    pairs, errors = _pair_estimates(counts_i, counts_j, N, N, A_hat_m, poly)
-    keep, Aplus = _wls_operator(A_hat_m)
+    pairs, errors = _pair_estimates(counts_i, counts_j, N, N, A_hat, poly)
+    keep, Aplus = _wls_operator(_topics_array(A_hat))
     W_ls = support_batch(poly, (Aplus @ pairs.X_i[keep] - Aplus @ pairs.X_j[keep]).T)
     root_n = math.sqrt(N)
     out = []
@@ -620,7 +621,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
         alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer]).values
         r = A.matrix @ alpha
         # Both laws draw the same normals from the outer pair's seed.
-        sig = np.stack([_sigma_batch(alpha[:, None], A.matrix)[0], sigma_ls(alpha, r, A).sigma])
+        sig = np.stack([_sigma_batch(alpha[:, None], A)[0], sigma_ls(alpha, r, A).sigma])
         law_seed = [config.seed, _S_LAW, outer]
         draws = _limit_draws(sig, sig, [true_poly] * 2, [law_seed] * 2, config.M, [True, True])
         quantiles = {}
@@ -629,7 +630,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
             quantiles[name] = (samp.quantile(config.level / 2), samp.quantile(1 - config.level / 2))
         length = {name: (q_hi - q_lo) / root_n for name, (q_lo, q_hi) in quantiles.items()}
         per_outer.append({"outer": outer, "length_mle": length["mle_debiased"], "length_wls": length["wls"]})
-        tasks += [(config, A_hat.matrix, poly, outer, reps, r, quantiles) for reps in _chunks(config.n_reps)]
+        tasks += [(config, A_hat, poly, outer, reps, r, quantiles) for reps in _chunks(config.n_reps)]
 
     records = [rec for out in _pmap(_mle_ls_chunk_worker, tasks, config.workers) for rec in out]
     ok = [r for r in records if "error" not in r]

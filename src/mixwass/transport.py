@@ -7,11 +7,16 @@ polytope of vectors satisfying f_k - f_l <= d(A_k, A_l) with f_1 = 0.
 Both routes go through scipy's HiGHS solver; the dual polytope additionally
 caches its vertex set (Qhull) so that Monte Carlo loops can evaluate the
 support function as a matrix product against the vertices instead of one
-LP per draw.  The product runs in row blocks of at most ``_VERTEX_BLOCK``
+LP per draw.  The product runs in blocks of at most ``_VERTEX_BLOCK``
 entries, so its temporary stays within 2 MB at any number of draws for
-every K that is enumerated.  There is one vertex cache per base polytope:
-a restriction to a slab around the optimal facet is a view that reads its
-base's vertices.
+every K that is enumerated.  Up to ``_VERTEX_MAJOR_MAX`` vertices it is
+taken vertex-major, V @ U^T, whose maximum runs down contiguous columns;
+beyond that, row-major, U @ V^T.  Either way a direction gets the same bits
+alone and in any number of directions.  There is one vertex cache per base
+polytope: a restriction to a slab around the optimal facet is a view that
+reads its base's vertices.  Qhull is seeded at f = 0 wherever that point
+is strictly interior, as it is for every base polytope of a cost with
+positive off-diagonal entries, and at the Chebyshev centre otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +51,21 @@ _QHULL_MAX_K = 10
 # 190 ms at K=10 (2 CPUs, one BLAS thread).  Smaller blocks slow K=10 down.
 # A row's value does not depend on the block it is in.
 _VERTEX_BLOCK = 1 << 18
+
+# Up to this many vertices (all of K <= 7: C(12, 6) = 924), ``support_batch``
+# takes the product vertex-major, (V @ U^T).max(axis=0).  The row-major
+# U @ V^T spends most of its time in the short row maxima: 1000 directions
+# took 74 instead of 142 us over the 70 vertices of K=5 and 306 instead of
+# 401 us over the 252 of K=6 (one BLAS thread).  Over the 924 of K=7 they
+# took 1354 instead of 1109 us, but there the row-major product gave a lone
+# direction other bits than a batch did, which the vertex-major one does not.
+_VERTEX_MAJOR_MAX = 924
+
+# The vertex-major product takes its directions in multiples of this many
+# (one AVX-512 vector of doubles), the last one repeated to fill a block:
+# over a ragged count, BLAS runs the last directions through tail kernels
+# with other bits.
+_LANES = 8
 
 # HiGHS options of the primal and dual distance LPs.  At the default 1e-7
 # feasibility tolerances both drift up to ~1e-8 from the exact value on
@@ -110,9 +130,13 @@ class ProbVec:
 
 
 class TopicMatrix:
-    """p x K matrix whose columns are mixture components in the p-simplex."""
+    """p x K matrix whose columns are mixture components in the p-simplex.
 
-    __slots__ = ("matrix",)
+    ``outers`` is built on first use and kept with the matrix, which is
+    read-only, so every estimator call on one ``TopicMatrix`` shares it.
+    """
+
+    __slots__ = ("matrix", "_outers")
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
@@ -129,6 +153,7 @@ class TopicMatrix:
             raise InvalidSimplex(f"column {k} sums to {sums[k]!r}, expected 1")
         self.matrix = M
         self.matrix.flags.writeable = False
+        self._outers: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -137,6 +162,20 @@ class TopicMatrix:
     @property
     def K(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def outers(self) -> np.ndarray:
+        """The (p, K*K) table of ``_outer_rows``."""
+        if self._outers is None:
+            self._outers = _outer_rows(self.matrix)
+        return self._outers
+
+
+def _outer_rows(A: np.ndarray) -> np.ndarray:
+    """Table (p, K*K) whose row j is vec(A_j A_j^T), read-only."""
+    AA = np.einsum("jk,jl->jkl", A, A, order="C").reshape(len(A), -1)
+    AA.flags.writeable = False
+    return AA
 
 
 def tv_distance(u, v) -> float:
@@ -334,8 +373,10 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Vertices of {x : A x <= b}, or None when enumeration is unavailable.
 
     One-dimensional systems reduce to an interval; higher dimensions go
-    through Qhull seeded at the Chebyshev center, which requires a
-    full-dimensional polytope.
+    through Qhull, which requires a full-dimensional polytope and a point
+    strictly inside it.  x = 0 is that point when it lies more than 1e-10
+    from every facet (every b_i > 0, as for a base polytope); otherwise the
+    Chebyshev centre LP gives one, with the same 1e-10 bound on its radius.
     """
     n = A.shape[1]
     if n == 1:
@@ -352,11 +393,15 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         if lower > upper + 1e-12 or not np.isfinite(lower) or not np.isfinite(upper):
             return np.empty((0, 1)) if lower > upper else None
         return np.array([[lower], [upper]])
-    center = _chebyshev_center(A, b)
-    if center is None or center[1] <= 1e-10:
-        return None
+    if np.all(b > 1e-10 * np.linalg.norm(A, axis=1)):
+        interior = np.zeros(n)
+    else:
+        center = _chebyshev_center(A, b)
+        if center is None or center[1] <= 1e-10:
+            return None
+        interior = center[0]
     try:
-        hs = HalfspaceIntersection(np.column_stack([A, -b]), center[0])
+        hs = HalfspaceIntersection(np.column_stack([A, -b]), interior)
     except QhullError:
         return None
     return np.unique(np.round(hs.intersections, 10), axis=0)
@@ -410,33 +455,46 @@ def kr_dual_value(u, polytope: DualPolytope) -> tuple[float, np.ndarray]:
 def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     """Support function of the polytope at many directions at once.
 
-    ``directions`` has shape (n, K).  Uses the cached vertex set when
-    enumeration succeeded, otherwise one LP per direction; both routes agree
-    to LP tolerance and equality is enforced by the property suite.  The
-    vertex route takes the maximum of U @ V^T over row blocks of at most
-    ``_VERTEX_BLOCK`` entries and at least two rows, since a one-row block
-    is a matrix-vector product with other bits: a one-row tail joins the
-    block before it and a lone direction runs as a two-row block, so a row
-    gets the same bits alone and in any number of rows.
+    ``directions`` has shape (n, K) and is copied to C order, so a value
+    does not depend on the caller's layout.  Uses the cached vertex set
+    when enumeration succeeded, otherwise one LP per direction; both routes
+    agree to LP tolerance and equality is enforced by the property suite.
+
+    The vertex route takes blocks of at most ``_VERTEX_BLOCK`` entries.  Up
+    to ``_VERTEX_MAJOR_MAX`` vertices, a block is (V @ U^T).max(axis=0)
+    over a multiple of ``_LANES`` directions, the last direction repeated
+    to fill it.  Beyond that, a block is (U @ V^T).max(axis=1) over at
+    least two rows, since a one-row block is a matrix-vector product with
+    other bits: a one-row tail joins the block before it and a lone
+    direction runs as a two-row block.  So a direction gets the same bits
+    alone and in any number of directions.
     """
-    U = np.asarray(directions, dtype=float)
+    U = np.ascontiguousarray(directions, dtype=float)
     if U.ndim == 1:
         U = U[None, :]
     if U.shape[1] != polytope.K:
         raise DimError(f"directions have dim {U.shape[1]}, expected {polytope.K}")
     V = polytope.vertices()
-    if V is not None and V.shape[0] > 0:
-        n = U.shape[0]
-        if n == 1:
-            return (np.vstack([U, U]) @ V.T).max(axis=1)[:1]
-        bounds = list(range(0, n, max(2, _VERTEX_BLOCK // V.shape[0]))) + [n]
-        if len(bounds) > 2 and n - bounds[-2] == 1:
-            del bounds[-2]
-        out = np.empty(n)
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            out[s:e] = (U[s:e] @ V.T).max(axis=1)
+    if V is None or V.shape[0] == 0:
+        return np.array([kr_dual_value(u, polytope)[0] for u in U])
+    n, out = U.shape[0], np.empty(U.shape[0])
+    if V.shape[0] <= _VERTEX_MAJOR_MAX:
+        step = max(_LANES, _VERTEX_BLOCK // V.shape[0] // _LANES * _LANES)
+        for s in range(0, n, step):
+            block = U[s : s + step]
+            rows = len(block)
+            if rows % _LANES:
+                block = U[np.minimum(np.arange(s, s + rows + -rows % _LANES), n - 1)]
+            out[s : s + rows] = (V @ block.T).max(axis=0)[:rows]
         return out
-    return np.array([kr_dual_value(u, polytope)[0] for u in U])
+    if n == 1:
+        return (np.vstack([U, U]) @ V.T).max(axis=1)[:1]
+    bounds = list(range(0, n, max(2, _VERTEX_BLOCK // V.shape[0]))) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        out[s:e] = (U[s:e] @ V.T).max(axis=1)
+    return out
 
 
 def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float) -> DualPolytope:

@@ -110,10 +110,12 @@ def test_cli_ill_typed_delta_flag_is_a_usage_error(files, capsys):
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])
 @pytest.mark.parametrize("method", ["plugin", "deriv-bs"])
-def test_cli_non_finite_delta_exits_2(files, tmp_path, capsys, delta, method):
+def test_cli_non_finite_delta_exits_2(files, tmp_path, capsys, monkeypatch, delta, method):
+    sizes = _count_em_batch(monkeypatch)
     code, _, err = _run(["ci", *files[1], "--method", method, "--B", "400", "--delta", delta, "--out", str(tmp_path / "ci.json")], capsys)
     assert code == 2 and "delta must be finite" in err
     assert not (tmp_path / "ci.json").exists()
+    assert sizes == []  # refused before any fit
 
 
 @pytest.mark.parametrize(

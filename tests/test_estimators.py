@@ -12,14 +12,17 @@ from mixwass import (
     wls_weights,
 )
 from mixwass.errors import DegenerateSupport, InfeasibleRow, InvalidParam, SingularInformation
-from mixwass import estimators
+from mixwass import estimators, numlin
+from mixwass.transport import TopicMatrix
 from mixwass.estimators import (
     EM_MAX_ITER,
     TOL_KKT,
     Method,
     _debias_batch,
     _em_batch,
+    _grams,
     _kkt_gaps,
+    _rowdot,
     _sigma_batch,
     _wls_operator,
     mle_objective,
@@ -236,6 +239,90 @@ def test_sigma_batch_raises_for_a_failing_column():
         _sigma_batch(np.array([[0.3, 0.5], [0.7, 0.5]]), dup)
     with pytest.raises(DegenerateSupport):
         _sigma_batch(np.array([[0.5, 0.0], [0.5, 0.0]]), np.eye(2))
+
+
+# --- two-row kernels ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [2, 5, 8, 13])
+def test_rowdot_and_grams_give_each_row_its_bits_in_any_batch(K):
+    # Every row runs in a two-row block, an odd last one doubled, so a row
+    # gets the same bits at any batch size and in any position.
+    rng = np.random.default_rng(60 + K)
+    A = random_topics(rng, 500, K)
+    AA = TopicMatrix(A).outers
+    W = rng.uniform(size=(64, 500))
+    x = rng.dirichlet(np.ones(K), size=64)
+    full = (_rowdot(W, A), _rowdot(x, np.ascontiguousarray(A.T)), _grams(W, AA))
+    assert np.array_equal(full[2], full[2].transpose(0, 2, 1))
+    for B in (1, 2, 3, 7, 32, 64):
+        for s in sorted({0, 1, 5, 64 - B}):
+            rows = slice(s, s + B)
+            assert np.array_equal(_rowdot(W[rows], A), full[0][rows]), (B, s)
+            assert np.array_equal(_rowdot(x[rows], np.ascontiguousarray(A.T)), full[1][rows]), (B, s)
+            assert np.array_equal(_grams(W[rows], AA), full[2][rows]), (B, s)
+    assert np.abs(full[2] - np.einsum("bj,jk,jl->bkl", W, A, A)).max() <= 1e-12 * np.abs(full[2]).max()
+
+
+def test_sigma_batch_matches_the_support_restricted_formula():
+    # Off the support (fitted probability <= ZETA) a word gets weight 0 in
+    # the one stacked Gram; the result is the information matrix summed
+    # over the support alone, inverted at rank.
+    rng = np.random.default_rng(9)
+    K = 5
+    A = _sparse_topics(rng, 200, K)
+    alphas = rng.dirichlet(np.ones(K), size=4).T
+    alphas[:, 1] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
+    alphas[:, 2] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
+    batch = _sigma_batch(alphas, A)
+    for b in (1, 2):
+        a = alphas[:, b]
+        r = A @ a
+        J = r > estimators.ZETA
+        assert not J.all()
+        AJ = A[J]
+        H = (AJ / r[J][:, None]).T @ AJ
+        want = numlin.inv_at_rank(H) - np.outer(a, a)
+        assert np.abs(batch[b] - (want + want.T) / 2.0).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_topic_matrix_keeps_one_outer_table_for_every_fit():
+    rng = np.random.default_rng(10)
+    K = 4
+    A = random_topics(rng, 80, K)
+    T = TopicMatrix(A)
+    X = rng.multinomial(400, A @ rng.dirichlet(np.ones(K))) / 400.0
+    table = T.outers
+    assert not table.flags.writeable and T.outers is table
+    est = mle_weights(X, T)
+    assert np.array_equal(est.alpha, mle_weights(X, A).alpha)
+    assert np.array_equal(debias(est, X, T).alpha, debias(est, X, A).alpha)
+    assert np.array_equal(sigma_hat(est, T).sigma, sigma_hat(est, A).sigma)
+    assert T.outers is table
+
+
+def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch):
+    rng = np.random.default_rng(11)
+    K = 5
+    A = random_topics(rng, 200, K)
+    XB = _documents(rng, A, K, 0, 8)
+    calls = {"_squarem": [], "_newton_finish": []}
+    for name, sizes in calls.items():
+        real = getattr(estimators, name)
+
+        def counted(X, *args, _real=real, _sizes=sizes):
+            _sizes.append(len(X))
+            return _real(X, *args)
+
+        monkeypatch.setattr(estimators, name, counted)
+    fit, iters, conv = _em_batch(XB, A)
+    assert conv.all()
+    assert calls == {"_squarem": [8], "_newton_finish": [8]}
+    # No column stops within one EM map: no Newton finish and no retry.
+    for sizes in calls.values():
+        sizes.clear()
+    _em_batch(XB, A, max_iter=1)
+    assert calls == {"_squarem": [8], "_newton_finish": []}
 
 
 # --- wls ---------------------------------------------------------------------

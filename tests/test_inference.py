@@ -24,7 +24,7 @@ from mixwass import (
     wasserstein_primal,
 )
 from mixwass import transport
-from mixwass.inference import _limit_draws, _plugin_limits
+from mixwass.inference import METHODS, _limit_draws, _plugin_limits
 from mixwass.selfcheck import check_limit_batch_matches_single
 from mixwass.errors import InvalidCost, InvalidParam
 from mixwass.numlin import psd_sqrt
@@ -365,3 +365,16 @@ def test_ks_matches_scipy():
 def test_ks_empty_input():
     with pytest.raises(InvalidParam):
         ks_distance([], [1.0])
+
+
+@pytest.mark.parametrize("name", ["plugin", "deriv_bs"])
+def test_interval_settings_refuse_a_bad_slab_width(name):
+    method = METHODS[name]
+    values = dict(M=400, B=400, gamma=0.5)
+    for delta in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(InvalidParam, match="delta must be finite and >= 0"):
+            method.settings(0.05, **values, delta=delta)
+    assert method.settings(0.05, **values, delta=None)["delta"] is None
+    assert method.settings(0.05, **values, delta=0.0)["delta"] == 0.0
+    # m-of-n reads no delta, so it does not check one.
+    assert "delta" not in METHODS["m_of_n"].settings(0.05, **values, delta=float("nan"))

@@ -434,35 +434,96 @@ def test_vertex_face_restriction_matches_lp(K):
         assert np.abs(fast - slow).max() <= 2e-5
 
 
-@pytest.mark.parametrize("K", [3, 5, 8, 10])
+@pytest.mark.parametrize("K", [3, 4, 5, 6, 7, 8, 10])
 def test_blocked_vertex_product_equals_one_product(K, monkeypatch):
-    # The vertex route runs U @ V^T in row blocks; every row keeps the bits
+    # The vertex route runs its product in blocks; every row keeps the bits
     # of the unblocked product, at the default budget and at budgets of two
-    # and three rows (1000 = 333 * 3 + 1 leaves a one-row tail).
+    # and three rows (1000 = 333 * 3 + 1 leaves a one-row tail).  Up to
+    # _VERTEX_MAJOR_MAX vertices (K <= 7) the product is V @ U^T.
     rng = np.random.default_rng(24 + K)
     poly = DualPolytope(random_instance(rng, K))
     V = poly.vertices()
     assert V is not None
+    assert (V.shape[0] <= transport._VERTEX_MAJOR_MAX) == (K <= 7)
     U = rng.normal(size=(64 if K == 10 else 1000, K))
-    want = (U @ V.T).max(axis=1)
+    want = (V @ U.T).max(axis=0) if K <= 7 else (U @ V.T).max(axis=1)
     assert np.array_equal(support_batch(poly, U), want)
     assert np.array_equal(support_batch(poly, np.asfortranarray(U)), want)
     for rows in (2, 3):
         monkeypatch.setattr(transport, "_VERTEX_BLOCK", rows * V.shape[0] + 1)
         assert np.array_equal(support_batch(poly, U), want)
-    assert np.array_equal(support_batch(poly, U[:1]), (U[:1] @ V.T).max(axis=1))
+    assert np.array_equal(support_batch(poly, U[:13]), want[:13])
+    assert np.array_equal(support_batch(poly, U[:1]), want[:1])
     assert support_batch(poly, U[:0]).shape == (0,)
 
 
-@pytest.mark.parametrize("K", [3, 5, 8, 10])
+@pytest.mark.parametrize("K", [3, 4, 5, 6, 7, 8, 10])
 def test_lone_direction_gets_its_bits_in_a_block(K):
-    # A lone direction runs as a two-row block, not as a matrix-vector
-    # product, so alone it gets the bits it gets among 300 directions.
+    # A lone direction runs in a full block (eight directions vertex-major,
+    # two rows row-major), not as a matrix-vector product, so alone it gets
+    # the bits it gets among 300 directions.
     rng = np.random.default_rng(40 + K)
     poly = DualPolytope(random_instance(rng, K))
     U = rng.normal(size=(300, K))
     batch = support_batch(poly, U)
     assert all(support_batch(poly, u[None, :])[0] == w for u, w in zip(U, batch))
+
+
+def test_one_vertex_face_values_do_not_depend_on_the_rows_layout():
+    # Over a one-vertex face the product is matrix-vector, whose bits
+    # depend on the layout of its matrix; support_batch copies the
+    # directions to C order first.
+    rng = np.random.default_rng(45)
+    K = 5
+    base = DualPolytope(random_instance(rng, K))
+    face = restricted_polytope(base, rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K)), 0.0)
+    assert face.vertices().shape[0] == 1
+    U = rng.normal(size=(300, K))
+    values = support_batch(face, U)
+    assert np.array_equal(support_batch(face, np.asfortranarray(U)), values)
+    assert np.array_equal(support_batch(face, np.repeat(U, 2, axis=0)[::2]), values)
+    assert all(support_batch(face, u)[0] == w for u, w in zip(U[:50], values))
+
+
+def _chebyshev_seeded_vertices(A, b):
+    center, radius = transport._chebyshev_center(A, b)
+    assert radius > 1e-10
+    hs = transport.HalfspaceIntersection(np.column_stack([A, -b]), center)
+    return np.unique(np.round(hs.intersections, 10), axis=0)
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_origin_seeded_enumeration_equals_chebyshev_seeded(K, monkeypatch):
+    # Every base polytope of a metric with positive distances has f = 0
+    # strictly inside, so Qhull is seeded there without the Chebyshev LP.
+    rng = np.random.default_rng(70 + K)
+    poly = DualPolytope(random_instance(rng, K))
+
+    def no_lp(A, b):
+        raise AssertionError("the Chebyshev LP ran for a base polytope")
+
+    monkeypatch.setattr(transport, "_chebyshev_center", no_lp)
+    V = poly.vertices()
+    monkeypatch.undo()
+    assert V is not None
+    if K > 2:  # K = 2 is an interval, enumerated without Qhull
+        W = _chebyshev_seeded_vertices(*poly.halfspaces())
+        assert V.shape == (W.shape[0], K) and np.abs(V[:, 1:] - W).max() <= 1e-9
+
+
+def test_slab_without_the_origin_keeps_the_chebyshev_seed(monkeypatch):
+    rng = np.random.default_rng(81)
+    K = 4
+    base = DualPolytope(random_instance(rng, K))
+    a, b = np.eye(K)[0], np.eye(K)[1]
+    poly = restricted_polytope(base, a, b, 0.01)
+    assert poly.slab[1] > 0.01 and not poly.contains(np.zeros(K))
+    seeds = []
+    real = transport._chebyshev_center
+    monkeypatch.setattr(transport, "_chebyshev_center", lambda A, b: seeds.append(1) or real(A, b))
+    V = poly.vertices()
+    assert seeds == [1] and V is not None
+    assert np.abs(V[:, 1:] - _chebyshev_seeded_vertices(*poly.halfspaces())).max() <= 1e-9
 
 
 def test_lp_route_beyond_enumeration_bound():
