@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__, build_hash
 from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError
-from .estimators import debias, mle_weights, sigma_hat, sigma_ls, wls_weights
-from .inference import METHODS, _fit_pair, confidence_interval, distance_estimate, theorem_delta
+from .estimators import Method, _covariances
+from .inference import _CHUNK, METHODS, _fit_columns, _fit_pairs, confidence_interval, distance_estimate, theorem_delta
 from .io import RunManifest, load_counts, load_topics, report_json, save_limit_samples, save_report
 from .simulate import (
     SimConfig,
@@ -168,32 +168,14 @@ def _pair_inputs(args):
     return A, docs[doc_i], docs[doc_j], DualPolytope(cost_matrix(A, args.metric)), inputs
 
 
-def _estimate(doc, A, method: str, with_cov: bool = False):
-    """Fit one document by ``method`` (mle, debias or wls).
-
-    Returns (MLE, estimate, covariance): the MLE is None for wls, and the
-    plug-in covariance of the estimate is computed only with ``with_cov``
-    (None for mle).
-    """
-    X = doc.frequencies
-    if method == "wls":
-        est = wls_weights(X, A)
-        return None, est, sigma_ls(est, X, A) if with_cov else None
-    mle = mle_weights(X, A)
-    if method == "mle":
-        return mle, mle, None
-    return mle, debias(mle, X, A), sigma_hat(mle, A) if with_cov else None
+def _certificates(converged, kkt_gap) -> dict:
+    """Whether each document's MLE is certified, i then j; null for wls, which fits none."""
+    values = {"converged": converged, "kkt_gap": kkt_gap}
+    return {f"{k}_{side}": None if kkt_gap is None else v[c].item() for k, v in values.items() for c, side in enumerate("ij")}
 
 
-def _certificates(mle_i, mle_j) -> dict:
-    """Whether each document's MLE is certified; null for wls, which fits none."""
-    return {
-        f"{key}_{side}": getattr(mle, key) if mle is not None else None
-        for side, mle in (("i", mle_i), ("j", mle_j))
-        for key in ("converged", "kkt_gap")
-    }
-
-
+# The CLI's spelling of each estimator.
+_ESTIMATORS = {"mle": Method.MLE, "debias": Method.DEBIASED, "wls": Method.WLS}
 # The CLI's spelling of each interval method.
 _CI_METHODS = {name.replace("_", "-"): name for name in METHODS}
 
@@ -277,20 +259,15 @@ def build_parser() -> _Parser:
 def _cmd_estimate(args) -> int:
     A, docs = _load_inputs(args)
     results = []
-    for idx, doc in enumerate(docs):
-        _, est, cov = _estimate(doc, A, args.method, with_cov=True)
-        results.append(
-            {
-                "doc": idx,
-                "N": doc.N,
-                "alpha": est.alpha.tolist(),
-                "method": est.method.value,
-                "iterations": est.iterations,
-                "converged": est.converged,
-                "kkt_gap": est.kkt_gap,
-                "sigma": cov.sigma.tolist() if cov else None,
-            }
-        )
+    # The file is fitted a batch at a time, so only a batch's frequencies are held.
+    for s in range(0, len(docs), _CHUNK):
+        X = np.column_stack([doc.frequencies for doc in docs[s : s + _CHUNK]])
+        fits = _fit_columns(X, A, _ESTIMATORS[args.method])
+        sigma = _covariances(fits, X, A)
+        for b in range(X.shape[1]):
+            est = fits.estimate(b)  # alpha, method, iterations, converged and kkt_gap
+            fields = {**dataclasses.asdict(est), "alpha": est.alpha.tolist(), "method": est.method.value}
+            results.append({"doc": s + b, "N": docs[s + b].N, **fields, "sigma": sigma[b].tolist() if sigma is not None else None})
     report = {"command": "estimate", "method": args.method, "estimates": results, "seed": args.seed}
     inputs = {"topics": args.topics, **{("counts" if len(args.counts) == 1 else p): p for p in args.counts}}
     manifest = RunManifest.create("estimate", {"method": args.method}, args.seed, inputs)
@@ -300,8 +277,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_distance(args) -> int:
     A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
-    mle_i, est_i, _ = _estimate(doc_i, A, args.estimator)
-    mle_j, est_j, _ = _estimate(doc_j, A, args.estimator)
+    fits = _fit_columns(np.column_stack((doc_i.frequencies, doc_j.frequencies)), A, _ESTIMATORS[args.estimator])
+    est_i, est_j = fits.estimate(0), fits.estimate(1)
     report = {
         "command": "distance",
         "metric": args.metric,
@@ -312,7 +289,7 @@ def _cmd_distance(args) -> int:
         "alpha_i": est_i.alpha.tolist(),
         "alpha_j": est_j.alpha.tolist(),
         "seed": args.seed,
-        **_certificates(mle_i, mle_j),
+        **_certificates(fits.converged, fits.kkt_gap),
     }
     manifest = RunManifest.create("distance", {"metric": args.metric, "estimator": args.estimator}, args.seed, inputs)
     _emit(report, manifest, args.out)
@@ -326,7 +303,7 @@ def _cmd_ci(args) -> int:
     method = METHODS[_CI_METHODS[args.method]]
     settings = method.settings(args.level, M=args.M, B=args.B, gamma=args.gamma, delta=delta)
     # Every method's interval is centred on this fit's debiased distance.
-    pairs, mle_i, mle_j = _fit_pair(doc_i, doc_j, A, poly)
+    pairs = _fit_pairs(doc_i.frequencies[:, None], doc_j.frequencies[:, None], doc_i.N, doc_j.N, A, poly)
     samples = method.sampler(pairs, A, poly, [seed], settings)[0]
     ci = confidence_interval(float(pairs.W[0]), samples, args.level, doc_i.N, doc_j.N)
     if args.samples_out:
@@ -346,7 +323,7 @@ def _cmd_ci(args) -> int:
         "delta": samples.delta,
         "seed": seed,
         "samples_path": args.samples_out or None,
-        **_certificates(mle_i, mle_j),
+        **_certificates(pairs.converged[:, 0], pairs.kkt_gap[:, 0]),
     }
     # The manifest hashes only the settings that the chosen method reads.
     manifest = RunManifest.create("ci", {**{k: getattr(args, k) for k in ("method", "metric", "level")}, **settings}, seed, inputs)

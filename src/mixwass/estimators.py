@@ -17,15 +17,15 @@ covariance matrices.
 
 Each estimator is written once, for a batch of documents against one topic
 matrix: ``_em_batch`` for the MLE, ``_debias_batch`` for the correction,
-``_wls_operator`` for WLS and ``_sigma_batch`` for the plug-in covariance
-that the limit law of ``inference`` samples, itself written once for a
-batch of document pairs.  The public single-document functions are batches
-of one that add validation and a ``WeightEstimate`` or ``CovEstimate``
-wrapper, and ``_fit_debiased`` chains EM and the correction for the
-bootstrap and simulation drivers.  Every per-document product is
-``_rowdot``, a stack of fixed two-row GEMMs, and every Gram A^T diag(w) A
-is one ``_rowdot`` against the topic matrix's outer table, which a
-``TopicMatrix`` builds once; so a document gets the same bits in any batch.
+``_wls_batch`` for WLS, and ``_sigma_batch`` and ``_sigma_ls_batch`` for the
+plug-in covariances.  ``_fit_batch``, the one way a document is fitted,
+validates a batch of frequency columns with one mask and fits it by a
+``Method``, with each MLE's certificate; the public single-document
+functions are batches of one.  Every per-document product is ``_rowdot``,
+a stack of fixed two-row GEMMs, or a matrix-vector product per column
+(WLS), and every Gram A^T diag(w) A is one ``_rowdot`` against the topic
+matrix's outer table, which a ``TopicMatrix`` builds once; so a document
+gets the same bits in any batch.
 
 ``_em_batch`` fits in two phases.  SQUAREM (Varadhan & Roland 2008, Scand.
 J. Statist.) accelerates the multiplicative EM map until one map moves a fit
@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,16 +139,21 @@ class CovEstimate:
     rank: int
 
 
-def _check_feasible_rows(X: np.ndarray, A: np.ndarray) -> None:
-    support = np.flatnonzero(X > 0)
-    if support.size == 0:
-        raise InvalidParam("frequency vector has empty support")
-    row_mass = A[support].max(axis=1)
-    bad = support[row_mass <= 0.0]
-    if bad.size:
-        raise InfeasibleRow(
-            f"word {int(bad[0])} has positive count but zero probability under every topic"
-        )
+def _check_columns(XB: np.ndarray, A: np.ndarray) -> None:
+    """Refuse a (p, B) batch of frequency columns with the first failing column's error.
+
+    One mask for the batch: a column fails with empty support, or with a
+    positive count on a word that no topic gives positive probability.
+    """
+    if XB.shape[0] != A.shape[0]:
+        raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {A.shape[0]} rows")
+    pos, dead = XB > 0, A.max(axis=1) <= 0.0
+    bad = ~pos.any(axis=0) | pos[dead].any(axis=0)
+    if bad.any():
+        words = np.flatnonzero(pos[:, bad.argmax()] & dead)
+        if not words.size:
+            raise InvalidParam("frequency vector has empty support")
+        raise InfeasibleRow(f"word {int(words[0])} has positive count but zero probability under every topic")
 
 
 def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -411,7 +417,7 @@ def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> Weigh
     start.  SQUAREM-accelerated EM (alpha_k <- alpha_k * g_k with gradient
     g_k = sum_j X_j A_jk / (A_j . alpha)) runs until one EM map moves the
     fit by at most ``tol`` in l1; active-set Newton steps then finish it
-    to the MLE, with exact zeros off its support.  The fit is ``_em_batch``
+    to the MLE, with exact zeros off its support.  The fit is ``_fit_batch``
     with the document as a batch of one, so it equals the batched fit of
     the same document.
 
@@ -420,19 +426,7 @@ def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> Weigh
     over the others.  ``converged`` certifies ``kkt_gap <= TOL_KKT``.
     ``iterations`` and ``max_iter`` count EM maps and Newton steps.
     """
-    Xv = _values(X, name="X")
-    Am = _topics_array(A)
-    if Xv.size != Am.shape[0]:
-        raise InvalidParam(f"X has dim {Xv.size}, topics have {Am.shape[0]} rows")
-    _check_feasible_rows(Xv, Am)
-    alphas, iterations, converged = _em_batch(Xv[:, None], A, tol, max_iter)
-    return WeightEstimate(
-        alpha=alphas[:, 0],
-        method=Method.MLE,
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-        kkt_gap=float(_kkt_gaps(Xv[:, None], Am, alphas)[0]),
-    )
+    return _fit_batch(_values(X, name="X")[:, None], A, Method.MLE, tol, max_iter).estimate(0)
 
 
 def mle_objective(alpha, X, A) -> float:
@@ -449,9 +443,9 @@ def mle_objective(alpha, X, A) -> float:
 def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarray:
     """One-step correction of a (K, B) batch of MLE columns (see ``debias``).
 
-    A column whose fitted probabilities all lie below ``ZETA`` is returned
-    unchanged; ``debias`` rejects that case instead.  The pseudo-inverses are
-    one stacked call.  Every product is per column, so a column gives the
+    A column whose fitted probabilities all lie below ``ZETA`` raises
+    :class:`DegenerateSupport` for the batch.  The pseudo-inverses are one
+    stacked call.  Every product is per column, so a column gives the
     same bits in any batch.
     """
     A, AT, AA = _design(A)
@@ -459,6 +453,8 @@ def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarr
     X = np.ascontiguousarray(XB.T, dtype=float)
     R = _rowdot(x, AT)  # (B, p)
     mask = R > ZETA
+    if not mask.any(axis=1).all():
+        raise DegenerateSupport("no word has fitted probability above the support threshold")
     Rsafe = np.where(mask, R, 1.0)
     psi = _rowdot(np.where(mask, (X - R) / Rsafe, 0.0), A)  # (B, K)
     V = _grams(np.where(mask, 1.0 / Rsafe, 0.0), AA)
@@ -475,25 +471,50 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     returns alpha_hat + Vhat^+ Psi(alpha_hat).  The result sums to one but
     may leave the simplex.  This is ``_debias_batch`` on a batch of one.
     """
-    base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else None
-    a = base.alpha if base is not None else np.asarray(alpha_hat, dtype=float)
-    Xv = _values(X, name="X")
-    Am = _topics_array(A_hat)
-    if not np.any(Am @ a > ZETA):
-        raise DegenerateSupport("no word has fitted probability above the support threshold")
-    return WeightEstimate(
-        alpha=_debias_batch(a[:, None], Xv[:, None], A_hat)[:, 0],
-        method=Method.DEBIASED,
-        iterations=base.iterations if base is not None else 0,
-        converged=base.converged if base is not None else True,
-        kkt_gap=base.kkt_gap if base is not None else None,
-    )
+    base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(np.asarray(alpha_hat, dtype=float), Method.MLE, 0, True)
+    alpha = _debias_batch(base.alpha[:, None], _values(X, name="X")[:, None], A_hat)[:, 0]
+    return replace(base, alpha=alpha, method=Method.DEBIASED)  # the MLE's diagnostics
 
 
-def _fit_debiased(XB: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MLE and debiased estimate of each frequency column: ((K, B), (K, B))."""
-    mle, _, _ = _em_batch(XB, A)
-    return mle, _debias_batch(mle, XB, A)
+class _Fits(NamedTuple):
+    """A batch's fits by ``method``: (K, B) estimates and the MLEs they start
+    from, and each MLE's iterations, certificate and KKT gap.  WLS fits no
+    MLE: its ``mle`` and ``kkt_gap`` are None, iterations 0, certificates True."""
+
+    method: Method
+    est: np.ndarray
+    mle: np.ndarray | None
+    iterations: np.ndarray
+    converged: np.ndarray
+    kkt_gap: np.ndarray | None
+
+    def estimate(self, b: int) -> WeightEstimate:
+        gap = None if self.kkt_gap is None else float(self.kkt_gap[b])
+        return WeightEstimate(self.est[:, b], self.method, int(self.iterations[b]), bool(self.converged[b]), gap)
+
+
+def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> _Fits:
+    """Fit of each (p, B) frequency column by ``method``: the one way a document is fitted.
+
+    Every method validates the batch (``_check_columns``).  The MLE is
+    ``_em_batch`` with its KKT gaps, the debiased fit ``_debias_batch`` of
+    it, and WLS ``_wls_batch``; ``tol`` and ``max_iter`` as in ``mle_weights``.
+    """
+    Am = _topics_array(A)
+    _check_columns(XB, Am)
+    if method is Method.WLS:
+        return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
+    mle, iterations, converged = _em_batch(XB, A, tol, max_iter)
+    est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
+    return _Fits(method, est, mle, iterations, converged, _kkt_gaps(XB, Am, mle))
+
+
+def _covariances(fits: _Fits, XB: np.ndarray, A) -> np.ndarray | None:
+    """Plug-in covariances (B, K, K) of the fits of frequency columns XB: at
+    the MLE for the debiased fit, at the estimate for WLS, none for the MLE."""
+    if fits.method is Method.WLS:
+        return _sigma_ls_batch(fits.est, XB, A)
+    return _sigma_batch(fits.mle, A) if fits.method is Method.DEBIASED else None
 
 
 def _sigma_batch(alphas: np.ndarray, A) -> np.ndarray:
@@ -553,24 +574,32 @@ def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, Minv @ B.T
 
 
+def _wls_batch(XB: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """WLS estimates (K, B) of (p, B) frequency columns (see ``wls_weights``):
+    one matrix-vector product per column, stacked, since one GEMM over the
+    batch gives a column other bits at other widths."""
+    keep, Aplus = _wls_operator(A)
+    return (Aplus @ XB[keep].T[:, :, None])[:, :, 0].T.copy()
+
+
 def wls_weights(X, A_hat) -> WeightEstimate:
     """Weighted least squares estimate Mhat^{-1} Ahat^T Dhat^{-1} X.
 
     Dhat is the diagonal of topic-row l1 norms; rows with zero mass are
     dropped.  The estimate sums to one (Mhat is doubly stochastic) but may
-    have negative entries.
+    have negative entries.  X is validated as the MLE validates it, so a
+    positive count on a zero-mass row raises :class:`InfeasibleRow`.  This
+    is ``_fit_batch`` on a batch of one.
     """
-    Xv = _values(X, name="X")
-    Am = _topics_array(A_hat)
-    if Xv.size != Am.shape[0]:
-        raise InvalidParam(f"X has dim {Xv.size}, topics have {Am.shape[0]} rows")
-    keep, Aplus = _wls_operator(Am)
-    return WeightEstimate(
-        alpha=Aplus @ Xv[keep],
-        method=Method.WLS,
-        iterations=0,
-        converged=True,
-    )
+    return _fit_batch(_values(X, name="X")[:, None], A_hat, Method.WLS).estimate(0)
+
+
+def _sigma_ls_batch(alphas: np.ndarray, RB: np.ndarray, A) -> np.ndarray:
+    """WLS plug-in covariances (B, K, K) of (K, B) weight and (p, B) probability columns (see ``sigma_ls``)."""
+    keep, Aplus = _wls_operator(_topics_array(A))
+    x = alphas.T
+    sigma = (Aplus * RB[keep].T[:, None, :]) @ Aplus.T - x[:, :, None] * x[:, None, :]
+    return (sigma + sigma.transpose(0, 2, 1)) / 2.0
 
 
 def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
@@ -578,12 +607,9 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
 
     sigma = Ahat^+ diag(rhat) Ahat^{+T} - alpha alpha^T, where Ahat^+ is the
     preconditioned pseudo-inverse Mhat^{-1} Ahat^T Dhat^{-1} and rhat is the
-    supplied frequency or probability vector.
+    supplied frequency or probability vector.  This is ``_sigma_ls_batch``
+    on a batch of one.
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    rv = _values(X_or_r, name="X_or_r")
-    keep, Aplus = _wls_operator(_topics_array(A_hat))
-    sigma = (Aplus * rv[keep]) @ Aplus.T - np.outer(a, a)
-    sigma = (sigma + sigma.T) / 2.0
-    eig = numlin.sym_eig(sigma)
-    return CovEstimate(sigma=sigma, rank=eig.rank)
+    sigma = _sigma_ls_batch(a[:, None], _values(X_or_r, name="X_or_r")[:, None], A_hat)[0]
+    return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)

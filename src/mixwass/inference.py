@@ -8,9 +8,12 @@ estimated by Monte Carlo; quantiles of the sample set yield confidence
 intervals.  Two bootstrap baselines (m-out-of-N and derivative-based) are
 provided for comparison.
 
-Each interval method is written once, for a batch of fitted pairs
-(``FittedPairs``: the caller's MLEs, debiased fits and debiased distances,
-never refitted), in the ``METHODS`` table with the settings it reads:
+Documents are fitted in one place, ``_fit_columns``, in runs of ``_CHUNK``
+columns: a corpus, and B pairs (``_fit_pairs``) stacked as 2B columns, the
+i sides first, into ``FittedPairs``: MLEs with their certificates,
+debiased fits and debiased distances.  Each interval method is written
+once, for such a batch, which it never refits, in the ``METHODS`` table
+with the settings it reads:
 ``plugin`` (M, delta) samples the plug-in limit law, ``deriv_bs`` (B,
 delta) and ``m_of_n`` (B, gamma) are the bootstraps, which share one
 resampling kernel.  The plug-in law of a batch is one ``_plugin_limits``
@@ -36,15 +39,8 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from . import numlin
-from .errors import InvalidParam
-from .estimators import (
-    CountVector,
-    WeightEstimate,
-    _fit_debiased,
-    _sigma_batch,
-    debias,
-    mle_weights,
-)
+from .errors import InvalidParam, MixwassError
+from .estimators import CountVector, Method, WeightEstimate, _fit_batch, _Fits, _sigma_batch
 from .transport import (
     DualPolytope,
     facet_slack,
@@ -259,10 +255,23 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     )
 
 
+# Columns per fit batch, which bounds the kernels' memory at p x _CHUNK, and
+# pairs per driver chunk, so that no batch depends on the worker count.
+_CHUNK = 32
+
+
+def _fit_columns(XB: np.ndarray, A, method: Method = Method.DEBIASED) -> _Fits:
+    """Fits of the (p, n) frequency columns XB by ``method``, ``_fit_batch`` on each
+    run of ``_CHUNK`` columns: the one fit of documents, of a corpus and of pairs."""
+    parts = [_fit_batch(XB[:, s : s + _CHUNK], A, method) for s in range(0, XB.shape[1], _CHUNK)]
+    return _Fits(method, *(None if f[0] is None else np.concatenate(f, axis=-1) for f in list(zip(*parts))[1:]))
+
+
 @dataclass(frozen=True)
 class FittedPairs:
     """B fitted document pairs: (p, B) word frequencies and the sides' sizes,
-    (K, B) MLEs and debiased fits, and (B,) debiased distances."""
+    (K, B) MLEs and debiased fits, (B,) debiased distances, and (2, B)
+    certificates and KKT gaps of the MLEs, i side then j side."""
 
     X_i: np.ndarray
     X_j: np.ndarray
@@ -273,19 +282,50 @@ class FittedPairs:
     deb_i: np.ndarray
     deb_j: np.ndarray
     W: np.ndarray
+    converged: np.ndarray
+    kkt_gap: np.ndarray
 
     def take(self, cols) -> FittedPairs:
-        arrays = ("X_i", "X_j", "mle_i", "mle_j", "deb_i", "deb_j", "W")
-        return dataclasses.replace(self, **{f: getattr(self, f)[..., cols] for f in arrays})
+        return dataclasses.replace(self, **{k: v[..., cols] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
 
-def _fit_pair(X_i: CountVector, X_j: CountVector, A, poly: DualPolytope):
-    """One observed pair fitted as a batch of one, and its MLEs with their certificates."""
-    mle = [mle_weights(X.frequencies, A) for X in (X_i, X_j)]
-    deb = [debias(m, X.frequencies, A) for m, X in zip(mle, (X_i, X_j))]
-    fits = (e.alpha[:, None] for e in (*mle, *deb))
-    W = np.array([distance_estimate(*deb, poly)])
-    return FittedPairs(X_i.frequencies[:, None], X_j.frequencies[:, None], X_i.N, X_j.N, *fits, W), mle[0], mle[1]
+def _fit_pairs(X_i: np.ndarray, X_j: np.ndarray, N_i: int, N_j: int, A, poly: DualPolytope) -> FittedPairs:
+    """B document pairs of (p, B) frequencies a side, fitted by ``_fit_columns``
+    as 2B columns, the i sides first."""
+    B = X_i.shape[1]
+    fits = _fit_columns(np.concatenate((X_i.T, X_j.T)).T, A)  # F-order: the kernels take each column whole
+    mle_i, mle_j, deb_i, deb_j = fits.mle[:, :B], fits.mle[:, B:], fits.est[:, :B], fits.est[:, B:]
+    W = support_batch(poly, (deb_i - deb_j).T)
+    return FittedPairs(X_i, X_j, N_i, N_j, mle_i, mle_j, deb_i, deb_j, W, fits.converged.reshape(2, B), fits.kkt_gap.reshape(2, B))
+
+
+def _by_column(stage, cols: list[int]) -> list:
+    """``stage(cols)``: one output per column, computed as one batch.  A
+    ``MixwassError`` in a batch of several columns redoes them one at a time,
+    so only a failing column is lost; its entry is the "Type: message" string."""
+    try:
+        return stage(cols)
+    except MixwassError as exc:
+        if len(cols) == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+    return [out for c in cols for out in _by_column(stage, [c])]
+
+
+def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat, poly: DualPolytope):
+    """``FittedPairs`` of (p, B) word counts, and errors.  Only a failing pair
+    is lost (see ``_by_column``): its fits, distance and KKT gaps are NaN, it
+    is not certified, and its entry of the error list names the error."""
+    X_i, X_j = counts_i / N_i, counts_j / N_j
+
+    def stage(cols):  # each pair's fields from mle_i on
+        pairs = _fit_pairs(X_i[:, cols], X_j[:, cols], N_i, N_j, A_hat, poly)
+        return list(zip(*(getattr(pairs, f.name).T for f in dataclasses.fields(pairs)[4:])))
+
+    fits = _by_column(stage, list(range(X_i.shape[1])))
+    errors = [f if isinstance(f, str) else None for f in fits]
+    lost = (np.full(poly.K, np.nan),) * 4 + (np.nan, np.zeros(2, dtype=bool), np.full(2, np.nan))
+    fields = (np.array(v).T for v in zip(*(lost if e else f for f, e in zip(fits, errors))))
+    return FittedPairs(X_i, X_j, N_i, N_j, *fields), errors
 
 
 def _plugin_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitSampleSet]:
@@ -297,7 +337,7 @@ def _resampled_fits(pairs: FittedPairs, c: int, sizes, A, B: int, seed) -> list[
     ``c``, of ``sizes`` words; the i side's resamples are drawn first."""
     rng = _rng(seed)
     XB = [rng.multinomial(m, X[:, c], size=B).T / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
-    return [_fit_debiased(x, A)[1] for x in XB]
+    return [_fit_batch(x, A).est for x in XB]
 
 
 def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[LimitSampleSet]:
@@ -370,7 +410,8 @@ def _observed_pair_samples(name: str, X_i: CountVector, X_j: CountVector, A_hat,
     """Method ``name`` on one observed pair, fitted as ``ci`` fits it."""
     settings = METHODS[name].settings(**values)
     poly = _as_polytope(cost)
-    return METHODS[name].sampler(_fit_pair(X_i, X_j, A_hat, poly)[0], A_hat, poly, [seed], settings)[0]
+    pairs = _fit_pairs(X_i.frequencies[:, None], X_j.frequencies[:, None], X_i.N, X_j.N, A_hat, poly)
+    return METHODS[name].sampler(pairs, A_hat, poly, [seed], settings)[0]
 
 
 def m_out_of_n_bootstrap(

@@ -7,13 +7,14 @@ property tests, so the CLI and the test suite cannot drift apart.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
 from . import numlin
-from .estimators import TOL_KKT, CountVector, _fit_debiased, debias, mle_objective, mle_weights, sigma_hat
-from .inference import METHODS, confidence_interval, derivative_bootstrap, limit_sampler, m_out_of_n_bootstrap
-from .simulate import SimConfig, _pair_estimates, gen_topic_matrix, run_ci_experiment
+from .estimators import TOL_KKT, CountVector, Method, _covariances, debias, mle_objective, mle_weights, sigma_hat, sigma_ls, wls_weights
+from .inference import METHODS, _fit_columns, _pair_estimates, confidence_interval, derivative_bootstrap, limit_sampler, m_out_of_n_bootstrap
+from .simulate import SimConfig, gen_topic_matrix, gen_weights, run_ci_experiment
 from .transport import (
     DualPolytope,
     CostMatrix,
@@ -268,26 +269,32 @@ def check_quantile_monotone(seed: int = 24) -> tuple[str, bool, str]:
     return ("quantile-monotone", bool(ok), f"width {wide.width:.3f} >= {narrow.width:.3f}")
 
 
-def check_batch_matches_single(seed: int = 25) -> tuple[str, bool, str]:
-    """Batched EM and debias give the single-document paths' bits, in a
-    batch of 8 and in a batch of 3, whose last column is a doubled row of
-    the two-row products."""
+def check_batch_matches_single(seed: int = 25, Ks=(3, 5, 8)) -> tuple[str, bool, str]:
+    """The one fit path gives each document the bits of the public
+    single-document functions: the MLE, debiased and WLS estimates with
+    their iterations, certificates, KKT gaps and plug-in covariances, for
+    corpora of 1, 2, 3, 33 and 70 documents (a lone column, a doubled row
+    of the two-row products, runs of ``_CHUNK`` columns), dense and sparse."""
     rng = np.random.default_rng(seed)
-    K, p, B = 4, 60, 8
-    A = gen_topic_matrix(p, K, seed).matrix
-    alpha = rng.dirichlet(np.ones(K))
-    XB = rng.multinomial(300, A @ alpha, size=B).T / 300.0
-    single = []
-    for b in range(B):
-        est = mle_weights(XB[:, b], A)
-        single.append((est.alpha, debias(est, XB[:, b], A).alpha))
-    differ = 0
-    for n in (B, 3):
-        mle_b, deb_b = _fit_debiased(XB[:, :n], A)
-        for b in range(n):
-            differ += not np.array_equal(single[b][0], mle_b[:, b])
-            differ += not np.array_equal(single[b][1], deb_b[:, b])
-    return ("batch-vs-single", differ == 0, f"{differ} of {2 * (B + 3)} columns differ")
+    compared = differ = 0
+    for K in Ks:
+        A = gen_topic_matrix(12 * K, K, [seed, K])
+        for tau in (0, K // 2):  # dense, and sparse with half the topics
+            XB = np.stack([rng.multinomial(300, A.matrix @ gen_weights(K, tau, rng).values) for _ in range(70)], axis=1) / 300.0
+            single = []
+            for X in XB.T:
+                mle, wls = mle_weights(X, A), wls_weights(X, A)
+                fits = [(mle, None), (debias(mle, X, A), sigma_hat(mle, A).sigma), (wls, sigma_ls(wls, X, A).sigma)]
+                single.append(dict(zip(Method, fits)))  # MLE, DEBIASED, WLS
+            for n, method in itertools.product((1, 2, 3, 33, 70), Method):
+                fits = _fit_columns(XB[:, :n], A, method)
+                sigma = _covariances(fits, XB[:, :n], A)
+                for b in range(n):
+                    (one, cov), batched = single[b][method], fits.estimate(b)
+                    same = np.array_equal(one.alpha, batched.alpha) and vars(one) | {"alpha": 0} == vars(batched) | {"alpha": 0}
+                    same &= cov is None if sigma is None else np.array_equal(cov, sigma[b])
+                    compared, differ = compared + 1, differ + (not same)
+    return ("batch-vs-single", differ == 0, f"{differ} of {compared} fits differ")
 
 
 def check_limit_batch_matches_single(seed: int = 29, K: int = 5, deltas=(None, 0.0)) -> tuple[str, bool, str]:

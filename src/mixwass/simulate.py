@@ -26,20 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam, MixwassError
-from .estimators import (
-    CountVector,
-    _fit_debiased,
-    _sigma_batch,
-    _wls_operator,
-    sigma_hat,
-    sigma_ls,
-)
+from .errors import InvalidParam
+from .estimators import CountVector, Method, _sigma_batch, sigma_hat, sigma_ls
 from .inference import (
+    _CHUNK,
     METHODS,
-    FittedPairs,
     LimitSampleSet,
+    _by_column,
+    _fit_columns,
     _limit_draws,
+    _pair_estimates,
     confidence_interval,
     effective_root_n,
     ks_distance,
@@ -50,7 +46,6 @@ from .transport import (
     DualPolytope,
     ProbVec,
     TopicMatrix,
-    _topics_array,
     cost_matrix,
     support_batch,
     wasserstein_primal,
@@ -66,10 +61,6 @@ ESTIMATORS = (EST_MLE_DEBIASED, EST_WLS)
 _S_TOPICS, _S_WEIGHTS, _S_DOCS, _S_MC, _S_BOOT, _S_LAW, _S_NOISE = range(7)
 # Each interval method's stream; a replicate's seed appends (outer, rep).
 _METHOD_STREAMS = {"plugin": (_S_MC,), "deriv_bs": (_S_BOOT, 1), "m_of_n": (_S_BOOT, 2)}
-
-# Replicates are processed in fixed-size chunks so that batched linear
-# algebra sees the same inputs regardless of the worker count.
-_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -313,41 +304,6 @@ def _draw_pairs(config: SimConfig, outer: int, reps: np.ndarray, r_i, r_j, N_j: 
     return counts[0], counts[1]
 
 
-def _by_column(stage, cols: list[int]) -> list:
-    """``stage(cols)``: one output per column, computed as one batch.
-
-    A ``MixwassError`` in a batch of several columns redoes them one at a
-    time, so only a failing column is lost; its entry is then the error's
-    "Type: message" string.
-    """
-    try:
-        return stage(cols)
-    except MixwassError as exc:
-        if len(cols) == 1:
-            return [f"{type(exc).__name__}: {exc}"]
-    return [out for c in cols for out in _by_column(stage, [c])]
-
-
-def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat, poly: DualPolytope):
-    """``FittedPairs`` of (p, B) word counts, one batch per side, and errors.
-
-    Only a failing pair is lost (see ``_by_column``): its fits and distance
-    are NaN and its entry of the error list names the error (else None).
-    """
-    X_i, X_j = counts_i / N_i, counts_j / N_j
-
-    def stage(cols):
-        mle_i, deb_i = _fit_debiased(X_i[:, cols], A_hat)
-        mle_j, deb_j = _fit_debiased(X_j[:, cols], A_hat)
-        return list(zip(mle_i.T, mle_j.T, deb_i.T, deb_j.T, support_batch(poly, (deb_i - deb_j).T)))
-
-    fits = _by_column(stage, list(range(X_i.shape[1])))
-    errors = [f if isinstance(f, str) else None for f in fits]
-    lost = (np.full(poly.K, np.nan),) * 4 + (np.nan,)
-    fields = (np.array(v).T for v in zip(*(lost if e else f for f, e in zip(fits, errors))))
-    return FittedPairs(X_i, X_j, N_i, N_j, *fields), errors
-
-
 def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
     report.wall_clock_s = time.time() - t0
     report.created_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -361,8 +317,7 @@ def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
 def _ci_chunk_worker(payload) -> list[dict]:
     (config, A_hat, poly, outer, reps, r_i, r_j, true_W, facet_delta) = payload
     N_i, N_j = config.N, config.size_j()
-    counts_i, counts_j = _draw_pairs(config, outer, reps, r_i, r_j, N_j)
-    pairs, errors = _pair_estimates(counts_i, counts_j, N_i, N_j, A_hat, poly)
+    pairs, errors = _pair_estimates(*_draw_pairs(config, outer, reps, r_i, r_j, N_j), N_i, N_j, A_hat, poly)
     records = [
         {"outer": int(outer), "rep": int(rep), "true_W": float(true_W), "W_tilde": float(W), "methods": {}, "error": e}
         for rep, W, e in zip(reps, pairs.W, errors)
@@ -465,19 +420,14 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
     sigma = sigma_hat(alpha, A).sigma
-    n_reps = config.n_reps
 
-    XB = np.empty((config.p, n_reps))
-    for rep in range(n_reps):
-        rng = np.random.default_rng([config.seed, _S_DOCS, 0, rep])
-        XB[:, rep] = rng.multinomial(config.N, r) / config.N
-    mle, deb = _fit_debiased(XB, A_hat)
+    XB = _draw_pairs(config, 0, np.arange(config.n_reps), r, r, config.N)[0] / config.N  # the i documents
+    fits = _fit_columns(XB, A_hat)
 
-    draws = {"mle": mle, "debiased": deb}
+    draws = {"mle": fits.mle, "debiased": fits.est}
     sigmas = {"mle": sigma, "debiased": sigma}
     if EST_WLS in config.estimators:
-        keep, Aplus = _wls_operator(A_hat.matrix)
-        draws["wls"] = Aplus @ XB[keep]
+        draws["wls"] = _fit_columns(XB, A_hat, Method.WLS).est
         sigmas["wls"] = sigma_ls(alpha, r, A_hat).sigma
 
     records = []
@@ -501,7 +451,7 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
                 }
             )
     summary = {
-        "n_reps": n_reps,
+        "n_reps": config.n_reps,
         "ks": {
             name: {
                 str(rec["coord"]): {"ks_stat": rec["ks_stat"], "p_value": rec["p_value"], "active": rec["active"]}
@@ -529,8 +479,7 @@ def _conv_chunk_worker(payload) -> np.ndarray:
     """Debiased distances of the chunk's pairs; NaN where a pair failed."""
     (config, A_hat, poly, reps, r) = payload
     N = config.N
-    counts_i, counts_j = _draw_pairs(config, 0, reps, r, r, N)
-    return _pair_estimates(counts_i, counts_j, N, N, A_hat, poly)[0].W
+    return _pair_estimates(*_draw_pairs(config, 0, reps, r, r, N), N, N, A_hat, poly)[0].W
 
 
 def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
@@ -581,10 +530,9 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
 def _mle_ls_chunk_worker(payload) -> list[dict]:
     (config, A_hat, poly, outer, reps, r, quantiles) = payload
     N = config.N
-    counts_i, counts_j = _draw_pairs(config, outer, reps, r, r, N)
-    pairs, errors = _pair_estimates(counts_i, counts_j, N, N, A_hat, poly)
-    keep, Aplus = _wls_operator(_topics_array(A_hat))
-    W_ls = support_batch(poly, (Aplus @ pairs.X_i[keep] - Aplus @ pairs.X_j[keep]).T)
+    pairs, errors = _pair_estimates(*_draw_pairs(config, outer, reps, r, r, N), N, N, A_hat, poly)
+    wls_i, wls_j = np.hsplit(_fit_columns(np.hstack((pairs.X_i, pairs.X_j)), A_hat, Method.WLS).est, 2)
+    W_ls = support_batch(poly, (wls_i - wls_j).T)
     root_n = math.sqrt(N)
     out = []
     for c, rep in enumerate(reps):

@@ -5,6 +5,7 @@ that declaration, so an ill-typed or unknown setting is an error wherever
 it comes from.  The smoke matrix runs every command to stdout and to a file.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixwass
-from mixwass import CountVector, cost_matrix, derivative_bootstrap, gen_topic_matrix, m_out_of_n_bootstrap
+from mixwass import CountVector, cost_matrix, derivative_bootstrap, gen_topic_matrix, m_out_of_n_bootstrap, wls_weights
 from mixwass.cli import _settings, build_parser, main
+from mixwass.errors import InfeasibleRow
 from mixwass.io import load_counts, load_topics, save_counts, save_topics
 
 
@@ -306,9 +308,10 @@ def _count_em_batch(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("method", ["deriv-bs", "m-of-n"])
 def test_cli_bootstrap_ci_fits_each_document_once(files, tmp_path, monkeypatch, method):
+    # The observed pair is one batch of two, each side's resamples one of B.
     sizes = _count_em_batch(monkeypatch)
     assert main(["ci", *files[1], "--method", method, "--B", "60", "--level", "0.4", "--out", str(tmp_path / "ci.json")]) == 0
-    assert sorted(sizes) == [1, 1, 60, 60]
+    assert sorted(sizes) == [2, 60, 60]
 
 
 @pytest.mark.parametrize("method,size", [("plugin", "M"), ("deriv-bs", "B"), ("m-of-n", "B")])
@@ -334,3 +337,123 @@ def test_cli_ci_negative_seed_exits_2(files, capsys, method):
 def test_cli_simulate_table_negative_seed_exits_2(capsys):
     code, _, err = _run(["simulate-table", "null-ci", *_TABLE, "--seed", "-1"], capsys)
     assert code == 2 and "seed must be >= 0" in err
+
+
+# --- golden reports: the batched fit path keeps every report's bytes -----------
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Topics (p=60, K=5) and 70 documents of 50 to 800 words, every other one sparse."""
+    tmp = tmp_path_factory.mktemp("corpus")
+    rng = np.random.default_rng(11)
+    A = gen_topic_matrix(60, 5, 4)
+    docs = []
+    for d in range(70):
+        alpha = rng.dirichlet(np.ones(5))
+        if d % 2:
+            alpha[rng.choice(5, size=2, replace=False)] = 0.0
+        docs.append(CountVector(rng.multinomial(int(rng.integers(50, 800)), A.matrix @ (alpha / alpha.sum()))))
+    save_topics(A, tmp / "topics.csv")
+    save_counts(docs, tmp / "counts.csv")
+    return tmp, ["--counts", str(tmp / "counts.csv"), "--topics", str(tmp / "topics.csv")]
+
+
+_GOLDEN_ARGV = {
+    **{f"estimate-{m}": ["estimate", "--method", m] for m in ("mle", "debias", "wls")},
+    **{f"distance-{e}": ["distance", "--estimator", e, "--doc-i", "1", "--doc-j", "0"] for e in ("debias", "mle", "wls")},
+    **{f"ci-{m}": ["ci", "--method", m, "--M", "400", "--B", "400", "--seed", "3"] for m in ("plugin", "deriv-bs", "m-of-n")},
+}
+
+
+def _report_digest(argv, out) -> str:
+    """sha256 of a command's report object as sorted JSON, which keeps every float's repr."""
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(Path(out).read_text())["report"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _golden_digests(data, tmp_path) -> dict:
+    # Each input's files, and the pair that distance and ci take from it (estimate fits every document).
+    inputs = {"files": (data["files"][1], []), "corpus": (data["corpus"][1], ["--doc-i", "5", "--doc-j", "40"])}
+    return {
+        f"{name}-{run}": _report_digest([*argv, *paths, *(pair if argv[0] != "estimate" else [])], tmp_path / "r.json")
+        for name, (paths, pair) in inputs.items()
+        for run, argv in _GOLDEN_ARGV.items()
+    }
+
+
+# The reports of the per-document fits before the batched fit path replaced them.
+_GOLDEN = {
+    "files-estimate-mle": "fb91778fd40b993b913eadc53e7eb9d9b0a815f95752026c0adb6ce516c8741c",
+    "files-estimate-debias": "09060c79cfd25d9344c3f295a29f3ffe7af14bf0bf15ea563cea9d178a9a9f41",
+    "files-estimate-wls": "71d6ad1aee0643c24445365fd47aa02f7d29f7f131bb2ec1c4685c50d6c24650",
+    "files-distance-debias": "0d0364b5c0e6ec990eada474eb990aef81caf31079b0cb6ce7eafa63b520bed2",
+    "files-distance-mle": "513f21ae3d437dcfb530b6ddbc22c073667b22e42118b824fe6f06f0ee9538b8",
+    "files-distance-wls": "506bd5df0856bffc693c3d06f44a82b307f77b50ff45f0a264624e48990d8c21",
+    "files-ci-plugin": "83d0f7816e7595fc2e7a915056f2451ad78228dc78585cc9f3cecf0a2fad511e",
+    "files-ci-deriv-bs": "3cade36b75eb2af676854b9c8383d70c9d167099250ff0936b873bc0a4d9c9b0",
+    "files-ci-m-of-n": "9d7a1574233e441b29d85054df0b200ce706cb72c2c74ddd76e59e9ec2c8fe9a",
+    "corpus-estimate-mle": "680ec54e7382be1a4013956d62720a8e2a858bd681c6bee7222aadaf4ee3558e",
+    "corpus-estimate-debias": "55c33a54b0cd560ff1bc8101089e93b962aa08552b06a588349aff6edc725847",
+    "corpus-estimate-wls": "cabf9a0ae48353074b2815b3c77235871b50f7354f0bc63bd3dd8b9cb7a06b0e",
+    "corpus-distance-debias": "b4ff5b010123c5ad5f69c46fd4ffb7f0f2615fc6e86840ebaf8cfdb5c83cfda2",
+    "corpus-distance-mle": "323ac4b7d515db4fd7086f85e1a9b430829d1237890e391bd256b3063f52b174",
+    "corpus-distance-wls": "5366737b489062ec44cec7b96e0199854188312edea5441edf3236c6d3d3dd8c",
+    "corpus-ci-plugin": "f698445ef0115dc909e811e89a671486906fd99f9fe27ab89b3ff28958351985",
+    "corpus-ci-deriv-bs": "bc70b91cd4f875f7e5fb32c2754d7002b8e7c14e4ab9f419bd1454ae633d9570",
+    "corpus-ci-m-of-n": "6648a6d5d5de6c9749c950fe592ed23c7a34056626e1b331c8a00f5fca2e9f45",
+}
+
+
+def test_cli_reports_match_the_per_document_fits_byte_for_byte(files, corpus, tmp_path):
+    assert _golden_digests({"files": files, "corpus": corpus}, tmp_path) == _GOLDEN
+
+
+def test_cli_fits_a_corpus_in_chunks_and_a_pair_as_one_batch(corpus, tmp_path, monkeypatch):
+    sizes = _count_em_batch(monkeypatch)
+    assert main(["estimate", *corpus[1], "--out", str(tmp_path / "e.json")]) == 0
+    assert sizes == [32, 32, 6]
+    sizes.clear()
+    assert main(["distance", *corpus[1], "--doc-i", "5", "--doc-j", "40", "--out", str(tmp_path / "d.json")]) == 0
+    assert sizes == [2]
+
+
+@pytest.fixture(scope="module")
+def infeasible(tmp_path_factory):
+    """Topics (p=40, K=3) whose row 5 is zero, and 70 documents of which
+    document 40 has 3 of its 403 words on word 5."""
+    tmp = tmp_path_factory.mktemp("infeasible")
+    rng = np.random.default_rng(6)
+    M = gen_topic_matrix(40, 3, 7).matrix.copy()
+    M[5] = 0.0
+    A = M / M.sum(axis=0)
+    docs = [rng.multinomial(400, A @ rng.dirichlet(np.ones(3))) for _ in range(70)]
+    docs[40][5] = 3
+    np.savetxt(tmp / "topics.csv", A, delimiter=",")
+    save_counts([CountVector(d) for d in docs], tmp / "counts.csv")
+    return tmp, ["--counts", str(tmp / "counts.csv"), "--topics", str(tmp / "topics.csv")]
+
+
+_WORD_5 = "word 5 has positive count but zero probability under every topic"
+
+
+@pytest.mark.parametrize("method", ["mle", "debias", "wls"])
+def test_cli_infeasible_document_exits_2_for_every_method(infeasible, tmp_path, capsys, method):
+    # WLS used to drop word 5 silently: alpha summed to 0.99256 and both commands exited 0.
+    code, _, err = _run(["estimate", *infeasible[1], "--method", method, "--out", str(tmp_path / "e.json")], capsys)
+    assert code == 2 and f"error: {_WORD_5}" in err
+    pair = ["--doc-i", "40", "--doc-j", "3"]
+    code, _, err = _run(["distance", *infeasible[1], *pair, "--estimator", method, "--out", str(tmp_path / "d.json")], capsys)
+    assert code == 2 and f"error: {_WORD_5}" in err
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "d.json").exists()
+    # Its neighbours fit.
+    assert main(["distance", *infeasible[1], "--doc-i", "39", "--doc-j", "41", "--estimator", method]) == 0
+
+
+def test_wls_weights_refuses_a_word_no_topic_emits(infeasible):
+    tmp = infeasible[0]
+    A = load_topics(tmp / "topics.csv")
+    doc = load_counts(tmp / "counts.csv", p=A.p)[40]
+    with pytest.raises(InfeasibleRow, match=_WORD_5):
+        wls_weights(doc.frequencies, A)

@@ -22,11 +22,13 @@ from mixwass.estimators import (
     _em_batch,
     _grams,
     _kkt_gaps,
+    _check_columns,
     _rowdot,
     _sigma_batch,
     _wls_operator,
     mle_objective,
 )
+from mixwass.selfcheck import check_batch_matches_single
 
 from oracles import gaussian_elimination_solve, mle_k2_by_bisection, simplex_grid
 
@@ -112,6 +114,23 @@ def test_mle_infeasible_row():
 def test_mle_empty_support():
     with pytest.raises(InvalidParam):
         mle_weights(np.zeros(4), np.full((4, 2), 0.25))
+
+
+def test_check_columns_raises_the_first_failing_columns_error():
+    # Rows 1 and 3 are zero under every topic.  Columns 0 and 1 are fine,
+    # column 2 is the first to fail (on word 3), column 3 has empty support.
+    A = np.array([[0.5, 0.2], [0.0, 0.0], [0.5, 0.8], [0.0, 0.0]])
+    XB = np.array([[0.5, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.25, 0.0], [0.0, 0.0, 0.25, 0.0]])
+    _check_columns(XB[:, :2], A)
+    with pytest.raises(InfeasibleRow, match="^word 3 has positive count"):
+        _check_columns(XB, A)
+    with pytest.raises(InvalidParam, match="empty support"):
+        _check_columns(XB[:, [0, 3, 2]], A)
+    XB[1, 2] = 0.1  # the first bad word of the column is named
+    with pytest.raises(InfeasibleRow, match="^word 1 has positive count"):
+        _check_columns(XB, A)
+    with pytest.raises(InvalidParam, match="X has dim 3, topics have 4 rows"):
+        _check_columns(XB[:3], A)
 
 
 # --- debias -------------------------------------------------------------------
@@ -239,6 +258,15 @@ def test_sigma_batch_raises_for_a_failing_column():
         _sigma_batch(np.array([[0.3, 0.5], [0.7, 0.5]]), dup)
     with pytest.raises(DegenerateSupport):
         _sigma_batch(np.array([[0.5, 0.0], [0.5, 0.0]]), np.eye(2))
+
+
+def test_debias_batch_refuses_a_column_without_support():
+    # A column no word can carry fails the batch, as ``debias`` fails it.
+    XB = np.full((2, 2), 0.5)
+    with pytest.raises(DegenerateSupport, match="no word has fitted probability"):
+        _debias_batch(np.array([[0.5, 0.0], [0.5, 0.0]]), XB, np.eye(2))
+    with pytest.raises(DegenerateSupport, match="no word has fitted probability"):
+        debias(np.zeros(2), XB[:, 0], np.eye(2))
 
 
 # --- two-row kernels ---------------------------------------------------------
@@ -386,6 +414,12 @@ def test_sigma_ls_psd_after_clipping():
 
 
 # --- batched internals ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_fit_path_gives_every_document_the_single_document_bits(K):
+    name, ok, detail = check_batch_matches_single(Ks=(K,))
+    assert ok, detail
 
 
 def test_batch_paths_match_single():

@@ -230,15 +230,15 @@ def test_ci_experiment_refuses_a_size_too_small_for_its_level_before_any_fit(mon
 
 
 def test_bootstraps_take_the_chunk_fits_and_refit_no_pair(monkeypatch):
-    # Per side, each chunk is one batch of 8 fits and each bootstrap one of
-    # B resamples; no pair is fitted again as a batch of one.
+    # The chunk's 8 pairs are one batch of 16 fits and each bootstrap side
+    # one of B resamples; no pair is fitted again as a batch of one.
     sizes = _em_batch_sizes(monkeypatch)
     cfg = SimConfig(
         K=3, p=40, N=120, n_reps=8, n_outer=1, M=100, B=100, level=0.3, seed=5, design="alternative", methods=("deriv_bs", "m_of_n")
     )
     rep = run_ci_experiment(cfg)
     assert rep.failures == 0
-    assert dict(sizes) == {100: 32, 8: 2}
+    assert dict(sizes) == {100: 32, 16: 1}
 
 
 def test_config_rejects_negative_seed():
@@ -278,7 +278,7 @@ def test_ci_experiment_isolates_a_failing_replicate(monkeypatch, driver):
     cfg = SimConfig(n_reps=8, **extra, **SMALL)
     clean = run(cfg)
     bad_W = pairs(clean)[5][0]
-    real_support_batch = simulate.support_batch
+    real_support_batch = inference.support_batch
 
     def faulty_support_batch(poly, directions):
         W = real_support_batch(poly, directions)
@@ -286,7 +286,7 @@ def test_ci_experiment_isolates_a_failing_replicate(monkeypatch, driver):
             raise LPFailure("injected fault")
         return W
 
-    monkeypatch.setattr(simulate, "support_batch", faulty_support_batch)
+    monkeypatch.setattr(inference, "support_batch", faulty_support_batch)
     rep = run(cfg)
     assert rep.failures == 1 and rep.invalid
     if driver != "convergence":
@@ -344,3 +344,13 @@ def test_report_roundtrip_dict():
     assert d["fingerprint"] == rep.fingerprint()
     assert d["config"]["K"] == 3
     assert "wall_clock_s" in d
+
+
+def test_mle_vs_wls_replicate_does_not_depend_on_its_chunk_width():
+    # Replicate 32 is a chunk of its own at 33 replicates and the first of a
+    # full chunk at 64: each WLS fit is its own matrix-vector product, so it
+    # gets the same bits either way.
+    cfg = SimConfig(K=5, p=80, N=300, n_reps=33, n_outer=1, M=200, seed=2, level=0.1)
+    narrow = run_mle_vs_wls_experiment(cfg).records
+    wide = run_mle_vs_wls_experiment(dataclasses.replace(cfg, n_reps=64)).records
+    assert narrow == wide[:33]
