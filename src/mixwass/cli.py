@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, build_hash
 from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError
 from .estimators import Method, _covariances
-from .inference import _CHUNK, METHODS, _fit_columns, _fit_pairs, confidence_interval, distance_estimate, theorem_delta
+from .inference import _CHUNK, METHODS, _fit_columns, _fit_pairs, confidence_interval, theorem_delta
 from .io import RunManifest, load_counts, load_topics, report_json, save_limit_samples, save_report
 from .simulate import (
     SimConfig,
@@ -168,10 +168,10 @@ def _pair_inputs(args):
     return A, docs[doc_i], docs[doc_j], DualPolytope(cost_matrix(A, args.metric)), inputs
 
 
-def _certificates(converged, kkt_gap) -> dict:
-    """Whether each document's MLE is certified, i then j; null for wls, which fits none."""
-    values = {"converged": converged, "kkt_gap": kkt_gap}
-    return {f"{k}_{side}": None if kkt_gap is None else v[c].item() for k, v in values.items() for c, side in enumerate("ij")}
+def _certificates(pairs) -> dict:
+    """Whether each document's MLE in a one-pair ``FittedPairs`` is certified, i then j; null for wls, which fits none."""
+    values = {"converged": pairs.converged, "kkt_gap": pairs.kkt_gap}
+    return {f"{k}_{side}": None if pairs.kkt_gap is None else v[c, 0].item() for k, v in values.items() for c, side in enumerate("ij")}
 
 
 # The CLI's spelling of each estimator.
@@ -277,19 +277,18 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_distance(args) -> int:
     A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
-    fits = _fit_columns(np.column_stack((doc_i.frequencies, doc_j.frequencies)), A, _ESTIMATORS[args.estimator])
-    est_i, est_j = fits.estimate(0), fits.estimate(1)
+    pairs = _fit_pairs(doc_i.frequencies[:, None], doc_j.frequencies[:, None], doc_i.N, doc_j.N, A, poly, _ESTIMATORS[args.estimator])
     report = {
         "command": "distance",
         "metric": args.metric,
         "estimator": args.estimator,
-        "W_tilde": distance_estimate(est_i, est_j, poly),
+        "W_tilde": float(pairs.W[0]),
         "N_i": doc_i.N,
         "N_j": doc_j.N,
-        "alpha_i": est_i.alpha.tolist(),
-        "alpha_j": est_j.alpha.tolist(),
+        "alpha_i": pairs.est_i[:, 0].tolist(),
+        "alpha_j": pairs.est_j[:, 0].tolist(),
         "seed": args.seed,
-        **_certificates(fits.converged, fits.kkt_gap),
+        **_certificates(pairs),
     }
     manifest = RunManifest.create("distance", {"metric": args.metric, "estimator": args.estimator}, args.seed, inputs)
     _emit(report, manifest, args.out)
@@ -323,7 +322,7 @@ def _cmd_ci(args) -> int:
         "delta": samples.delta,
         "seed": seed,
         "samples_path": args.samples_out or None,
-        **_certificates(pairs.converged[:, 0], pairs.kkt_gap[:, 0]),
+        **_certificates(pairs),
     }
     # The manifest hashes only the settings that the chosen method reads.
     manifest = RunManifest.create("ci", {**{k: getattr(args, k) for k in ("method", "metric", "level")}, **settings}, seed, inputs)

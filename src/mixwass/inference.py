@@ -9,11 +9,11 @@ intervals.  Two bootstrap baselines (m-out-of-N and derivative-based) are
 provided for comparison.
 
 Documents are fitted in one place, ``_fit_columns``, in runs of ``_CHUNK``
-columns: a corpus, and B pairs (``_fit_pairs``) stacked as 2B columns, the
-i sides first, into ``FittedPairs``: MLEs with their certificates,
-debiased fits and debiased distances.  Each interval method is written
-once, for such a batch, which it never refits, in the ``METHODS`` table
-with the settings it reads:
+columns, and pairs in one place, ``_fit_pairs``: B pairs (observed, or a
+bootstrap replicate's resamples) as 2B columns, the i sides first, give
+``FittedPairs``, the estimates by any method and their distances.  Each
+interval method is written once, for a batch of observed pairs, which it
+never refits, in the ``METHODS`` table with the settings it reads:
 ``plugin`` (M, delta) samples the plug-in limit law, ``deriv_bs`` (B,
 delta) and ``m_of_n`` (B, gamma) are the bootstraps, which share one
 resampling kernel.  The plug-in law of a batch is one ``_plugin_limits``
@@ -58,6 +58,8 @@ def effective_root_n(N_i: int, N_j: int) -> float:
 
 def theorem_delta(N: int, p: int, n: int | None = None) -> float:
     """Theorem-rate slab width sqrt(log L / N) (+ sqrt(p log L / (n N)))."""
+    if N < 1 or p < 1:
+        raise InvalidParam("document size N and vocabulary size p must be >= 1")
     L = max(N, p, n or 0, 2)
     d = math.sqrt(math.log(L) / N)
     if n is not None and n > 0:
@@ -242,8 +244,8 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     satisfy M >= 20/t so the tail quantiles are estimable.
     """
     _check_level(level, limits.M)
+    divisor = effective_root_n(N_i, N_j)  # refuses sizes below 1 before s divides by their sum
     s = math.sqrt(N_i * N_j / (N_i + N_j))
-    divisor = effective_root_n(N_i, N_j)
     q_hi = limits.quantile(1.0 - level / 2.0)
     q_lo = limits.quantile(level / 2.0)
     return ConfidenceInterval(
@@ -270,33 +272,35 @@ def _fit_columns(XB: np.ndarray, A, method: Method = Method.DEBIASED) -> _Fits:
 @dataclass(frozen=True)
 class FittedPairs:
     """B fitted document pairs: (p, B) word frequencies and the sides' sizes,
-    (K, B) MLEs and debiased fits, (B,) debiased distances, and (2, B)
-    certificates and KKT gaps of the MLEs, i side then j side."""
+    (K, B) MLEs and estimates by the fit's method, (B,) distances, and (2, B)
+    certificates and KKT gaps of the MLEs, i side then j side; None where WLS
+    fits no MLE or no polytope was given."""
 
     X_i: np.ndarray
     X_j: np.ndarray
     N_i: int
     N_j: int
-    mle_i: np.ndarray
-    mle_j: np.ndarray
-    deb_i: np.ndarray
-    deb_j: np.ndarray
-    W: np.ndarray
+    mle_i: np.ndarray | None
+    mle_j: np.ndarray | None
+    est_i: np.ndarray
+    est_j: np.ndarray
+    W: np.ndarray | None
     converged: np.ndarray
-    kkt_gap: np.ndarray
+    kkt_gap: np.ndarray | None
 
     def take(self, cols) -> FittedPairs:
         return dataclasses.replace(self, **{k: v[..., cols] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
 
-def _fit_pairs(X_i: np.ndarray, X_j: np.ndarray, N_i: int, N_j: int, A, poly: DualPolytope) -> FittedPairs:
+def _fit_pairs(X_i: np.ndarray, X_j: np.ndarray, N_i: int, N_j: int, A, poly: DualPolytope | None, method: Method = Method.DEBIASED) -> FittedPairs:
     """B document pairs of (p, B) frequencies a side, fitted by ``_fit_columns``
-    as 2B columns, the i sides first."""
+    as 2B columns, the i sides first, and measured over ``poly`` if given."""
     B = X_i.shape[1]
-    fits = _fit_columns(np.concatenate((X_i.T, X_j.T)).T, A)  # F-order: the kernels take each column whole
-    mle_i, mle_j, deb_i, deb_j = fits.mle[:, :B], fits.mle[:, B:], fits.est[:, :B], fits.est[:, B:]
-    W = support_batch(poly, (deb_i - deb_j).T)
-    return FittedPairs(X_i, X_j, N_i, N_j, mle_i, mle_j, deb_i, deb_j, W, fits.converged.reshape(2, B), fits.kkt_gap.reshape(2, B))
+    fits = _fit_columns(np.concatenate((X_i.T, X_j.T)).T, A, method)  # F-order: the kernels take each column whole
+    (mle_i, mle_j), (est_i, est_j) = ((None, None) if v is None else (v[:, :B], v[:, B:]) for v in (fits.mle, fits.est))
+    W = None if poly is None else support_batch(poly, (est_i - est_j).T)
+    gap = None if fits.kkt_gap is None else fits.kkt_gap.reshape(2, B)
+    return FittedPairs(X_i, X_j, N_i, N_j, mle_i, mle_j, est_i, est_j, W, fits.converged.reshape(2, B), gap)
 
 
 def _by_column(stage, cols: list[int]) -> list:
@@ -332,12 +336,12 @@ def _plugin_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitS
     return _plugin_limits(pairs.mle_i, pairs.mle_j, A, poly, settings["delta"], settings["M"], seeds)
 
 
-def _resampled_fits(pairs: FittedPairs, c: int, sizes, A, B: int, seed) -> list[np.ndarray]:
-    """Debiased fits (K, B) of B multinomial resamples of each side of pair
-    ``c``, of ``sizes`` words; the i side's resamples are drawn first."""
+def _resampled_pairs(pairs: FittedPairs, c: int, sizes, A, poly, B: int, seed) -> FittedPairs:
+    """``_fit_pairs`` of B multinomial resamples of each side of pair ``c``,
+    of ``sizes`` words, over ``poly``; the i side's are drawn first."""
     rng = _rng(seed)
-    XB = [rng.multinomial(m, X[:, c], size=B).T / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
-    return [_fit_batch(x, A).est for x in XB]
+    X_b = [rng.multinomial(m, X[:, c], size=B).T / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
+    return _fit_pairs(*X_b, *sizes, A, poly)
 
 
 def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[LimitSampleSet]:
@@ -345,8 +349,9 @@ def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[Li
     delta, scale, out = settings["delta"], effective_root_n(pairs.N_i, pairs.N_j), []
     for c, seed in enumerate(seeds):
         poly, w_hat, zero_feasible = _restrict(base, pairs.mle_i[:, c], pairs.mle_j[:, c], delta)
-        at_bi, at_bj = _resampled_fits(pairs, c, (pairs.N_i, pairs.N_j), A, settings["B"], seed)
-        directions = scale * ((at_bi - at_bj) - (pairs.deb_i[:, c] - pairs.deb_j[:, c])[:, None])
+        # The resamples' own distances are not needed; beyond K = 10 each is an LP.
+        boot = _resampled_pairs(pairs, c, (pairs.N_i, pairs.N_j), A, None, settings["B"], seed)
+        directions = scale * ((boot.est_i - boot.est_j) - (pairs.est_i[:, c] - pairs.est_j[:, c])[:, None])
         samples = support_batch(poly, directions.T)
         if zero_feasible:
             samples = np.maximum(samples, 0.0)
@@ -360,8 +365,7 @@ def _m_of_n_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitS
     gamma, out = settings["gamma"], []
     m_i, m_j = (math.ceil(N**gamma) for N in (pairs.N_i, pairs.N_j))
     for c, seed in enumerate(seeds):
-        at_bi, at_bj = _resampled_fits(pairs, c, (m_i, m_j), A, settings["B"], seed)
-        W_b = support_batch(poly, (at_bi - at_bj).T)
+        W_b = _resampled_pairs(pairs, c, (m_i, m_j), A, poly, settings["B"], seed).W
         samples = effective_root_n(m_i, m_j) * (W_b - pairs.W[c])
         meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": float(pairs.W[c])}
         out.append(LimitSampleSet(samples, delta=None, seed=seed, zero_feasible=False, meta=meta))

@@ -34,6 +34,7 @@ from .inference import (
     LimitSampleSet,
     _by_column,
     _fit_columns,
+    _fit_pairs,
     _limit_draws,
     _pair_estimates,
     confidence_interval,
@@ -47,7 +48,6 @@ from .transport import (
     ProbVec,
     TopicMatrix,
     cost_matrix,
-    support_batch,
     wasserstein_primal,
 )
 
@@ -531,8 +531,7 @@ def _mle_ls_chunk_worker(payload) -> list[dict]:
     (config, A_hat, poly, outer, reps, r, quantiles) = payload
     N = config.N
     pairs, errors = _pair_estimates(*_draw_pairs(config, outer, reps, r, r, N), N, N, A_hat, poly)
-    wls_i, wls_j = np.hsplit(_fit_columns(np.hstack((pairs.X_i, pairs.X_j)), A_hat, Method.WLS).est, 2)
-    W_ls = support_batch(poly, (wls_i - wls_j).T)
+    W_ls = _fit_pairs(pairs.X_i, pairs.X_j, N, N, A_hat, poly, Method.WLS).W
     root_n = math.sqrt(N)
     out = []
     for c, rep in enumerate(reps):

@@ -432,6 +432,8 @@ def kr_dual_value(u, polytope: DualPolytope) -> tuple[float, np.ndarray]:
     u = np.asarray(u, dtype=float)
     if u.shape != (polytope.K,):
         raise DimError(f"direction has shape {u.shape}, expected ({polytope.K},)")
+    if not np.isfinite(u).all():
+        raise InvalidParam("direction must be finite")
     K = polytope.K
     if K == 1:
         return 0.0, np.zeros(1)
@@ -456,7 +458,8 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     """Support function of the polytope at many directions at once.
 
     ``directions`` has shape (n, K) and is copied to C order, so a value
-    does not depend on the caller's layout.  Uses the cached vertex set
+    does not depend on the caller's layout; a non-finite entry raises
+    :class:`InvalidParam` on every route.  Uses the cached vertex set
     when enumeration succeeded, otherwise one LP per direction; both routes
     agree to LP tolerance and equality is enforced by the property suite.
 
@@ -474,6 +477,8 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
         U = U[None, :]
     if U.shape[1] != polytope.K:
         raise DimError(f"directions have dim {U.shape[1]}, expected {polytope.K}")
+    if not np.isfinite(U).all():
+        raise InvalidParam("directions must be finite")
     V = polytope.vertices()
     if V is None or V.shape[0] == 0:
         return np.array([kr_dual_value(u, polytope)[0] for u in U])

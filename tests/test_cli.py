@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixwass
+import mixwass.selfcheck
 from mixwass import CountVector, cost_matrix, derivative_bootstrap, gen_topic_matrix, m_out_of_n_bootstrap, wls_weights
 from mixwass.cli import _settings, build_parser, main
 from mixwass.errors import InfeasibleRow
@@ -308,10 +309,11 @@ def _count_em_batch(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("method", ["deriv-bs", "m-of-n"])
 def test_cli_bootstrap_ci_fits_each_document_once(files, tmp_path, monkeypatch, method):
-    # The observed pair is one batch of two, each side's resamples one of B.
+    # The observed pair is one batch of two; the B resampled pairs are 2B
+    # columns, fitted in runs of 32.
     sizes = _count_em_batch(monkeypatch)
     assert main(["ci", *files[1], "--method", method, "--B", "60", "--level", "0.4", "--out", str(tmp_path / "ci.json")]) == 0
-    assert sorted(sizes) == [2, 60, 60]
+    assert sizes == [2, 32, 32, 32, 24]
 
 
 @pytest.mark.parametrize("method,size", [("plugin", "M"), ("deriv-bs", "B"), ("m-of-n", "B")])
@@ -408,6 +410,44 @@ _GOLDEN = {
 
 def test_cli_reports_match_the_per_document_fits_byte_for_byte(files, corpus, tmp_path):
     assert _golden_digests({"files": files, "corpus": corpus}, tmp_path) == _GOLDEN
+
+
+# Each driver's fingerprint at the settings below (and --B 100 for alt-ci,
+# whose B must be >= 67 at level 0.3), recorded before every bootstrap
+# resample and the WLS driver's pairs went through one pair path.
+_FINGERPRINTS = {
+    "null-ci": "1127f152bdcdbae58c069836e773a496c6424db5d9436266888ea036bd20894b",
+    "mle-vs-wls": "1e820405023d4997b6a3d5147d71e25f21c5f38b4c42c31ee38323d9a25dda8c",
+    "ks-convergence": "3c73a90612bb3c49eef53ffb9574586589192134f7190c44dd03b027f524469f",
+    "normality": "55bf57fc99b6458c8d865330fbe520bb3922439677a775f2580837c098d0351f",
+    "alt-ci": "2ebf970d5bb4089b72d85f8e7b0c157c7b9c50b878e2e787f667b9313e5210d1",
+}
+
+
+def test_cli_driver_fingerprints_do_not_move(capsys):
+    table = ["--K", "3", "--p", "40", "--N", "120", "--reps", "8", "--outer", "2", "--M", "100", "--B", "50", "--level", "0.3", "--seed", "5"]
+    got = {}
+    for kind in _FINGERPRINTS:
+        code, out, err = _run(["simulate-table", kind, *table, *(["--B", "100"] if kind == "alt-ci" else [])], capsys)
+        assert code == 0, err
+        got[kind] = json.loads(out)["report"]["fingerprint"]
+    assert got == _FINGERPRINTS
+
+
+@pytest.mark.parametrize("verdicts,code", [((True, True, True), 0), ((True, False, True), 3)])
+def test_cli_selftest_reports_each_property_and_exits_by_the_verdict(monkeypatch, capsys, verdicts, code):
+    calls = []
+
+    def stub(quick):
+        calls.append(quick)
+        return [(f"prop-{k}", ok, f"detail {k}") for k, ok in enumerate(verdicts)]
+
+    monkeypatch.setattr(mixwass.selfcheck, "run_selftest", stub)
+    got, out, _ = _run(["selftest", "--quick"], capsys)
+    assert got == code and calls == [True]
+    lines = out.splitlines()
+    assert lines[:3] == [f"{'PASS' if ok else 'FAIL'}  prop-{k}: detail {k}" for k, ok in enumerate(verdicts)]
+    assert lines[3].startswith(f"{sum(verdicts)}/3 properties passed (")
 
 
 def test_cli_fits_a_corpus_in_chunks_and_a_pair_as_one_batch(corpus, tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from mixwass import (
     mle_weights,
     restricted_polytope,
     sigma_hat,
+    theorem_delta,
     wasserstein_primal,
 )
 from mixwass import transport
@@ -228,6 +229,24 @@ def test_ci_validation():
     with pytest.raises(InvalidParam):
         # 100 samples cannot estimate 0.025/0.975 quantiles (needs >= 400).
         confidence_interval(0.1, samples, 0.05, 100, 100)
+
+
+@pytest.mark.parametrize("N_i,N_j", [(0, 0), (-1, 1), (0, 10)])
+def test_ci_refuses_document_sizes_below_one(N_i, N_j):
+    # The scale used to be computed first: (0, 0) and (-1, 1) divided by zero.
+    samples = LimitSampleSet(np.linspace(0, 1, 1000), delta=None, seed=0)
+    with pytest.raises(InvalidParam, match="document sizes must be >= 1"):
+        confidence_interval(0.1, samples, 0.05, N_i, N_j)
+
+
+@pytest.mark.parametrize("N", [0, -5])
+def test_theorem_delta_refuses_document_sizes_below_one(N):
+    # It used to raise ZeroDivisionError at N = 0 and a math-domain ValueError at N = -5.
+    with pytest.raises(InvalidParam, match="N and vocabulary size p must be >= 1"):
+        theorem_delta(N, 10)
+    with pytest.raises(InvalidParam):
+        theorem_delta(N, 10, n=50)
+    assert theorem_delta(100, 10) == pytest.approx(np.sqrt(np.log(100) / 100))
 
 
 def test_ci_nested_levels():

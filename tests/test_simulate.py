@@ -230,15 +230,16 @@ def test_ci_experiment_refuses_a_size_too_small_for_its_level_before_any_fit(mon
 
 
 def test_bootstraps_take_the_chunk_fits_and_refit_no_pair(monkeypatch):
-    # The chunk's 8 pairs are one batch of 16 fits and each bootstrap side
-    # one of B resamples; no pair is fitted again as a batch of one.
+    # The chunk's 8 pairs are one batch of 16 fits, and each bootstrap's B
+    # resampled pairs are 2B columns in runs of 32 (six of 32 and one of 8);
+    # no pair is fitted again as a batch of one.
     sizes = _em_batch_sizes(monkeypatch)
     cfg = SimConfig(
         K=3, p=40, N=120, n_reps=8, n_outer=1, M=100, B=100, level=0.3, seed=5, design="alternative", methods=("deriv_bs", "m_of_n")
     )
     rep = run_ci_experiment(cfg)
     assert rep.failures == 0
-    assert dict(sizes) == {100: 32, 16: 1}
+    assert dict(sizes) == {32: 6 * 16, 8: 16, 16: 1}
 
 
 def test_config_rejects_negative_seed():

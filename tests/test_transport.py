@@ -9,6 +9,7 @@ from mixwass import (
     ProbVec,
     TopicMatrix,
     cost_matrix,
+    distance_estimate,
     kr_dual_value,
     limit_sampler,
     restricted_polytope,
@@ -538,3 +539,21 @@ def test_lp_route_beyond_enumeration_bound():
         b = rng.dirichlet(np.ones(11))
         primal, _ = wasserstein_primal(a, b, cost)
         assert support_batch(poly, a - b)[0] == pytest.approx(primal, abs=1e-8)
+
+
+@pytest.mark.parametrize("K", [3, 11])  # the vertex route and the LP route
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("coord", [0, 1])  # the anchored coordinate f_1 = 0, and a free one
+def test_non_finite_direction_is_refused_on_every_route(K, bad, coord):
+    # A NaN or inf direction used to give NaN on the vertex route, a value
+    # that ignored coordinate 0 on the LP route, or scipy's untyped ValueError.
+    poly = DualPolytope(random_instance(np.random.default_rng(K), K))
+    u = np.zeros(K)
+    u[1 - coord] = -0.5
+    u[coord] = bad
+    with pytest.raises(InvalidParam, match="must be finite"):
+        support_batch(poly, np.vstack([np.zeros(K), u]))
+    with pytest.raises(InvalidParam, match="must be finite"):
+        kr_dual_value(u, poly)
+    with pytest.raises(InvalidParam, match="must be finite"):
+        distance_estimate(u, np.zeros(K), poly)
