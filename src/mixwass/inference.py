@@ -18,6 +18,9 @@ never refits, in the ``METHODS`` table with the settings it reads:
 delta) and ``m_of_n`` (B, gamma) are the bootstraps, which share one
 resampling kernel.  The plug-in law of a batch is one ``_plugin_limits``
 call, whose ``_limit_draws`` takes all PSD roots in one stacked call.
+The plug-in and derivative laws take their polytope from
+``restricted_polytope`` and their values from ``support_batch``; whether
+f = 0 is feasible, and the floor at 0 that follows, are the polytope's.
 ``limit_sampler``, ``derivative_bootstrap`` and ``m_out_of_n_bootstrap``
 are batches of one, and a pair gets the same bits in any batch.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -41,25 +45,30 @@ from scipy.special import kolmogorov
 from . import numlin
 from .errors import InvalidParam, MixwassError
 from .estimators import CountVector, Method, WeightEstimate, _fit_batch, _Fits, _sigma_batch
-from .transport import (
-    DualPolytope,
-    facet_slack,
-    restricted_polytope,
-    support_batch,
-)
+from .transport import DualPolytope, restricted_polytope, support_batch
+
+
+def _check_count(value, name: str) -> None:
+    """Refuse a size or a number of draws that is not an integer >= 1 (numpy integers are integers)."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidParam(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise InvalidParam(f"{name} must be >= 1")
 
 
 def effective_root_n(N_i: int, N_j: int) -> float:
     """sqrt(2 N_i N_j / (N_i + N_j)); equals sqrt(N) when N_i = N_j = N."""
-    if N_i < 1 or N_j < 1:
-        raise InvalidParam("document sizes must be >= 1")
+    if not (1 <= N_i < math.inf and 1 <= N_j < math.inf):  # also refuses NaN
+        raise InvalidParam("document sizes must be >= 1 and finite")
     return math.sqrt(2.0 * N_i * N_j / (N_i + N_j))
 
 
 def theorem_delta(N: int, p: int, n: int | None = None) -> float:
     """Theorem-rate slab width sqrt(log L / N) (+ sqrt(p log L / (n N)))."""
-    if N < 1 or p < 1:
-        raise InvalidParam("document size N and vocabulary size p must be >= 1")
+    if not (1 <= N < math.inf and 1 <= p < math.inf):  # also refuses NaN
+        raise InvalidParam("document size N and vocabulary size p must be >= 1 and finite")
+    if n is not None and not 0 <= n < math.inf:
+        raise InvalidParam("number of documents n must be >= 0 and finite")
     L = max(N, p, n or 0, 2)
     d = math.sqrt(math.log(L) / N)
     if n is not None and n > 0:
@@ -82,6 +91,8 @@ class LimitSampleSet:
         s = np.asarray(samples, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise InvalidParam("sample set must be a nonempty 1-d array")
+        if not np.isfinite(s).all():
+            raise InvalidParam("sample set has non-finite entries")
         self.samples = s
         self.M = s.size
         self.delta = delta
@@ -142,22 +153,6 @@ def distance_estimate(alpha_i, alpha_j, cost) -> float:
     return float(support_batch(poly, (ai - aj)[None, :])[0])
 
 
-def _restrict(
-    base: DualPolytope, ai: np.ndarray, aj: np.ndarray, delta: float | None
-) -> tuple[DualPolytope, float | None, bool]:
-    """Polytope to sample for slab width ``delta``, with w_hat and zero feasibility.
-
-    ``delta=None`` keeps the unrestricted polytope, where f = 0 is feasible.
-    Otherwise the polytope is cut to the slab of width ``delta`` around the
-    optimal facet at ai - aj, whose dual value is w_hat.
-    """
-    if delta is None:
-        return base, None, True
-    poly = restricted_polytope(base, ai, aj, delta)
-    w_hat = poly.slab[1]
-    return poly, w_hat, abs(w_hat) <= delta + facet_slack(w_hat)
-
-
 def _rng(seed) -> np.random.Generator:
     """The generator of a method's seed: a non-negative integer or a sequence of them."""
     try:
@@ -166,7 +161,7 @@ def _rng(seed) -> np.random.Generator:
         raise InvalidParam(f"seed must be a non-negative integer, not {seed!r}") from None
 
 
-def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
+def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int) -> np.ndarray:
     """Draws of sup_f f^T Z with Z ~ N(0, sigma_i[b] + sigma_j[b]) for B laws.
 
     ``sigma_i`` and ``sigma_j`` are (B, K, K) stacks.  Law b takes the PSD
@@ -174,10 +169,8 @@ def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
     from ``default_rng(seeds[b])`` and evaluates them over ``polys[b]``.
     The roots are one stacked call.  Each law's draws are their own
     ``support_batch`` call, so only one law's draws are held at a time: one
-    call over a whole chunk measured slower.  Laws
-    with ``clamp[b]`` set have f = 0 feasible, so their draws are clamped
-    at 0 against LP-level noise.  Returns the (B, M) draws; a law gets the
-    same bits in any batch.
+    call over a whole chunk measured slower.  Returns the (B, M) draws; a
+    law gets the same bits in any batch.
     """
     root = numlin.psd_sqrt(sigma_i + sigma_j)
     K = root.shape[-1]
@@ -185,9 +178,14 @@ def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int, clamp) -> np.ndarray:
     for b, (poly, seed) in enumerate(zip(polys, seeds)):
         Z = root[b] @ _rng(seed).standard_normal(size=(K, M))
         out[b] = support_batch(poly, Z.T)
-    clamp = np.asarray(clamp, dtype=bool)
-    out[clamp] = np.maximum(out[clamp], 0.0)
     return out
+
+
+def _sample_set(samples, poly: DualPolytope, delta, seed, **meta) -> LimitSampleSet:
+    """The sample set of draws over ``poly``, restricted by ``delta``: f = 0
+    feasibility and w_hat (None without a slab) are the polytope's."""
+    w_hat = None if poly.slab is None else poly.slab[1]
+    return LimitSampleSet(samples, delta=delta, seed=seed, zero_feasible=poly.zero_feasible, meta={"w_hat": w_hat, **meta})
 
 
 def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int, seeds) -> list[LimitSampleSet]:
@@ -197,12 +195,9 @@ def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int,
     and ``seeds`` holds one seed per pair.  An error in any pair fails the
     batch.
     """
-    polys, w_hats, zero_feasible = zip(*(_restrict(base, ai, aj, delta) for ai, aj in zip(alphas_i.T, alphas_j.T)))
-    draws = _limit_draws(_sigma_batch(alphas_i, A_hat), _sigma_batch(alphas_j, A_hat), polys, seeds, M, zero_feasible)
-    return [
-        LimitSampleSet(d, delta=delta, seed=seed, zero_feasible=z, meta={"w_hat": w})
-        for d, seed, z, w in zip(draws, seeds, zero_feasible, w_hats)
-    ]
+    polys = [restricted_polytope(base, ai, aj, delta) for ai, aj in zip(alphas_i.T, alphas_j.T)]
+    draws = _limit_draws(_sigma_batch(alphas_i, A_hat), _sigma_batch(alphas_j, A_hat), polys, seeds, M)
+    return [_sample_set(d, poly, delta, seed) for d, poly, seed in zip(draws, polys, seeds)]
 
 
 def limit_sampler(
@@ -224,8 +219,7 @@ def limit_sampler(
     procedure for testing at the null.  This is ``_plugin_limits`` on a
     batch of one.
     """
-    if M < 1:
-        raise InvalidParam("M must be >= 1")
+    _check_count(M, "M")
     return _plugin_limits(_weights(alpha_i)[:, None], _weights(alpha_j)[:, None], A_hat, _as_polytope(cost), delta, M, [seed])[0]
 
 
@@ -348,15 +342,11 @@ def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[Li
     """Derivative bootstrap of each pair (see ``derivative_bootstrap``)."""
     delta, scale, out = settings["delta"], effective_root_n(pairs.N_i, pairs.N_j), []
     for c, seed in enumerate(seeds):
-        poly, w_hat, zero_feasible = _restrict(base, pairs.mle_i[:, c], pairs.mle_j[:, c], delta)
+        poly = restricted_polytope(base, pairs.mle_i[:, c], pairs.mle_j[:, c], delta)
         # The resamples' own distances are not needed; beyond K = 10 each is an LP.
         boot = _resampled_pairs(pairs, c, (pairs.N_i, pairs.N_j), A, None, settings["B"], seed)
         directions = scale * ((boot.est_i - boot.est_j) - (pairs.est_i[:, c] - pairs.est_j[:, c])[:, None])
-        samples = support_batch(poly, directions.T)
-        if zero_feasible:
-            samples = np.maximum(samples, 0.0)
-        meta = {"w_hat": w_hat, "W_tilde": float(pairs.W[c])}
-        out.append(LimitSampleSet(samples, delta=delta, seed=seed, zero_feasible=zero_feasible, meta=meta))
+        out.append(_sample_set(support_batch(poly, directions.T), poly, delta, seed, W_tilde=float(pairs.W[c])))
     return out
 
 
@@ -376,13 +366,11 @@ def _m_of_n_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitS
 class IntervalMethod:
     """``sampler(pairs, A, poly, seeds, settings)`` gives one ``LimitSampleSet``
     per pair of a ``FittedPairs`` batch, reading the Monte Carlo ``size`` and
-    one other ``setting``, and an error in any pair fails the call.  A
-    ``batched`` sampler stacks a batch's work; the others go pair by pair."""
+    one other ``setting``, and an error in any pair fails the call."""
 
     sampler: Callable[..., list[LimitSampleSet]]
     size: str
     setting: str
-    batched: bool
 
     def settings(self, level: float | None = None, **values) -> dict:
         """The settings it reads, from ``values``; with a ``level``, the size meets ``confidence_interval``'s rule.
@@ -391,8 +379,7 @@ class IntervalMethod:
         so a bad slab width is refused before any fit.
         """
         size = values[self.size]
-        if size < 1:
-            raise InvalidParam(f"{self.size} must be >= 1")
+        _check_count(size, self.size)
         if level is not None:
             _check_level(level, size, self.size)
         if self.setting == "gamma" and not 0.0 < values["gamma"] < 1.0:
@@ -404,9 +391,9 @@ class IntervalMethod:
 
 
 METHODS = {
-    "plugin": IntervalMethod(_plugin_samples, "M", "delta", batched=True),
-    "deriv_bs": IntervalMethod(_derivative_samples, "B", "delta", batched=False),
-    "m_of_n": IntervalMethod(_m_of_n_samples, "B", "gamma", batched=False),
+    "plugin": IntervalMethod(_plugin_samples, "M", "delta"),
+    "deriv_bs": IntervalMethod(_derivative_samples, "B", "delta"),
+    "m_of_n": IntervalMethod(_m_of_n_samples, "B", "gamma"),
 }
 
 
@@ -461,6 +448,8 @@ def ks_distance(samples_a, samples_b) -> float:
     b = np.sort(np.asarray(samples_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise InvalidParam("KS distance requires nonempty samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidParam("KS distance requires finite samples")
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size

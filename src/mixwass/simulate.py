@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .inference import (
     METHODS,
     LimitSampleSet,
     _by_column,
+    _check_count,
     _fit_columns,
     _fit_pairs,
     _limit_draws,
@@ -41,6 +43,7 @@ from .inference import (
     effective_root_n,
     ks_distance,
     ks_two_sample_pvalue,
+    limit_sampler,
     theorem_delta,
 )
 from .transport import (
@@ -89,6 +92,10 @@ class SimConfig:
     a_noise: float = 0.0
 
     def __post_init__(self):
+        for name in ("K", "p", "N", "N_j", "tau", "n_reps", "n_outer", "M", "B", "seed", "workers"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) or name == "N_j" and value is None):
+                raise InvalidParam(f"{name} must be an integer, not {value!r}")
         if self.K < 1 or self.p < self.K:
             raise InvalidParam("need p >= K >= 1")
         if self.N < 1 or (self.N_j is not None and self.N_j < 1):
@@ -240,8 +247,7 @@ def gen_weights(K: int, tau: int, seed) -> ProbVec:
 
 def gen_document(r, N: int, seed) -> CountVector:
     """One multinomial document of N words from word distribution r."""
-    if N < 1:
-        raise InvalidParam("N must be >= 1")
+    _check_count(N, "N")
     rv = r.values if isinstance(r, ProbVec) else np.asarray(r, dtype=float)
     rng = np.random.default_rng(seed)
     return CountVector(rng.multinomial(N, rv / rv.sum()))
@@ -332,8 +338,7 @@ def _ci_chunk_worker(payload) -> list[dict]:
         def stage(cols):
             return method.sampler(pairs.take(cols), A_hat, poly, [seeds[c] for c in cols], settings)
 
-        groups = [live] if method.batched and live else [[c] for c in live]
-        for c, samples in zip(live, [out for cols in groups for out in _by_column(stage, cols)]):
+        for c, samples in zip(live, _by_column(stage, live) if live else []):
             if isinstance(samples, str):
                 records[c]["error"] = samples
             else:
@@ -500,8 +505,7 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
     failures = int(np.isnan(W).sum())
     stat_draws = effective_root_n(config.N, config.N) * W[~np.isnan(W)]
 
-    sigma = _sigma_batch(alpha[:, None], A)
-    limit_draws = _limit_draws(sigma, sigma, [true_poly], [[config.seed, _S_LAW]], config.M, [True])[0]
+    limit_draws = limit_sampler(alpha, alpha, A, true_poly, delta=None, M=config.M, seed=[config.seed, _S_LAW]).samples
 
     d = ks_distance(stat_draws, limit_draws)
     pval = ks_two_sample_pvalue(stat_draws, limit_draws)
@@ -570,7 +574,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
         # Both laws draw the same normals from the outer pair's seed.
         sig = np.stack([_sigma_batch(alpha[:, None], A)[0], sigma_ls(alpha, r, A).sigma])
         law_seed = [config.seed, _S_LAW, outer]
-        draws = _limit_draws(sig, sig, [true_poly] * 2, [law_seed] * 2, config.M, [True, True])
+        draws = _limit_draws(sig, sig, [true_poly] * 2, [law_seed] * 2, config.M)
         quantiles = {}
         for name, d in zip(("mle_debiased", "wls"), draws):
             samp = LimitSampleSet(d, delta=None, seed=config.seed, zero_feasible=True)

@@ -17,6 +17,8 @@ polytope: a restriction to a slab around the optimal facet is a view that
 reads its base's vertices.  Qhull is seeded at f = 0 wherever that point
 is strictly interior, as it is for every base polytope of a cost with
 positive off-diagonal entries, and at the Chebyshev centre otherwise.
+The polytope also says whether f = 0 is in it (``zero_feasible``); where it
+is, ``support_batch`` floors its values at 0 on every route.
 """
 
 from __future__ import annotations
@@ -359,6 +361,15 @@ class DualPolytope:
         W = _enumerate_vertices(*self.halfspaces())
         return None if W is None else np.column_stack([np.zeros(W.shape[0]), W])
 
+    @property
+    def zero_feasible(self) -> bool:
+        """Whether f = 0 is in the polytope: always for a base, whose costs
+        are >= 0, and for a slab when |w_hat| <= delta, with the facet slack."""
+        if self.slab is None:
+            return True
+        _, t, d = self.slab
+        return abs(t) <= d + facet_slack(t)
+
     def contains(self, f, tol: float = 1e-8) -> bool:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.K,):
@@ -470,7 +481,8 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     least two rows, since a one-row block is a matrix-vector product with
     other bits: a one-row tail joins the block before it and a lone
     direction runs as a two-row block.  So a direction gets the same bits
-    alone and in any number of directions.
+    alone and in any number of directions.  On a ``zero_feasible`` polytope
+    every value is floored at 0.
     """
     U = np.ascontiguousarray(directions, dtype=float)
     if U.ndim == 1:
@@ -480,10 +492,10 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     if not np.isfinite(U).all():
         raise InvalidParam("directions must be finite")
     V = polytope.vertices()
-    if V is None or V.shape[0] == 0:
-        return np.array([kr_dual_value(u, polytope)[0] for u in U])
     n, out = U.shape[0], np.empty(U.shape[0])
-    if V.shape[0] <= _VERTEX_MAJOR_MAX:
+    if V is None or V.shape[0] == 0:
+        out = np.array([kr_dual_value(u, polytope)[0] for u in U])
+    elif V.shape[0] <= _VERTEX_MAJOR_MAX:
         step = max(_LANES, _VERTEX_BLOCK // V.shape[0] // _LANES * _LANES)
         for s in range(0, n, step):
             block = U[s : s + step]
@@ -491,31 +503,36 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
             if rows % _LANES:
                 block = U[np.minimum(np.arange(s, s + rows + -rows % _LANES), n - 1)]
             out[s : s + rows] = (V @ block.T).max(axis=0)[:rows]
-        return out
-    if n == 1:
-        return (np.vstack([U, U]) @ V.T).max(axis=1)[:1]
-    bounds = list(range(0, n, max(2, _VERTEX_BLOCK // V.shape[0]))) + [n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        out[s:e] = (U[s:e] @ V.T).max(axis=1)
+    elif n == 1:
+        out = (np.vstack([U, U]) @ V.T).max(axis=1)[:1]
+    else:
+        bounds = list(range(0, n, max(2, _VERTEX_BLOCK // V.shape[0]))) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            out[s:e] = (U[s:e] @ V.T).max(axis=1)
+    if polytope.zero_feasible:
+        out[out <= 0.0] = 0.0  # also turns -0.0 into 0.0
     return out
 
 
-def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float) -> DualPolytope:
+def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float | None) -> DualPolytope:
     """View of ``base`` cut to the slab |f^T(alpha - beta) - w_hat| <= delta.
 
     w_hat is the support function of ``base`` at alpha_hat - beta_hat, so
     the optimal face always stays feasible; at ``delta=0`` the vertices are
     that face's.  The result stores w_hat as ``slab[1]`` and reads the
-    vertex cache of ``base``.
+    vertex cache of ``base``.  ``delta=None`` is no restriction: ``base``
+    itself, after the same checks.
     """
-    if not (np.isfinite(delta) and delta >= 0):
+    if delta is not None and not (np.isfinite(delta) and delta >= 0):
         raise InvalidParam("delta must be finite and >= 0")
     a = _values(alpha_hat, name="alpha_hat")
     b = _values(beta_hat, name="beta_hat")
     if a.size != b.size or a.size != base.K:
         raise DimError("alpha_hat/beta_hat dimensions must match the polytope")
+    if delta is None:
+        return base
     u = a - b
     poly = DualPolytope(base.cost)
     poly.base = base

@@ -174,11 +174,10 @@ def test_limit_draws_batch_equals_batches_of_one(M):
     sig = G @ G.transpose(0, 2, 1)
     polys = [base, base, restricted_polytope(base, *rng.dirichlet(np.ones(K), size=2), 0.0), base, base]
     seeds = [3, [1, 2], 3, 4, 5]
-    clamp = [True, False, False, True, True]
-    draws = _limit_draws(sig, sig[::-1], polys, seeds, M, clamp)
+    draws = _limit_draws(sig, sig[::-1], polys, seeds, M)
     assert draws.shape == (5, M)
     for b in range(5):
-        one = _limit_draws(sig[[b]], sig[::-1][[b]], [polys[b]], [seeds[b]], M, [clamp[b]])
+        one = _limit_draws(sig[[b]], sig[::-1][[b]], [polys[b]], [seeds[b]], M)
         assert np.array_equal(draws[b], one[0])
 
 
@@ -247,6 +246,44 @@ def test_theorem_delta_refuses_document_sizes_below_one(N):
     with pytest.raises(InvalidParam):
         theorem_delta(N, 10, n=50)
     assert theorem_delta(100, 10) == pytest.approx(np.sqrt(np.log(100) / 100))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_document_sizes_are_refused(bad):
+    # N < 1 let NaN through: the sizes gave NaN, or theorem_delta ignored p.
+    samples = LimitSampleSet(np.linspace(0, 1, 1000), delta=None, seed=0)
+    for call in (
+        lambda: effective_root_n(bad, 5),
+        lambda: effective_root_n(5, bad),
+        lambda: theorem_delta(bad, 10),
+        lambda: theorem_delta(100, bad),
+        lambda: theorem_delta(100, 10, n=bad),
+        lambda: confidence_interval(0.1, samples, 0.2, bad, 5),
+    ):
+        with pytest.raises(InvalidParam, match="finite"):
+            call()
+    assert confidence_interval(0.1, samples, 0.2, 300, 500).scale == np.sqrt(300 * 500 / 800)
+
+
+def test_non_integer_monte_carlo_sizes_are_refused():
+    A, cost, alpha, X_i, X_j = small_instance(seed=17)
+    est = mle_weights(X_i.frequencies, A)
+    with pytest.raises(InvalidParam, match="integer"):
+        limit_sampler(est, est, A, cost, delta=None, M=2.5)
+    with pytest.raises(InvalidParam, match="integer"):
+        derivative_bootstrap(X_i, X_j, A, cost, B=2.5)
+    with pytest.raises(InvalidParam, match="integer"):
+        METHODS["m_of_n"].settings(B=10.0, gamma=0.5)
+    assert limit_sampler(est, est, A, cost, delta=None, M=np.int64(3)).M == 3
+
+
+def test_non_finite_samples_are_refused():
+    with pytest.raises(InvalidParam, match="non-finite"):
+        LimitSampleSet([1.0, float("nan")], None, 0)
+    with pytest.raises(InvalidParam, match="finite"):
+        ks_distance([1.0, float("nan")], [0.5])
+    with pytest.raises(InvalidParam, match="finite"):
+        ks_two_sample_pvalue([0.5], [1.0, float("inf")])
 
 
 def test_ci_nested_levels():

@@ -102,6 +102,20 @@ def test_config_rejects_non_finite_or_negative_delta(delta):
         SimConfig(delta=delta)
 
 
+@pytest.mark.parametrize("bad", [dict(M=500.5), dict(n_reps=4.5), dict(K=3.0), dict(N=100.5), dict(N_j=99.5), dict(seed=1.0)])
+def test_config_refuses_non_integer_sizes(bad):
+    # They used to pass validation; then the driver died in numpy, or N=100.5 drew 100-word documents.
+    with pytest.raises(InvalidParam, match="integer"):
+        SimConfig(**bad)
+
+
+def test_integer_sizes_may_be_numpy_integers():
+    assert SimConfig(K=np.int64(3), p=np.int32(40), N=np.int64(100), N_j=None).N == 100
+    with pytest.raises(InvalidParam, match="integer"):
+        gen_document(np.full(4, 0.25), 10.5, 0)
+    assert gen_document(np.full(4, 0.25), np.int64(10), 0).N == 10
+
+
 def test_config_quick_scaling():
     cfg = SimConfig(n_reps=500, M=2000, B=2000, quick=True)
     scaled = cfg.scaled()

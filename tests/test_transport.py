@@ -333,6 +333,46 @@ def test_restricted_rejects_non_finite_delta(K, delta):
         limit_sampler(a, b, A, base, delta=delta, M=10)
 
 
+def test_restricted_without_delta_is_the_base_after_the_same_checks():
+    base = DualPolytope(random_instance(np.random.default_rng(17), 3))
+    a = np.full(3, 1 / 3)
+    assert restricted_polytope(base, a, a, None) is base
+    with pytest.raises(DimError):
+        restricted_polytope(base, a, np.full(4, 0.25), None)
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_zero_feasible_agrees_with_containing_the_origin(K):
+    # Differential: the polytope's own f = 0 test against its halfspaces,
+    # over slabs whose w_hat falls on both sides of delta.
+    rng = np.random.default_rng(90 + K)
+    cost = random_instance(rng, K)
+    base = DualPolytope(cost)
+    seen = set()
+    for delta in (None, 0.01, 0.05, cost.max_entry() + 1.0):
+        for s in np.geomspace(1e-3, 1.0, 12):
+            a, b = rng.dirichlet(np.ones(K), size=2)
+            poly = restricted_polytope(base, a, (1 - s) * a + s * b, delta)
+            assert poly.zero_feasible == poly.contains(np.zeros(K))
+            seen.add(poly.zero_feasible)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("K", [5, 8, 11])
+def test_support_values_are_floored_at_zero_where_the_origin_is_feasible(K):
+    # K=5 takes the vertex-major product, K=8 the row-major one and K=11
+    # one LP per direction, which gave -0.0 at u = 0.
+    rng = np.random.default_rng(100 + K)
+    cost = random_instance(rng, K)
+    base = DualPolytope(cost)
+    a, b = rng.dirichlet(np.ones(K), size=2)
+    U = np.vstack([np.zeros(K), 1e-300 * rng.normal(size=(3, K)), rng.normal(size=(4, K))])
+    for poly in (base, restricted_polytope(base, a, b, cost.max_entry() + 1.0), restricted_polytope(base, a, a, 0.0)):
+        assert poly.zero_feasible
+        values = np.concatenate([support_batch(poly, U), support_batch(poly, U[0])])
+        assert values.min() >= 0.0 and not np.signbit(values).any()
+
+
 # --- properties: convexity, Dirac agreement, upper bound, stability ---------
 
 
