@@ -222,29 +222,32 @@ def _squarem(X, A, AT, x, tol, budget):
 
     Returns (weights, EM maps used, stopped on ``tol``); row b stops when
     one EM map moves it by at most ``tol`` in l1 or after ``budget[b]``
-    maps.  See ``_em_batch`` for the cycle.
+    maps.  See ``_em_batch`` for the cycle.  Each active row carries its
+    budget in ``left``, and the working rows are compacted only on a map
+    after which some row leaves, so a batch of one pays no bookkeeping.
     """
     out, used, stopped = x.copy(), budget.copy(), np.zeros(len(x), dtype=bool)
     active = np.flatnonzero(budget > 0)
-    X, x0 = X[active], x[active]
+    X, x0, left = X[active], x[active], budget[active]
     R0, it = _fitted(x0, AT), 0
     while active.size:
         x1 = x0 * _rowdot(X / R0, A)
         it += 1
         stop = np.abs(x1 - x0).sum(axis=1) <= tol
-        out[active[stop]], used[active[stop]], stopped[active[stop]] = x1[stop], it, True
-        keep = ~stop & (budget[active] > it)
-        out[active[~stop & ~keep]] = x1[~stop & ~keep]
-        active, X, x0, x1 = active[keep], X[keep], x0[keep], x1[keep]
-        if not active.size:
-            break
+        keep = ~stop & (left > it)
+        if not keep.all():
+            out[active[~keep]], used[active[~keep]], stopped[active[stop]] = x1[~keep], it, True
+            active, X, x0, x1, left = active[keep], X[keep], x0[keep], x1[keep], left[keep]
+            if not active.size:
+                break
         x2 = x1 * _rowdot(X / _fitted(x1, AT), A)
         it += 1
-        keep = budget[active] > it
-        out[active[~keep]] = x2[~keep]
-        active, X, x0, x1, x2 = active[keep], X[keep], x0[keep], x1[keep], x2[keep]
-        if not active.size:
-            break
+        keep = left > it
+        if not keep.all():
+            out[active[~keep]] = x2[~keep]
+            active, X, x0, x1, x2, left = active[keep], X[keep], x0[keep], x1[keep], x2[keep], left[keep]
+            if not active.size:
+                break
         # x2 and R2 take each row's accepted extrapolant, if any.
         r, v, R2 = x1 - x0, x2 - 2.0 * x1 + x0, _fitted(x2, AT)
         L2 = (X * np.log(R2)).sum(axis=1)
@@ -257,14 +260,18 @@ def _squarem(X, A, AT, x, tol, budget):
             Rt = _fitted(xt, AT)
             ok = np.all(np.isfinite(xt) & (xt >= 0.0), axis=1)
             ok &= (X[trial] * np.log(Rt)).sum(axis=1) >= L2[trial]
+            if trial.size == len(x2) and ok.all():  # every row accepts: take the trial whole
+                x2, R2 = xt, Rt
+                break
             x2[trial[ok]], R2[trial[ok]] = xt[ok], Rt[ok]
             step[trial] = (a[:, 0] - 1.0) / 2.0
             trial = trial[~ok & (step[trial] < -2.0)]
         x0 = x2 * _rowdot(X / R2, A)
         it += 1
-        keep = budget[active] > it
-        out[active[~keep]] = x0[~keep]
-        active, X, x0 = active[keep], X[keep], x0[keep]
+        keep = left > it
+        if not keep.all():
+            out[active[~keep]] = x0[~keep]
+            active, X, x0, left = active[keep], X[keep], x0[keep], left[keep]
         R0 = _fitted(x0, AT)
     out /= out.sum(axis=1, keepdims=True)
     return out, used, stopped
@@ -280,12 +287,15 @@ def _face_step(H: np.ndarray, gm1: np.ndarray, free: np.ndarray) -> np.ndarray:
     coordinates) gets its minimum-norm least-squares solution.
     """
     n, K = gm1.shape
-    both = free[:, :, None] & free[:, None, :]
     M = np.zeros((n, K + 1, K + 1))
-    M[:, :K, :K] = np.where(both, H, np.eye(K) * ~free[:, :, None])
-    M[:, :K, K] = M[:, K, :K] = free
     rhs = np.zeros((n, K + 1, 1))
-    rhs[:, :K, 0] = np.where(free, gm1, 0.0)
+    if free.all():  # no padding: the usual interior fit
+        M[:, :K, :K], M[:, :K, K], M[:, K, :K], rhs[:, :K, 0] = H, 1.0, 1.0, gm1
+    else:
+        both = free[:, :, None] & free[:, None, :]
+        M[:, :K, :K] = np.where(both, H, np.eye(K) * ~free[:, :, None])
+        M[:, :K, K] = M[:, K, :K] = free
+        rhs[:, :K, 0] = np.where(free, gm1, 0.0)
     try:
         return np.linalg.solve(M, rhs)[:, :K, 0]
     except np.linalg.LinAlgError:  # one singular system fails the whole stack
@@ -314,21 +324,29 @@ def _newton_finish(X, A, AT, AA, x, budget):
     rounding of the log-likelihood.  A row stops certified once its KKT
     gap is at most ``TOL_KKT``, and uncertified after ``budget[b]`` or
     ``_NEWTON_MAX_STEPS`` steps, or when no halving keeps its likelihood.
+
+    A fourth array holds each row's KKT gap, from the gradient at its
+    returned point.  As in ``_squarem``, rows are compacted only on a step
+    after which some row leaves, and a step every row takes whole is not
+    scattered.
     """
     out, used, certified = x.copy(), np.zeros(len(x), dtype=np.int64), np.zeros(len(x), dtype=bool)
+    gaps = np.empty(len(x))
     active = np.arange(len(x))
     R = _fitted(x, AT)
-    limit = np.minimum(budget, _NEWTON_MAX_STEPS)
+    left = np.minimum(budget, _NEWTON_MAX_STEPS)
     steps = 0
     while active.size:
         g = _rowdot(X / R, A)
-        ok = _gap(x, g) <= TOL_KKT
-        certified[active[ok]] = True
-        keep = ~ok & (limit[active] > steps)
-        out[active[~keep]], used[active[~keep]] = x[~keep], steps
-        active, X, x, R, g = active[keep], X[keep], x[keep], R[keep], g[keep]
-        if not active.size:
-            break
+        gap = _gap(x, g)
+        ok = gap <= TOL_KKT
+        keep = ~ok & (left > steps)
+        if not keep.all():
+            gone = active[~keep]
+            out[gone], used[gone], gaps[gone], certified[active[ok]] = x[~keep], steps, gap[~keep], True
+            active, X, x, R, g, gap, left = active[keep], X[keep], x[keep], R[keep], g[keep], gap[keep], left[keep]
+            if not active.size:
+                break
         H = _grams(X / R / R, AA)
         free = (x > 0.0) | (g > 1.0)
         d = _face_step(H, g - 1.0, free)
@@ -346,21 +364,30 @@ def _newton_finish(X, A, AT, AA, x, budget):
         for _ in range(_NEWTON_MAX_HALVINGS):
             if not trial.size:
                 break
-            xt = np.maximum(x[trial] + t[trial, None] * d[trial], 0.0)
-            xt[ratio[trial] <= t[trial, None]] = 0.0
+            whole = trial.size == len(x)
+            rows = slice(None) if whole else trial
+            xt = np.maximum(x[rows] + t[rows, None] * d[rows], 0.0)
+            xt[ratio[rows] <= t[rows, None]] = 0.0
             xt /= xt.sum(axis=1, keepdims=True)
-            dx, Xt = xt - x[trial], X[trial]
-            terms = np.where(Xt > 0.0, Xt * np.log1p(_rowdot(dx, AT) / R[trial]), 0.0)
-            acc = terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x[trial].sum(axis=1))
+            dx, Xt = xt - x[rows], X[rows]
+            terms = np.where(Xt > 0.0, Xt * np.log1p(_rowdot(dx, AT) / R[rows]), 0.0)
+            acc = terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x[rows].sum(axis=1))
+            if whole and acc.all():  # every row takes its full step: no scatter
+                x, R, moved = xt, _fitted(xt, AT), acc
+                break
             hit = trial[acc]
             x[hit], R[hit], moved[hit] = xt[acc], _fitted(xt[acc], AT), True
             t[trial] /= 2.0
             trial = trial[~acc]
         steps += 1
-        # A row whose step failed has no way forward.
-        out[active[~moved]], used[active[~moved]] = x[~moved], steps
-        active, X, x, R = active[moved], X[moved], x[moved], R[moved]
-    return out, used, certified
+        # A row whose step failed has no way forward; its gap is still this step's.
+        if not moved.all():
+            gone = active[~moved]
+            out[gone], used[gone], gaps[gone] = x[~moved], steps, gap[~moved]
+            active, X, x, R, left = active[moved], X[moved], x[moved], R[moved], left[moved]
+            if not active.size:
+                break
+    return out, used, certified, gaps
 
 
 def _em_batch(
@@ -368,7 +395,7 @@ def _em_batch(
     A: np.ndarray,
     tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simplex MLE of a (p, B) matrix of frequency columns: EM, then Newton.
 
     Returns (alphas (K, B), iterations (B,), converged (B,)).  SQUAREM runs
@@ -385,13 +412,17 @@ def _em_batch(
     is polished once more.  ``iterations`` and ``max_iter`` count EM maps
     and Newton steps together.  A column's arithmetic does not depend on
     the rest of the batch, so a batch of one gives the same bits.
+
+    A fourth array holds each column's KKT gap: the one Newton evaluated at
+    its returned point, or, for a column that ends outside Newton (stopped
+    by ``max_iter``), ``_kkt_gaps`` of it, with the same bits.
     """
     A, AT, AA = _design(A)
     X = np.ascontiguousarray(XB.T, dtype=float)
     B, K = X.shape[0], A.shape[1]
     budget = np.full(B, max_iter, dtype=np.int64)
     out, iterations, stopped = _squarem(X, A, AT, np.full((B, K), 1.0 / K), tol, budget)
-    converged = np.zeros(B, dtype=bool)
+    converged, gaps = np.zeros(B, dtype=bool), np.full(B, np.nan)  # NaN: no Newton gap at the column's point
     cols = np.flatnonzero(stopped)
     start = out[cols]
     for retry in (False, True):
@@ -403,11 +434,15 @@ def _em_batch(
             tight = min(tol, _EM_TIGHT_TOL)
             out[cols], used, stopped = _squarem(X[cols], A, AT, start, tight, budget[cols] - iterations[cols])
             iterations[cols] += used
+            gaps[cols] = np.nan
             cols = cols[stopped]
         if cols.size:
-            out[cols], used, converged[cols] = _newton_finish(X[cols], A, AT, AA, out[cols], budget[cols] - iterations[cols])
+            out[cols], used, converged[cols], gaps[cols] = _newton_finish(X[cols], A, AT, AA, out[cols], budget[cols] - iterations[cols])
             iterations[cols] += used
-    return out.T.copy(), iterations, converged
+    rest = np.flatnonzero(np.isnan(gaps))
+    if rest.size:
+        gaps[rest] = _kkt_gaps(XB[:, rest], A, out[rest].T)
+    return out.T.copy(), iterations, converged, gaps
 
 
 def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
@@ -504,9 +539,9 @@ def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, tol: float =
     _check_columns(XB, Am)
     if method is Method.WLS:
         return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
-    mle, iterations, converged = _em_batch(XB, A, tol, max_iter)
+    mle, iterations, converged, gaps = _em_batch(XB, A, tol, max_iter)
     est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
-    return _Fits(method, est, mle, iterations, converged, _kkt_gaps(XB, Am, mle))
+    return _Fits(method, est, mle, iterations, converged, gaps)
 
 
 def _covariances(fits: _Fits, XB: np.ndarray, A) -> np.ndarray | None:

@@ -196,7 +196,8 @@ def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int,
     batch.
     """
     polys = [restricted_polytope(base, ai, aj, delta) for ai, aj in zip(alphas_i.T, alphas_j.T)]
-    draws = _limit_draws(_sigma_batch(alphas_i, A_hat), _sigma_batch(alphas_j, A_hat), polys, seeds, M)
+    sigmas = _sigma_batch(np.concatenate((alphas_i, alphas_j), axis=1), A_hat)  # both sides in one call
+    draws = _limit_draws(sigmas[: len(polys)], sigmas[len(polys) :], polys, seeds, M)
     return [_sample_set(d, poly, delta, seed) for d, poly, seed in zip(draws, polys, seeds)]
 
 

@@ -3,7 +3,9 @@
 Counts are read from CSV in two shapes: long form with header
 ``doc_id,word_id,count`` or a dense matrix with one document per row.
 Topics are a headerless CSV of p rows by K columns.  Reports are JSON with
-the full config echo and seed; sample dumps are single-column CSV.
+the full config echo and seed; sample dumps are single-column CSV.  Every
+table is parsed in one C pass; only a table that pass or a check refuses is
+read again line by line, for the line of its :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from .transport import TopicMatrix
 LONG_HEADER = ("doc_id", "word_id", "count")
 
 
-def _read_lines(path) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file with their 1-based line numbers."""
+def _read_lines(path) -> list[str]:
+    """The lines of a text file, split as ``str.splitlines`` splits them."""
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    return text.splitlines()
 
 
 def _floats(lines: list[str], width: int) -> np.ndarray | None:
@@ -42,14 +44,39 @@ def _floats(lines: list[str], width: int) -> np.ndarray | None:
         return None
 
 
-def _read_table(numbered: list[tuple[int, str]], width: int, checks=()) -> np.ndarray:
-    """Comma-separated lines as a float table of ``width`` columns.
+def _one_pass(lines: list[str]) -> np.ndarray | None:
+    """The non-empty lines as a float table parsed in one C pass, or None.
 
-    A line fails when it has another number of columns, when one of its
-    tokens is not a number, or when one of ``checks`` flags it; a check is
-    (reason, function from the table to a per-row failure mask).  Raises
-    :class:`ParseError` at the first line that fails, with its first reason.
+    None leaves the lines to ``_read_table``'s line-by-line reading: no
+    non-empty line, a ragged line, a token numpy's parser refuses, a line
+    of only white space, or a U+001F anywhere, which numpy's parser strips
+    as white space and ``float`` does not.  What the pass accepts it reads
+    as ``float`` reads each token.
     """
+    if not any(lines) or "\x1f" in "".join(lines):
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_table(lines: list[str], width: int, checks=(), start: int = 0) -> np.ndarray:
+    """Comma-separated ``lines[start:]`` as a float table of ``width`` columns.
+
+    Blank lines are skipped.  A line fails when it has another number of
+    columns, when one of its tokens is not a number, or when one of
+    ``checks`` flags it; a check is (reason, function from the table to a
+    per-row failure mask).  The table is parsed in one pass
+    (``_one_pass``); only when that pass or a check fails are the lines
+    numbered and read one by one, to raise :class:`ParseError` at the first
+    line that fails, with its first reason.
+    """
+    body = lines[start:]
+    table = _one_pass(body)
+    if table is not None and table.shape[1] == width and not any(check(table).any() for _, check in checks):
+        return table
+    numbered = [(i, ln) for i, ln in enumerate(body, start=start + 1) if ln.strip()]
     lines = [ln for _, ln in numbered]
     ragged = np.flatnonzero(np.array([ln.count(",") for ln in lines], dtype=int) != width - 1)
     end = int(ragged[0]) if ragged.size else len(lines)
@@ -96,15 +123,15 @@ def load_counts(path, p: int | None = None) -> list[CountVector]:
     dense form has one document per row with ``p`` columns.  Raises
     :class:`ParseError` with a line number on malformed input.
     """
-    numbered = _read_lines(path)
-    if not numbered:
+    lines = _read_lines(path)
+    head = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if head is None:
         return []
-    first = tuple(t.strip().lower() for t in numbered[0][1].split(","))
+    first = tuple(t.strip().lower() for t in lines[head].split(","))
     long_form = first == LONG_HEADER or (len(first) == 3 and p != 3)
-    if first == LONG_HEADER:
-        numbered = numbered[1:]
     width = 3 if long_form else (len(first) if p is None else p)
-    table = _read_table(numbered, width, _count_checks(long_form, p)).astype(np.int64)
+    start = head + 1 if first == LONG_HEADER else head
+    table = _read_table(lines, width, _count_checks(long_form, p), start).astype(np.int64)
     if long_form and len(table):
         doc_ids, doc = np.unique(table[:, 0], return_inverse=True)
         counts = np.zeros((doc_ids.size, p if p is not None else int(table[:, 1].max()) + 1), dtype=np.int64)
@@ -128,10 +155,11 @@ def load_topics(path) -> TopicMatrix:
     Columns whose sums are within 1e-6 of one are renormalized; larger
     deviation raises :class:`InvalidSimplex`.
     """
-    numbered = _read_lines(path)
-    if not numbered:
+    lines = _read_lines(path)
+    head = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if head is None:
         raise ParseError("topics file is empty", None)
-    M = _read_table(numbered, numbered[0][1].count(",") + 1)
+    M = _read_table(lines, lines[head].count(",") + 1, start=head)
     sums = M.sum(axis=0)
     off = np.abs(sums - 1.0)
     if off.max() > 1e-6:
@@ -203,7 +231,7 @@ def save_limit_samples(sample_set: LimitSampleSet, path) -> None:
 
 
 def load_limit_samples(path) -> np.ndarray:
-    numbered = _read_lines(path)
-    if not numbered or numbered[0][0] != 1 or numbered[0][1].strip() != "sample":
+    lines = _read_lines(path)
+    if not lines or lines[0].strip() != "sample":
         raise ParseError("expected 'sample' header", 1)
-    return _read_table(numbered[1:], 1)[:, 0]
+    return _read_table(lines, 1, start=1)[:, 0]

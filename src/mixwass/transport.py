@@ -80,6 +80,10 @@ _LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_f
 # feasible for the other.
 FACET_SLACK_UNIT = 1e-7
 
+# ``DualPolytope.contains`` tolerance.  The optimal face pins f^T u to w_hat
+# with no slack, so it holds f = 0 exactly when |w_hat| is within this.
+CONTAINS_TOL = 1e-8
+
 
 def facet_slack(target: float) -> float:
     return FACET_SLACK_UNIT * max(1.0, abs(target))
@@ -364,13 +368,16 @@ class DualPolytope:
     @property
     def zero_feasible(self) -> bool:
         """Whether f = 0 is in the polytope: always for a base, whose costs
-        are >= 0, and for a slab when |w_hat| <= delta, with the facet slack."""
+        are >= 0; for a slab of width delta > 0 when |w_hat| <= delta, with
+        the facet slack; and for the optimal face (delta = 0), which pins
+        f^T u to w_hat, when |w_hat| <= ``CONTAINS_TOL``, as ``contains``
+        decides it."""
         if self.slab is None:
             return True
         _, t, d = self.slab
-        return abs(t) <= d + facet_slack(t)
+        return abs(t) <= (CONTAINS_TOL if d == 0.0 else d + facet_slack(t))
 
-    def contains(self, f, tol: float = 1e-8) -> bool:
+    def contains(self, f, tol: float = CONTAINS_TOL) -> bool:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.K,):
             raise DimError(f"f has shape {f.shape}, expected ({self.K},)")

@@ -180,7 +180,7 @@ def test_debias_mean_recovers_sparse_truth():
     XB = rng.multinomial(N, r, size=reps).T / N
     # Boundary fits may hit the iteration cap; the estimator contract keeps
     # the best iterate, which is what the correction consumes.
-    mle, _, _ = _em_batch(XB, A)
+    mle, _, _, _ = _em_batch(XB, A)
     deb = _debias_batch(mle, XB, A)
     mean = deb.mean(axis=1)
     stderr = deb.std(axis=1, ddof=1) / np.sqrt(reps)
@@ -343,7 +343,7 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
             return _real(X, *args)
 
         monkeypatch.setattr(estimators, name, counted)
-    fit, iters, conv = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, A)
     assert conv.all()
     assert calls == {"_squarem": [8], "_newton_finish": [8]}
     # No column stops within one EM map: no Newton finish and no retry.
@@ -428,7 +428,7 @@ def test_batch_paths_match_single():
     A = random_topics(rng, p, K)
     alpha = rng.dirichlet(np.ones(K))
     XB = rng.multinomial(300, A @ alpha, size=B).T / 300.0
-    mle_b, iters, conv = _em_batch(XB, A)
+    mle_b, iters, conv, _ = _em_batch(XB, A)
     assert conv.all()
     deb_b = _debias_batch(mle_b, XB, A)
     # The drivers' batched WLS: the operator applied to all columns at once.
@@ -447,7 +447,7 @@ def test_debias_batch_bits_do_not_depend_on_batch_size():
     for K, p in [(3, 40), (5, 200), (8, 500), (10, 500)]:
         A = random_topics(rng, p, K)
         XB = rng.multinomial(300, A @ rng.dirichlet(np.ones(K)), size=40).T / 300.0
-        mle, _, _ = _em_batch(XB, A)
+        mle, _, _, _ = _em_batch(XB, A)
         whole = _debias_batch(mle, XB, A)
         for size in (1, 3):
             for s in range(0, 40, size):
@@ -468,8 +468,8 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
     A = random_topics(rng, p, K)
     alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
     XB = np.stack([rng.multinomial(N, A @ a) / N for a in alphas], axis=1)
-    fit, _, conv = _em_batch(XB, A)
-    tight, _, tight_conv = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
+    fit, _, conv, _ = _em_batch(XB, A)
+    tight, _, tight_conv, _ = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
     assert conv.all() and tight_conv.all()
 
     def loglik(alphas):
@@ -491,14 +491,76 @@ def test_newton_finished_fits_equal_single_fits_bit_for_bit(K, tau):
     rng = np.random.default_rng(19)
     A = random_topics(rng, 500, K)
     XB = _documents(rng, A, K, tau, 24)
-    fit, iters, conv = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, A)
     assert conv.all()
     if tau:  # the finish sets exact zeros on the boundary
         assert (fit == 0.0).any()
     for b in range(XB.shape[1]):
-        single, s_iters, s_conv = _em_batch(XB[:, [b]], A)
+        single, s_iters, s_conv, _ = _em_batch(XB[:, [b]], A)
         assert np.array_equal(single[:, 0], fit[:, b])
         assert s_iters[0] == iters[b] and s_conv[0] == conv[b]
+
+
+def _mixed_documents(rng, A, K, B):
+    """B columns cycling through dense, sparse (tau=3) and 30-word documents."""
+    cols = []
+    for b in range(B):
+        alpha = _sparse_weights(rng, K, 3) if b % 3 == 1 else rng.dirichlet(np.ones(K))
+        N = 30 if b % 3 == 2 else 1000
+        cols.append(rng.multinomial(N, A @ alpha) / N)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("K", [5, 8])
+def test_em_batch_single_columns_equal_every_batch_bit_for_bit(K):
+    # Under the caps, columns leave the kernel's working rows on different
+    # EM maps and Newton steps, so every batch compacts on other iterations.
+    rng = np.random.default_rng(40 + K)
+    A = TopicMatrix(random_topics(rng, 500, K))
+    XB = _mixed_documents(rng, A.matrix, K, 32)
+    for max_iter in (1, 2, 3, 5, 12, EM_MAX_ITER):
+        singles = [_em_batch(XB[:, [b]], A, max_iter=max_iter) for b in range(32)]
+        if max_iter in (12, EM_MAX_ITER):
+            assert len({int(s[1][0]) for s in singles}) > 1
+        for B in (1, 2, 3, 31, 32):
+            fit, iters, conv, gaps = _em_batch(XB[:, :B], A, max_iter=max_iter)
+            for b in range(B):
+                s_fit, s_iters, s_conv, s_gaps = singles[b]
+                assert np.array_equal(s_fit[:, 0], fit[:, b])
+                assert (s_iters[0], s_conv[0], s_gaps[0]) == (iters[b], conv[b], gaps[b])
+
+
+def test_em_batch_gaps_are_the_kkt_gaps_bit_for_bit(monkeypatch):
+    # Newton hands over the gap at each column's returned point; a column
+    # that ends outside Newton gets _kkt_gaps, and only such columns do.
+    rng = np.random.default_rng(44)
+    K = 5
+    A = random_topics(rng, 500, K)
+    XB = _mixed_documents(rng, A, K, 31)
+    real, sizes = estimators._kkt_gaps, []
+
+    def counted(XB, A, alphas):
+        sizes.append(XB.shape[1])
+        return real(XB, A, alphas)
+
+    monkeypatch.setattr(estimators, "_kkt_gaps", counted)
+    recomputed = {}
+    for max_iter in (1, 2, 5, 12, 20, EM_MAX_ITER):
+        sizes.clear()
+        fit, iters, conv, gaps = _em_batch(XB, A, max_iter=max_iter)
+        assert np.array_equal(gaps, real(XB, A, fit))
+        assert sum(sizes) <= np.count_nonzero(~conv & (iters == max_iter))
+        recomputed[max_iter] = sum(sizes)
+    assert recomputed[1] == 31 and 0 < recomputed[12] < 31 and recomputed[EM_MAX_ITER] == 0
+    assert np.array_equal(conv, gaps <= TOL_KKT)
+    # No Newton step allowed: every column reruns SQUAREM and is polished
+    # once more, and its gap still comes from that polish.
+    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
+    sizes.clear()
+    fit, iters, conv, gaps = _em_batch(XB, A)
+    assert np.array_equal(gaps, real(XB, A, fit)) and sizes == []
+    fits = estimators._fit_batch(XB, A, Method.MLE)
+    assert np.array_equal(fits.kkt_gap, gaps)
 
 
 def test_em_near_degenerate_boundary_certifies():
@@ -508,8 +570,8 @@ def test_em_near_degenerate_boundary_certifies():
     A = random_topics(rng, 500, 5)
     XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)], axis=1)
     x = XB[:, [5]]
-    fit, _, conv = _em_batch(x, A)
-    tight, _, _ = _em_batch(x, A, tol=1e-15, max_iter=1_000_000)
+    fit, _, conv, _ = _em_batch(x, A)
+    tight, _, _, _ = _em_batch(x, A, tol=1e-15, max_iter=1_000_000)
     assert conv[0] and _kkt_gaps(x, A, fit)[0] <= TOL_KKT
     assert np.abs(fit - tight).max() <= 1e-6
 
@@ -519,11 +581,11 @@ def test_em_column_with_fewer_words_than_topics_is_isolated():
     K = 8
     A = random_topics(rng, 200, K)
     XB = _documents(rng, A, K, 3, 12)
-    fit, iters, conv = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, A)
     odd = XB.copy()
     odd[:, 4] = 0.0
     odd[[3, 50, 70], 4] = [0.5, 0.25, 0.25]  # three distinct words, K = 8 topics
-    odd_fit, odd_iters, odd_conv = _em_batch(odd, A)
+    odd_fit, odd_iters, odd_conv, _ = _em_batch(odd, A)
     others = np.arange(XB.shape[1]) != 4
     assert np.array_equal(odd_fit[:, others], fit[:, others])
     assert np.array_equal(odd_iters[others], iters[others]) and np.array_equal(odd_conv[others], conv[others])
@@ -539,9 +601,9 @@ def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
     K = 5
     A = random_topics(rng, 500, K)
     XB = _documents(rng, A, K, 3, 16)
-    tight, _, _ = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
+    tight, _, _, _ = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    fit, iters, conv = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, A)
     assert not conv.all() and np.all(iters < EM_MAX_ITER)
     assert np.array_equal(conv, _kkt_gaps(XB, A, fit) <= TOL_KKT)
     gain = (XB * np.log(A @ fit)).sum(axis=0) - (XB * np.log(A @ tight)).sum(axis=0)
@@ -554,7 +616,7 @@ def test_em_batch_matches_single_on_sparse_batch():
     p, K, B = 500, 5, 64
     A = random_topics(rng, p, K)
     XB = rng.multinomial(32, A @ rng.dirichlet(np.ones(K)), size=B).T / 32.0
-    mle_b, iters, conv = _em_batch(XB, A)
+    mle_b, iters, conv, _ = _em_batch(XB, A)
     for b in range(B):
         single = mle_weights(XB[:, b], A)
         assert np.abs(single.alpha - mle_b[:, b]).max() <= 1e-8
@@ -567,17 +629,17 @@ def test_em_max_iter_is_honoured():
     A = random_topics(rng, p, K)
     XB = rng.multinomial(200, A @ _sparse_weights(rng, K, 3), size=B).T / 200.0
     for max_iter in (0, 1, 2, 3, 4, 5, 7, 11):
-        alphas, iters, conv = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
+        alphas, iters, conv, _ = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
         assert np.all(iters == max_iter) and not conv.any()
         assert np.abs(alphas.sum(axis=0) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
         est = mle_weights(XB[:, 0], A, tol=0.0, max_iter=max_iter)
         assert est.iterations == max_iter and not est.converged
     # A cap between the columns' own iteration counts stops exactly the
     # columns that need more, and leaves the others as they were.
-    full, iters, conv = _em_batch(XB, A)
+    full, iters, conv, _ = _em_batch(XB, A)
     assert conv.all()
     cap = int(np.median(iters))
-    capped, capped_iters, capped_conv = _em_batch(XB, A, max_iter=cap)
+    capped, capped_iters, capped_conv, _ = _em_batch(XB, A, max_iter=cap)
     early = iters <= cap
     assert early.any() and not early.all()
     assert np.array_equal(capped_conv, early)
@@ -595,7 +657,7 @@ def test_em_objective_monotone_in_max_iter():
     XB = np.stack([rng.multinomial(N, A @ _sparse_weights(rng, K, 3)) / N for _ in range(B)], axis=1)
     prev = np.full(B, -np.inf)
     for max_iter in range(1, 120):
-        alphas, _, _ = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
+        alphas, _, _, _ = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
         cur = (XB * np.log(A @ alphas)).sum(axis=0)
         assert np.all(cur >= prev - 1e-12)
         prev = cur

@@ -28,6 +28,7 @@ from mixwass import transport
 from mixwass.inference import METHODS, _limit_draws, _plugin_limits
 from mixwass.selfcheck import check_limit_batch_matches_single
 from mixwass.errors import InvalidCost, InvalidParam
+from mixwass.estimators import _sigma_batch
 from mixwass.numlin import psd_sqrt
 
 
@@ -162,6 +163,11 @@ def test_batched_limit_law_equals_per_pair_limit_sampler(K, delta):
         one = limit_sampler(ests[0][:, b], ests[1][:, b], A, poly, delta=delta, M=200, seed=seeds[b])
         assert np.array_equal(law.samples, one.samples)
         assert (law.zero_feasible, law.meta, law.seed, law.delta) == (one.zero_feasible, one.meta, one.seed, one.delta)
+    # Both sides' covariances come from one _sigma_batch call over the 2B
+    # columns; the draws equal those from one call per side.
+    polys = [restricted_polytope(poly, ai, aj, delta) for ai, aj in zip(ests[0].T, ests[1].T)]
+    per_side = _limit_draws(_sigma_batch(ests[0], A), _sigma_batch(ests[1], A), polys, seeds, 200)
+    assert np.array_equal(np.stack([law.samples for law in laws]), per_side)
 
 
 @pytest.mark.parametrize("M", [1, 2, 300])

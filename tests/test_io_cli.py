@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixwass
 from mixwass import CountVector, gen_topic_matrix
 from mixwass.cli import main
-from mixwass.errors import InvalidSimplex, ParseError
+from mixwass.errors import InvalidSimplex, MixwassError, ParseError
 from mixwass.io import (
     RunManifest,
     load_counts,
@@ -450,6 +450,72 @@ def test_cli_malformed_inputs_exit_2_or_3(which, command, data):
             (Path(tmp) / f"{name}.csv").write_text("\n".join(body) + "\n")
         argv = [command, "--counts", f"{tmp}/counts.csv", "--topics", f"{tmp}/topics.csv"]
         assert main(argv) in (2, 3)
+
+
+_DENSE = [",".join(map(str, row)) for row in np.random.default_rng(5).integers(0, 20, size=(3, 12))]
+# Tokens on which numpy's one-pass parser and ``float`` could part ways.
+_READER_TOKENS = ["3.0", "1e3", "1_000", "#", "#3", '"3"', "'3'", " 7 ", "", "3\x1f", str(2**61), str(2**62 - 1), str(2**62), "4.611686018427388e18"]
+
+
+@st.composite
+def _counts_text(draw):
+    """A long-form or dense counts file as text, with up to three edits."""
+    lines = list(draw(st.sampled_from([_COUNTS, _DENSE])))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["token", "ragged", "blank"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t  "])))
+            continue
+        tokens = lines[i].split(",")
+        if edit == "token":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_READER_TOKENS))
+        else:
+            tokens = tokens[:-1] if draw(st.booleans()) else [*tokens, "1"]
+        lines[i] = ",".join(tokens)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+def _read_counts(path, p, one_pass: bool):
+    """load_counts' documents or error text, with or without the one-pass parse.
+
+    Without ``p``, a word id of 2**61 or more makes the count matrix too
+    big for numpy: a ValueError, not a ParseError, on either path.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if not one_pass:
+            mp.setattr(mixwass.io, "_one_pass", lambda lines: None)
+        try:
+            return [d.counts.tolist() for d in load_counts(path, p=p)]
+        except (MixwassError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counts_text(), st.sampled_from([None, 12]))
+@example("doc_id,word_id,count\r\n0,1,3\x1f\r\n0,2,1_000\r\n", 12)
+@example("\n".join(_DENSE[:1] + ["  "] + _DENSE[1:]) + "\n", None)
+def test_one_pass_and_line_by_line_reading_agree(text, p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_bytes(text.encode())
+        assert _read_counts(path, p, True) == _read_counts(path, p, False)
+
+
+def test_a_clean_counts_file_is_read_without_the_line_by_line_pass(tmp_path, monkeypatch):
+    path = tmp_path / "counts.csv"
+    path.write_text("\r\n".join(_COUNTS) + "\r\n\r\n")
+    expected = _read_counts(path, 12, False)
+
+    def line_by_line(*args):
+        raise AssertionError("line-by-line reading of a clean file")
+
+    monkeypatch.setattr(mixwass.io, "_floats", line_by_line)
+    assert _read_counts(path, 12, True) == expected
+    path.write_text("\n".join(_COUNTS[:2] + ["0,1,1_000"] + _COUNTS[2:]) + "\n")
+    with pytest.raises(AssertionError, match="line-by-line"):
+        load_counts(path, p=12)
 
 
 def test_cli_subprocess_non_finite_count_is_a_clean_error(tmp_path):

@@ -358,6 +358,23 @@ def test_zero_feasible_agrees_with_containing_the_origin(K):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("K", [5, 11])
+def test_optimal_face_holds_the_origin_only_within_the_contains_tolerance(K):
+    # At delta=0 the face pins f^T u to w_hat, so f = 0 is in it only for
+    # |w_hat| <= CONTAINS_TOL; the facet slack of wider slabs does not apply.
+    # K=5 reads its face from the vertex cache, K=11 pins it in the LP.
+    rng = np.random.default_rng(60 + K)
+    base = DualPolytope(random_instance(rng, K))
+    a = rng.dirichlet(np.ones(K))
+    direction = np.zeros(K)
+    direction[[0, 1]] = 1.0, -1.0
+    scale = float(support_batch(base, direction)[0])
+    for w_hat in (0.0, 3e-9, 1.5e-8, 7.5e-8, 1e-6):
+        poly = restricted_polytope(base, a, a - (w_hat / scale) * direction, 0.0)
+        assert poly.slab[1] == pytest.approx(w_hat, rel=1e-6, abs=1e-15)
+        assert poly.zero_feasible == poly.contains(np.zeros(K)) == (w_hat <= transport.CONTAINS_TOL)
+
+
 @pytest.mark.parametrize("K", [5, 8, 11])
 def test_support_values_are_floored_at_zero_where_the_origin_is_feasible(K):
     # K=5 takes the vertex-major product, K=8 the row-major one and K=11
