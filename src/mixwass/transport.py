@@ -7,14 +7,18 @@ polytope of vectors satisfying f_k - f_l <= d(A_k, A_l) with f_1 = 0.
 Both routes go through scipy's HiGHS solver; the dual polytope additionally
 caches its vertex set (Qhull) so that Monte Carlo loops can evaluate the
 support function as a matrix product against the vertices instead of one
-LP per draw.  The product runs in blocks of at most ``_VERTEX_BLOCK``
-entries, so its temporary stays within 2 MB at any number of draws for
-every K that is enumerated.  Up to ``_VERTEX_MAJOR_MAX`` vertices it is
-taken vertex-major, V @ U^T, whose maximum runs down contiguous columns;
-beyond that, row-major, U @ V^T.  Either way a direction gets the same bits
-alone and in any number of directions.  There is one vertex cache per base
-polytope: a restriction to a slab around the optimal facet is a view that
-reads its base's vertices.  Qhull is seeded at f = 0 wherever that point
+LP per draw.  The dual polytope of a symmetric cost is centrally symmetric,
+F = -F, so a base polytope's support table holds half of its vertices and
+a value is max |<v, z>| over that half.  The product runs in blocks of at
+most ``_VERTEX_BLOCK`` entries (1 MB) at any number of draws, for every K
+that is enumerated.  Up to ``_VERTEX_MAJOR_MAX`` vertices it is taken
+vertex-major, T @ U^T, whose maximum runs down contiguous columns; beyond
+that, row-major, U @ T with T a C-contiguous (K, n) copy.  Either way, up
+to K=8 a direction gets the same bits alone, in any number of directions
+and over all the vertices; at K=9 and 10 a value can differ in its last
+bit between block sizes.  There is one vertex cache per base polytope: a
+restriction to a slab around the optimal facet is a view that reads its
+base's vertices.  Qhull is seeded at f = 0 wherever that point
 is strictly interior, as it is for every base polytope of a cost with
 positive off-diagonal entries, and at the Chebyshev centre otherwise.
 The polytope also says whether f = 0 is in it (``zero_feasible``); where it
@@ -46,27 +50,33 @@ SIMPLEX_TOL = 1e-8
 # costs about 2.7 ms per direction.
 _QHULL_MAX_K = 10
 
-# Entries per row block of the vertex product U @ V^T in ``support_batch``
-# (2 MB, within a core's L2 cache).  Unblocked, 1000 draws took a 27 MB
-# temporary over the 3,432 vertices at K=8 and 390 MB over the 48,620 at
-# K=10; blocked, they take 4.0 instead of 8.8 ms at K=8 and 143 instead of
-# 190 ms at K=10 (2 CPUs, one BLAS thread).  Smaller blocks slow K=10 down.
-# A row's value does not depend on the block it is in.
-_VERTEX_BLOCK = 1 << 18
+# Entries per block of the vertex product in ``support_batch`` (1 MB).
+# Over the half tables, 1000 draws took 1.48 ms at K=8 in blocks of 72 rows
+# against 1.56 ms in 32 rows (1 << 16) and 2.42 ms in 152 rows (1 << 18);
+# 5.7 ms at K=9 in 16 rows against 6.1 ms in 8 and 7.0 ms in 24; 39 ms at
+# K=10 at any of 8 to 32 rows; and 0.61 ms over the 462 of K=7 against 0.70
+# and 0.74 ms at 1 << 16 and 1 << 19 (2 CPUs, one BLAS thread).  At K=8 a
+# block of up to 72 rows over the half gave every value the bits of the
+# product over all vertices, and from 73 rows on it did not.  This budget
+# keeps K=8 blocks at 72 rows of a half table and 32 of a full one, and a
+# one-row tail takes a row from the block before it instead of joining it.
+_VERTEX_BLOCK = 1 << 17
 
 # Up to this many vertices (all of K <= 7: C(12, 6) = 924), ``support_batch``
-# takes the product vertex-major, (V @ U^T).max(axis=0).  The row-major
-# U @ V^T spends most of its time in the short row maxima: 1000 directions
-# took 74 instead of 142 us over the 70 vertices of K=5 and 306 instead of
-# 401 us over the 252 of K=6 (one BLAS thread).  Over the 924 of K=7 they
-# took 1354 instead of 1109 us, but there the row-major product gave a lone
-# direction other bits than a batch did, which the vertex-major one does not.
+# takes the product vertex-major, (T @ U^T) reduced over axis 0.  The
+# row-major U @ V^T spends most of its time in the short row maxima: 1000
+# directions took 74 instead of 142 us over the 70 vertices of K=5 and 306
+# instead of 401 us over the 252 of K=6 (one BLAS thread).  Over the 924 of
+# K=7 they took 1354 instead of 1109 us, but there the row-major product
+# gave a lone direction other bits than a batch did, which the vertex-major
+# one does not.  The route is chosen by the full vertex count, also where
+# the table holds half of them.
 _VERTEX_MAJOR_MAX = 924
 
 # The vertex-major product takes its directions in multiples of this many
 # (one AVX-512 vector of doubles), the last one repeated to fill a block:
 # over a ragged count, BLAS runs the last directions through tail kernels
-# with other bits.
+# with other bits.  Row-major blocks are sized in multiples of this many rows.
 _LANES = 8
 
 # HiGHS options of the primal and dual distance LPs.  At the default 1e-7
@@ -87,6 +97,12 @@ CONTAINS_TOL = 1e-8
 
 def facet_slack(target: float) -> float:
     return FACET_SLACK_UNIT * max(1.0, abs(target))
+
+
+def _slab_bounds(target: float, delta: float) -> tuple[float, float]:
+    """Bounds (lo, hi) on f^T u of a slab of width delta > 0 around target."""
+    return target - delta - facet_slack(target), target + delta + facet_slack(target)
+
 
 _METRICS = ("tv", "l2")
 
@@ -288,6 +304,7 @@ class DualPolytope:
         self.slab: tuple[np.ndarray, float, float] | None = None
         self._halfspaces: tuple[np.ndarray, np.ndarray] | None = None
         self._vertices: np.ndarray | None = None
+        self._table: tuple[np.ndarray, bool] | None = None
         self._vertices_tried = False
 
     @property
@@ -307,7 +324,7 @@ class DualPolytope:
                 # the LP sees the optimal face itself, not a slab around it.
                 lo = hi = kr_dual_value(u, self.base)[0]
             else:
-                lo, hi = t - d - facet_slack(t), t + d + facet_slack(t)
+                lo, hi = _slab_bounds(t, d)
             self._halfspaces = (np.vstack([A, u[1:], -u[1:]]), np.append(b, [hi, -lo]))
             return self._halfspaces
         K = self.K
@@ -339,6 +356,8 @@ class DualPolytope:
         if not self._vertices_tried:
             self._vertices_tried = True
             self._vertices = self._enumerate() if self.slab is None else self._slab_vertices()
+            if self._vertices is not None and self._vertices.shape[0] > 0:
+                self._table = _support_table(self._vertices, self.slab is None)
         return self._vertices
 
     def _enumerate(self) -> np.ndarray | None:
@@ -367,15 +386,18 @@ class DualPolytope:
 
     @property
     def zero_feasible(self) -> bool:
-        """Whether f = 0 is in the polytope: always for a base, whose costs
-        are >= 0; for a slab of width delta > 0 when |w_hat| <= delta, with
-        the facet slack; and for the optimal face (delta = 0), which pins
-        f^T u to w_hat, when |w_hat| <= ``CONTAINS_TOL``, as ``contains``
-        decides it."""
+        """Whether f = 0 is in the polytope, as ``contains`` decides it:
+        always for a base, whose costs are >= 0; for a slab of width
+        delta > 0 when both of its bounds hold f = 0 within
+        ``CONTAINS_TOL``; and for the optimal face (delta = 0), which pins
+        f^T u to w_hat, when |w_hat| <= ``CONTAINS_TOL``."""
         if self.slab is None:
             return True
         _, t, d = self.slab
-        return abs(t) <= (CONTAINS_TOL if d == 0.0 else d + facet_slack(t))
+        if d == 0.0:
+            return abs(t) <= CONTAINS_TOL
+        lo, hi = _slab_bounds(t, d)
+        return 0.0 <= hi + CONTAINS_TOL and 0.0 <= -lo + CONTAINS_TOL
 
     def contains(self, f, tol: float = CONTAINS_TOL) -> bool:
         f = np.asarray(f, dtype=float)
@@ -423,6 +445,31 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     except QhullError:
         return None
     return np.unique(np.round(hs.intersections, 10), axis=0)
+
+
+def _support_table(V: np.ndarray, base: bool) -> tuple[np.ndarray, bool]:
+    """The operand of ``support_batch``'s vertex product, and whether it is
+    a symmetric half.
+
+    A base polytope is centrally symmetric, F = -F, because its costs are.
+    Its table is then the half P of its vertices whose leading nonzero free
+    coordinate is positive, provided the other half is exactly -P, and the
+    support value is max(max P z, -min P z).  Every other vertex set, and a
+    Qhull output that is not exactly symmetric, keeps all of V and the plain
+    maximum.  Up to ``_VERTEX_MAJOR_MAX`` vertices the operand is the rows
+    themselves, (n, K); beyond that, a C-contiguous (K, n) copy.
+    """
+    rows, half = V, False
+    if base and V.shape[1] > 1:
+        free = V[:, 1:]
+        P = V[free[np.arange(len(free)), (free != 0.0).argmax(axis=1)] > 0.0]
+        S = V[np.lexsort(V.T[::-1])]  # negation reverses the lexicographic order
+        half = 2 * len(P) == len(V) and np.array_equal(S, -S[::-1])
+        if half:
+            rows = P
+    if V.shape[0] <= _VERTEX_MAJOR_MAX:
+        return np.ascontiguousarray(rows), half
+    return np.ascontiguousarray(rows.T), half
 
 
 def _chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -481,15 +528,20 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     when enumeration succeeded, otherwise one LP per direction; both routes
     agree to LP tolerance and equality is enforced by the property suite.
 
-    The vertex route takes blocks of at most ``_VERTEX_BLOCK`` entries.  Up
-    to ``_VERTEX_MAJOR_MAX`` vertices, a block is (V @ U^T).max(axis=0)
+    The vertex route reads the polytope's support table (see
+    ``_support_table``): half of a base polytope's vertices, where a value
+    is the larger of max T z and -min T z, or all of a view's vertices,
+    with the plain maximum.  It takes blocks of at most ``_VERTEX_BLOCK``
+    entries.  Up to ``_VERTEX_MAJOR_MAX`` vertices, a block is T @ U^T
     over a multiple of ``_LANES`` directions, the last direction repeated
-    to fill it.  Beyond that, a block is (U @ V^T).max(axis=1) over at
-    least two rows, since a one-row block is a matrix-vector product with
-    other bits: a one-row tail joins the block before it and a lone
-    direction runs as a two-row block.  So a direction gets the same bits
-    alone and in any number of directions.  On a ``zero_feasible`` polytope
-    every value is floored at 0.
+    to fill it.  Beyond that, a block is U @ T over a multiple of
+    ``_LANES`` rows, T being (K, n); a lone direction runs as a two-row
+    block, since a one-row block is a matrix-vector product with other
+    bits, and a one-row tail takes a row from the block before it.  So up
+    to K=8 a direction gets the same bits alone, in any number of
+    directions and over all the vertices; at K=9 and 10 a value can move
+    in its last bit with its block.  On a ``zero_feasible`` polytope every
+    value is floored at 0.
     """
     U = np.ascontiguousarray(directions, dtype=float)
     if U.ndim == 1:
@@ -499,28 +551,36 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     if not np.isfinite(U).all():
         raise InvalidParam("directions must be finite")
     V = polytope.vertices()
+    T, half = polytope._table or (None, False)
     n, out = U.shape[0], np.empty(U.shape[0])
-    if V is None or V.shape[0] == 0:
+    if T is None:
         out = np.array([kr_dual_value(u, polytope)[0] for u in U])
-    elif V.shape[0] <= _VERTEX_MAJOR_MAX:
-        step = max(_LANES, _VERTEX_BLOCK // V.shape[0] // _LANES * _LANES)
-        for s in range(0, n, step):
-            block = U[s : s + step]
-            rows = len(block)
-            if rows % _LANES:
-                block = U[np.minimum(np.arange(s, s + rows + -rows % _LANES), n - 1)]
-            out[s : s + rows] = (V @ block.T).max(axis=0)[:rows]
-    elif n == 1:
-        out = (np.vstack([U, U]) @ V.T).max(axis=1)[:1]
     else:
-        bounds = list(range(0, n, max(2, _VERTEX_BLOCK // V.shape[0]))) + [n]
-        if len(bounds) > 2 and n - bounds[-2] == 1:
-            del bounds[-2]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            out[s:e] = (U[s:e] @ V.T).max(axis=1)
+        step = max(_LANES, _VERTEX_BLOCK // (T.size // polytope.K) // _LANES * _LANES)
+        if V.shape[0] <= _VERTEX_MAJOR_MAX:
+            for s in range(0, n, step):
+                block = U[s : s + step]
+                rows = len(block)
+                if rows % _LANES:
+                    block = U[np.minimum(np.arange(s, s + rows + -rows % _LANES), n - 1)]
+                out[s : s + rows] = _table_max(T @ block.T, 0, half)[:rows]
+        elif n == 1:
+            out = _table_max(np.vstack([U, U]) @ T, 1, half)[:1]
+        else:
+            bounds = list(range(0, n, step)) + [n]
+            if len(bounds) > 2 and n - bounds[-2] == 1:
+                bounds[-2] -= 1
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                out[s:e] = _table_max(U[s:e] @ T, 1, half)
     if polytope.zero_feasible:
         out[out <= 0.0] = 0.0  # also turns -0.0 into 0.0
     return out
+
+
+def _table_max(product: np.ndarray, axis: int, half: bool) -> np.ndarray:
+    """Maxima of a block of the vertex product over its table's vertices."""
+    top = product.max(axis=axis)
+    return np.maximum(top, -product.min(axis=axis)) if half else top
 
 
 def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float | None) -> DualPolytope:

@@ -23,11 +23,11 @@ from mixwass.errors import DimError, InvalidCost, InvalidParam, InvalidSimplex
 from oracles import transport_min_by_vertex_enumeration
 
 
-def random_instance(rng, K):
+def random_instance(rng, K, metric="tv"):
     p = max(2 * K, 8)
     A = rng.uniform(size=(p, K))
     A /= A.sum(axis=0)
-    return cost_matrix(TopicMatrix(A), "tv")
+    return cost_matrix(TopicMatrix(A), metric)
 
 
 # --- ProbVec / TopicMatrix -------------------------------------------------
@@ -375,6 +375,20 @@ def test_optimal_face_holds_the_origin_only_within_the_contains_tolerance(K):
         assert poly.zero_feasible == poly.contains(np.zeros(K)) == (w_hat <= transport.CONTAINS_TOL)
 
 
+@pytest.mark.parametrize("K", [5, 11])
+def test_zero_feasible_decides_wide_slabs_as_contains_does(K):
+    # A slab of width delta > 0 holds f = 0 within CONTAINS_TOL, as contains
+    # tests its bounds; delta = w_hat - facet_slack(w_hat) - 5e-9 is inside
+    # that tolerance band, -2e-8 outside it.
+    rng = np.random.default_rng(110 + K)
+    base = DualPolytope(random_instance(rng, K))
+    a, b = rng.dirichlet(np.ones(K), size=2)
+    w_hat = float(support_batch(base, a - b)[0])
+    for gap, holds in ((-5e-9, True), (-2e-8, False), (0.0, True), (1e-6, True)):
+        poly = restricted_polytope(base, a, b, w_hat - transport.facet_slack(w_hat) + gap)
+        assert poly.zero_feasible == poly.contains(np.zeros(K)) == holds
+
+
 @pytest.mark.parametrize("K", [5, 8, 11])
 def test_support_values_are_floored_at_zero_where_the_origin_is_feasible(K):
     # K=5 takes the vertex-major product, K=8 the row-major one and K=11
@@ -525,6 +539,93 @@ def test_lone_direction_gets_its_bits_in_a_block(K):
     U = rng.normal(size=(300, K))
     batch = support_batch(poly, U)
     assert all(support_batch(poly, u[None, :])[0] == w for u, w in zip(U, batch))
+
+
+# (K, seed) of the base polytopes below.  At (8, 2), Qhull's vertices of
+# the tv cost are not exactly symmetric, so that base keeps its full table.
+_BASES = [(K, 130 + K) for K in range(2, 11)] + [(8, 2)]
+
+
+@pytest.fixture(scope="module")
+def base_polytope():
+    """Base polytope of ``random_instance(default_rng(seed), K, metric)``,
+    enumerated once per module."""
+    cache = {}
+
+    def get(K, seed, metric="tv"):
+        if (K, seed, metric) not in cache:
+            cache[K, seed, metric] = DualPolytope(random_instance(np.random.default_rng(seed), K, metric))
+            cache[K, seed, metric].vertices()
+        return cache[K, seed, metric]
+
+    return get
+
+
+def _table_rows(poly):
+    """The support table's vertices as rows, and whether they are a half."""
+    vertex_major = poly.vertices().shape[0] <= transport._VERTEX_MAJOR_MAX
+    T, half = poly._table
+    return (T if vertex_major else T.T), half
+
+
+def _row_set(rows):
+    return {tuple(r) for r in rows}
+
+
+@pytest.mark.parametrize("metric", ["tv", "l2"])
+@pytest.mark.parametrize("K, seed", _BASES)
+def test_support_table_is_a_half_exactly_when_the_vertices_are_symmetric(base_polytope, K, seed, metric):
+    # A base polytope is centrally symmetric; its table is the half whose
+    # leading free coordinate is positive when that half and its negation
+    # are exactly the vertex set, and all of V otherwise.
+    poly = base_polytope(K, seed, metric)
+    V = poly.vertices()
+    rows, half = _table_rows(poly)
+    symmetric = _row_set(V) == _row_set(-V)
+    assert half == symmetric
+    if half:
+        assert 2 * len(rows) == len(V) and _row_set(rows) | _row_set(-rows) == _row_set(V)
+        assert all(r[np.flatnonzero(r)[0]] > 0 for r in rows)
+    else:
+        assert np.array_equal(rows, V)
+    assert symmetric == ((K, seed, metric) != (8, 2, "tv"))
+
+
+def test_views_keep_the_full_vertex_table(base_polytope):
+    # A face and a slab that leaves the base as it is both read all of
+    # their vertices with the plain maximum.
+    base = base_polytope(5, 135)
+    a, b = np.random.default_rng(140).dirichlet(np.ones(5), size=2)
+    for delta in (0.0, base.cost.max_entry() + 1.0):
+        poly = restricted_polytope(base, a, b, delta)
+        rows, half = _table_rows(poly)
+        assert not half and np.array_equal(rows, poly.vertices())
+
+
+@pytest.mark.parametrize("K, seed", [b for b in _BASES if b[0] <= 8])
+def test_support_table_gives_the_bits_of_the_full_vertex_product(base_polytope, K, seed):
+    # Up to K=8 the half table gives every direction the bits of the
+    # product over all vertices, alone and in any number of directions.
+    # At K=8, 73 directions are a 72-row block and a one-row tail, which
+    # takes a row from that block: one 73-row block has other bits.
+    poly = base_polytope(K, seed)
+    V = poly.vertices()
+    U = np.random.default_rng(150).normal(size=(1000, K))
+    want = (V @ U.T).max(axis=0) if V.shape[0] <= transport._VERTEX_MAJOR_MAX else (U @ V.T).max(axis=1)
+    want[want <= 0.0] = 0.0
+    for n in (1, 2, 3, 5, 13, 17, 73, 100, 1000):
+        assert np.array_equal(support_batch(poly, U[:n]), want[:n])
+
+
+@pytest.mark.parametrize("K", [9, 10])
+def test_support_table_matches_the_lp_beyond_bit_invariance(base_polytope, K):
+    # At K=9 and 10 the row-major product is not batch-invariant to the
+    # last bit, so the half table is held to the LP instead.
+    poly = base_polytope(K, 130 + K)
+    assert poly._table[1]
+    U = np.random.default_rng(160 + K).normal(size=(20, K))
+    lp = np.array([kr_dual_value(u, poly)[0] for u in U])
+    assert np.abs(support_batch(poly, U) - lp).max() <= 1e-9
 
 
 def test_one_vertex_face_values_do_not_depend_on_the_rows_layout():
