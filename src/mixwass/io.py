@@ -122,6 +122,11 @@ def load_counts(path, p: int | None = None) -> list[CountVector]:
     rows unless ``p`` is 3) sums the counts of each document over its rows;
     dense form has one document per row with ``p`` columns.  Raises
     :class:`ParseError` with a line number on malformed input.
+
+    Without ``p``, long form sizes every document by its largest word id.
+    A word id for which numpy refuses that matrix, such as 2**61, raises
+    :class:`ParseError` at its line; one near 1e9 is still allocated, at
+    about 8 GB per document.  The CLI always passes ``p``.
     """
     lines = _read_lines(path)
     head = next((i for i, ln in enumerate(lines) if ln.strip()), None)
@@ -134,7 +139,12 @@ def load_counts(path, p: int | None = None) -> list[CountVector]:
     table = _read_table(lines, width, _count_checks(long_form, p), start).astype(np.int64)
     if long_form and len(table):
         doc_ids, doc = np.unique(table[:, 0], return_inverse=True)
-        counts = np.zeros((doc_ids.size, p if p is not None else int(table[:, 1].max()) + 1), dtype=np.int64)
+        try:
+            counts = np.zeros((doc_ids.size, p if p is not None else int(table[:, 1].max()) + 1), dtype=np.int64)
+        except (ValueError, MemoryError):  # numpy refuses the size
+            largest = ("word_id too large to size the count matrix", lambda T: T[:, 1] == T[:, 1].max())
+            _read_table(lines, width, [largest], start)  # raises at the largest word id's line
+            raise
         np.add.at(counts, (doc, table[:, 1]), table[:, 2])
         table = counts
     return [CountVector(row) for row in table]

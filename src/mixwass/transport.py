@@ -9,14 +9,15 @@ caches its vertex set (Qhull) so that Monte Carlo loops can evaluate the
 support function as a matrix product against the vertices instead of one
 LP per draw.  The dual polytope of a symmetric cost is centrally symmetric,
 F = -F, so a base polytope's support table holds half of its vertices and
-a value is max |<v, z>| over that half.  The product runs in blocks of at
-most ``_VERTEX_BLOCK`` entries (1 MB) at any number of draws, for every K
-that is enumerated.  Up to ``_VERTEX_MAJOR_MAX`` vertices it is taken
+a value is max |<v, z>| over that half.  The product runs over the
+directions padded to a multiple of ``_LANES``, in blocks of at most
+``_VERTEX_BLOCK`` entries (1 MB) at any number of draws, for every K that
+is enumerated.  Up to ``_VERTEX_MAJOR_MAX`` vertices it is taken
 vertex-major, T @ U^T, whose maximum runs down contiguous columns; beyond
-that, row-major, U @ T with T a C-contiguous (K, n) copy.  Either way, up
-to K=8 a direction gets the same bits alone, in any number of directions
-and over all the vertices; at K=9 and 10 a value can differ in its last
-bit between block sizes.  There is one vertex cache per base polytope: a
+that, row-major, U @ T with T a C-contiguous (K, n) copy.  Either way, at
+every enumerated K a direction gets the same bits alone and in any batch;
+up to K=8 these are also the bits of the product over all the vertices.
+There is one vertex cache per base polytope: a
 restriction to a slab around the optimal facet is a view that reads its
 base's vertices.  Qhull is seeded at f = 0 wherever that point
 is strictly interior, as it is for every base polytope of a cost with
@@ -58,8 +59,9 @@ _QHULL_MAX_K = 10
 # and 0.74 ms at 1 << 16 and 1 << 19 (2 CPUs, one BLAS thread).  At K=8 a
 # block of up to 72 rows over the half gave every value the bits of the
 # product over all vertices, and from 73 rows on it did not.  This budget
-# keeps K=8 blocks at 72 rows of a half table and 32 of a full one, and a
-# one-row tail takes a row from the block before it instead of joining it.
+# keeps K=8 blocks at 72 rows of a half table and 32 of a full one.  At K=9
+# and 10 a value has the same bits in every block, but not always those of
+# the product over all vertices.
 _VERTEX_BLOCK = 1 << 17
 
 # Up to this many vertices (all of K <= 7: C(12, 6) = 924), ``support_batch``
@@ -69,14 +71,17 @@ _VERTEX_BLOCK = 1 << 17
 # instead of 401 us over the 252 of K=6 (one BLAS thread).  Over the 924 of
 # K=7 they took 1354 instead of 1109 us, but there the row-major product
 # gave a lone direction other bits than a batch did, which the vertex-major
-# one does not.  The route is chosen by the full vertex count, also where
-# the table holds half of them.
+# one does not.  Over the half tables vertex-major still pays: at K=5, 1000
+# directions took 0.05 against 0.14 ms row-major (one BLAS thread), and a
+# null-table op makes 64 such calls.  ``_support_table`` chooses the route by the full
+# vertex count, also where the table holds half of them.
 _VERTEX_MAJOR_MAX = 924
 
-# The vertex-major product takes its directions in multiples of this many
-# (one AVX-512 vector of doubles), the last one repeated to fill a block:
-# over a ragged count, BLAS runs the last directions through tail kernels
-# with other bits.  Row-major blocks are sized in multiples of this many rows.
+# ``support_batch`` pads its directions to a multiple of this many (one
+# AVX-512 vector of doubles), the last one repeated, and sizes its blocks in
+# multiples of it: over a ragged count, BLAS runs the last directions
+# through tail kernels with other bits, and a lone direction would be a
+# matrix-vector product.
 _LANES = 8
 
 # HiGHS options of the primal and dual distance LPs.  At the default 1e-7
@@ -304,7 +309,7 @@ class DualPolytope:
         self.slab: tuple[np.ndarray, float, float] | None = None
         self._halfspaces: tuple[np.ndarray, np.ndarray] | None = None
         self._vertices: np.ndarray | None = None
-        self._table: tuple[np.ndarray, bool] | None = None
+        self._table: tuple[np.ndarray, bool, int] | None = None
         self._vertices_tried = False
 
     @property
@@ -447,9 +452,9 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.unique(np.round(hs.intersections, 10), axis=0)
 
 
-def _support_table(V: np.ndarray, base: bool) -> tuple[np.ndarray, bool]:
-    """The operand of ``support_batch``'s vertex product, and whether it is
-    a symmetric half.
+def _support_table(V: np.ndarray, base: bool) -> tuple[np.ndarray, bool, int]:
+    """The operand of ``support_batch``'s vertex product, whether it is a
+    symmetric half, and the axis of the product that runs over the vertices.
 
     A base polytope is centrally symmetric, F = -F, because its costs are.
     Its table is then the half P of its vertices whose leading nonzero free
@@ -457,7 +462,8 @@ def _support_table(V: np.ndarray, base: bool) -> tuple[np.ndarray, bool]:
     support value is max(max P z, -min P z).  Every other vertex set, and a
     Qhull output that is not exactly symmetric, keeps all of V and the plain
     maximum.  Up to ``_VERTEX_MAJOR_MAX`` vertices the operand is the rows
-    themselves, (n, K); beyond that, a C-contiguous (K, n) copy.
+    themselves, (n, K), and the vertices run down axis 0 of T @ U^T; beyond
+    that, a C-contiguous (K, n) copy, and they run along axis 1 of U @ T.
     """
     rows, half = V, False
     if base and V.shape[1] > 1:
@@ -468,8 +474,8 @@ def _support_table(V: np.ndarray, base: bool) -> tuple[np.ndarray, bool]:
         if half:
             rows = P
     if V.shape[0] <= _VERTEX_MAJOR_MAX:
-        return np.ascontiguousarray(rows), half
-    return np.ascontiguousarray(rows.T), half
+        return np.ascontiguousarray(rows), half, 0
+    return np.ascontiguousarray(rows.T), half, 1
 
 
 def _chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -531,17 +537,14 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     The vertex route reads the polytope's support table (see
     ``_support_table``): half of a base polytope's vertices, where a value
     is the larger of max T z and -min T z, or all of a view's vertices,
-    with the plain maximum.  It takes blocks of at most ``_VERTEX_BLOCK``
-    entries.  Up to ``_VERTEX_MAJOR_MAX`` vertices, a block is T @ U^T
-    over a multiple of ``_LANES`` directions, the last direction repeated
-    to fill it.  Beyond that, a block is U @ T over a multiple of
-    ``_LANES`` rows, T being (K, n); a lone direction runs as a two-row
-    block, since a one-row block is a matrix-vector product with other
-    bits, and a one-row tail takes a row from the block before it.  So up
-    to K=8 a direction gets the same bits alone, in any number of
-    directions and over all the vertices; at K=9 and 10 a value can move
-    in its last bit with its block.  On a ``zero_feasible`` polytope every
-    value is floored at 0.
+    with the plain maximum.  The directions are padded to a multiple of
+    ``_LANES``, the last one repeated, and run in blocks of a multiple of
+    ``_LANES`` directions and at most ``_VERTEX_BLOCK`` entries: T @ U^T
+    up to ``_VERTEX_MAJOR_MAX`` vertices, U @ T with T (K, n) beyond.  So
+    at every enumerated K a direction gets the same bits alone and in any
+    number of directions; up to K=8 these are also the bits of the product
+    over all the vertices.  On a ``zero_feasible`` polytope every value is
+    floored at 0.
     """
     U = np.ascontiguousarray(directions, dtype=float)
     if U.ndim == 1:
@@ -550,28 +553,20 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
         raise DimError(f"directions have dim {U.shape[1]}, expected {polytope.K}")
     if not np.isfinite(U).all():
         raise InvalidParam("directions must be finite")
-    V = polytope.vertices()
-    T, half = polytope._table or (None, False)
-    n, out = U.shape[0], np.empty(U.shape[0])
-    if T is None:
+    polytope.vertices()  # builds the support table where it can
+    n = U.shape[0]
+    if polytope._table is None:
         out = np.array([kr_dual_value(u, polytope)[0] for u in U])
     else:
+        T, half, axis = polytope._table
+        if n % _LANES:
+            U = U[np.minimum(np.arange(n + -n % _LANES), n - 1)]
         step = max(_LANES, _VERTEX_BLOCK // (T.size // polytope.K) // _LANES * _LANES)
-        if V.shape[0] <= _VERTEX_MAJOR_MAX:
-            for s in range(0, n, step):
-                block = U[s : s + step]
-                rows = len(block)
-                if rows % _LANES:
-                    block = U[np.minimum(np.arange(s, s + rows + -rows % _LANES), n - 1)]
-                out[s : s + rows] = _table_max(T @ block.T, 0, half)[:rows]
-        elif n == 1:
-            out = _table_max(np.vstack([U, U]) @ T, 1, half)[:1]
-        else:
-            bounds = list(range(0, n, step)) + [n]
-            if len(bounds) > 2 and n - bounds[-2] == 1:
-                bounds[-2] -= 1
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                out[s:e] = _table_max(U[s:e] @ T, 1, half)
+        out = np.empty(len(U))
+        for s in range(0, len(U), step):
+            block = U[s : s + step]
+            out[s : s + step] = _table_max(T @ block.T if axis == 0 else block @ T, axis, half)
+        out = out[:n]
     if polytope.zero_feasible:
         out[out <= 0.0] = 0.0  # also turns -0.0 into 0.0
     return out

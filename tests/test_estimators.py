@@ -346,11 +346,12 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
     fit, iters, conv, _ = _em_batch(XB, A)
     assert conv.all()
     assert calls == {"_squarem": [8], "_newton_finish": [8]}
-    # No column stops within one EM map: no Newton finish and no retry.
+    # No column stops within one EM map: one Newton call of no steps, which
+    # only checks the gaps, and no retry, since no column has budget left.
     for sizes in calls.values():
         sizes.clear()
-    _em_batch(XB, A, max_iter=1)
-    assert calls == {"_squarem": [8], "_newton_finish": []}
+    _, iters, _, _ = _em_batch(XB, A, max_iter=1)
+    assert calls == {"_squarem": [8], "_newton_finish": [8]} and np.all(iters == 1)
 
 
 # --- wls ---------------------------------------------------------------------
@@ -531,36 +532,37 @@ def test_em_batch_single_columns_equal_every_batch_bit_for_bit(K):
 
 
 def test_em_batch_gaps_are_the_kkt_gaps_bit_for_bit(monkeypatch):
-    # Newton hands over the gap at each column's returned point; a column
-    # that ends outside Newton gets _kkt_gaps, and only such columns do.
+    # Newton hands over the gap at each column's returned point, also for
+    # a column stopped by max_iter, which it checks without a step.
     rng = np.random.default_rng(44)
     K = 5
     A = random_topics(rng, 500, K)
     XB = _mixed_documents(rng, A, K, 31)
-    real, sizes = estimators._kkt_gaps, []
-
-    def counted(XB, A, alphas):
-        sizes.append(XB.shape[1])
-        return real(XB, A, alphas)
-
-    monkeypatch.setattr(estimators, "_kkt_gaps", counted)
-    recomputed = {}
     for max_iter in (1, 2, 5, 12, 20, EM_MAX_ITER):
-        sizes.clear()
         fit, iters, conv, gaps = _em_batch(XB, A, max_iter=max_iter)
-        assert np.array_equal(gaps, real(XB, A, fit))
-        assert sum(sizes) <= np.count_nonzero(~conv & (iters == max_iter))
-        recomputed[max_iter] = sum(sizes)
-    assert recomputed[1] == 31 and 0 < recomputed[12] < 31 and recomputed[EM_MAX_ITER] == 0
-    assert np.array_equal(conv, gaps <= TOL_KKT)
+        assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+        assert np.array_equal(conv, gaps <= TOL_KKT)
     # No Newton step allowed: every column reruns SQUAREM and is polished
     # once more, and its gap still comes from that polish.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    sizes.clear()
     fit, iters, conv, gaps = _em_batch(XB, A)
-    assert np.array_equal(gaps, real(XB, A, fit)) and sizes == []
+    assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
     fits = estimators._fit_batch(XB, A, Method.MLE)
     assert np.array_equal(fits.kkt_gap, gaps)
+
+
+def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is_within_tol():
+    # At tol=0 SQUAREM never stops on its step, so every column ends at
+    # max_iter; Newton then only checks it, and some of those columns are
+    # already within TOL_KKT and some are not.
+    rng = np.random.default_rng(44)
+    K = 5
+    A = random_topics(rng, 500, K)
+    XB = _mixed_documents(rng, A, K, 31)
+    fit, iters, conv, gaps = _em_batch(XB, A, tol=0.0, max_iter=50)
+    assert np.all(iters == 50) and 0 < np.count_nonzero(conv) < 31
+    assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+    assert np.array_equal(conv, gaps <= TOL_KKT)
 
 
 def test_em_near_degenerate_boundary_certifies():
@@ -608,6 +610,34 @@ def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
     assert np.array_equal(conv, _kkt_gaps(XB, A, fit) <= TOL_KKT)
     gain = (XB * np.log(A @ fit)).sum(axis=0) - (XB * np.log(A @ tight)).sum(axis=0)
     assert np.all(gain >= -1e-9)
+
+
+def test_em_batch_retry_restarts_from_the_em_stop_point(monkeypatch):
+    # One Newton step certifies none of these columns, so every one reruns
+    # SQUAREM.  It reruns from its EM stop, whatever _newton_finish left in
+    # its x argument, which it may write into.
+    rng = np.random.default_rng(21)
+    K = 5
+    A = random_topics(rng, 500, K)
+    XB = _documents(rng, A, K, 3, 16)
+    runs, squarem, newton = [], estimators._squarem, estimators._newton_finish
+
+    def recorded(X, A, AT, x, tol, budget):
+        out = squarem(X, A, AT, x, tol, budget)
+        runs.append((x.copy(), out[0]))
+        return out
+
+    def scribbling(X, A, AT, AA, x, budget):
+        out = newton(X, A, AT, AA, x, budget)
+        x[:] = np.nan
+        return out
+
+    monkeypatch.setattr(estimators, "_squarem", recorded)
+    monkeypatch.setattr(estimators, "_newton_finish", scribbling)
+    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
+    _em_batch(XB, A)
+    (_, stop), (restart, _) = runs
+    assert len(restart) == 16 and np.array_equal(restart, stop)
 
 
 def test_em_batch_matches_single_on_sparse_batch():

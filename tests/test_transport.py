@@ -510,7 +510,7 @@ def test_vertex_face_restriction_matches_lp(K):
 def test_blocked_vertex_product_equals_one_product(K, monkeypatch):
     # The vertex route runs its product in blocks; every row keeps the bits
     # of the unblocked product, at the default budget and at budgets of two
-    # and three rows (1000 = 333 * 3 + 1 leaves a one-row tail).  Up to
+    # and three rows, which blocks of eight directions round up.  Up to
     # _VERTEX_MAJOR_MAX vertices (K <= 7) the product is V @ U^T.
     rng = np.random.default_rng(24 + K)
     poly = DualPolytope(random_instance(rng, K))
@@ -531,9 +531,9 @@ def test_blocked_vertex_product_equals_one_product(K, monkeypatch):
 
 @pytest.mark.parametrize("K", [3, 4, 5, 6, 7, 8, 10])
 def test_lone_direction_gets_its_bits_in_a_block(K):
-    # A lone direction runs in a full block (eight directions vertex-major,
-    # two rows row-major), not as a matrix-vector product, so alone it gets
-    # the bits it gets among 300 directions.
+    # A lone direction runs in a block of eight, itself repeated, not as a
+    # matrix-vector product, so alone it gets the bits it gets among 300
+    # directions.
     rng = np.random.default_rng(40 + K)
     poly = DualPolytope(random_instance(rng, K))
     U = rng.normal(size=(300, K))
@@ -563,9 +563,9 @@ def base_polytope():
 
 def _table_rows(poly):
     """The support table's vertices as rows, and whether they are a half."""
-    vertex_major = poly.vertices().shape[0] <= transport._VERTEX_MAJOR_MAX
-    T, half = poly._table
-    return (T if vertex_major else T.T), half
+    poly.vertices()
+    T, half, axis = poly._table
+    return (T if axis == 0 else T.T), half
 
 
 def _row_set(rows):
@@ -606,8 +606,8 @@ def test_views_keep_the_full_vertex_table(base_polytope):
 def test_support_table_gives_the_bits_of_the_full_vertex_product(base_polytope, K, seed):
     # Up to K=8 the half table gives every direction the bits of the
     # product over all vertices, alone and in any number of directions.
-    # At K=8, 73 directions are a 72-row block and a one-row tail, which
-    # takes a row from that block: one 73-row block has other bits.
+    # At K=8, 73 directions are a 72-row block and a tail padded to eight
+    # rows: one 73-row block has other bits.
     poly = base_polytope(K, seed)
     V = poly.vertices()
     U = np.random.default_rng(150).normal(size=(1000, K))
@@ -618,14 +618,19 @@ def test_support_table_gives_the_bits_of_the_full_vertex_product(base_polytope, 
 
 
 @pytest.mark.parametrize("K", [9, 10])
-def test_support_table_matches_the_lp_beyond_bit_invariance(base_polytope, K):
-    # At K=9 and 10 the row-major product is not batch-invariant to the
-    # last bit, so the half table is held to the LP instead.
+def test_support_table_is_batch_invariant_and_matches_the_lp_at_k9_and_k10(base_polytope, K):
+    # At K=9 and 10 a value need not have the bits of the product over all
+    # vertices, but it has the same bits alone and in any prefix of a
+    # batch, across block boundaries; the half table is held to the LP.
     poly = base_polytope(K, 130 + K)
     assert poly._table[1]
-    U = np.random.default_rng(160 + K).normal(size=(20, K))
-    lp = np.array([kr_dual_value(u, poly)[0] for u in U])
-    assert np.abs(support_batch(poly, U) - lp).max() <= 1e-9
+    U = np.random.default_rng(160 + K).normal(size=(64, K))
+    batch = support_batch(poly, U)
+    assert all(support_batch(poly, u[None, :])[0] == w for u, w in zip(U, batch))
+    for m in (1, 2, 3, 7, 8, 9, 17, 33, 63):
+        assert np.array_equal(support_batch(poly, U[:m]), batch[:m])
+    lp = np.array([kr_dual_value(u, poly)[0] for u in U[:20]])
+    assert np.abs(batch[:20] - lp).max() <= 1e-9
 
 
 def test_one_vertex_face_values_do_not_depend_on_the_rows_layout():
