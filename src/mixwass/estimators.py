@@ -4,8 +4,8 @@ Given (known or estimated) topics A, three estimators of the mixture
 weights are provided:
 
 * ``mle_weights`` -- the simplex-constrained maximum-likelihood estimate,
-  computed by SQUAREM-accelerated EM and finished by active-set Newton
-  steps to a KKT certificate;
+  computed by active-set Newton steps to a KKT certificate, with
+  SQUAREM-accelerated EM as the rescue of a fit they cannot certify;
 * ``debias`` -- the one-step correction alpha_hat + Vhat^+ Psi(alpha_hat)
   that removes the boundary-induced asymptotic bias of the MLE and admits
   a Gaussian limit even for sparse weights;
@@ -27,14 +27,16 @@ a stack of fixed two-row GEMMs, or a matrix-vector product per column
 matrix's outer table, which a ``TopicMatrix`` builds once; so a document
 gets the same bits in any batch.
 
-``_em_batch`` fits in two phases.  SQUAREM (Varadhan & Roland 2008, Scand.
-J. Statist.) accelerates the multiplicative EM map until one map moves a fit
-by at most ``EM_TOL`` = 1e-3 in l1, where EM's slow linear tail begins.
-Newton steps on the face of free coordinates then finish the fit, setting
-exact zeros where the MLE sits on the simplex boundary, until its KKT gap
-is at most ``TOL_KKT``.  Both phases keep iterates in the simplex and the
+``_em_batch`` fits Newton first.  Newton steps on the face of free
+coordinates (a projected Newton method, Bertsekas 1982, SIAM J. Control
+Optim.) run from the uniform point, setting exact zeros where the MLE sits
+on the simplex boundary, until a fit's KKT gap is at most ``TOL_KKT``.
+Only a fit they leave uncertified is rescued: SQUAREM (Varadhan & Roland
+2008, Scand. J. Statist.) accelerates the multiplicative EM map until one
+map moves it by at most ``EM_TOL`` = 1e-3 in l1, and Newton polishes it
+from there.  Every step keeps iterates in the simplex and the
 log-likelihood nondecreasing.  ``converged`` means exactly that the KKT
-certificate holds; ``iterations`` counts EM maps and Newton steps.
+certificate holds; ``iterations`` counts Newton steps and EM maps.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import (
     SingularDesign,
     SingularInformation,
 )
-from .transport import TopicMatrix, _outer_rows, _topics_array, _values
+from .transport import TopicMatrix, _dead_rows, _outer_rows, _topics_array, _values
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -66,13 +68,15 @@ TAU_SUPP = 1e-8
 # land within about 3 * TOL_KKT of the MLE; at 1e-6 they stay up to 3e-6 off.
 TOL_KKT = 1e-9
 
-# SQUAREM stops a fit once one EM map moves it by at most EM_TOL in l1 and
-# hands it to the Newton finish; EM's linear tail is what Newton replaces.
+# A fit the first Newton round cannot certify is rescued by SQUAREM, which
+# stops once one EM map moves it by at most EM_TOL in l1 and hands it to a
+# Newton polish; EM's linear tail is what Newton replaces.
 EM_TOL = 1e-3
 EM_MAX_ITER = 10_000
 # A fit Newton cannot certify reruns SQUAREM to this step and is polished again.
 _EM_TIGHT_TOL = 1e-10
-# Newton steps per polish, and halvings per step, before a fit is uncertified.
+# Newton steps per polish (the first round allows more, ``_first_steps``),
+# and halvings per step, before a fit is uncertified.
 _NEWTON_MAX_STEPS = 20
 _NEWTON_MAX_HALVINGS = 30
 
@@ -139,15 +143,16 @@ class CovEstimate:
     rank: int
 
 
-def _check_columns(XB: np.ndarray, A: np.ndarray) -> None:
+def _check_columns(XB: np.ndarray, A) -> None:
     """Refuse a (p, B) batch of frequency columns with the first failing column's error.
 
     One mask for the batch: a column fails with empty support, or with a
     positive count on a word that no topic gives positive probability.
     """
-    if XB.shape[0] != A.shape[0]:
-        raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {A.shape[0]} rows")
-    pos, dead = XB > 0, A.max(axis=1) <= 0.0
+    Am = _topics_array(A)
+    if XB.shape[0] != Am.shape[0]:
+        raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {Am.shape[0]} rows")
+    pos, dead = XB > 0, A.dead_rows if isinstance(A, TopicMatrix) else _dead_rows(Am)
     bad = ~pos.any(axis=0) | pos[dead].any(axis=0)
     if bad.any():
         words = np.flatnonzero(pos[:, bad.argmax()] & dead)
@@ -175,12 +180,13 @@ def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _design(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A topic matrix (``TopicMatrix`` or array) as C-ordered A, A^T and outer table.
 
-    A ``TopicMatrix`` keeps its outer table, so every fit against it
-    shares one; an array's table is built per call.
+    A ``TopicMatrix`` keeps its transpose and outer table, so every fit
+    against it shares them; an array's are built per call.
     """
-    Am = np.ascontiguousarray(_topics_array(A), dtype=float)
-    AA = A.outers if isinstance(A, TopicMatrix) else _outer_rows(Am)
-    return Am, np.ascontiguousarray(Am.T), AA
+    if isinstance(A, TopicMatrix):
+        return np.ascontiguousarray(A.matrix), A.transposed, A.outers
+    Am = np.ascontiguousarray(A, dtype=float)
+    return Am, np.ascontiguousarray(Am.T), _outer_rows(Am)
 
 
 def _fitted(x: np.ndarray, AT: np.ndarray) -> np.ndarray:
@@ -226,7 +232,7 @@ def _squarem(X, A, AT, x, tol, budget):
 
     Returns (weights, EM maps used, stopped on ``tol``); row b stops when
     one EM map moves it by at most ``tol`` in l1 or after ``budget[b]``
-    maps.  See ``_em_batch`` for the cycle.  Each active row carries its
+    maps.  See ``_rescue`` for the cycle.  Each active row carries its
     budget in ``left``, and the working rows are compacted only on a map
     after which some row leaves, so a batch of one pays no bookkeeping.
     """
@@ -326,8 +332,8 @@ def _newton_finish(X, A, AT, AA, x, budget):
     sum_j X_j log1p(A_j dx / r_j) less the log of the change in the
     weights' sum, so it still decides steps whose gain is far below the
     rounding of the log-likelihood.  A row stops certified once its KKT
-    gap is at most ``TOL_KKT``, and uncertified after ``budget[b]`` or
-    ``_NEWTON_MAX_STEPS`` steps, or when no halving keeps its likelihood.
+    gap is at most ``TOL_KKT``, and uncertified after ``budget[b]`` steps,
+    or when no halving keeps its likelihood.
 
     A fourth array holds each row's KKT gap, from the gradient at its
     returned point.  As in ``_squarem``, rows are compacted only on a step
@@ -338,8 +344,7 @@ def _newton_finish(X, A, AT, AA, x, budget):
     gaps = np.empty(len(x))
     active = np.arange(len(x))
     R = _fitted(x, AT)
-    left = np.minimum(budget, _NEWTON_MAX_STEPS)
-    steps = 0
+    left, steps = budget, 0
     while active.size:
         g = _rowdot(X / R, A)
         gap = _gap(x, g)
@@ -394,65 +399,99 @@ def _newton_finish(X, A, AT, AA, x, budget):
     return out, used, certified, gaps
 
 
+def _first_steps(K: int) -> int:
+    """Newton steps of the first round, which starts at the uniform point.
+
+    Each blocked step zeros one coordinate, so a fit may first spend up to
+    K steps reaching its face; the round allows a polish's
+    ``_NEWTON_MAX_STEPS`` plus those, at most twice a polish in all, so a
+    column it cannot certify costs at most two polishes before the rescue.
+    """
+    return _NEWTON_MAX_STEPS + min(K, _NEWTON_MAX_STEPS)
+
+
 def _em_batch(
     XB: np.ndarray,
     A: np.ndarray,
     tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simplex MLE of a (p, B) matrix of frequency columns: EM, then Newton.
+    """Simplex MLE of a (p, B) matrix of frequency columns: Newton, then the rescue.
 
-    Returns (alphas (K, B), iterations (B,), converged (B,)).  SQUAREM runs
-    from the uniform start until one EM map moves a column by at most
+    Returns (alphas (K, B), iterations (B,), converged (B,), KKT gaps (B,)).
+    ``_newton_finish`` runs first on every column, from the uniform point,
+    for at most ``_first_steps(K)`` steps and ``max_iter``; ``converged``
+    certifies a KKT gap of at most ``TOL_KKT``.  Only a column it leaves
+    uncertified with budget left runs the rescue (``_rescue``): SQUAREM
+    from the uniform point to ``tol``, a Newton polish and, if still
+    uncertified, the ``_EM_TIGHT_TOL`` retry, on what is left of
+    ``max_iter``.  ``tol`` sets only the rescue's EM stop.  ``iterations``
+    and ``max_iter`` count Newton steps and EM maps together.  A column's
+    arithmetic does not depend on the rest of the batch, so a batch of one
+    gives the same bits.
+
+    The gaps are the ones Newton evaluated at each column's returned point.
+    """
+    A, AT, AA = _design(A)
+    X = np.ascontiguousarray(XB.T, dtype=float)
+    B, K = X.shape[0], A.shape[1]
+    budget = np.full(B, max_iter, dtype=np.int64)
+    out, iterations, converged, gaps = _newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.minimum(budget, _first_steps(K)))
+    cols = np.flatnonzero(~converged & (iterations < max_iter))
+    if cols.size:
+        out[cols], used, converged[cols], gaps[cols] = _rescue(X[cols], A, AT, AA, tol, budget[cols] - iterations[cols])
+        iterations[cols] += used
+    return out.T.copy(), iterations, converged, gaps
+
+
+def _rescue(X, A, AT, AA, tol, budget):
+    """EM first, for rows the first Newton round left uncertified.
+
+    Returns (weights, iterations, certified, KKT gaps) of rows X.  SQUAREM
+    runs from the uniform point until one EM map moves a row by at most
     ``tol`` in l1.  A cycle takes x1 = F(x0), x2 = F(x1), extrapolates to
     x0 - 2a r + a^2 v (r = x1 - x0, v = x2 - 2 x1 + x0, S3 step
     a = -|r|/|v| <= -1) and applies F once more; an extrapolant that is not
     finite and nonnegative, or has a lower log-likelihood than x2, is
     retried with a + 1 halved, and replaced by x2 once a > -2.
 
-    ``_newton_finish`` then polishes every column to a KKT gap of at most
-    ``TOL_KKT``, which is what ``converged`` certifies, within what is left
-    of ``max_iter``; a column SQUAREM stopped at ``max_iter`` gets no step
-    and is only checked.  A column it cannot certify, with budget left,
-    reruns SQUAREM from its EM stop to ``_EM_TIGHT_TOL`` and is polished
-    once more.  ``iterations`` and ``max_iter`` count EM maps and Newton
-    steps together.  A column's arithmetic does not depend on the rest of
-    the batch, so a batch of one gives the same bits.
-
-    A fourth array holds each column's KKT gap, the one Newton evaluated at
-    its returned point.
+    ``_newton_finish`` then polishes each row within what is left of its
+    budget; a row SQUAREM stopped at its budget gets no step and is only
+    checked.  A row it cannot certify, with budget left, reruns SQUAREM
+    from its EM stop to ``_EM_TIGHT_TOL`` and is polished once more.
     """
-    A, AT, AA = _design(A)
-    X = np.ascontiguousarray(XB.T, dtype=float)
-    B, K = X.shape[0], A.shape[1]
-    budget = np.full(B, max_iter, dtype=np.int64)
-    start, iterations, _ = _squarem(X, A, AT, np.full((B, K), 1.0 / K), tol, budget)
-    out, used, converged, gaps = _newton_finish(X, A, AT, AA, start.copy(), budget - iterations)
+    K = A.shape[1]
+    start, iterations, _ = _squarem(X, A, AT, np.full((len(X), K), 1.0 / K), tol, budget)
+    polish = np.minimum(budget - iterations, _NEWTON_MAX_STEPS)
+    out, used, converged, gaps = _newton_finish(X, A, AT, AA, start.copy(), polish)
     iterations += used
-    cols = np.flatnonzero(~converged & (iterations < max_iter))
-    if cols.size:
-        x, used, _ = _squarem(X[cols], A, AT, start[cols], min(tol, _EM_TIGHT_TOL), budget[cols] - iterations[cols])
-        iterations[cols] += used
-        out[cols], used, converged[cols], gaps[cols] = _newton_finish(X[cols], A, AT, AA, x, budget[cols] - iterations[cols])
-        iterations[cols] += used
-    return out.T.copy(), iterations, converged, gaps
+    rows = np.flatnonzero(~converged & (iterations < budget))
+    if rows.size:
+        x, used, _ = _squarem(X[rows], A, AT, start[rows], min(tol, _EM_TIGHT_TOL), budget[rows] - iterations[rows])
+        iterations[rows] += used
+        polish = np.minimum(budget[rows] - iterations[rows], _NEWTON_MAX_STEPS)
+        out[rows], used, converged[rows], gaps[rows] = _newton_finish(X[rows], A, AT, AA, x, polish)
+        iterations[rows] += used
+    return out, iterations, converged, gaps
 
 
 def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     """Simplex MLE of the mixture weights, certified by its KKT conditions.
 
-    Maximizes sum_j X_j log(A_j . alpha) over the simplex from the uniform
-    start.  SQUAREM-accelerated EM (alpha_k <- alpha_k * g_k with gradient
-    g_k = sum_j X_j A_jk / (A_j . alpha)) runs until one EM map moves the
-    fit by at most ``tol`` in l1; active-set Newton steps then finish it
-    to the MLE, with exact zeros off its support.  The fit is ``_fit_batch``
+    Maximizes sum_j X_j log(A_j . alpha) over the simplex.  Active-set
+    Newton steps run from the uniform point to the MLE, with exact zeros
+    off its support.  A fit they cannot certify is rescued by
+    SQUAREM-accelerated EM (alpha_k <- alpha_k * g_k with gradient
+    g_k = sum_j X_j A_jk / (A_j . alpha)) from the uniform point, until one
+    EM map moves it by at most ``tol`` in l1, and Newton finishes it from
+    there; ``tol`` sets only that rescue's stop.  The fit is ``_fit_batch``
     with the document as a batch of one, so it equals the batched fit of
     the same document.
 
     ``kkt_gap`` is the stationarity defect of the returned point:
     max |g_k - 1| over coordinates above ``TAU_SUPP`` and max (g_k - 1)_+
     over the others.  ``converged`` certifies ``kkt_gap <= TOL_KKT``.
-    ``iterations`` and ``max_iter`` count EM maps and Newton steps.
+    ``iterations`` and ``max_iter`` count Newton steps plus any EM maps.
     """
     return _fit_batch(_values(X, name="X")[:, None], A, Method.MLE, tol, max_iter).estimate(0)
 
@@ -528,10 +567,9 @@ def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, tol: float =
     ``_em_batch`` with its KKT gaps, the debiased fit ``_debias_batch`` of
     it, and WLS ``_wls_batch``; ``tol`` and ``max_iter`` as in ``mle_weights``.
     """
-    Am = _topics_array(A)
-    _check_columns(XB, Am)
+    _check_columns(XB, A)
     if method is Method.WLS:
-        return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
+        return _Fits(method, _wls_batch(XB, _topics_array(A)), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
     mle, iterations, converged, gaps = _em_batch(XB, A, tol, max_iter)
     est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
     return _Fits(method, est, mle, iterations, converged, gaps)

@@ -49,12 +49,12 @@ def _as_stack(M) -> tuple[np.ndarray, bool]:
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise InvalidMatrix(f"M must be square or a stack of square matrices, got shape {M.shape}")
     S = M[None] if single else M
-    if not np.isfinite(S).all():
+    size = np.abs(S).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(size).all():  # the max keeps a NaN or an infinity
         raise InvalidMatrix("M has non-finite entries")
     ST = S.transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2), initial=0.0))
     asym = np.abs(S - ST).max(axis=(1, 2), initial=0.0)
-    bad = asym > 1e-6 * scale
+    bad = asym > 1e-6 * np.maximum(1.0, size)
     if bad.any():
         raise InvalidMatrix(f"M is not symmetric (max asymmetry {asym[bad][0]:.3e})")
     return (S + ST) / 2.0, single
@@ -62,17 +62,20 @@ def _as_stack(M) -> tuple[np.ndarray, bool]:
 
 def _eig_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetrized (B, K, K) stack, eigenvalues descending:
-    (eigenvalues (B, K), eigenvectors (B, K, K) as columns)."""
+    (eigenvalues (B, K), eigenvectors (B, K, K) as columns).
+
+    ``eigh`` returns each slice's eigenvalues ascending, so descending
+    order is their reversal; the copies keep both arrays C-ordered, the
+    layout the products that follow and ``SymMatrixResult`` always had.
+    """
     w, U = np.linalg.eigh(S)
-    order = np.argsort(w, axis=-1)[:, ::-1]
-    b = np.arange(len(w))[:, None]
-    return w[b, order], U[b[:, :, None], np.arange(S.shape[-1])[:, None], order[:, None, :]]
+    return w[:, ::-1].copy(), U[:, :, ::-1].copy()
 
 
 def _rank(w: np.ndarray) -> np.ndarray:
     """Rank (B,) of each row of descending eigenvalues, as in ``SymMatrixResult``."""
-    lam_max = np.maximum(w.max(axis=-1, initial=0.0), 0.0)
-    return (w > w.shape[-1] * RANK_TOL_UNIT * lam_max[:, None]).sum(axis=-1)
+    lam_max = np.maximum(w[:, :1], 0.0)  # a row's first eigenvalue is its largest
+    return (w > w.shape[-1] * RANK_TOL_UNIT * lam_max).sum(axis=-1)
 
 
 def _compose(Ud: np.ndarray, U: np.ndarray, single: bool) -> np.ndarray:
@@ -111,10 +114,9 @@ def pinv(M) -> np.ndarray:
     """
     S, single = _as_stack(M)
     w, U = _eig_stack(S)
-    thr = S.shape[-1] * RANK_TOL_UNIT * np.abs(w).max(axis=-1, initial=0.0)
-    keep = np.abs(w) > thr[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(keep, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    # The largest |lambda| of a descending row is its first or its last.
+    keep = np.abs(w) > S.shape[-1] * RANK_TOL_UNIT * np.maximum(w[:, :1], -w[:, -1:])
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     return _compose(U * inv[:, None, :], U, single)
 
 

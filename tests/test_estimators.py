@@ -333,25 +333,39 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
     rng = np.random.default_rng(11)
     K = 5
     A = random_topics(rng, 200, K)
-    XB = _documents(rng, A, K, 0, 8)
+    XB = _documents(rng, A, K, 3, 8)
     calls = {"_squarem": [], "_newton_finish": []}
-    for name, sizes in calls.items():
+    for name, rows in calls.items():
         real = getattr(estimators, name)
 
-        def counted(X, *args, _real=real, _sizes=sizes):
-            _sizes.append(len(X))
+        def recorded(X, *args, _real=real, _rows=rows):
+            _rows.append(X.copy())
             return _real(X, *args)
 
-        monkeypatch.setattr(estimators, name, counted)
+        monkeypatch.setattr(estimators, name, recorded)
     fit, iters, conv, _ = _em_batch(XB, A)
-    assert conv.all()
-    assert calls == {"_squarem": [8], "_newton_finish": [8]}
-    # No column stops within one EM map: one Newton call of no steps, which
-    # only checks the gaps, and no retry, since no column has budget left.
-    for sizes in calls.values():
-        sizes.clear()
-    _, iters, _, _ = _em_batch(XB, A, max_iter=1)
-    assert calls == {"_squarem": [8], "_newton_finish": [8]} and np.all(iters == 1)
+    # Newton from the uniform point certifies every column: no rescue.
+    assert conv.all() and np.all(iters <= estimators._first_steps(K))
+    assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_squarem"] == []
+    # With two steps per polish the first round has four, which leaves some
+    # columns uncertified; exactly those, and in order, run the rescue.
+    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 2)
+    AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
+    X = np.ascontiguousarray(XB.T)
+    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, np.full((8, K), 1.0 / K), np.full(8, 4))
+    assert estimators._first_steps(K) == 4 and 0 < np.count_nonzero(first_conv) < 8
+    for rows in calls.values():
+        rows.clear()
+    fit, iters, conv, _ = _em_batch(XB, A)
+    assert np.array_equal(calls["_newton_finish"][0], X)
+    assert np.array_equal(calls["_squarem"][0], X[~first_conv])
+    assert np.all(iters[first_conv] == first[first_conv]) and np.all(iters[~first_conv] > 4)
+    # No column has budget left after the first round: no rescue either.
+    for rows in calls.values():
+        rows.clear()
+    _, iters, conv, _ = _em_batch(XB, A, max_iter=4)
+    assert calls["_squarem"] == [] and len(calls["_newton_finish"]) == 1
+    assert np.array_equal(conv, first_conv) and np.all(iters == first)
 
 
 # --- wls ---------------------------------------------------------------------
@@ -551,14 +565,20 @@ def test_em_batch_gaps_are_the_kkt_gaps_bit_for_bit(monkeypatch):
     assert np.array_equal(fits.kkt_gap, gaps)
 
 
-def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is_within_tol():
-    # At tol=0 SQUAREM never stops on its step, so every column ends at
-    # max_iter; Newton then only checks it, and some of those columns are
-    # already within TOL_KKT and some are not.
+def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is_within_tol(monkeypatch):
+    # At max_iter=3 the first Newton round stops every column within three
+    # steps; some of those columns are already within TOL_KKT and some not.
     rng = np.random.default_rng(44)
     K = 5
     A = random_topics(rng, 500, K)
     XB = _mixed_documents(rng, A, K, 31)
+    fit, iters, conv, gaps = _em_batch(XB, A, max_iter=3)
+    assert np.all(iters[~conv] == 3) and 0 < np.count_nonzero(conv) < 31
+    assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+    assert np.array_equal(conv, gaps <= TOL_KKT)
+    # With no Newton step allowed every column is rescued; at tol=0 SQUAREM
+    # never stops on its step, so it ends at max_iter and Newton only checks it.
+    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
     fit, iters, conv, gaps = _em_batch(XB, A, tol=0.0, max_iter=50)
     assert np.all(iters == 50) and 0 < np.count_nonzero(conv) < 31
     assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
@@ -653,17 +673,24 @@ def test_em_batch_matches_single_on_sparse_batch():
         assert single.iterations == iters[b] and single.converged == conv[b]
 
 
-def test_em_max_iter_is_honoured():
+def test_em_max_iter_is_honoured(monkeypatch):
+    # max_iter bounds Newton steps plus EM maps.  With one step per polish
+    # the first round has two, and the other columns spend the rest of the
+    # cap in the rescue; at tol=0 SQUAREM stops only on the cap, so every
+    # uncertified column ends exactly at it.
     rng = np.random.default_rng(17)
     K, p, B = 5, 100, 8
     A = random_topics(rng, p, K)
     XB = rng.multinomial(200, A @ _sparse_weights(rng, K, 3), size=B).T / 200.0
-    for max_iter in (0, 1, 2, 3, 4, 5, 7, 11):
-        alphas, iters, conv, _ = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
-        assert np.all(iters == max_iter) and not conv.any()
-        assert np.abs(alphas.sum(axis=0) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
-        est = mle_weights(XB[:, 0], A, tol=0.0, max_iter=max_iter)
-        assert est.iterations == max_iter and not est.converged
+    for polish in (1, estimators._NEWTON_MAX_STEPS):
+        monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
+        for max_iter in (0, 1, 2, 3, 4, 5, 7, 11, 40):
+            alphas, iters, conv, _ = _em_batch(XB, A, tol=0.0, max_iter=max_iter)
+            assert np.all(iters <= max_iter) and np.all(iters[~conv] == max_iter)
+            assert np.abs(alphas.sum(axis=0) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
+            est = mle_weights(XB[:, 0], A, tol=0.0, max_iter=max_iter)
+            assert (est.iterations, est.converged) == (iters[0], conv[0])
+        assert not _em_batch(XB, A, tol=0.0, max_iter=1)[2].any()
     # A cap between the columns' own iteration counts stops exactly the
     # columns that need more, and leaves the others as they were.
     full, iters, conv, _ = _em_batch(XB, A)
@@ -676,6 +703,78 @@ def test_em_max_iter_is_honoured():
     assert np.all(capped_iters[~early] == cap)
     assert np.array_equal(capped_iters[early], iters[early])
     assert np.array_equal(capped[:, early], full[:, early])
+
+
+def _hard_grid():
+    """Seeded hard columns: (topics, (p, B) frequency columns, identifiable).
+
+    Sparse topics (each word under one or two topics) at N=5, K=20
+    one-topic documents, and boundary fits (tau = 1 and 3) at K=5 and 8.
+    At N=5 the MLE need not be unique, so only its likelihood is compared.
+    """
+    rng = np.random.default_rng(71)
+    grid = []
+    for K in (3, 8):
+        A = np.zeros((60, K))
+        for j in range(60):
+            A[j, rng.choice(K, size=1 + j % 2, replace=False)] = rng.uniform(0.1, 1.0)
+        A[np.arange(K), np.arange(K)] = 1.0
+        A /= A.sum(axis=0)
+        grid.append((A, _documents(rng, A, K, 0, 12, N=5), False))
+    A = random_topics(rng, 200, 20)
+    grid.append((A, np.stack([rng.multinomial(1000, A[:, k]) / 1000 for k in range(0, 20, 2)], axis=1), True))
+    for K in (5, 8):
+        A = random_topics(rng, 300, K)
+        grid.append((A, np.concatenate([_documents(rng, A, K, tau, 8) for tau in (1, 3)], axis=1), True))
+    return grid
+
+
+def _em_first(XB, A, tol, max_iter=EM_MAX_ITER):
+    """The EM-first path, the reference for the rescue: SQUAREM from the
+    uniform point to ``tol``, a Newton polish and, for the columns still
+    uncertified with budget left, SQUAREM from the EM stop to the tight
+    step and one more polish.  Returns (alphas (K, B), converged (B,))."""
+    X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
+    (B, K), polish = (X.shape[0], A.shape[1]), estimators._NEWTON_MAX_STEPS
+    budget = np.full(B, max_iter)
+    start, iters, _ = estimators._squarem(X, A, AT, np.full((B, K), 1.0 / K), tol, budget)
+    out, used, conv, _ = estimators._newton_finish(X, A, AT, AA, start.copy(), np.minimum(budget - iters, polish))
+    iters += used
+    r = ~conv & (iters < budget)
+    x, used, _ = estimators._squarem(X[r], A, AT, start[r], min(tol, estimators._EM_TIGHT_TOL), budget[r] - iters[r])
+    out[r], _, conv[r], _ = estimators._newton_finish(X[r], A, AT, AA, x, np.minimum(budget[r] - iters[r] - used, polish))
+    return out.T, conv
+
+
+@pytest.mark.parametrize("polish", [estimators._NEWTON_MAX_STEPS, 2])
+def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish):
+    # Newton first must certify every column the EM-first path certifies,
+    # and a column it rescues must get that path's bits.  With two steps
+    # per polish the first round leaves columns to the rescue.
+    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
+    rescued = uncertified = 0
+    for A, XB, identifiable in _hard_grid():
+        B, K = XB.shape[1], A.shape[1]
+        fit, _, conv, _ = _em_batch(XB, A)
+        ref, ref_conv = _em_first(XB, A, estimators.EM_TOL)
+        assert np.all(conv | ~ref_conv)
+        X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
+        _, _, first_conv, _ = estimators._newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, estimators._first_steps(K)))
+        assert np.array_equal(fit[:, ~first_conv], ref[:, ~first_conv])
+        rescued += np.count_nonzero(~first_conv)
+        uncertified += np.count_nonzero(~conv)
+        # The tight reference: SQUAREM to a 1e-15 step, then the polish.
+        tight, tight_conv = _em_first(XB, A, 1e-15, 1_000_000)
+        both = conv & tight_conv
+
+        def loglik(alphas):
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 off a column's support
+                return np.where(XB > 0.0, XB * np.log(A @ alphas), 0.0).sum(axis=0)
+
+        assert np.all(np.abs(loglik(fit) - loglik(tight))[both] <= 1e-9)
+        if identifiable:
+            assert np.abs(fit - tight)[:, both].max() <= 1e-6
+    assert rescued > 0 if polish == 2 else rescued == uncertified == 0
 
 
 def test_em_objective_monotone_in_max_iter():
