@@ -56,7 +56,7 @@ from .errors import (
     SingularDesign,
     SingularInformation,
 )
-from .transport import TopicMatrix, _dead_rows, _outer_rows, _topics_array, _values
+from .transport import TopicMatrix, _outer_rows, _topics_array, _values
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -64,8 +64,10 @@ ZETA = 1e-12
 # A weight coordinate counts as active in KKT checks above this level.
 TAU_SUPP = 1e-8
 # KKT certificate of an MLE fit: the Newton finish stops once a fit's KKT
-# gap is at most this, and only such fits are ``converged``.  Certified fits
-# land within about 3 * TOL_KKT of the MLE; at 1e-6 they stay up to 3e-6 off.
+# gap is at most this, and only such fits are ``converged``.  A certified
+# fit lies within about TOL_KKT / c of the MLE, where c is the smallest
+# curvature of the log-likelihood on the fit's face: 3 * TOL_KKT at c = 1/3,
+# but 3e-8 at c = 0.026 (13 topics, a five-word document).
 TOL_KKT = 1e-9
 
 # A fit the first Newton round cannot certify is rescued by SQUAREM, which
@@ -143,16 +145,15 @@ class CovEstimate:
     rank: int
 
 
-def _check_columns(XB: np.ndarray, A) -> None:
+def _check_columns(XB: np.ndarray, A: np.ndarray) -> None:
     """Refuse a (p, B) batch of frequency columns with the first failing column's error.
 
     One mask for the batch: a column fails with empty support, or with a
     positive count on a word that no topic gives positive probability.
     """
-    Am = _topics_array(A)
-    if XB.shape[0] != Am.shape[0]:
-        raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {Am.shape[0]} rows")
-    pos, dead = XB > 0, A.dead_rows if isinstance(A, TopicMatrix) else _dead_rows(Am)
+    if XB.shape[0] != A.shape[0]:
+        raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {A.shape[0]} rows")
+    pos, dead = XB > 0, A.max(axis=1) <= 0.0
     bad = ~pos.any(axis=0) | pos[dead].any(axis=0)
     if bad.any():
         words = np.flatnonzero(pos[:, bad.argmax()] & dead)
@@ -180,13 +181,12 @@ def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _design(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A topic matrix (``TopicMatrix`` or array) as C-ordered A, A^T and outer table.
 
-    A ``TopicMatrix`` keeps its transpose and outer table, so every fit
-    against it shares them; an array's are built per call.
+    A ``TopicMatrix`` keeps its outer table, so every fit against it
+    shares one; an array's table is built per call.
     """
-    if isinstance(A, TopicMatrix):
-        return np.ascontiguousarray(A.matrix), A.transposed, A.outers
-    Am = np.ascontiguousarray(A, dtype=float)
-    return Am, np.ascontiguousarray(Am.T), _outer_rows(Am)
+    Am = np.ascontiguousarray(_topics_array(A), dtype=float)
+    AA = A.outers if isinstance(A, TopicMatrix) else _outer_rows(Am)
+    return Am, np.ascontiguousarray(Am.T), AA
 
 
 def _fitted(x: np.ndarray, AT: np.ndarray) -> np.ndarray:
@@ -567,9 +567,10 @@ def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, tol: float =
     ``_em_batch`` with its KKT gaps, the debiased fit ``_debias_batch`` of
     it, and WLS ``_wls_batch``; ``tol`` and ``max_iter`` as in ``mle_weights``.
     """
-    _check_columns(XB, A)
+    Am = _topics_array(A)
+    _check_columns(XB, Am)
     if method is Method.WLS:
-        return _Fits(method, _wls_batch(XB, _topics_array(A)), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
+        return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
     mle, iterations, converged, gaps = _em_batch(XB, A, tol, max_iter)
     est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
     return _Fits(method, est, mle, iterations, converged, gaps)

@@ -159,12 +159,11 @@ class ProbVec:
 class TopicMatrix:
     """p x K matrix whose columns are mixture components in the p-simplex.
 
-    ``outers``, ``transposed`` and ``dead_rows`` are built on first use and
-    kept with the matrix, which is read-only, so every estimator call on
-    one ``TopicMatrix`` shares them.
+    ``outers`` is built on first use and kept with the matrix, which is
+    read-only, so every estimator call on one ``TopicMatrix`` shares it.
     """
 
-    __slots__ = ("matrix", "_outers", "_transposed", "_dead_rows")
+    __slots__ = ("matrix", "_outers")
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
@@ -181,7 +180,7 @@ class TopicMatrix:
             raise InvalidSimplex(f"column {k} sums to {sums[k]!r}, expected 1")
         self.matrix = M
         self.matrix.flags.writeable = False
-        self._outers = self._transposed = self._dead_rows = None
+        self._outers: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -198,33 +197,12 @@ class TopicMatrix:
             self._outers = _outer_rows(self.matrix)
         return self._outers
 
-    @property
-    def transposed(self) -> np.ndarray:
-        """The (K, p) transpose as a C-ordered, read-only copy."""
-        if self._transposed is None:
-            self._transposed = np.ascontiguousarray(self.matrix.T)
-            self._transposed.flags.writeable = False
-        return self._transposed
-
-    @property
-    def dead_rows(self) -> np.ndarray:
-        """Read-only (p,) mask of ``_dead_rows``."""
-        if self._dead_rows is None:
-            self._dead_rows = _dead_rows(self.matrix)
-            self._dead_rows.flags.writeable = False
-        return self._dead_rows
-
 
 def _outer_rows(A: np.ndarray) -> np.ndarray:
     """Table (p, K*K) whose row j is vec(A_j A_j^T), read-only."""
     AA = np.einsum("jk,jl->jkl", A, A, order="C").reshape(len(A), -1)
     AA.flags.writeable = False
     return AA
-
-
-def _dead_rows(A: np.ndarray) -> np.ndarray:
-    """Mask (p,) of the words that no topic gives positive probability."""
-    return A.max(axis=1) <= 0.0
 
 
 def tv_distance(u, v) -> float:

@@ -470,6 +470,24 @@ def test_debias_batch_bits_do_not_depend_on_batch_size():
                 assert np.array_equal(_debias_batch(mle[:, cols], XB[:, cols], A), whole[:, cols])
 
 
+def _em_first(XB, A, tol, max_iter=EM_MAX_ITER):
+    """The EM-first path, the reference for the rescue and, at a tight
+    ``tol``, an MLE that does not start with Newton: SQUAREM from the
+    uniform point to ``tol``, a Newton polish and, for the columns still
+    uncertified with budget left, SQUAREM from the EM stop to the tight
+    step and one more polish.  Returns (alphas (K, B), converged (B,))."""
+    X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
+    (B, K), polish = (X.shape[0], A.shape[1]), estimators._NEWTON_MAX_STEPS
+    budget = np.full(B, max_iter)
+    start, iters, _ = estimators._squarem(X, A, AT, np.full((B, K), 1.0 / K), tol, budget)
+    out, used, conv, _ = estimators._newton_finish(X, A, AT, AA, start.copy(), np.minimum(budget - iters, polish))
+    iters += used
+    r = ~conv & (iters < budget)
+    x, used, _ = estimators._squarem(X[r], A, AT, start[r], min(tol, estimators._EM_TIGHT_TOL), budget[r] - iters[r])
+    out[r], _, conv[r], _ = estimators._newton_finish(X[r], A, AT, AA, x, np.minimum(budget[r] - iters[r] - used, polish))
+    return out.T, conv
+
+
 def _sparse_weights(rng, K, tau):
     alpha = np.zeros(K)
     alpha[rng.choice(K, size=tau, replace=False)] = rng.uniform(size=tau)
@@ -484,7 +502,7 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
     alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
     XB = np.stack([rng.multinomial(N, A @ a) / N for a in alphas], axis=1)
     fit, _, conv, _ = _em_batch(XB, A)
-    tight, _, tight_conv, _ = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
+    tight, tight_conv = _em_first(XB, A, 1e-15, 1_000_000)
     assert conv.all() and tight_conv.all()
 
     def loglik(alphas):
@@ -593,7 +611,7 @@ def test_em_near_degenerate_boundary_certifies():
     XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)], axis=1)
     x = XB[:, [5]]
     fit, _, conv, _ = _em_batch(x, A)
-    tight, _, _, _ = _em_batch(x, A, tol=1e-15, max_iter=1_000_000)
+    tight, _ = _em_first(x, A, 1e-15, 1_000_000)
     assert conv[0] and _kkt_gaps(x, A, fit)[0] <= TOL_KKT
     assert np.abs(fit - tight).max() <= 1e-6
 
@@ -623,7 +641,7 @@ def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
     K = 5
     A = random_topics(rng, 500, K)
     XB = _documents(rng, A, K, 3, 16)
-    tight, _, _, _ = _em_batch(XB, A, tol=1e-15, max_iter=1_000_000)
+    tight, _ = _em_first(XB, A, 1e-15, 1_000_000)
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
     fit, iters, conv, _ = _em_batch(XB, A)
     assert not conv.all() and np.all(iters < EM_MAX_ITER)
@@ -711,10 +729,13 @@ def _hard_grid():
     Sparse topics (each word under one or two topics) at N=5, K=20
     one-topic documents, and boundary fits (tau = 1 and 3) at K=5 and 8.
     At N=5 the MLE need not be unique, so only its likelihood is compared.
+    At K=13 some of the N=5 columns have five words and nine or more free
+    coordinates, and the first Newton round stalls on them far from the
+    certificate.
     """
     rng = np.random.default_rng(71)
     grid = []
-    for K in (3, 8):
+    for K in (3, 8, 13):
         A = np.zeros((60, K))
         for j in range(60):
             A[j, rng.choice(K, size=1 + j % 2, replace=False)] = rng.uniform(0.1, 1.0)
@@ -729,28 +750,12 @@ def _hard_grid():
     return grid
 
 
-def _em_first(XB, A, tol, max_iter=EM_MAX_ITER):
-    """The EM-first path, the reference for the rescue: SQUAREM from the
-    uniform point to ``tol``, a Newton polish and, for the columns still
-    uncertified with budget left, SQUAREM from the EM stop to the tight
-    step and one more polish.  Returns (alphas (K, B), converged (B,))."""
-    X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
-    (B, K), polish = (X.shape[0], A.shape[1]), estimators._NEWTON_MAX_STEPS
-    budget = np.full(B, max_iter)
-    start, iters, _ = estimators._squarem(X, A, AT, np.full((B, K), 1.0 / K), tol, budget)
-    out, used, conv, _ = estimators._newton_finish(X, A, AT, AA, start.copy(), np.minimum(budget - iters, polish))
-    iters += used
-    r = ~conv & (iters < budget)
-    x, used, _ = estimators._squarem(X[r], A, AT, start[r], min(tol, estimators._EM_TIGHT_TOL), budget[r] - iters[r])
-    out[r], _, conv[r], _ = estimators._newton_finish(X[r], A, AT, AA, x, np.minimum(budget[r] - iters[r] - used, polish))
-    return out.T, conv
-
-
 @pytest.mark.parametrize("polish", [estimators._NEWTON_MAX_STEPS, 2])
 def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish):
     # Newton first must certify every column the EM-first path certifies,
-    # and a column it rescues must get that path's bits.  With two steps
-    # per polish the first round leaves columns to the rescue.
+    # and a column it rescues must get that path's bits.  The first round
+    # leaves the stalled K=13 columns to the rescue, which certifies them,
+    # and with two steps per polish it leaves more.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
     rescued = uncertified = 0
     for A, XB, identifiable in _hard_grid():
@@ -774,7 +779,7 @@ def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish)
         assert np.all(np.abs(loglik(fit) - loglik(tight))[both] <= 1e-9)
         if identifiable:
             assert np.abs(fit - tight)[:, both].max() <= 1e-6
-    assert rescued > 0 if polish == 2 else rescued == uncertified == 0
+    assert rescued > 0 and (polish == 2 or uncertified == 0)
 
 
 def test_em_objective_monotone_in_max_iter():
