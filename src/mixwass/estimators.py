@@ -4,8 +4,8 @@ Given (known or estimated) topics A, three estimators of the mixture
 weights are provided:
 
 * ``mle_weights`` -- the simplex-constrained maximum-likelihood estimate,
-  computed by active-set Newton steps to a KKT certificate, with
-  SQUAREM-accelerated EM as the rescue of a fit they cannot certify;
+  computed by active-set Newton steps to a KKT certificate, with EM as
+  the rescue of a fit they cannot certify;
 * ``debias`` -- the one-step correction alpha_hat + Vhat^+ Psi(alpha_hat)
   that removes the boundary-induced asymptotic bias of the MLE and admits
   a Gaussian limit even for sparse weights;
@@ -31,18 +31,19 @@ gets the same bits in any batch.
 coordinates (a projected Newton method, Bertsekas 1982, SIAM J. Control
 Optim.) run from the uniform point, setting exact zeros where the MLE sits
 on the simplex boundary, until a fit's KKT gap is at most ``TOL_KKT``.
-Only a fit they leave uncertified is rescued: SQUAREM (Varadhan & Roland
-2008, Scand. J. Statist.) accelerates the multiplicative EM map until one
-map moves it by at most ``EM_TOL`` = 1e-3 in l1, and Newton polishes it
-from there.  Every step keeps iterates in the simplex and the
-log-likelihood nondecreasing.  ``converged`` means exactly that the KKT
-certificate holds; ``iterations`` counts Newton steps and EM maps.
+Only a fit they leave uncertified is rescued: the multiplicative EM map
+runs from the uniform point until one map moves it by at most ``EM_TOL``
+= 1e-3 in l1, and Newton polishes it from there.  Every step keeps
+iterates in the simplex and the log-likelihood nondecreasing.
+``converged`` means exactly that the KKT certificate holds;
+``iterations`` counts Newton steps and EM maps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -56,7 +57,7 @@ from .errors import (
     SingularDesign,
     SingularInformation,
 )
-from .transport import TopicMatrix, _outer_rows, _topics_array, _values
+from .transport import SIMPLEX_TOL, TopicMatrix, _outer_rows, _topics_array, _values
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -70,12 +71,12 @@ TAU_SUPP = 1e-8
 # but 3e-8 at c = 0.026 (13 topics, a five-word document).
 TOL_KKT = 1e-9
 
-# A fit the first Newton round cannot certify is rescued by SQUAREM, which
-# stops once one EM map moves it by at most EM_TOL in l1 and hands it to a
-# Newton polish; EM's linear tail is what Newton replaces.
+# A fit the first Newton round cannot certify is rescued by EM, which stops
+# once one map moves it by at most EM_TOL in l1 and hands it to a Newton
+# polish; EM's slow tail is what Newton replaces.
 EM_TOL = 1e-3
 EM_MAX_ITER = 10_000
-# A fit Newton cannot certify reruns SQUAREM to this step and is polished again.
+# A fit the polish cannot certify runs EM on to this step and is polished again.
 _EM_TIGHT_TOL = 1e-10
 # Newton steps per polish (the first round allows more, ``_first_steps``),
 # and halvings per step, before a fit is uncertified.
@@ -145,21 +146,29 @@ class CovEstimate:
     rank: int
 
 
-def _check_columns(XB: np.ndarray, A: np.ndarray) -> None:
+def _check_columns(XB: np.ndarray, A: np.ndarray | None) -> None:
     """Refuse a (p, B) batch of frequency columns with the first failing column's error.
 
-    One mask for the batch: a column fails with empty support, or with a
-    positive count on a word that no topic gives positive probability.
+    One mask for the batch.  A column's faults, in the order they are
+    raised: a non-finite or negative entry, empty support, a positive count
+    on a word that no topic gives positive probability (``InfeasibleRow``;
+    not checked when ``A`` is None), a sum off one by more than ``SIMPLEX_TOL``.
     """
-    if XB.shape[0] != A.shape[0]:
+    if A is not None and XB.shape[0] != A.shape[0]:
         raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {A.shape[0]} rows")
-    pos, dead = XB > 0, A.max(axis=1) <= 0.0
-    bad = ~pos.any(axis=0) | pos[dead].any(axis=0)
+    pos, sums = XB > 0, XB.sum(axis=0)
+    dead = np.zeros(len(XB), dtype=bool) if A is None else A.max(axis=1) <= 0.0
+    bad = ~(np.abs(sums - 1.0) <= SIMPLEX_TOL) | (XB < 0).any(axis=0) | pos[dead].any(axis=0)
     if bad.any():
-        words = np.flatnonzero(pos[:, bad.argmax()] & dead)
-        if not words.size:
+        b = int(bad.argmax())
+        if not np.isfinite(XB[:, b]).all() or XB[:, b].min() < 0:
+            raise InvalidParam("frequency vector has a negative or non-finite entry")
+        if not pos[:, b].any():
             raise InvalidParam("frequency vector has empty support")
-        raise InfeasibleRow(f"word {int(words[0])} has positive count but zero probability under every topic")
+        words = pos[:, b] & dead
+        if words.any():
+            raise InfeasibleRow(f"word {int(words.argmax())} has positive count but zero probability under every topic")
+        raise InvalidParam(f"frequency vector sums to {float(sums[b])!r}, not 1")
 
 
 def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -226,65 +235,28 @@ def _grams(W: np.ndarray, AA: np.ndarray) -> np.ndarray:
     return _rowdot(W, AA).reshape(-1, K, K)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _squarem(X, A, AT, x, tol, budget):
-    """SQUAREM-accelerated EM on frequency rows X from weight rows x.
+def _em(X, A, AT, x, tol, budget):
+    """Multiplicative EM on frequency rows X from weight rows x.
 
-    Returns (weights, EM maps used, stopped on ``tol``); row b stops when
-    one EM map moves it by at most ``tol`` in l1 or after ``budget[b]``
-    maps.  See ``_rescue`` for the cycle.  Each active row carries its
-    budget in ``left``, and the working rows are compacted only on a map
-    after which some row leaves, so a batch of one pays no bookkeeping.
+    Returns (weights, EM maps used).  The map x_k <- x_k * g_k, with
+    gradient g_k = sum_j X_j A_jk / (A_j . x), never lowers the
+    log-likelihood.  Row b stops once one map moves it by at most ``tol``
+    in l1, or after ``budget[b]`` maps; the working rows are compacted only
+    on a map after which some row leaves.
     """
-    out, used, stopped = x.copy(), budget.copy(), np.zeros(len(x), dtype=bool)
+    out, used = x.copy(), budget.copy()
     active = np.flatnonzero(budget > 0)
-    X, x0, left = X[active], x[active], budget[active]
-    R0, it = _fitted(x0, AT), 0
+    X, x, left, it = X[active], x[active], budget[active], 0
     while active.size:
-        x1 = x0 * _rowdot(X / R0, A)
+        x1 = x * _rowdot(X / _fitted(x, AT), A)
         it += 1
-        stop = np.abs(x1 - x0).sum(axis=1) <= tol
-        keep = ~stop & (left > it)
+        keep = (np.abs(x1 - x).sum(axis=1) > tol) & (left > it)
         if not keep.all():
-            out[active[~keep]], used[active[~keep]], stopped[active[stop]] = x1[~keep], it, True
-            active, X, x0, x1, left = active[keep], X[keep], x0[keep], x1[keep], left[keep]
-            if not active.size:
-                break
-        x2 = x1 * _rowdot(X / _fitted(x1, AT), A)
-        it += 1
-        keep = left > it
-        if not keep.all():
-            out[active[~keep]] = x2[~keep]
-            active, X, x0, x1, x2, left = active[keep], X[keep], x0[keep], x1[keep], x2[keep], left[keep]
-            if not active.size:
-                break
-        # x2 and R2 take each row's accepted extrapolant, if any.
-        r, v, R2 = x1 - x0, x2 - 2.0 * x1 + x0, _fitted(x2, AT)
-        L2 = (X * np.log(R2)).sum(axis=1)
-        step = np.minimum(-np.linalg.norm(r, axis=1) / np.linalg.norm(v, axis=1), -1.0)
-        trial = np.flatnonzero(np.isfinite(step) & (step < -1.0))
-        while trial.size:
-            a = step[trial, None]
-            xt = x0[trial] - 2.0 * a * r[trial] + a * a * v[trial]
-            xt /= xt.sum(axis=1, keepdims=True)  # compare likelihoods on the simplex
-            Rt = _fitted(xt, AT)
-            ok = np.all(np.isfinite(xt) & (xt >= 0.0), axis=1)
-            ok &= (X[trial] * np.log(Rt)).sum(axis=1) >= L2[trial]
-            if trial.size == len(x2) and ok.all():  # every row accepts: take the trial whole
-                x2, R2 = xt, Rt
-                break
-            x2[trial[ok]], R2[trial[ok]] = xt[ok], Rt[ok]
-            step[trial] = (a[:, 0] - 1.0) / 2.0
-            trial = trial[~ok & (step[trial] < -2.0)]
-        x0 = x2 * _rowdot(X / R2, A)
-        it += 1
-        keep = left > it
-        if not keep.all():
-            out[active[~keep]] = x0[~keep]
-            active, X, x0, left = active[keep], X[keep], x0[keep], left[keep]
-        R0 = _fitted(x0, AT)
+            out[active[~keep]], used[active[~keep]] = x1[~keep], it
+            active, X, x1, left = active[keep], X[keep], x1[keep], left[keep]
+        x = x1
     out /= out.sum(axis=1, keepdims=True)
-    return out, used, stopped
+    return out, used
 
 
 def _face_step(H: np.ndarray, gm1: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -336,7 +308,7 @@ def _newton_finish(X, A, AT, AA, x, budget):
     or when no halving keeps its likelihood.
 
     A fourth array holds each row's KKT gap, from the gradient at its
-    returned point.  As in ``_squarem``, rows are compacted only on a step
+    returned point.  As in ``_em``, rows are compacted only on a step
     after which some row leaves, and a step every row takes whole is not
     scattered.
     """
@@ -410,25 +382,17 @@ def _first_steps(K: int) -> int:
     return _NEWTON_MAX_STEPS + min(K, _NEWTON_MAX_STEPS)
 
 
-def _em_batch(
-    XB: np.ndarray,
-    A: np.ndarray,
-    tol: float = EM_TOL,
-    max_iter: int = EM_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _em_batch(XB: np.ndarray, A: np.ndarray, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simplex MLE of a (p, B) matrix of frequency columns: Newton, then the rescue.
 
     Returns (alphas (K, B), iterations (B,), converged (B,), KKT gaps (B,)).
     ``_newton_finish`` runs first on every column, from the uniform point,
     for at most ``_first_steps(K)`` steps and ``max_iter``; ``converged``
     certifies a KKT gap of at most ``TOL_KKT``.  Only a column it leaves
-    uncertified with budget left runs the rescue (``_rescue``): SQUAREM
-    from the uniform point to ``tol``, a Newton polish and, if still
-    uncertified, the ``_EM_TIGHT_TOL`` retry, on what is left of
-    ``max_iter``.  ``tol`` sets only the rescue's EM stop.  ``iterations``
-    and ``max_iter`` count Newton steps and EM maps together.  A column's
-    arithmetic does not depend on the rest of the batch, so a batch of one
-    gives the same bits.
+    uncertified with budget left runs the rescue (``_rescue``) on what is
+    left of ``max_iter``.  ``iterations`` and ``max_iter`` count Newton
+    steps and EM maps together.  A column's arithmetic does not depend on
+    the rest of the batch, so a batch of one gives the same bits.
 
     The gaps are the ones Newton evaluated at each column's returned point.
     """
@@ -439,35 +403,30 @@ def _em_batch(
     out, iterations, converged, gaps = _newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.minimum(budget, _first_steps(K)))
     cols = np.flatnonzero(~converged & (iterations < max_iter))
     if cols.size:
-        out[cols], used, converged[cols], gaps[cols] = _rescue(X[cols], A, AT, AA, tol, budget[cols] - iterations[cols])
+        out[cols], used, converged[cols], gaps[cols] = _rescue(X[cols], A, AT, AA, budget[cols] - iterations[cols])
         iterations[cols] += used
     return out.T.copy(), iterations, converged, gaps
 
 
-def _rescue(X, A, AT, AA, tol, budget):
+def _rescue(X, A, AT, AA, budget):
     """EM first, for rows the first Newton round left uncertified.
 
-    Returns (weights, iterations, certified, KKT gaps) of rows X.  SQUAREM
-    runs from the uniform point until one EM map moves a row by at most
-    ``tol`` in l1.  A cycle takes x1 = F(x0), x2 = F(x1), extrapolates to
-    x0 - 2a r + a^2 v (r = x1 - x0, v = x2 - 2 x1 + x0, S3 step
-    a = -|r|/|v| <= -1) and applies F once more; an extrapolant that is not
-    finite and nonnegative, or has a lower log-likelihood than x2, is
-    retried with a + 1 halved, and replaced by x2 once a > -2.
-
-    ``_newton_finish`` then polishes each row within what is left of its
-    budget; a row SQUAREM stopped at its budget gets no step and is only
-    checked.  A row it cannot certify, with budget left, reruns SQUAREM
-    from its EM stop to ``_EM_TIGHT_TOL`` and is polished once more.
+    Returns (weights, iterations, certified, KKT gaps) of rows X.  EM
+    (``_em``) runs from the uniform point until one map moves a row by at
+    most ``EM_TOL`` in l1, and ``_newton_finish`` polishes each row within
+    what is left of its budget; a row EM stopped at its budget gets no step
+    and is only checked.  A row the polish cannot certify, with budget
+    left, runs EM on from its EM stop to ``_EM_TIGHT_TOL`` and is polished
+    once more.
     """
     K = A.shape[1]
-    start, iterations, _ = _squarem(X, A, AT, np.full((len(X), K), 1.0 / K), tol, budget)
+    start, iterations = _em(X, A, AT, np.full((len(X), K), 1.0 / K), EM_TOL, budget)
     polish = np.minimum(budget - iterations, _NEWTON_MAX_STEPS)
     out, used, converged, gaps = _newton_finish(X, A, AT, AA, start.copy(), polish)
     iterations += used
     rows = np.flatnonzero(~converged & (iterations < budget))
     if rows.size:
-        x, used, _ = _squarem(X[rows], A, AT, start[rows], min(tol, _EM_TIGHT_TOL), budget[rows] - iterations[rows])
+        x, used = _em(X[rows], A, AT, start[rows], _EM_TIGHT_TOL, budget[rows] - iterations[rows])
         iterations[rows] += used
         polish = np.minimum(budget[rows] - iterations[rows], _NEWTON_MAX_STEPS)
         out[rows], used, converged[rows], gaps[rows] = _newton_finish(X[rows], A, AT, AA, x, polish)
@@ -475,25 +434,25 @@ def _rescue(X, A, AT, AA, tol, budget):
     return out, iterations, converged, gaps
 
 
-def mle_weights(X, A, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
+def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     """Simplex MLE of the mixture weights, certified by its KKT conditions.
 
     Maximizes sum_j X_j log(A_j . alpha) over the simplex.  Active-set
     Newton steps run from the uniform point to the MLE, with exact zeros
-    off its support.  A fit they cannot certify is rescued by
-    SQUAREM-accelerated EM (alpha_k <- alpha_k * g_k with gradient
-    g_k = sum_j X_j A_jk / (A_j . alpha)) from the uniform point, until one
-    EM map moves it by at most ``tol`` in l1, and Newton finishes it from
-    there; ``tol`` sets only that rescue's stop.  The fit is ``_fit_batch``
-    with the document as a batch of one, so it equals the batched fit of
-    the same document.
+    off its support.  A fit they cannot certify is rescued by EM
+    (alpha_k <- alpha_k * g_k with gradient g_k = sum_j X_j A_jk /
+    (A_j . alpha)) from the uniform point, and Newton finishes it from
+    where EM stops (see ``_rescue``).  The fit is ``_fit_batch`` with the
+    document as a batch of one, so it equals the batched fit of the same
+    document.
 
     ``kkt_gap`` is the stationarity defect of the returned point:
     max |g_k - 1| over coordinates above ``TAU_SUPP`` and max (g_k - 1)_+
     over the others.  ``converged`` certifies ``kkt_gap <= TOL_KKT``.
-    ``iterations`` and ``max_iter`` count Newton steps plus any EM maps.
+    ``iterations`` and ``max_iter``, an integer >= 0, count Newton steps
+    plus any EM maps.
     """
-    return _fit_batch(_values(X, name="X")[:, None], A, Method.MLE, tol, max_iter).estimate(0)
+    return _fit_batch(_values(X, name="X")[:, None], A, Method.MLE, max_iter).estimate(0)
 
 
 def mle_objective(alpha, X, A) -> float:
@@ -536,10 +495,14 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     Psi(alpha_hat) = sum_{j in Jhat} (X_j - rhat_j)/rhat_j * Ahat_j and the
     weighting matrix Vhat = sum_{j in Jhat} Ahat_j Ahat_j^T / rhat_j, and
     returns alpha_hat + Vhat^+ Psi(alpha_hat).  The result sums to one but
-    may leave the simplex.  This is ``_debias_batch`` on a batch of one.
+    may leave the simplex.  X is refused as the MLE refuses it, except
+    that its words are not checked against the topics.  This is
+    ``_debias_batch`` on a batch of one.
     """
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(np.asarray(alpha_hat, dtype=float), Method.MLE, 0, True)
-    alpha = _debias_batch(base.alpha[:, None], _values(X, name="X")[:, None], A_hat)[:, 0]
+    XB = _values(X, name="X")[:, None]
+    _check_columns(XB, None)
+    alpha = _debias_batch(base.alpha[:, None], XB, A_hat)[:, 0]
     return replace(base, alpha=alpha, method=Method.DEBIASED)  # the MLE's diagnostics
 
 
@@ -560,18 +523,24 @@ class _Fits(NamedTuple):
         return WeightEstimate(self.est[:, b], self.method, int(self.iterations[b]), bool(self.converged[b]), gap)
 
 
-def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> _Fits:
+def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
     """Fit of each (p, B) frequency column by ``method``: the one way a document is fitted.
 
-    Every method validates the batch (``_check_columns``).  The MLE is
-    ``_em_batch`` with its KKT gaps, the debiased fit ``_debias_batch`` of
-    it, and WLS ``_wls_batch``; ``tol`` and ``max_iter`` as in ``mle_weights``.
+    Every method validates the batch (``_check_columns``) and ``max_iter``,
+    which must be an integer >= 0.  The MLE is ``_em_batch`` with its KKT
+    gaps, the debiased fit ``_debias_batch`` of it, and WLS ``_wls_batch``.
     """
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise InvalidParam(f"max_iter must be an integer, got {max_iter!r}") from None
+    if not 0 <= max_iter <= _INT64_MAX:
+        raise InvalidParam(f"max_iter must be an integer >= 0, got {max_iter}")
     Am = _topics_array(A)
     _check_columns(XB, Am)
     if method is Method.WLS:
         return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
-    mle, iterations, converged, gaps = _em_batch(XB, A, tol, max_iter)
+    mle, iterations, converged, gaps = _em_batch(XB, A, max_iter)
     est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
     return _Fits(method, est, mle, iterations, converged, gaps)
 

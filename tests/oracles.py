@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: transportation-polytope
 vertex enumeration for the primal LP, a cyclic Jacobi eigensolver for the
 LAPACK-backed eigendecomposition, bisection on the score for the K=2 MLE,
-and a hand-rolled Gaussian elimination for the WLS normal equations.
+unbatched SQUAREM-accelerated EM for the simplex MLE at any K, and a
+hand-rolled Gaussian elimination for the WLS normal equations.
 """
 
 from __future__ import annotations
@@ -106,6 +107,48 @@ def mle_k2_by_bisection(X, A, iters: int = 200) -> np.ndarray:
                 hi = mid
         a = (lo + hi) / 2.0
     return np.array([a, 1.0 - a])
+
+
+def squarem_mle(X, A, tol: float, max_iter: int = 1_000_000) -> np.ndarray:
+    """Simplex MLE of one frequency vector by SQUAREM-accelerated EM.
+
+    SQUAREM (Varadhan & Roland 2008, Scand. J. Statist.) from the uniform
+    point: a cycle takes x1 = F(x0) and x2 = F(x1) of the EM map F,
+    extrapolates to x0 - 2a r + a^2 v (r = x1 - x0, v = x2 - 2 x1 + x0,
+    step a = -|r|/|v| <= -1) and applies F once more.  An extrapolant that
+    leaves the simplex or has a lower log-likelihood than x2 is retried
+    with a + 1 halved, and replaced by x2 once a > -2.  Stops once one EM
+    map moves x by at most ``tol`` in l1, or after ``max_iter`` maps.
+    """
+    s = np.asarray(X, dtype=float) > 0
+    Xs, As = np.asarray(X, dtype=float)[s], np.asarray(A, dtype=float)[s]
+
+    def em(x):
+        return x * (As.T @ (Xs / (As @ x)))
+
+    def loglik(x):
+        r = As @ x
+        return Xs @ np.log(r) if r.min() > 0 else -np.inf
+
+    x0, maps = np.full(As.shape[1], 1.0 / As.shape[1]), 0
+    while maps < max_iter:
+        x1 = em(x0)
+        if np.abs(x1 - x0).sum() <= tol:
+            return x1 / x1.sum()
+        x2 = em(x1)
+        r, v = x1 - x0, x2 - 2.0 * x1 + x0
+        nv = np.linalg.norm(v)
+        a = min(-np.linalg.norm(r) / nv, -1.0) if nv > 0.0 else -1.0
+        while a < -1.0:
+            xt = x0 - 2.0 * a * r + a * a * v
+            if xt.min() >= 0.0 and loglik(xt / xt.sum()) >= loglik(x2):
+                x2 = xt / xt.sum()
+                break
+            a = (a - 1.0) / 2.0
+            if a >= -2.0:
+                break
+        x0, maps = em(x2), maps + 3
+    return x0 / x0.sum()
 
 
 def gaussian_elimination_solve(A, b) -> np.ndarray:

@@ -87,7 +87,7 @@ def test_criterion_03_classical_regime_identity():
             if alpha.min() >= 0.02:  # interior draw
                 break
         X = A @ alpha
-        est = mle_weights(X, A, tol=1e-12, max_iter=300_000)
+        est = mle_weights(X, A, max_iter=300_000)
         deb = debias(est, X, A)
         worst_deb = max(worst_deb, float(np.abs(deb.alpha - est.alpha).max()))
         worst_mle = max(worst_mle, float(np.abs(est.alpha - alpha).sum()))
