@@ -33,17 +33,17 @@ Optim.) run from the uniform point, setting exact zeros where the MLE sits
 on the simplex boundary, until a fit's KKT gap is at most ``TOL_KKT``.
 Only a fit they leave uncertified is rescued: the multiplicative EM map
 runs from the uniform point until one map moves it by at most ``EM_TOL``
-= 1e-3 in l1, and Newton polishes it from there.  Every step keeps
-iterates in the simplex and the log-likelihood nondecreasing.
-``converged`` means exactly that the KKT certificate holds;
-``iterations`` counts Newton steps and EM maps.
+= 1e-3 in l1, and Newton polishes it from there.  Every EM map and
+Newton step keeps iterates in the simplex and the log-likelihood
+nondecreasing.  ``converged`` means exactly that the KKT certificate
+holds; ``iterations`` counts Newton steps and EM maps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -57,7 +57,7 @@ from .errors import (
     SingularDesign,
     SingularInformation,
 )
-from .transport import SIMPLEX_TOL, TopicMatrix, _outer_rows, _topics_array, _values
+from .transport import TopicMatrix, _outer_rows, _topics_array, _values
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -146,19 +146,18 @@ class CovEstimate:
     rank: int
 
 
-def _check_columns(XB: np.ndarray, A: np.ndarray | None) -> None:
+def _check_columns(XB: np.ndarray, A: np.ndarray) -> None:
     """Refuse a (p, B) batch of frequency columns with the first failing column's error.
 
     One mask for the batch.  A column's faults, in the order they are
     raised: a non-finite or negative entry, empty support, a positive count
-    on a word that no topic gives positive probability (``InfeasibleRow``;
-    not checked when ``A`` is None), a sum off one by more than ``SIMPLEX_TOL``.
+    on a word that no topic gives positive probability, a sum off one by
+    more than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.
     """
-    if A is not None and XB.shape[0] != A.shape[0]:
+    if XB.shape[0] != A.shape[0]:
         raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {A.shape[0]} rows")
-    pos, sums = XB > 0, XB.sum(axis=0)
-    dead = np.zeros(len(XB), dtype=bool) if A is None else A.max(axis=1) <= 0.0
-    bad = ~(np.abs(sums - 1.0) <= SIMPLEX_TOL) | (XB < 0).any(axis=0) | pos[dead].any(axis=0)
+    pos, sums, dead = XB > 0, XB.sum(axis=0), ~(A > 0.0).any(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= TOL_KKT) | (XB < 0).any(axis=0) | pos[dead].any(axis=0)
     if bad.any():
         b = int(bad.argmax())
         if not np.isfinite(XB[:, b]).all() or XB[:, b].min() < 0:
@@ -391,19 +390,17 @@ def _em_batch(XB: np.ndarray, A: np.ndarray, max_iter: int = EM_MAX_ITER) -> tup
     certifies a KKT gap of at most ``TOL_KKT``.  Only a column it leaves
     uncertified with budget left runs the rescue (``_rescue``) on what is
     left of ``max_iter``.  ``iterations`` and ``max_iter`` count Newton
-    steps and EM maps together.  A column's arithmetic does not depend on
-    the rest of the batch, so a batch of one gives the same bits.
-
-    The gaps are the ones Newton evaluated at each column's returned point.
+    steps and EM maps together, and the gaps are the ones Newton evaluated
+    at each column's returned point.  A column's arithmetic does not depend
+    on the rest of the batch, so a batch of one gives the same bits.
     """
     A, AT, AA = _design(A)
     X = np.ascontiguousarray(XB.T, dtype=float)
     B, K = X.shape[0], A.shape[1]
-    budget = np.full(B, max_iter, dtype=np.int64)
-    out, iterations, converged, gaps = _newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.minimum(budget, _first_steps(K)))
+    out, iterations, converged, gaps = _newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, min(max_iter, _first_steps(K))))
     cols = np.flatnonzero(~converged & (iterations < max_iter))
     if cols.size:
-        out[cols], used, converged[cols], gaps[cols] = _rescue(X[cols], A, AT, AA, budget[cols] - iterations[cols])
+        out[cols], used, converged[cols], gaps[cols] = _rescue(X[cols], A, AT, AA, max_iter - iterations[cols])
         iterations[cols] += used
     return out.T.copy(), iterations, converged, gaps
 
@@ -413,25 +410,34 @@ def _rescue(X, A, AT, AA, budget):
 
     Returns (weights, iterations, certified, KKT gaps) of rows X.  EM
     (``_em``) runs from the uniform point until one map moves a row by at
-    most ``EM_TOL`` in l1, and ``_newton_finish`` polishes each row within
-    what is left of its budget; a row EM stopped at its budget gets no step
-    and is only checked.  A row the polish cannot certify, with budget
-    left, runs EM on from its EM stop to ``_EM_TIGHT_TOL`` and is polished
-    once more.
+    most ``EM_TOL`` in l1, and ``_polish`` finishes each row within what is
+    left of its budget; a row EM stopped at its budget gets no step and is
+    only checked.  A row still uncertified, with budget left, runs EM on
+    from its EM stop to ``_EM_TIGHT_TOL``, leaving a polish's steps of its
+    budget, and is polished once more.
     """
     K = A.shape[1]
     start, iterations = _em(X, A, AT, np.full((len(X), K), 1.0 / K), EM_TOL, budget)
-    polish = np.minimum(budget - iterations, _NEWTON_MAX_STEPS)
-    out, used, converged, gaps = _newton_finish(X, A, AT, AA, start.copy(), polish)
+    out, used, converged, gaps = _polish(X, A, AT, AA, start, budget - iterations)
     iterations += used
     rows = np.flatnonzero(~converged & (iterations < budget))
-    if rows.size:
-        x, used = _em(X[rows], A, AT, start[rows], _EM_TIGHT_TOL, budget[rows] - iterations[rows])
-        iterations[rows] += used
-        polish = np.minimum(budget[rows] - iterations[rows], _NEWTON_MAX_STEPS)
-        out[rows], used, converged[rows], gaps[rows] = _newton_finish(X[rows], A, AT, AA, x, polish)
-        iterations[rows] += used
+    left = budget[rows] - iterations[rows]
+    x, used = _em(X[rows], A, AT, start[rows], _EM_TIGHT_TOL, np.maximum(left - _NEWTON_MAX_STEPS, 0))
+    iterations[rows] += used
+    out[rows], used, converged[rows], gaps[rows] = _polish(X[rows], A, AT, AA, x, left - used)
+    iterations[rows] += used
     return out, iterations, converged, gaps
+
+
+def _polish(X, A, AT, AA, x, budget):
+    """``_newton_finish`` of EM stops x within ``_NEWTON_MAX_STEPS`` and ``budget``,
+    from x with its weights at or below ``TAU_SUPP`` set to exact zeros where
+    the rest still give every word of X a probability: EM leaves boundary
+    weights down to 1e-300, below what the ratio test can zero, and zeroing
+    x_k moves the log-likelihood by about x_k (1 - g_k)."""
+    z = np.where(x > TAU_SUPP, x, 0.0)
+    z = np.where(((_rowdot(z, AT) > 0.0) | (X == 0.0)).all(axis=1)[:, None], z, x)
+    return _newton_finish(X, A, AT, AA, z / z.sum(axis=1, keepdims=True), np.minimum(budget, _NEWTON_MAX_STEPS))
 
 
 def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
@@ -495,13 +501,12 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     Psi(alpha_hat) = sum_{j in Jhat} (X_j - rhat_j)/rhat_j * Ahat_j and the
     weighting matrix Vhat = sum_{j in Jhat} Ahat_j Ahat_j^T / rhat_j, and
     returns alpha_hat + Vhat^+ Psi(alpha_hat).  The result sums to one but
-    may leave the simplex.  X is refused as the MLE refuses it, except
-    that its words are not checked against the topics.  This is
+    may leave the simplex.  X is refused as the MLE refuses it.  This is
     ``_debias_batch`` on a batch of one.
     """
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(np.asarray(alpha_hat, dtype=float), Method.MLE, 0, True)
     XB = _values(X, name="X")[:, None]
-    _check_columns(XB, None)
+    _check_columns(XB, _topics_array(A_hat))
     alpha = _debias_batch(base.alpha[:, None], XB, A_hat)[:, 0]
     return replace(base, alpha=alpha, method=Method.DEBIASED)  # the MLE's diagnostics
 
@@ -530,17 +535,13 @@ def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: in
     which must be an integer >= 0.  The MLE is ``_em_batch`` with its KKT
     gaps, the debiased fit ``_debias_batch`` of it, and WLS ``_wls_batch``.
     """
-    try:
-        max_iter = operator.index(max_iter)
-    except TypeError:
-        raise InvalidParam(f"max_iter must be an integer, got {max_iter!r}") from None
-    if not 0 <= max_iter <= _INT64_MAX:
-        raise InvalidParam(f"max_iter must be an integer >= 0, got {max_iter}")
+    if not isinstance(max_iter, numbers.Integral) or not 0 <= max_iter <= _INT64_MAX:
+        raise InvalidParam(f"max_iter must be an integer >= 0, got {max_iter!r}")
     Am = _topics_array(A)
     _check_columns(XB, Am)
     if method is Method.WLS:
         return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
-    mle, iterations, converged, gaps = _em_batch(XB, A, max_iter)
+    mle, iterations, converged, gaps = _em_batch(XB, A, int(max_iter))
     est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
     return _Fits(method, est, mle, iterations, converged, gaps)
 
