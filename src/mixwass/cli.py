@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, build_hash
 from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError
 from .estimators import Method, _covariances
-from .inference import _CHUNK, METHODS, _fit_columns, _fit_pairs, confidence_interval, theorem_delta
+from .inference import _CHUNK, METHODS, _fit_pairs, _fit_rows, confidence_interval, theorem_delta
 from .io import RunManifest, load_counts, load_topics, report_json, save_limit_samples, save_report
 from .simulate import (
     SimConfig,
@@ -171,7 +171,7 @@ def _pair_inputs(args):
 def _certificates(pairs) -> dict:
     """Whether each document's MLE in a one-pair ``FittedPairs`` is certified, i then j; null for wls, which fits none."""
     values = {"converged": pairs.converged, "kkt_gap": pairs.kkt_gap}
-    return {f"{k}_{side}": None if pairs.kkt_gap is None else v[c, 0].item() for k, v in values.items() for c, side in enumerate("ij")}
+    return {f"{k}_{side}": None if pairs.kkt_gap is None else v[0, c].item() for k, v in values.items() for c, side in enumerate("ij")}
 
 
 # The CLI's spelling of each estimator.
@@ -261,10 +261,10 @@ def _cmd_estimate(args) -> int:
     results = []
     # The file is fitted a batch at a time, so only a batch's frequencies are held.
     for s in range(0, len(docs), _CHUNK):
-        X = np.column_stack([doc.frequencies for doc in docs[s : s + _CHUNK]])
-        fits = _fit_columns(X, A, _ESTIMATORS[args.method])
+        X = np.stack([doc.frequencies for doc in docs[s : s + _CHUNK]])
+        fits = _fit_rows(X, A, _ESTIMATORS[args.method])
         sigma = _covariances(fits, X, A)
-        for b in range(X.shape[1]):
+        for b in range(len(X)):
             est = fits.estimate(b)  # alpha, method, iterations, converged and kkt_gap
             fields = {**dataclasses.asdict(est), "alpha": est.alpha.tolist(), "method": est.method.value}
             results.append({"doc": s + b, "N": docs[s + b].N, **fields, "sigma": sigma[b].tolist() if sigma is not None else None})
@@ -277,7 +277,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_distance(args) -> int:
     A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
-    pairs = _fit_pairs(doc_i.frequencies[:, None], doc_j.frequencies[:, None], doc_i.N, doc_j.N, A, poly, _ESTIMATORS[args.estimator])
+    pairs = _fit_pairs(doc_i.frequencies[None, :], doc_j.frequencies[None, :], doc_i.N, doc_j.N, A, poly, _ESTIMATORS[args.estimator])
     report = {
         "command": "distance",
         "metric": args.metric,
@@ -285,8 +285,8 @@ def _cmd_distance(args) -> int:
         "W_tilde": float(pairs.W[0]),
         "N_i": doc_i.N,
         "N_j": doc_j.N,
-        "alpha_i": pairs.est_i[:, 0].tolist(),
-        "alpha_j": pairs.est_j[:, 0].tolist(),
+        "alpha_i": pairs.est_i[0].tolist(),
+        "alpha_j": pairs.est_j[0].tolist(),
         "seed": args.seed,
         **_certificates(pairs),
     }
@@ -302,7 +302,7 @@ def _cmd_ci(args) -> int:
     method = METHODS[_CI_METHODS[args.method]]
     settings = method.settings(args.level, M=args.M, B=args.B, gamma=args.gamma, delta=delta)
     # Every method's interval is centred on this fit's debiased distance.
-    pairs = _fit_pairs(doc_i.frequencies[:, None], doc_j.frequencies[:, None], doc_i.N, doc_j.N, A, poly)
+    pairs = _fit_pairs(doc_i.frequencies[None, :], doc_j.frequencies[None, :], doc_i.N, doc_j.N, A, poly)
     samples = method.sampler(pairs, A, poly, [seed], settings)[0]
     ci = confidence_interval(float(pairs.W[0]), samples, args.level, doc_i.N, doc_j.N)
     if args.samples_out:

@@ -18,14 +18,15 @@ covariance matrices.
 Each estimator is written once, for a batch of documents against one topic
 matrix: ``_em_batch`` for the MLE, ``_debias_batch`` for the correction,
 ``_wls_batch`` for WLS, and ``_sigma_batch`` and ``_sigma_ls_batch`` for the
-plug-in covariances.  ``_fit_batch``, the one way a document is fitted,
-validates a batch of frequency columns with one mask and fits it by a
-``Method``, with each MLE's certificate; the public single-document
-functions are batches of one.  Every per-document product is ``_rowdot``,
-a stack of fixed two-row GEMMs, or a matrix-vector product per column
-(WLS), and every Gram A^T diag(w) A is one ``_rowdot`` against the topic
-matrix's outer table, which a ``TopicMatrix`` builds once; so a document
-gets the same bits in any batch.
+plug-in covariances.  A batch is a C-order stack of rows, (B, p)
+frequencies in and (B, K) weights out, the layout the kernels compute on.
+``_fit_batch``, the one way a document is fitted, validates a batch with
+one mask and fits it by a ``Method``, with each MLE's certificate; the
+public single-document functions are batches of one.  Every per-document
+product is ``_rowdot``, a stack of fixed two-row GEMMs, or a matrix-vector
+product per row (WLS), and every Gram A^T diag(w) A is one ``_rowdot``
+against the topic matrix's outer table, which a ``TopicMatrix`` builds
+once; so a document gets the same bits in any batch.
 
 ``_em_batch`` fits Newton first.  Newton steps on the face of free
 coordinates (a projected Newton method, Bertsekas 1982, SIAM J. Control
@@ -146,25 +147,25 @@ class CovEstimate:
     rank: int
 
 
-def _check_columns(XB: np.ndarray, A: np.ndarray) -> None:
-    """Refuse a (p, B) batch of frequency columns with the first failing column's error.
+def _check_rows(X: np.ndarray, A: np.ndarray) -> None:
+    """Refuse a (B, p) batch of frequency rows with the first failing row's error.
 
-    One mask for the batch.  A column's faults, in the order they are
-    raised: a non-finite or negative entry, empty support, a positive count
-    on a word that no topic gives positive probability, a sum off one by
-    more than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.
+    One mask for the batch.  A row's faults, in the order they are raised:
+    a non-finite or negative entry, empty support, a positive count on a
+    word that no topic gives positive probability, a sum off one by more
+    than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.
     """
-    if XB.shape[0] != A.shape[0]:
-        raise InvalidParam(f"X has dim {XB.shape[0]}, topics have {A.shape[0]} rows")
-    pos, sums, dead = XB > 0, XB.sum(axis=0), ~(A > 0.0).any(axis=1)
-    bad = ~(np.abs(sums - 1.0) <= TOL_KKT) | (XB < 0).any(axis=0) | pos[dead].any(axis=0)
+    if X.shape[1] != A.shape[0]:
+        raise InvalidParam(f"X has dim {X.shape[1]}, topics have {A.shape[0]} rows")
+    pos, sums, dead = X > 0, X.sum(axis=1), ~(A > 0.0).any(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= TOL_KKT) | (X < 0).any(axis=1) | pos[:, dead].any(axis=1)
     if bad.any():
         b = int(bad.argmax())
-        if not np.isfinite(XB[:, b]).all() or XB[:, b].min() < 0:
+        if not np.isfinite(X[b]).all() or X[b].min() < 0:
             raise InvalidParam("frequency vector has a negative or non-finite entry")
-        if not pos[:, b].any():
+        if not pos[b].any():
             raise InvalidParam("frequency vector has empty support")
-        words = pos[:, b] & dead
+        words = pos[b] & dead
         if words.any():
             raise InfeasibleRow(f"word {int(words.argmax())} has positive count but zero probability under every topic")
         raise InvalidParam(f"frequency vector sums to {float(sums[b])!r}, not 1")
@@ -211,15 +212,14 @@ def _gap(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(x > TAU_SUPP, np.abs(g - 1.0), np.maximum(g - 1.0, 0.0)).max(axis=1)
 
 
-def _kkt_gaps(XB: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """KKT defect (B,) of each (K, B) weight column on its frequency column.
+def _kkt_gaps(X: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """KKT defect (B,) of each (B, K) weight row on its (B, p) frequency row.
 
     No fit calls it: ``_em_batch`` takes its gaps from the Newton finish,
     and the tests hold them to this, bit for bit.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    X, x = np.ascontiguousarray(XB.T, dtype=float), np.ascontiguousarray(alphas.T)
-    return _gap(x, _rowdot(X / _fitted(x, np.ascontiguousarray(A.T)), A))
+    A, AT, _ = _design(A)
+    return _gap(alphas, _rowdot(X / _fitted(alphas, AT), A))
 
 
 def _grams(W: np.ndarray, AA: np.ndarray) -> np.ndarray:
@@ -376,33 +376,32 @@ def _first_steps(K: int) -> int:
     Each blocked step zeros one coordinate, so a fit may first spend up to
     K steps reaching its face; the round allows a polish's
     ``_NEWTON_MAX_STEPS`` plus those, at most twice a polish in all, so a
-    column it cannot certify costs at most two polishes before the rescue.
+    document it cannot certify costs at most two polishes before the rescue.
     """
     return _NEWTON_MAX_STEPS + min(K, _NEWTON_MAX_STEPS)
 
 
-def _em_batch(XB: np.ndarray, A: np.ndarray, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simplex MLE of a (p, B) matrix of frequency columns: Newton, then the rescue.
+def _em_batch(X: np.ndarray, A: np.ndarray, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simplex MLE of a (B, p) batch of frequency rows: Newton, then the rescue.
 
-    Returns (alphas (K, B), iterations (B,), converged (B,), KKT gaps (B,)).
-    ``_newton_finish`` runs first on every column, from the uniform point,
+    Returns (alphas (B, K), iterations (B,), converged (B,), KKT gaps (B,)).
+    ``_newton_finish`` runs first on every row, from the uniform point,
     for at most ``_first_steps(K)`` steps and ``max_iter``; ``converged``
-    certifies a KKT gap of at most ``TOL_KKT``.  Only a column it leaves
+    certifies a KKT gap of at most ``TOL_KKT``.  Only a row it leaves
     uncertified with budget left runs the rescue (``_rescue``) on what is
     left of ``max_iter``.  ``iterations`` and ``max_iter`` count Newton
     steps and EM maps together, and the gaps are the ones Newton evaluated
-    at each column's returned point.  A column's arithmetic does not depend
-    on the rest of the batch, so a batch of one gives the same bits.
+    at each row's returned point.  A row's arithmetic does not depend on
+    the rest of the batch, so a batch of one gives the same bits.
     """
     A, AT, AA = _design(A)
-    X = np.ascontiguousarray(XB.T, dtype=float)
     B, K = X.shape[0], A.shape[1]
     out, iterations, converged, gaps = _newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, min(max_iter, _first_steps(K))))
-    cols = np.flatnonzero(~converged & (iterations < max_iter))
-    if cols.size:
-        out[cols], used, converged[cols], gaps[cols] = _rescue(X[cols], A, AT, AA, max_iter - iterations[cols])
-        iterations[cols] += used
-    return out.T.copy(), iterations, converged, gaps
+    rows = np.flatnonzero(~converged & (iterations < max_iter))
+    if rows.size:
+        out[rows], used, converged[rows], gaps[rows] = _rescue(X[rows], A, AT, AA, max_iter - iterations[rows])
+        iterations[rows] += used
+    return out, iterations, converged, gaps
 
 
 def _rescue(X, A, AT, AA, budget):
@@ -458,7 +457,7 @@ def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     ``iterations`` and ``max_iter``, an integer >= 0, count Newton steps
     plus any EM maps.
     """
-    return _fit_batch(_values(X, name="X")[:, None], A, Method.MLE, max_iter).estimate(0)
+    return _fit_batch(_values(X, name="X")[None, :], A, Method.MLE, max_iter).estimate(0)
 
 
 def mle_objective(alpha, X, A) -> float:
@@ -472,26 +471,23 @@ def mle_objective(alpha, X, A) -> float:
     return float(Xv[s] @ np.log(r))
 
 
-def _debias_batch(alphas: np.ndarray, XB: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """One-step correction of a (K, B) batch of MLE columns (see ``debias``).
+def _debias_batch(alphas: np.ndarray, X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """One-step correction of (B, K) MLE rows on their (B, p) frequency rows (see ``debias``).
 
-    A column whose fitted probabilities all lie below ``ZETA`` raises
+    A row whose fitted probabilities all lie below ``ZETA`` raises
     :class:`DegenerateSupport` for the batch.  The pseudo-inverses are one
-    stacked call.  Every product is per column, so a column gives the
-    same bits in any batch.
+    stacked call.  Every product is per row, so a row gives the same bits
+    in any batch.
     """
     A, AT, AA = _design(A)
-    x = np.array(alphas.T, dtype=float, order="C")  # a copy: rows are updated in place
-    X = np.ascontiguousarray(XB.T, dtype=float)
-    R = _rowdot(x, AT)  # (B, p)
+    R = _rowdot(alphas, AT)  # (B, p)
     mask = R > ZETA
     if not mask.any(axis=1).all():
         raise DegenerateSupport("no word has fitted probability above the support threshold")
     Rsafe = np.where(mask, R, 1.0)
     psi = _rowdot(np.where(mask, (X - R) / Rsafe, 0.0), A)  # (B, K)
     V = _grams(np.where(mask, 1.0 / Rsafe, 0.0), AA)
-    x += (numlin.pinv(V) @ psi[:, :, None])[:, :, 0]
-    return x.T.copy()
+    return alphas + (numlin.pinv(V) @ psi[:, :, None])[:, :, 0]
 
 
 def debias(alpha_hat, X, A_hat) -> WeightEstimate:
@@ -505,14 +501,14 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     ``_debias_batch`` on a batch of one.
     """
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(np.asarray(alpha_hat, dtype=float), Method.MLE, 0, True)
-    XB = _values(X, name="X")[:, None]
-    _check_columns(XB, _topics_array(A_hat))
-    alpha = _debias_batch(base.alpha[:, None], XB, A_hat)[:, 0]
+    X = _values(X, name="X")[None, :]
+    _check_rows(X, _topics_array(A_hat))
+    alpha = _debias_batch(base.alpha[None, :], X, A_hat)[0]
     return replace(base, alpha=alpha, method=Method.DEBIASED)  # the MLE's diagnostics
 
 
 class _Fits(NamedTuple):
-    """A batch's fits by ``method``: (K, B) estimates and the MLEs they start
+    """A batch's fits by ``method``: (B, K) estimates and the MLEs they start
     from, and each MLE's iterations, certificate and KKT gap.  WLS fits no
     MLE: its ``mle`` and ``kkt_gap`` are None, iterations 0, certificates True."""
 
@@ -525,48 +521,47 @@ class _Fits(NamedTuple):
 
     def estimate(self, b: int) -> WeightEstimate:
         gap = None if self.kkt_gap is None else float(self.kkt_gap[b])
-        return WeightEstimate(self.est[:, b], self.method, int(self.iterations[b]), bool(self.converged[b]), gap)
+        return WeightEstimate(self.est[b], self.method, int(self.iterations[b]), bool(self.converged[b]), gap)
 
 
-def _fit_batch(XB: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
-    """Fit of each (p, B) frequency column by ``method``: the one way a document is fitted.
+def _fit_batch(X: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
+    """Fit of each (B, p) frequency row by ``method``: the one way a document is fitted.
 
-    Every method validates the batch (``_check_columns``) and ``max_iter``,
-    which must be an integer >= 0.  The MLE is ``_em_batch`` with its KKT
-    gaps, the debiased fit ``_debias_batch`` of it, and WLS ``_wls_batch``.
+    Every method validates the batch (``_check_rows``) and ``max_iter``, an
+    integer >= 0 (not a bool).  The MLE is ``_em_batch`` with its KKT gaps,
+    the debiased fit ``_debias_batch`` of it, and WLS ``_wls_batch``.
     """
-    if not isinstance(max_iter, numbers.Integral) or not 0 <= max_iter <= _INT64_MAX:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or not 0 <= max_iter <= _INT64_MAX:
         raise InvalidParam(f"max_iter must be an integer >= 0, got {max_iter!r}")
     Am = _topics_array(A)
-    _check_columns(XB, Am)
+    _check_rows(X, Am)
     if method is Method.WLS:
-        return _Fits(method, _wls_batch(XB, Am), None, np.zeros(XB.shape[1], dtype=np.int64), np.ones(XB.shape[1], dtype=bool), None)
-    mle, iterations, converged, gaps = _em_batch(XB, A, int(max_iter))
-    est = _debias_batch(mle, XB, A) if method is Method.DEBIASED else mle
+        return _Fits(method, _wls_batch(X, Am), None, np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool), None)
+    mle, iterations, converged, gaps = _em_batch(X, A, int(max_iter))
+    est = _debias_batch(mle, X, A) if method is Method.DEBIASED else mle
     return _Fits(method, est, mle, iterations, converged, gaps)
 
 
-def _covariances(fits: _Fits, XB: np.ndarray, A) -> np.ndarray | None:
-    """Plug-in covariances (B, K, K) of the fits of frequency columns XB: at
+def _covariances(fits: _Fits, X: np.ndarray, A) -> np.ndarray | None:
+    """Plug-in covariances (B, K, K) of the fits of frequency rows X: at
     the MLE for the debiased fit, at the estimate for WLS, none for the MLE."""
     if fits.method is Method.WLS:
-        return _sigma_ls_batch(fits.est, XB, A)
+        return _sigma_ls_batch(fits.est, X, A)
     return _sigma_batch(fits.mle, A) if fits.method is Method.DEBIASED else None
 
 
-def _sigma_batch(alphas: np.ndarray, A) -> np.ndarray:
-    """Plug-in covariances (B, K, K) of a (K, B) batch of weight columns.
+def _sigma_batch(x: np.ndarray, A) -> np.ndarray:
+    """Plug-in covariances (B, K, K) of a (B, K) batch of weight rows x.
 
-    See ``sigma_hat``.  A column whose fitted probabilities all lie below
+    See ``sigma_hat``.  A row whose fitted probabilities all lie below
     ``ZETA`` raises :class:`DegenerateSupport`, and one whose information
     matrix is singular raises :class:`SingularInformation`; either error
     fails the whole batch.  The information matrices are one ``_grams``
     call, with weight 1/r_j on the support and 0 off it, and they are
-    inverted in one stacked call.  Every product is per column, so a
-    column gives the same bits in any batch.
+    inverted in one stacked call.  Every product is per row, so a row
+    gives the same bits in any batch.
     """
     A, AT, AA = _design(A)
-    x = np.ascontiguousarray(alphas.T, dtype=float)  # (B, K)
     r = _rowdot(x, AT)
     J = r > ZETA
     if not J.any(axis=1).all():
@@ -589,7 +584,7 @@ def sigma_hat(alpha, A_hat) -> CovEstimate:
     ``_sigma_batch`` on a batch of one, plus the rank of the result.
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    sigma = _sigma_batch(a[:, None], A_hat)[0]
+    sigma = _sigma_batch(a[None, :], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)
 
 
@@ -598,7 +593,7 @@ def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (keep, Ahat^+) with Ahat^+ = Mhat^{-1} Ahat^T Dhat^{-1}, where
     Dhat is the diagonal of topic-row l1 norms and Mhat = Ahat^T Dhat^{-1}
-    Ahat; the WLS estimates of frequency columns XB are Ahat^+ @ XB[keep].
+    Ahat; the WLS estimate of a frequency row x is Ahat^+ @ x[keep].
     """
     d = A.sum(axis=1)
     keep = np.flatnonzero(d > 0)
@@ -611,12 +606,12 @@ def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keep, Minv @ B.T
 
 
-def _wls_batch(XB: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """WLS estimates (K, B) of (p, B) frequency columns (see ``wls_weights``):
-    one matrix-vector product per column, stacked, since one GEMM over the
-    batch gives a column other bits at other widths."""
+def _wls_batch(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """WLS estimates (B, K) of (B, p) frequency rows (see ``wls_weights``):
+    one matrix-vector product per row, stacked, since one GEMM over the
+    batch gives a row other bits at other heights."""
     keep, Aplus = _wls_operator(A)
-    return (Aplus @ XB[keep].T[:, :, None])[:, :, 0].T.copy()
+    return (Aplus @ X[:, keep, None])[:, :, 0]
 
 
 def wls_weights(X, A_hat) -> WeightEstimate:
@@ -628,14 +623,13 @@ def wls_weights(X, A_hat) -> WeightEstimate:
     positive count on a zero-mass row raises :class:`InfeasibleRow`.  This
     is ``_fit_batch`` on a batch of one.
     """
-    return _fit_batch(_values(X, name="X")[:, None], A_hat, Method.WLS).estimate(0)
+    return _fit_batch(_values(X, name="X")[None, :], A_hat, Method.WLS).estimate(0)
 
 
-def _sigma_ls_batch(alphas: np.ndarray, RB: np.ndarray, A) -> np.ndarray:
-    """WLS plug-in covariances (B, K, K) of (K, B) weight and (p, B) probability columns (see ``sigma_ls``)."""
+def _sigma_ls_batch(x: np.ndarray, R: np.ndarray, A) -> np.ndarray:
+    """WLS plug-in covariances (B, K, K) of (B, K) weight and (B, p) probability rows (see ``sigma_ls``)."""
     keep, Aplus = _wls_operator(_topics_array(A))
-    x = alphas.T
-    sigma = (Aplus * RB[keep].T[:, None, :]) @ Aplus.T - x[:, :, None] * x[:, None, :]
+    sigma = (Aplus * R[:, None, keep]) @ Aplus.T - x[:, :, None] * x[:, None, :]
     return (sigma + sigma.transpose(0, 2, 1)) / 2.0
 
 
@@ -648,5 +642,5 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
     on a batch of one.
     """
     a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    sigma = _sigma_ls_batch(a[:, None], _values(X_or_r, name="X_or_r")[:, None], A_hat)[0]
+    sigma = _sigma_ls_batch(a[None, :], _values(X_or_r, name="X_or_r")[None, :], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)

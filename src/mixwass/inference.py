@@ -8,16 +8,17 @@ estimated by Monte Carlo; quantiles of the sample set yield confidence
 intervals.  Two bootstrap baselines (m-out-of-N and derivative-based) are
 provided for comparison.
 
-Documents are fitted in one place, ``_fit_columns``, in runs of ``_CHUNK``
-columns, and pairs in one place, ``_fit_pairs``: B pairs (observed, or a
-bootstrap replicate's resamples) as 2B columns, the i sides first, give
+A batch is a C-order stack of rows, the layout ``support_batch`` reads.
+Documents are fitted in one place, ``_fit_rows``, in runs of ``_CHUNK``
+rows, and pairs in one place, ``_fit_pairs``: B pairs (observed, or a
+bootstrap replicate's resamples) as 2B rows, the i sides first, give
 ``FittedPairs``, the estimates by any method and their distances.  Each
 interval method is written once, for a batch of observed pairs, which it
 never refits, in the ``METHODS`` table with the settings it reads:
 ``plugin`` (M, delta) samples the plug-in limit law, ``deriv_bs`` (B,
 delta) and ``m_of_n`` (B, gamma) are the bootstraps, which share one
 resampling kernel.  The plug-in law of a batch is one ``_plugin_limits``
-call, whose ``_limit_draws`` takes all PSD roots in one stacked call.
+call, whose ``_limit_draws`` draws (M, K) rows orthogonal to 1.
 The plug-in and derivative laws take their polytope from
 ``restricted_polytope`` and their values from ``support_batch``; whether
 f = 0 is feasible, and the floor at 0 that follows, are the polytope's.
@@ -49,8 +50,8 @@ from .transport import DualPolytope, restricted_polytope, support_batch
 
 
 def _check_count(value, name: str) -> None:
-    """Refuse a size or a number of draws that is not an integer >= 1 (numpy integers are integers)."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse a size or a number of draws that is not an integer >= 1 (numpy integers are integers, bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParam(f"{name} must be an integer, not {value!r}")
     if value < 1:
         raise InvalidParam(f"{name} must be >= 1")
@@ -165,19 +166,19 @@ def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int) -> np.ndarray:
     """Draws of sup_f f^T Z with Z ~ N(0, sigma_i[b] + sigma_j[b]) for B laws.
 
     ``sigma_i`` and ``sigma_j`` are (B, K, K) stacks.  Law b takes the PSD
-    square root of its summed covariance, draws its (K, M) standard normals
-    from ``default_rng(seeds[b])`` and evaluates them over ``polys[b]``.
-    The roots are one stacked call.  Each law's draws are their own
-    ``support_batch`` call, so only one law's draws are held at a time: one
-    call over a whole chunk measured slower.  Returns the (B, M) draws; a
-    law gets the same bits in any batch.
+    square root of its summed covariance, in one stacked call, with each row
+    centred: the rows of G @ root, for (M, K) standard normals G from
+    ``default_rng(seeds[b])``, are orthogonal to 1, where their values over
+    ``polys[b]`` do not depend on the coordinate anchored at 0.  Each law's
+    draws are their own ``support_batch`` call, so only one law's draws are
+    held at a time: one call over a whole chunk measured slower.  Returns
+    the (B, M) draws; a law gets the same bits in any batch.
     """
     root = numlin.psd_sqrt(sigma_i + sigma_j)
-    K = root.shape[-1]
+    root -= root.mean(axis=2, keepdims=True)
     out = np.empty((len(root), M))
     for b, (poly, seed) in enumerate(zip(polys, seeds)):
-        Z = root[b] @ _rng(seed).standard_normal(size=(K, M))
-        out[b] = support_batch(poly, Z.T)
+        out[b] = support_batch(poly, _rng(seed).standard_normal((M, root.shape[2])) @ root[b])
     return out
 
 
@@ -191,12 +192,12 @@ def _sample_set(samples, poly: DualPolytope, delta, seed, **meta) -> LimitSample
 def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int, seeds) -> list[LimitSampleSet]:
     """Plug-in limit laws of B document pairs (see ``limit_sampler``).
 
-    ``alphas_i`` and ``alphas_j`` are (K, B) batches of simplex estimates
+    ``alphas_i`` and ``alphas_j`` are (B, K) batches of simplex estimates
     and ``seeds`` holds one seed per pair.  An error in any pair fails the
     batch.
     """
-    polys = [restricted_polytope(base, ai, aj, delta) for ai, aj in zip(alphas_i.T, alphas_j.T)]
-    sigmas = _sigma_batch(np.concatenate((alphas_i, alphas_j), axis=1), A_hat)  # both sides in one call
+    polys = [restricted_polytope(base, ai, aj, delta) for ai, aj in zip(alphas_i, alphas_j)]
+    sigmas = _sigma_batch(np.concatenate((alphas_i, alphas_j)), A_hat)  # both sides in one call
     draws = _limit_draws(sigmas[: len(polys)], sigmas[len(polys) :], polys, seeds, M)
     return [_sample_set(d, poly, delta, seed) for d, poly, seed in zip(draws, polys, seeds)]
 
@@ -221,7 +222,7 @@ def limit_sampler(
     batch of one.
     """
     _check_count(M, "M")
-    return _plugin_limits(_weights(alpha_i)[:, None], _weights(alpha_j)[:, None], A_hat, _as_polytope(cost), delta, M, [seed])[0]
+    return _plugin_limits(_weights(alpha_i)[None, :], _weights(alpha_j)[None, :], A_hat, _as_polytope(cost), delta, M, [seed])[0]
 
 
 def _check_level(level: float, size: int, name: str = "M") -> None:
@@ -252,24 +253,24 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     )
 
 
-# Columns per fit batch, which bounds the kernels' memory at p x _CHUNK, and
+# Rows per fit batch, which bounds the kernels' memory at _CHUNK x p, and
 # pairs per driver chunk, so that no batch depends on the worker count.
 _CHUNK = 32
 
 
-def _fit_columns(XB: np.ndarray, A, method: Method = Method.DEBIASED) -> _Fits:
-    """Fits of the (p, n) frequency columns XB by ``method``, ``_fit_batch`` on each
-    run of ``_CHUNK`` columns: the one fit of documents, of a corpus and of pairs."""
-    parts = [_fit_batch(XB[:, s : s + _CHUNK], A, method) for s in range(0, XB.shape[1], _CHUNK)]
-    return _Fits(method, *(None if f[0] is None else np.concatenate(f, axis=-1) for f in list(zip(*parts))[1:]))
+def _fit_rows(X: np.ndarray, A, method: Method = Method.DEBIASED) -> _Fits:
+    """Fits of the (n, p) frequency rows X by ``method``, ``_fit_batch`` on each
+    run of ``_CHUNK`` rows: the one fit of documents, of a corpus and of pairs."""
+    parts = [_fit_batch(X[s : s + _CHUNK], A, method) for s in range(0, len(X), _CHUNK)]
+    return _Fits(method, *(None if f[0] is None else np.concatenate(f) for f in list(zip(*parts))[1:]))
 
 
 @dataclass(frozen=True)
 class FittedPairs:
-    """B fitted document pairs: (p, B) word frequencies and the sides' sizes,
-    (K, B) MLEs and estimates by the fit's method, (B,) distances, and (2, B)
-    certificates and KKT gaps of the MLEs, i side then j side; None where WLS
-    fits no MLE or no polytope was given."""
+    """B fitted document pairs, a row each: (B, p) word frequencies and the
+    sides' sizes, (B, K) MLEs and estimates by the fit's method, (B,)
+    distances, (B, 2) certificates and KKT gaps of the MLEs, i side then j
+    side; None where WLS fits no MLE or no polytope was given."""
 
     X_i: np.ndarray
     X_j: np.ndarray
@@ -284,46 +285,46 @@ class FittedPairs:
     kkt_gap: np.ndarray | None
 
     def take(self, cols) -> FittedPairs:
-        return dataclasses.replace(self, **{k: v[..., cols] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
+        return dataclasses.replace(self, **{k: v[cols] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
 
 def _fit_pairs(X_i: np.ndarray, X_j: np.ndarray, N_i: int, N_j: int, A, poly: DualPolytope | None, method: Method = Method.DEBIASED) -> FittedPairs:
-    """B document pairs of (p, B) frequencies a side, fitted by ``_fit_columns``
-    as 2B columns, the i sides first, and measured over ``poly`` if given."""
-    B = X_i.shape[1]
-    fits = _fit_columns(np.concatenate((X_i.T, X_j.T)).T, A, method)  # F-order: the kernels take each column whole
-    (mle_i, mle_j), (est_i, est_j) = ((None, None) if v is None else (v[:, :B], v[:, B:]) for v in (fits.mle, fits.est))
-    W = None if poly is None else support_batch(poly, (est_i - est_j).T)
-    gap = None if fits.kkt_gap is None else fits.kkt_gap.reshape(2, B)
-    return FittedPairs(X_i, X_j, N_i, N_j, mle_i, mle_j, est_i, est_j, W, fits.converged.reshape(2, B), gap)
+    """B document pairs of (B, p) frequencies a side, fitted by ``_fit_rows``
+    as 2B rows, the i sides first, and measured over ``poly`` if given."""
+    B = len(X_i)
+    fits = _fit_rows(np.concatenate((X_i, X_j)), A, method)
+    (mle_i, mle_j), (est_i, est_j) = ((None, None) if v is None else (v[:B], v[B:]) for v in (fits.mle, fits.est))
+    W = None if poly is None else support_batch(poly, est_i - est_j)
+    converged, gap = (None if v is None else np.column_stack((v[:B], v[B:])) for v in (fits.converged, fits.kkt_gap))
+    return FittedPairs(X_i, X_j, N_i, N_j, mle_i, mle_j, est_i, est_j, W, converged, gap)
 
 
-def _by_column(stage, cols: list[int]) -> list:
-    """``stage(cols)``: one output per column, computed as one batch.  A
-    ``MixwassError`` in a batch of several columns redoes them one at a time,
-    so only a failing column is lost; its entry is the "Type: message" string."""
+def _by_row(stage, rows: list[int]) -> list:
+    """``stage(rows)``: one output per row, computed as one batch.  A
+    ``MixwassError`` in a batch of several rows redoes them one at a time,
+    so only a failing row is lost; its entry is the "Type: message" string."""
     try:
-        return stage(cols)
+        return stage(rows)
     except MixwassError as exc:
-        if len(cols) == 1:
+        if len(rows) == 1:
             return [f"{type(exc).__name__}: {exc}"]
-    return [out for c in cols for out in _by_column(stage, [c])]
+    return [out for r in rows for out in _by_row(stage, [r])]
 
 
 def _pair_estimates(counts_i, counts_j, N_i: int, N_j: int, A_hat, poly: DualPolytope):
-    """``FittedPairs`` of (p, B) word counts, and errors.  Only a failing pair
-    is lost (see ``_by_column``): its fits, distance and KKT gaps are NaN, it
+    """``FittedPairs`` of (B, p) word counts, and errors.  Only a failing pair
+    is lost (see ``_by_row``): its fits, distance and KKT gaps are NaN, it
     is not certified, and its entry of the error list names the error."""
     X_i, X_j = counts_i / N_i, counts_j / N_j
 
-    def stage(cols):  # each pair's fields from mle_i on
-        pairs = _fit_pairs(X_i[:, cols], X_j[:, cols], N_i, N_j, A_hat, poly)
-        return list(zip(*(getattr(pairs, f.name).T for f in dataclasses.fields(pairs)[4:])))
+    def stage(rows):  # each pair's fields from mle_i on
+        pairs = _fit_pairs(X_i[rows], X_j[rows], N_i, N_j, A_hat, poly)
+        return list(zip(*(getattr(pairs, f.name) for f in dataclasses.fields(pairs)[4:])))
 
-    fits = _by_column(stage, list(range(X_i.shape[1])))
+    fits = _by_row(stage, list(range(len(X_i))))
     errors = [f if isinstance(f, str) else None for f in fits]
     lost = (np.full(poly.K, np.nan),) * 4 + (np.nan, np.zeros(2, dtype=bool), np.full(2, np.nan))
-    fields = (np.array(v).T for v in zip(*(lost if e else f for f, e in zip(fits, errors))))
+    fields = (np.array(v) for v in zip(*(lost if e else f for f, e in zip(fits, errors))))
     return FittedPairs(X_i, X_j, N_i, N_j, *fields), errors
 
 
@@ -335,7 +336,7 @@ def _resampled_pairs(pairs: FittedPairs, c: int, sizes, A, poly, B: int, seed) -
     """``_fit_pairs`` of B multinomial resamples of each side of pair ``c``,
     of ``sizes`` words, over ``poly``; the i side's are drawn first."""
     rng = _rng(seed)
-    X_b = [rng.multinomial(m, X[:, c], size=B).T / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
+    X_b = [rng.multinomial(m, X[c], size=B) / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
     return _fit_pairs(*X_b, *sizes, A, poly)
 
 
@@ -343,11 +344,11 @@ def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[Li
     """Derivative bootstrap of each pair (see ``derivative_bootstrap``)."""
     delta, scale, out = settings["delta"], effective_root_n(pairs.N_i, pairs.N_j), []
     for c, seed in enumerate(seeds):
-        poly = restricted_polytope(base, pairs.mle_i[:, c], pairs.mle_j[:, c], delta)
+        poly = restricted_polytope(base, pairs.mle_i[c], pairs.mle_j[c], delta)
         # The resamples' own distances are not needed; beyond K = 10 each is an LP.
         boot = _resampled_pairs(pairs, c, (pairs.N_i, pairs.N_j), A, None, settings["B"], seed)
-        directions = scale * ((boot.est_i - boot.est_j) - (pairs.est_i[:, c] - pairs.est_j[:, c])[:, None])
-        out.append(_sample_set(support_batch(poly, directions.T), poly, delta, seed, W_tilde=float(pairs.W[c])))
+        directions = scale * ((boot.est_i - boot.est_j) - (pairs.est_i[c] - pairs.est_j[c]))
+        out.append(_sample_set(support_batch(poly, directions), poly, delta, seed, W_tilde=float(pairs.W[c])))
     return out
 
 
@@ -402,7 +403,7 @@ def _observed_pair_samples(name: str, X_i: CountVector, X_j: CountVector, A_hat,
     """Method ``name`` on one observed pair, fitted as ``ci`` fits it."""
     settings = METHODS[name].settings(**values)
     poly = _as_polytope(cost)
-    pairs = _fit_pairs(X_i.frequencies[:, None], X_j.frequencies[:, None], X_i.N, X_j.N, A_hat, poly)
+    pairs = _fit_pairs(X_i.frequencies[None, :], X_j.frequencies[None, :], X_i.N, X_j.N, A_hat, poly)
     return METHODS[name].sampler(pairs, A_hat, poly, [seed], settings)[0]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numlin
 from .estimators import TOL_KKT, CountVector, Method, _covariances, _em, debias, mle_objective, mle_weights, sigma_hat, sigma_ls, wls_weights
-from .inference import METHODS, _fit_columns, _pair_estimates, confidence_interval, derivative_bootstrap, limit_sampler, m_out_of_n_bootstrap
+from .inference import METHODS, _fit_rows, _pair_estimates, confidence_interval, derivative_bootstrap, limit_sampler, m_out_of_n_bootstrap
 from .simulate import SimConfig, gen_topic_matrix, gen_weights, run_ci_experiment
 from .transport import (
     DualPolytope,
@@ -272,22 +272,22 @@ def check_batch_matches_single(seed: int = 25, Ks=(3, 5, 8)) -> tuple[str, bool,
     """The one fit path gives each document the bits of the public
     single-document functions: the MLE, debiased and WLS estimates with
     their iterations, certificates, KKT gaps and plug-in covariances, for
-    corpora of 1, 2, 3, 33 and 70 documents (a lone column, a doubled row
-    of the two-row products, runs of ``_CHUNK`` columns), dense and sparse."""
+    corpora of 1, 2, 3, 33 and 70 documents (a lone row, a doubled row
+    of the two-row products, runs of ``_CHUNK`` rows), dense and sparse."""
     rng = np.random.default_rng(seed)
     compared = differ = 0
     for K in Ks:
         A = gen_topic_matrix(12 * K, K, [seed, K])
         for tau in (0, K // 2):  # dense, and sparse with half the topics
-            XB = np.stack([rng.multinomial(300, A.matrix @ gen_weights(K, tau, rng).values) for _ in range(70)], axis=1) / 300.0
+            XB = np.stack([rng.multinomial(300, A.matrix @ gen_weights(K, tau, rng).values) for _ in range(70)]) / 300.0
             single = []
-            for X in XB.T:
+            for X in XB:
                 mle, wls = mle_weights(X, A), wls_weights(X, A)
                 fits = [(mle, None), (debias(mle, X, A), sigma_hat(mle, A).sigma), (wls, sigma_ls(wls, X, A).sigma)]
                 single.append(dict(zip(Method, fits)))  # MLE, DEBIASED, WLS
             for n, method in itertools.product((1, 2, 3, 33, 70), Method):
-                fits = _fit_columns(XB[:, :n], A, method)
-                sigma = _covariances(fits, XB[:, :n], A)
+                fits = _fit_rows(XB[:n], A, method)
+                sigma = _covariances(fits, XB[:n], A)
                 for b in range(n):
                     (one, cov), batched = single[b][method], fits.estimate(b)
                     same = np.array_equal(one.alpha, batched.alpha) and vars(one) | {"alpha": 0} == vars(batched) | {"alpha": 0}
@@ -306,12 +306,12 @@ def check_limit_batch_matches_single(seed: int = 29, K: int = 5, deltas=(None, 0
     A = gen_topic_matrix(p, K, seed).matrix
     poly = DualPolytope(cost_matrix(A, "tv"))
     alpha = rng.dirichlet(np.ones(K), size=2)
-    counts = [rng.multinomial(N, A @ a, size=n).T for a in alpha]
+    counts = [rng.multinomial(N, A @ a, size=n) for a in alpha]
     pairs, _ = _pair_estimates(*counts, N, N, A, poly)
     seeds = [int(s) for s in rng.integers(0, 2**32, size=n)]
-    docs = [[CountVector(c[:, b]) for c in counts] for b in range(n)]
+    docs = [[CountVector(c[b]) for c in counts] for b in range(n)]
     single = {
-        "plugin": lambda b, d: limit_sampler(pairs.mle_i[:, b], pairs.mle_j[:, b], A, poly, delta=d, M=M, seed=seeds[b]),
+        "plugin": lambda b, d: limit_sampler(pairs.mle_i[b], pairs.mle_j[b], A, poly, delta=d, M=M, seed=seeds[b]),
         "deriv_bs": lambda b, d: derivative_bootstrap(*docs[b], A, poly, delta=d, B=B, seed=seeds[b]),
         "m_of_n": lambda b, d: m_out_of_n_bootstrap(*docs[b], A, poly, gamma=0.5, B=B, seed=seeds[b]),
     }

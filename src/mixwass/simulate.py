@@ -33,10 +33,10 @@ from .inference import (
     _CHUNK,
     METHODS,
     LimitSampleSet,
-    _by_column,
+    _by_row,
     _check_count,
-    _fit_columns,
     _fit_pairs,
+    _fit_rows,
     _limit_draws,
     _pair_estimates,
     confidence_interval,
@@ -47,6 +47,7 @@ from .inference import (
     theorem_delta,
 )
 from .transport import (
+    _METRICS,
     DualPolytope,
     ProbVec,
     TopicMatrix,
@@ -94,7 +95,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("K", "p", "N", "N_j", "tau", "n_reps", "n_outer", "M", "B", "seed", "workers"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) or name == "N_j" and value is None):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or name == "N_j" and value is None):
                 raise InvalidParam(f"{name} must be an integer, not {value!r}")
         if self.K < 1 or self.p < self.K:
             raise InvalidParam("need p >= K >= 1")
@@ -122,10 +123,14 @@ class SimConfig:
         for e in self.estimators:
             if e not in ESTIMATORS:
                 raise InvalidParam(f"unknown estimator {e!r}")
-        if isinstance(self.delta, str) and self.delta != "rate":
+        if isinstance(self.delta, bool) or isinstance(self.delta, str) and self.delta != "rate":
             raise InvalidParam("delta must be a float, None, or 'rate'")
         if isinstance(self.delta, (int, float)) and not (math.isfinite(self.delta) and self.delta >= 0):
             raise InvalidParam("delta must be finite and >= 0")
+        if not (isinstance(self.a_noise, numbers.Real) and math.isfinite(self.a_noise) and self.a_noise >= 0):
+            raise InvalidParam(f"a_noise must be finite and >= 0, not {self.a_noise!r}")
+        if self.metric not in _METRICS:
+            raise InvalidParam(f"unknown metric {self.metric!r}, expected one of {_METRICS}")
 
     def size_j(self) -> int:
         return self.N_j if self.N_j is not None else self.N
@@ -297,16 +302,16 @@ def _setup(config: SimConfig):
 
 
 def _draw_pairs(config: SimConfig, outer: int, reps: np.ndarray, r_i, r_j, N_j: int):
-    """Word counts (p, B) of each replicate's document pair.
+    """Word counts (B, p) of each side of the replicates' document pairs.
 
     Replicate ``rep`` draws its i then its j document from its own stream
     (seed, docs, outer, rep), so a draw does not depend on the chunking.
     """
-    counts = np.empty((2, config.p, reps.size), dtype=np.int64)
-    for c, rep in enumerate(reps):
+    counts = np.empty((2, reps.size, config.p), dtype=np.int64)
+    for b, rep in enumerate(reps):
         rng = np.random.default_rng([config.seed, _S_DOCS, outer, int(rep)])
-        counts[0][:, c] = rng.multinomial(config.N, r_i)
-        counts[1][:, c] = rng.multinomial(N_j, r_j)
+        counts[0, b] = rng.multinomial(config.N, r_i)
+        counts[1, b] = rng.multinomial(N_j, r_j)
     return counts[0], counts[1]
 
 
@@ -335,10 +340,10 @@ def _ci_chunk_worker(payload) -> list[dict]:
         live = [c for c, rec in enumerate(records) if rec["error"] is None]
         seeds = {c: _seed_int(config.seed, *_METHOD_STREAMS[name], outer, int(reps[c])) for c in live}
 
-        def stage(cols):
-            return method.sampler(pairs.take(cols), A_hat, poly, [seeds[c] for c in cols], settings)
+        def stage(rows):
+            return method.sampler(pairs.take(rows), A_hat, poly, [seeds[c] for c in rows], settings)
 
-        for c, samples in zip(live, _by_column(stage, live) if live else []):
+        for c, samples in zip(live, _by_row(stage, live) if live else []):
             if isinstance(samples, str):
                 records[c]["error"] = samples
             else:
@@ -426,13 +431,13 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
     r = A.matrix @ alpha
     sigma = sigma_hat(alpha, A).sigma
 
-    XB = _draw_pairs(config, 0, np.arange(config.n_reps), r, r, config.N)[0] / config.N  # the i documents
-    fits = _fit_columns(XB, A_hat)
+    X = _draw_pairs(config, 0, np.arange(config.n_reps), r, r, config.N)[0] / config.N  # the i documents
+    fits = _fit_rows(X, A_hat)
 
     draws = {"mle": fits.mle, "debiased": fits.est}
     sigmas = {"mle": sigma, "debiased": sigma}
     if EST_WLS in config.estimators:
-        draws["wls"] = _fit_columns(XB, A_hat, Method.WLS).est
+        draws["wls"] = _fit_rows(X, A_hat, Method.WLS).est
         sigmas["wls"] = sigma_ls(alpha, r, A_hat).sigma
 
     records = []
@@ -442,7 +447,7 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
         for k in range(config.K):
             if sd[k] <= 0:
                 continue
-            z = root_n * (est[k, :] - alpha[k]) / sd[k]
+            z = root_n * (est[:, k] - alpha[k]) / sd[k]
             stat, pval = sstats.kstest(z, "norm")
             records.append(
                 {
@@ -572,7 +577,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
         alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS, outer]).values
         r = A.matrix @ alpha
         # Both laws draw the same normals from the outer pair's seed.
-        sig = np.stack([_sigma_batch(alpha[:, None], A)[0], sigma_ls(alpha, r, A).sigma])
+        sig = np.stack([_sigma_batch(alpha[None, :], A)[0], sigma_ls(alpha, r, A).sigma])
         law_seed = [config.seed, _S_LAW, outer]
         draws = _limit_draws(sig, sig, [true_poly] * 2, [law_seed] * 2, config.M)
         quantiles = {}

@@ -167,8 +167,8 @@ class TopicMatrix:
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2:
-            raise InvalidParam(f"topic matrix must be 2-d, got shape {M.shape}")
+        if M.ndim != 2 or M.size == 0:
+            raise InvalidParam(f"topic matrix must be 2-d and nonempty, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
             raise InvalidSimplex("topic matrix has non-finite entries")
         if M.min() < -1e-9:
@@ -225,8 +225,8 @@ class CostMatrix:
 
     def __init__(self, entries, metric: str = "table"):
         C = np.asarray(entries, dtype=float)
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise InvalidCost(f"cost table must be square, got shape {C.shape}")
+        if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
+            raise InvalidCost(f"cost table must be square and nonempty, got shape {C.shape}")
         if not np.all(np.isfinite(C)):
             raise InvalidCost("cost table has non-finite entries")
         if np.abs(np.diag(C)).max(initial=0.0) > 1e-12:

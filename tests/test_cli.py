@@ -299,9 +299,9 @@ def _count_em_batch(monkeypatch) -> list[int]:
     sizes = []
     real = mixwass.estimators._em_batch
 
-    def counted(XB, *args, **kwargs):
-        sizes.append(XB.shape[1])
-        return real(XB, *args, **kwargs)
+    def counted(X, *args, **kwargs):
+        sizes.append(len(X))
+        return real(X, *args, **kwargs)
 
     monkeypatch.setattr(mixwass.estimators, "_em_batch", counted)
     return sizes
@@ -310,7 +310,7 @@ def _count_em_batch(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("method", ["deriv-bs", "m-of-n"])
 def test_cli_bootstrap_ci_fits_each_document_once(files, tmp_path, monkeypatch, method):
     # The observed pair is one batch of two; the B resampled pairs are 2B
-    # columns, fitted in runs of 32.
+    # rows, fitted in runs of 32.
     sizes = _count_em_batch(monkeypatch)
     assert main(["ci", *files[1], "--method", method, "--B", "60", "--level", "0.4", "--out", str(tmp_path / "ci.json")]) == 0
     assert sizes == [2, 32, 32, 32, 24]
@@ -322,6 +322,11 @@ def test_cli_ci_size_too_small_for_the_level_exits_2_before_any_fit(files, capsy
     code, _, err = _run(["ci", *files[1], "--method", method, f"--{size}", "399"], capsys)
     assert code == 2 and f"need {size} >= 400 samples for level 0.05" in err
     assert sizes == []
+
+
+def test_cli_simulate_table_refuses_a_nan_topic_noise_by_name(capsys):
+    code, out, err = _run(["simulate-table", "null-ci", "--a-noise", "nan", "--K", "3", "--p", "40"], capsys)
+    assert code == 2 and "a_noise must be finite and >= 0" in err and out == ""
 
 
 def test_cli_simulate_table_size_too_small_for_the_level_exits_2(capsys):
@@ -387,7 +392,11 @@ def _golden_digests(data, tmp_path) -> dict:
 
 # The reports of the per-document fits before the batched fit path replaced
 # them, re-pinned once when the MLE became Newton first: its fits moved
-# within their KKT certificates, by at most 2.4e-9.
+# within their KKT certificates, by at most 2.4e-9.  The two ci-plugin
+# digests were re-pinned once more, with the plug-in driver fingerprints
+# below, for two reasons of the limit draws alone: each law now draws its
+# normals as (M, K) rows, and the root's rows are centred, so that every
+# draw is orthogonal to 1.  No fit, distance or bootstrap moved.
 _GOLDEN = {
     "files-estimate-mle": "f5a3c809e557a379d8005553bce4651718b9086f5418e72e74157a3923118d0c",
     "files-estimate-debias": "bb1e4a59a36e89419203d9c4c9137a2c020c7bec878e33c8f748ac27f2abda27",
@@ -395,7 +404,7 @@ _GOLDEN = {
     "files-distance-debias": "ac443b11d14ef80ac7bdbac028d6d2a94c37e086143f4cb254c2b6ce9b8cc04e",
     "files-distance-mle": "f922770e059d4afa988291c7b3ee3b736f36096ee5c959a11ccc094ffdefea34",
     "files-distance-wls": "506bd5df0856bffc693c3d06f44a82b307f77b50ff45f0a264624e48990d8c21",
-    "files-ci-plugin": "28446281984c436f3362b4ba794c49e0629d3b92668a4534615d7ba404908a3f",
+    "files-ci-plugin": "5c1bd667032484aef0e3aad1a6ec3aeec7d19f4bba52d9c84a7f71b8d806de64",
     "files-ci-deriv-bs": "2d0b704e01b2c0465419658cccd8e5850a35b427453aa44960128a039063e3c1",
     "files-ci-m-of-n": "a4f34524a67d6ec128d4d27f354296a3df8499b10ad3fcf1cbab6524fca0255f",
     "corpus-estimate-mle": "7ed3e867e5ea9974fdf7cc67905132e344377ff348183cbf6342f88e510531f4",
@@ -404,7 +413,7 @@ _GOLDEN = {
     "corpus-distance-debias": "0d311b2fafb1c08af69207e1bd8e39bbb6e721da67e5c295dbf2a8f1cabdab17",
     "corpus-distance-mle": "8e68b7949c839864a44a5d3d53efd8d605e4fac24edbe8e9d5efc857851dc4d2",
     "corpus-distance-wls": "5366737b489062ec44cec7b96e0199854188312edea5441edf3236c6d3d3dd8c",
-    "corpus-ci-plugin": "ef0233fd68e595bc8ea4586edb2521b935264d0ba1f20848fd4bbdaedd59d745",
+    "corpus-ci-plugin": "5bd43d75851b6bb8f06a635bb8b7e22f057204782add082a732109b76d680796",
     "corpus-ci-deriv-bs": "035b7248ec07f4269f8eb62c9d5f6f866eb2398c375f2f99a913711e2d5aa53c",
     "corpus-ci-m-of-n": "afbcbb681da69be33bcb9b45aa07b050826e40164fcfc76c3ba4831048adbcf1",
 }
@@ -417,13 +426,15 @@ def test_cli_reports_match_the_per_document_fits_byte_for_byte(files, corpus, tm
 # Each driver's fingerprint at the settings below (and --B 100 for alt-ci,
 # whose B must be >= 67 at level 0.3), recorded before every bootstrap
 # resample and the WLS driver's pairs went through one pair path, and
-# re-pinned once when the MLE became Newton first.
+# re-pinned once when the MLE became Newton first.  Every driver but
+# normality samples the plug-in law, and those four were re-pinned with the
+# ci-plugin digests above: (M, K) draws from a row-centred root.
 _FINGERPRINTS = {
-    "null-ci": "9e514f58fa294d92d8756e1eae2907e6ff4e7b15182389dc7d98eb99b7718c7f",
-    "mle-vs-wls": "9f08778b1e7390b828cbad859783dda211a7f7646720a72b87666c53091695bb",
-    "ks-convergence": "c9a8e2535581886c8eaace93f208c730bb22b15943d6159538351376051712c7",
+    "null-ci": "5bc09cce9370c3d162961a1a8f463ca1d32f78d2f91a7d586b388af114c59607",
+    "mle-vs-wls": "21d580e887f72bbfe45dc585cea266d3b0a0786580b4fda9a821e2d0a47151ed",
+    "ks-convergence": "c381feffc335a45a4d160441c27be2ab84a2562332fda5aacf6ec54f0bd042db",
     "normality": "d49dfcd3e12e1c7a6abeb7e42e5d796890166ae1598f45d4c2d65cc45df8d467",
-    "alt-ci": "ad2360c3b54ef7a38d8b743f434bfddc2c5c5b5dcca0dca270611fd8b87289b2",
+    "alt-ci": "7e4c99956caeffd6378e1fdef47b9798a4ef98639954b844a872c5ce225c06e2",
 }
 
 

@@ -24,7 +24,7 @@ from mixwass.estimators import (
     _em_batch,
     _grams,
     _kkt_gaps,
-    _check_columns,
+    _check_rows,
     _rowdot,
     _sigma_batch,
     _wls_operator,
@@ -123,20 +123,20 @@ def test_mle_empty_support():
 
 
 def test_check_columns_raises_the_first_failing_columns_error():
-    # Rows 1 and 3 are zero under every topic.  Columns 0 and 1 are fine,
-    # column 2 is the first to fail (on word 3), column 3 has empty support.
+    # Words 1 and 3 are zero under every topic.  Documents 0 and 1 are fine,
+    # document 2 is the first to fail (on word 3), document 3 has empty support.
     A = np.array([[0.5, 0.2], [0.0, 0.0], [0.5, 0.8], [0.0, 0.0]])
-    XB = np.array([[0.5, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.25, 0.0], [0.0, 0.0, 0.25, 0.0]])
-    _check_columns(XB[:, :2], A)
+    X = np.array([[0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]])
+    _check_rows(X[:2], A)
     with pytest.raises(InfeasibleRow, match="^word 3 has positive count"):
-        _check_columns(XB, A)
+        _check_rows(X, A)
     with pytest.raises(InvalidParam, match="empty support"):
-        _check_columns(XB[:, [0, 3, 2]], A)
-    XB[1, 2] = 0.1  # the first bad word of the column is named
+        _check_rows(X[[0, 3, 2]], A)
+    X[2, 1] = 0.1  # the first bad word of the document is named
     with pytest.raises(InfeasibleRow, match="^word 1 has positive count"):
-        _check_columns(XB, A)
+        _check_rows(X, A)
     with pytest.raises(InvalidParam, match="X has dim 3, topics have 4 rows"):
-        _check_columns(XB[:3], A)
+        _check_rows(X[:, :3], A)
 
 
 _NOT_FREQUENCIES = {
@@ -162,15 +162,15 @@ def test_every_entry_point_refuses_a_column_that_is_not_a_frequency_vector(case)
         assert np.isfinite(est.alpha).all() and est.converged
         with pytest.raises(InvalidParam, match="sums to"):
             fit(np.array([0.4, 0.3, 0.2, 0.1 + 5e-9]))
-    # A batch raises its first failing column's error.
+    # A batch raises its first failing row's error.
     good, empty = np.full(4, 0.25), np.zeros(4)
     with pytest.raises(InvalidParam, match=message):
-        _check_columns(np.column_stack([good, X, empty]), A)
+        _check_rows(np.stack([good, X, empty]), A)
     with pytest.raises(InvalidParam, match="empty support"):
-        _check_columns(np.column_stack([good, empty, X]), A)
+        _check_rows(np.stack([good, empty, X]), A)
 
 
-@pytest.mark.parametrize("max_iter", [np.inf, 2.7, -5, "3", 2**63])
+@pytest.mark.parametrize("max_iter", [np.inf, 2.7, -5, "3", 2**63, False, True])
 def test_mle_refuses_a_max_iter_that_is_not_an_integer_at_least_zero(max_iter):
     X = np.array([0.4, 0.3, 0.2, 0.1])
     with pytest.raises(InvalidParam, match="max_iter"):
@@ -222,13 +222,13 @@ def test_debias_mean_recovers_sparse_truth():
     vals = rng.uniform(size=3)
     alpha[support] = vals / vals.sum()
     r = A @ alpha
-    XB = rng.multinomial(N, r, size=reps).T / N
+    X = rng.multinomial(N, r, size=reps) / N
     # Boundary fits may hit the iteration cap; the estimator contract keeps
     # the best iterate, which is what the correction consumes.
-    mle, _, _, _ = _em_batch(XB, A)
-    deb = _debias_batch(mle, XB, A)
-    mean = deb.mean(axis=1)
-    stderr = deb.std(axis=1, ddof=1) / np.sqrt(reps)
+    mle, _, _, _ = _em_batch(X, A)
+    deb = _debias_batch(mle, X, A)
+    mean = deb.mean(axis=0)
+    stderr = deb.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean - alpha) <= 3.0 * stderr + 1e-12)
 
 
@@ -275,43 +275,43 @@ def _sparse_topics(rng, p, K):
 def test_sigma_batch_equals_sigma_hat_bit_for_bit(K, p):
     rng = np.random.default_rng(K)
     for A in (random_topics(rng, p, K), _sparse_topics(rng, p, K)):
-        alphas = rng.dirichlet(np.ones(K), size=12).T
+        alphas = rng.dirichlet(np.ones(K), size=12)
         # In sparse topics, zero weight on topic 0 leaves words 0-4 at fitted
         # probability 0, and a weight of 1e-14 on topic 1 leaves words 5-9
-        # below ZETA: those columns take the information matrix on their
+        # below ZETA: those rows take the information matrix on their
         # support.
-        alphas[:, 3] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
-        alphas[:, 7] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
+        alphas[3] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
+        alphas[7] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
         if A[0, 1] == 0.0:
-            assert np.all((A @ alphas[:, [3, 7]] <= estimators.ZETA).any(axis=0))
+            assert np.all((alphas[[3, 7]] @ A.T <= estimators.ZETA).any(axis=1))
         batch = _sigma_batch(alphas, A)
-        for b in range(alphas.shape[1]):
-            assert np.array_equal(batch[b], sigma_hat(alphas[:, b], A).sigma), b
-        assert np.array_equal(_sigma_batch(alphas[:, [7]], A)[0], batch[7])
+        for b in range(len(alphas)):
+            assert np.array_equal(batch[b], sigma_hat(alphas[b], A).sigma), b
+        assert np.array_equal(_sigma_batch(alphas[[7]], A)[0], batch[7])
 
 
 def test_sigma_batch_raises_for_a_failing_column():
     rng = np.random.default_rng(1)
     K = 4
     A = _sparse_topics(rng, 30, K)
-    alphas = rng.dirichlet(np.ones(K), size=3).T
-    alphas[:, 1] = np.eye(K)[0]  # words 5-9 drop out, the shared words keep full rank
+    alphas = rng.dirichlet(np.ones(K), size=3)
+    alphas[1] = np.eye(K)[0]  # words 5-9 drop out, the shared words keep full rank
     assert np.all(np.isfinite(_sigma_batch(alphas, A)))
     col = np.full(6, 1.0 / 6)
     dup = np.column_stack([col, col])
     with pytest.raises(SingularInformation):
-        _sigma_batch(np.array([[0.3, 0.5], [0.7, 0.5]]), dup)
+        _sigma_batch(np.array([[0.3, 0.7], [0.5, 0.5]]), dup)
     with pytest.raises(DegenerateSupport):
-        _sigma_batch(np.array([[0.5, 0.0], [0.5, 0.0]]), np.eye(2))
+        _sigma_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), np.eye(2))
 
 
 def test_debias_batch_refuses_a_column_without_support():
-    # A column no word can carry fails the batch, as ``debias`` fails it.
-    XB = np.full((2, 2), 0.5)
+    # A row no word can carry fails the batch, as ``debias`` fails it.
+    X = np.full((2, 2), 0.5)
     with pytest.raises(DegenerateSupport, match="no word has fitted probability"):
-        _debias_batch(np.array([[0.5, 0.0], [0.5, 0.0]]), XB, np.eye(2))
+        _debias_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), X, np.eye(2))
     with pytest.raises(DegenerateSupport, match="no word has fitted probability"):
-        debias(np.zeros(2), XB[:, 0], np.eye(2))
+        debias(np.zeros(2), X[0], np.eye(2))
 
 
 # --- two-row kernels ---------------------------------------------------------
@@ -344,12 +344,12 @@ def test_sigma_batch_matches_the_support_restricted_formula():
     rng = np.random.default_rng(9)
     K = 5
     A = _sparse_topics(rng, 200, K)
-    alphas = rng.dirichlet(np.ones(K), size=4).T
-    alphas[:, 1] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
-    alphas[:, 2] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
+    alphas = rng.dirichlet(np.ones(K), size=4)
+    alphas[1] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
+    alphas[2] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
     batch = _sigma_batch(alphas, A)
     for b in (1, 2):
-        a = alphas[:, b]
+        a = alphas[b]
         r = A @ a
         J = r > estimators.ZETA
         assert not J.all()
@@ -378,7 +378,7 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
     rng = np.random.default_rng(11)
     K = 5
     A = random_topics(rng, 200, K)
-    XB = _documents(rng, A, K, 3, 8)
+    X = _documents(rng, A, K, 3, 8)
     calls = {"_em": [], "_newton_finish": []}
     for name, rows in calls.items():
         real = getattr(estimators, name)
@@ -388,27 +388,26 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
             return _real(X, *args)
 
         monkeypatch.setattr(estimators, name, recorded)
-    fit, iters, conv, _ = _em_batch(XB, A)
-    # Newton from the uniform point certifies every column: no rescue.
+    fit, iters, conv, _ = _em_batch(X, A)
+    # Newton from the uniform point certifies every document: no rescue.
     assert conv.all() and np.all(iters <= estimators._first_steps(K))
     assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_em"] == []
     # With two steps per polish the first round has four, which leaves some
-    # columns uncertified; exactly those, and in order, run the rescue.
+    # documents uncertified; exactly those, and in order, run the rescue.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 2)
     AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-    X = np.ascontiguousarray(XB.T)
     _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, np.full((8, K), 1.0 / K), np.full(8, 4))
     assert estimators._first_steps(K) == 4 and 0 < np.count_nonzero(first_conv) < 8
     for rows in calls.values():
         rows.clear()
-    fit, iters, conv, _ = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(X, A)
     assert np.array_equal(calls["_newton_finish"][0], X)
     assert np.array_equal(calls["_em"][0], X[~first_conv])
     assert np.all(iters[first_conv] == first[first_conv]) and np.all(iters[~first_conv] > 4)
-    # No column has budget left after the first round: no rescue either.
+    # No document has budget left after the first round: no rescue either.
     for rows in calls.values():
         rows.clear()
-    _, iters, conv, _ = _em_batch(XB, A, max_iter=4)
+    _, iters, conv, _ = _em_batch(X, A, max_iter=4)
     assert calls["_em"] == [] and len(calls["_newton_finish"]) == 1
     assert np.array_equal(conv, first_conv) and np.all(iters == first)
 
@@ -487,42 +486,42 @@ def test_batch_paths_match_single():
     K, p, B = 4, 50, 12
     A = random_topics(rng, p, K)
     alpha = rng.dirichlet(np.ones(K))
-    XB = rng.multinomial(300, A @ alpha, size=B).T / 300.0
-    mle_b, iters, conv, _ = _em_batch(XB, A)
+    X = rng.multinomial(300, A @ alpha, size=B) / 300.0
+    mle_b, iters, conv, _ = _em_batch(X, A)
     assert conv.all()
-    deb_b = _debias_batch(mle_b, XB, A)
-    # The drivers' batched WLS: the operator applied to all columns at once.
+    deb_b = _debias_batch(mle_b, X, A)
+    # The drivers' batched WLS: the operator applied to all rows at once.
     keep, Aplus = _wls_operator(A)
-    wls_b = Aplus @ XB[keep]
+    wls_b = X[:, keep] @ Aplus.T
     for b in range(B):
-        single = mle_weights(XB[:, b], A)
-        assert np.abs(single.alpha - mle_b[:, b]).max() <= 1e-8
-        deb_single = debias(single, XB[:, b], A)
-        assert np.abs(deb_single.alpha - deb_b[:, b]).max() <= 1e-8
-        assert np.abs(wls_weights(XB[:, b], A).alpha - wls_b[:, b]).max() <= 1e-12
+        single = mle_weights(X[b], A)
+        assert np.abs(single.alpha - mle_b[b]).max() <= 1e-8
+        deb_single = debias(single, X[b], A)
+        assert np.abs(deb_single.alpha - deb_b[b]).max() <= 1e-8
+        assert np.abs(wls_weights(X[b], A).alpha - wls_b[b]).max() <= 1e-12
 
 
 def test_debias_batch_bits_do_not_depend_on_batch_size():
     rng = np.random.default_rng(22)
     for K, p in [(3, 40), (5, 200), (8, 500), (10, 500)]:
         A = random_topics(rng, p, K)
-        XB = rng.multinomial(300, A @ rng.dirichlet(np.ones(K)), size=40).T / 300.0
-        mle, _, _, _ = _em_batch(XB, A)
-        whole = _debias_batch(mle, XB, A)
+        X = rng.multinomial(300, A @ rng.dirichlet(np.ones(K)), size=40) / 300.0
+        mle, _, _, _ = _em_batch(X, A)
+        whole = _debias_batch(mle, X, A)
         for size in (1, 3):
             for s in range(0, 40, size):
-                cols = slice(s, s + size)
-                assert np.array_equal(_debias_batch(mle[:, cols], XB[:, cols], A), whole[:, cols])
+                rows = slice(s, s + size)
+                assert np.array_equal(_debias_batch(mle[rows], X[rows], A), whole[rows])
 
 
-def _em_first(XB, A, budget):
-    """The rescue's path, the reference for the columns the first Newton
+def _em_first(X, A, budget):
+    """The rescue's path, the reference for the rows the first Newton
     round hands over: EM from the uniform point to ``EM_TOL``, a Newton
-    polish and, for the columns still uncertified with budget left, EM on
-    from the EM stop to the tight step and one more polish, each column
-    within its ``budget``.  Returns (alphas (K, B), converged (B,))."""
+    polish and, for the rows still uncertified with budget left, EM on
+    from the EM stop to the tight step and one more polish, each row
+    within its ``budget``.  Returns (alphas (B, K), converged (B,))."""
     A = np.ascontiguousarray(A)  # the kernel's layout, so its products' bits
-    X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
+    AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
     (B, K), polish = (X.shape[0], A.shape[1]), estimators._NEWTON_MAX_STEPS
     start, iters = estimators._em(X, A, AT, np.full((B, K), 1.0 / K), estimators.EM_TOL, budget)
     out, used, conv, _ = estimators._polish(X, A, AT, AA, start, budget - iters)
@@ -531,18 +530,18 @@ def _em_first(XB, A, budget):
     left = budget[r] - iters[r]
     x, used = estimators._em(X[r], A, AT, start[r], estimators._EM_TIGHT_TOL, np.maximum(left - polish, 0))
     out[r], _, conv[r], _ = estimators._polish(X[r], A, AT, AA, x, left - used)
-    return out.T, conv
+    return out, conv
 
 
-def _tight_fit(XB, A):
+def _tight_fit(X, A):
     """An MLE that does not start with Newton, nor run the kernel's EM:
     SQUAREM (``oracles.squarem_mle``) from the uniform point to a 1e-15
     step or 20,000 maps, then a Newton polish of up to 100 steps, whatever
-    the kernel's polish allows.  Returns (alphas (K, B), converged (B,))."""
-    X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
+    the kernel's polish allows.  Returns (alphas (B, K), converged (B,))."""
+    AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
     start = np.stack([squarem_mle(x, A, 1e-15, 20_000) for x in X])
     out, _, conv, _ = estimators._newton_finish(X, A, AT, AA, start, np.full(len(X), 100))
-    return out.T, conv
+    return out, conv
 
 
 def _sparse_weights(rng, K, tau):
@@ -557,13 +556,13 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
     p, N, B = 500, 1000, 16
     A = random_topics(rng, p, K)
     alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
-    XB = np.stack([rng.multinomial(N, A @ a) / N for a in alphas], axis=1)
+    XB = np.stack([rng.multinomial(N, A @ a) / N for a in alphas])
     fit, _, conv, _ = _em_batch(XB, A)
     tight, tight_conv = _tight_fit(XB, A)
     assert conv.all() and tight_conv.all()
 
     def loglik(alphas):
-        return (XB * np.log(A @ alphas)).sum(axis=0)
+        return (XB * np.log(alphas @ A.T)).sum(axis=1)
 
     assert np.all(loglik(fit) >= loglik(tight) - 1e-9)
     # Every fit carries its KKT certificate, boundary weights included.
@@ -573,7 +572,7 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
 
 def _documents(rng, A, K, tau, B, N=1000):
     alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
-    return np.stack([rng.multinomial(N, A @ a) / N for a in alphas], axis=1)
+    return np.stack([rng.multinomial(N, A @ a) / N for a in alphas])
 
 
 @pytest.mark.parametrize("K,tau", [(5, 0), (5, 3), (8, 0), (8, 3), (10, 0), (10, 4)])
@@ -585,20 +584,20 @@ def test_newton_finished_fits_equal_single_fits_bit_for_bit(K, tau):
     assert conv.all()
     if tau:  # the finish sets exact zeros on the boundary
         assert (fit == 0.0).any()
-    for b in range(XB.shape[1]):
-        single, s_iters, s_conv, _ = _em_batch(XB[:, [b]], A)
-        assert np.array_equal(single[:, 0], fit[:, b])
+    for b in range(len(XB)):
+        single, s_iters, s_conv, _ = _em_batch(XB[[b]], A)
+        assert np.array_equal(single[0], fit[b])
         assert s_iters[0] == iters[b] and s_conv[0] == conv[b]
 
 
 def _mixed_documents(rng, A, K, B):
-    """B columns cycling through dense, sparse (tau=3) and 30-word documents."""
-    cols = []
+    """B rows cycling through dense, sparse (tau=3) and 30-word documents."""
+    rows = []
     for b in range(B):
         alpha = _sparse_weights(rng, K, 3) if b % 3 == 1 else rng.dirichlet(np.ones(K))
         N = 30 if b % 3 == 2 else 1000
-        cols.append(rng.multinomial(N, A @ alpha) / N)
-    return np.stack(cols, axis=1)
+        rows.append(rng.multinomial(N, A @ alpha) / N)
+    return np.stack(rows)
 
 
 @pytest.mark.parametrize("K", [5, 8])
@@ -609,14 +608,14 @@ def test_em_batch_single_columns_equal_every_batch_bit_for_bit(K):
     A = TopicMatrix(random_topics(rng, 500, K))
     XB = _mixed_documents(rng, A.matrix, K, 32)
     for max_iter in (1, 2, 3, 5, 12, EM_MAX_ITER):
-        singles = [_em_batch(XB[:, [b]], A, max_iter=max_iter) for b in range(32)]
+        singles = [_em_batch(XB[[b]], A, max_iter=max_iter) for b in range(32)]
         if max_iter in (12, EM_MAX_ITER):
             assert len({int(s[1][0]) for s in singles}) > 1
         for B in (1, 2, 3, 31, 32):
-            fit, iters, conv, gaps = _em_batch(XB[:, :B], A, max_iter=max_iter)
+            fit, iters, conv, gaps = _em_batch(XB[:B], A, max_iter=max_iter)
             for b in range(B):
                 s_fit, s_iters, s_conv, s_gaps = singles[b]
-                assert np.array_equal(s_fit[:, 0], fit[:, b])
+                assert np.array_equal(s_fit[0], fit[b])
                 assert (s_iters[0], s_conv[0], s_gaps[0]) == (iters[b], conv[b], gaps[b])
 
 
@@ -662,12 +661,12 @@ def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is
 
 
 def test_em_near_degenerate_boundary_certifies():
-    # Column 5 has a weight that the MLE puts on the boundary while EM
+    # Document 5 has a weight that the MLE puts on the boundary while EM
     # leaves it decaying; Newton must zero it and certify the rest.
     rng = np.random.default_rng(16)
     A = random_topics(rng, 500, 5)
-    XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)], axis=1)
-    x = XB[:, [5]]
+    XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)])
+    x = XB[[5]]
     fit, _, conv, _ = _em_batch(x, A)
     tight, _ = _tight_fit(x, A)
     assert conv[0] and _kkt_gaps(x, A, fit)[0] <= TOL_KKT
@@ -681,15 +680,15 @@ def test_em_column_with_fewer_words_than_topics_is_isolated():
     XB = _documents(rng, A, K, 3, 12)
     fit, iters, conv, _ = _em_batch(XB, A)
     odd = XB.copy()
-    odd[:, 4] = 0.0
-    odd[[3, 50, 70], 4] = [0.5, 0.25, 0.25]  # three distinct words, K = 8 topics
+    odd[4] = 0.0
+    odd[4, [3, 50, 70]] = [0.5, 0.25, 0.25]  # three distinct words, K = 8 topics
     odd_fit, odd_iters, odd_conv, _ = _em_batch(odd, A)
-    others = np.arange(XB.shape[1]) != 4
-    assert np.array_equal(odd_fit[:, others], fit[:, others])
+    others = np.arange(len(XB)) != 4
+    assert np.array_equal(odd_fit[others], fit[others])
     assert np.array_equal(odd_iters[others], iters[others]) and np.array_equal(odd_conv[others], conv[others])
-    assert np.all(odd_fit[:, 4] >= 0.0) and abs(odd_fit[:, 4].sum() - 1.0) <= 1e-12
+    assert np.all(odd_fit[4] >= 0.0) and abs(odd_fit[4].sum() - 1.0) <= 1e-12
     # Its face systems are singular; the minimum-norm step still certifies it.
-    assert odd_conv[4] and _kkt_gaps(odd[:, [4]], A, odd_fit[:, [4]])[0] <= TOL_KKT
+    assert odd_conv[4] and _kkt_gaps(odd[[4]], A, odd_fit[[4]])[0] <= TOL_KKT
 
 
 def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
@@ -704,7 +703,7 @@ def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
     fit, iters, conv, _ = _em_batch(XB, A)
     assert not conv.all()
     assert np.array_equal(conv, _kkt_gaps(XB, A, fit) <= TOL_KKT)
-    gain = (XB * np.log(A @ fit)).sum(axis=0) - (XB * np.log(A @ tight)).sum(axis=0)
+    gain = (XB * np.log(fit @ A.T)).sum(axis=1) - (XB * np.log(tight @ A.T)).sum(axis=1)
     assert np.all(gain >= -1e-9)
 
 
@@ -737,15 +736,15 @@ def test_em_batch_retry_restarts_from_the_em_stop_point(monkeypatch):
 
 
 def test_em_batch_matches_single_on_sparse_batch():
-    # Bootstrap-shaped: m = 32 words per column over p = 500 words.
+    # Bootstrap-shaped: m = 32 words per document over p = 500 words.
     rng = np.random.default_rng(16)
     p, K, B = 500, 5, 64
     A = random_topics(rng, p, K)
-    XB = rng.multinomial(32, A @ rng.dirichlet(np.ones(K)), size=B).T / 32.0
+    XB = rng.multinomial(32, A @ rng.dirichlet(np.ones(K)), size=B) / 32.0
     mle_b, iters, conv, _ = _em_batch(XB, A)
     for b in range(B):
-        single = mle_weights(XB[:, b], A)
-        assert np.abs(single.alpha - mle_b[:, b]).max() <= 1e-8
+        single = mle_weights(XB[b], A)
+        assert np.abs(single.alpha - mle_b[b]).max() <= 1e-8
         assert single.iterations == iters[b] and single.converged == conv[b]
 
 
@@ -757,14 +756,14 @@ def test_em_max_iter_is_honoured(monkeypatch):
     rng = np.random.default_rng(17)
     K, p, B = 5, 100, 8
     A = random_topics(rng, p, K)
-    XB = rng.multinomial(200, A @ _sparse_weights(rng, K, 3), size=B).T / 200.0
+    XB = rng.multinomial(200, A @ _sparse_weights(rng, K, 3), size=B) / 200.0
     for polish in (1, estimators._NEWTON_MAX_STEPS):
         monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
         for max_iter in (0, 1, 2, 3, 4, 5, 7, 11, 40):
             alphas, iters, conv, _ = _em_batch(XB, A, max_iter=max_iter)
             assert np.all(iters <= max_iter) and np.all(iters[~conv] == max_iter)
-            assert np.abs(alphas.sum(axis=0) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
-            est = mle_weights(XB[:, 0], A, max_iter=max_iter)
+            assert np.abs(alphas.sum(axis=1) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
+            est = mle_weights(XB[0], A, max_iter=max_iter)
             assert (est.iterations, est.converged) == (iters[0], conv[0])
         assert not _em_batch(XB, A, max_iter=1)[2].any()
     # A cap between the columns' own iteration counts stops exactly the
@@ -778,11 +777,11 @@ def test_em_max_iter_is_honoured(monkeypatch):
     assert np.array_equal(capped_conv, early)
     assert np.all(capped_iters[~early] == cap)
     assert np.array_equal(capped_iters[early], iters[early])
-    assert np.array_equal(capped[:, early], full[:, early])
+    assert np.array_equal(capped[early], full[early])
 
 
 def _hard_grid():
-    """Seeded hard columns: (topics, (p, B) frequency columns, identifiable).
+    """Seeded hard documents: (topics, (B, p) frequency rows, identifiable).
 
     Sparse topics (each word under one or two topics) at N=5, K=20
     one-topic documents, boundary fits (tau = 1 and 3) at K=5 and 8,
@@ -803,16 +802,16 @@ def _hard_grid():
         A /= A.sum(axis=0)
         grid.append((A, _documents(rng, A, K, 0, 12, N=5), False))
     A = random_topics(rng, 200, 20)
-    grid.append((A, np.stack([rng.multinomial(1000, A[:, k]) / 1000 for k in range(0, 20, 2)], axis=1), True))
+    grid.append((A, np.stack([rng.multinomial(1000, A[:, k]) / 1000 for k in range(0, 20, 2)]), True))
     for K in (5, 8):
         A = random_topics(rng, 300, K)
-        grid.append((A, np.concatenate([_documents(rng, A, K, tau, 8) for tau in (1, 3)], axis=1), True))
+        grid.append((A, np.concatenate([_documents(rng, A, K, tau, 8) for tau in (1, 3)]), True))
     A = rng.dirichlet(np.full(300, 0.05), size=5).T
-    grid.append((A, np.concatenate([_documents(rng, A, 5, tau, 8, N=100_000) for tau in (0, 2)], axis=1), True))
+    grid.append((A, np.concatenate([_documents(rng, A, 5, tau, 8, N=100_000) for tau in (0, 2)]), True))
     A = random_topics(rng, 300, 5)
     A[:, 1] = A[:, 0] * rng.uniform(0.95, 1.05, size=300)
     A /= A.sum(axis=0)
-    grid.append((A, np.concatenate([_documents(rng, A, 5, tau, 4) for tau in (0, 2)], axis=1), True))
+    grid.append((A, np.concatenate([_documents(rng, A, 5, tau, 4) for tau in (0, 2)]), True))
     return grid
 
 
@@ -832,25 +831,25 @@ def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish)
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
     rescued = uncertified = 0
     for (A, XB, identifiable), (tight, tight_conv) in zip(_hard_grid(), _hard_grid_tight()):
-        B, K = XB.shape[1], A.shape[1]
+        B, K = len(XB), A.shape[1]
         fit, _, conv, _ = _em_batch(XB, A)
-        X, AT, AA = np.ascontiguousarray(XB.T), np.ascontiguousarray(A.T), TopicMatrix(A).outers
-        _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, estimators._first_steps(K)))
+        AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
+        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, estimators._first_steps(K)))
         # The reference gets the rescue's budget: what the first round left.
         ref, ref_conv = _em_first(XB, A, EM_MAX_ITER - first)
         assert np.all(conv | ~ref_conv)
-        assert np.array_equal(fit[:, ~first_conv], ref[:, ~first_conv])
+        assert np.array_equal(fit[~first_conv], ref[~first_conv])
         rescued += np.count_nonzero(~first_conv)
         uncertified += np.count_nonzero(~conv)
         both = conv & tight_conv
 
         def loglik(alphas):
             with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 off a column's support
-                return np.where(XB > 0.0, XB * np.log(A @ alphas), 0.0).sum(axis=0)
+                return np.where(XB > 0.0, XB * np.log(alphas @ A.T), 0.0).sum(axis=1)
 
         assert np.all(np.abs(loglik(fit) - loglik(tight))[both] <= 1e-9)
         if identifiable:
-            assert np.abs(fit - tight)[:, both].max() <= 1e-6
+            assert np.abs(fit - tight)[both].max() <= 1e-6
     assert rescued > 0 and (polish == 2 or uncertified == 0)
 
 
@@ -860,11 +859,11 @@ def test_em_objective_monotone_in_max_iter():
     rng = np.random.default_rng(18)
     K, p, N, B = 5, 300, 1000, 32
     A = random_topics(rng, p, K)
-    XB = np.stack([rng.multinomial(N, A @ _sparse_weights(rng, K, 3)) / N for _ in range(B)], axis=1)
+    XB = np.stack([rng.multinomial(N, A @ _sparse_weights(rng, K, 3)) / N for _ in range(B)])
     prev = np.full(B, -np.inf)
     for max_iter in range(1, 120):
         alphas, _, _, _ = _em_batch(XB, A, max_iter=max_iter)
-        cur = (XB * np.log(A @ alphas)).sum(axis=0)
+        cur = (XB * np.log(alphas @ A.T)).sum(axis=1)
         assert np.all(cur >= prev - 1e-12)
         prev = cur
 

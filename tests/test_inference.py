@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixwass import (
+    CostMatrix,
     CountVector,
     DualPolytope,
     LimitSampleSet,
@@ -24,8 +25,8 @@ from mixwass import (
     theorem_delta,
     wasserstein_primal,
 )
-from mixwass import transport
-from mixwass.inference import METHODS, _limit_draws, _plugin_limits
+from mixwass import inference, transport
+from mixwass.inference import METHODS, _fit_pairs, _limit_draws, _plugin_limits
 from mixwass.selfcheck import check_limit_batch_matches_single
 from mixwass.errors import InvalidCost, InvalidParam
 from mixwass.estimators import _sigma_batch
@@ -99,8 +100,9 @@ def test_sampler_wide_slab_matches_unrestricted_stream():
 
 def test_sampler_k2_closed_form_reduction():
     # K = 2: the limit draw is sup_{|f_2| <= c} f_2 Z_2 = c |Z_2|, and Z_2
-    # is reconstructible from the seeded stream.  Cross-check the sample
-    # set against an independent c*|N(0, sigma)| simulation by KS.
+    # is reconstructible from the seeded stream: (M, K) normals times the
+    # root with its rows centred.  Cross-check the sample set against an
+    # independent c*|N(0, sigma)| simulation by KS.
     rng = np.random.default_rng(4)
     K, p, N = 2, 30, 500
     A = gen_topic_matrix(p, K, 4)
@@ -112,8 +114,9 @@ def test_sampler_k2_closed_form_reduction():
     M = 4000
     s = limit_sampler(est, est, A, cost, delta=None, M=M, seed=11)
     cov = 2.0 * sigma_hat(est, A).sigma
-    Z = psd_sqrt(cov) @ np.random.default_rng(11).standard_normal(size=(K, M))
-    assert np.abs(s.samples - c * np.abs(Z[1])).max() <= 1e-9
+    root = psd_sqrt(cov)
+    Z = np.random.default_rng(11).standard_normal(size=(M, K)) @ (root - root.mean(axis=1, keepdims=True))
+    assert np.abs(s.samples - c * np.abs(Z[:, 1])).max() <= 1e-9
     sigma2 = np.sqrt(cov[1, 1])
     ref = c * np.abs(np.random.default_rng(12).normal(0, sigma2, size=M))
     assert ks_two_sample_pvalue(s.samples, ref) > 0.01
@@ -154,18 +157,16 @@ def test_batched_limit_law_equals_per_pair_limit_sampler(K, delta):
     poly = DualPolytope(cost_matrix(A, "tv"))
     B, N = 6, 300
     alpha = rng.dirichlet(np.ones(K), size=2)
-    ests = [
-        np.column_stack([mle_weights(rng.multinomial(N, A.matrix @ a) / N, A).alpha for _ in range(B)]) for a in alpha
-    ]
+    ests = [np.stack([mle_weights(rng.multinomial(N, A.matrix @ a) / N, A).alpha for _ in range(B)]) for a in alpha]
     seeds = [int(s) for s in rng.integers(0, 2**31, size=B)]
     laws = _plugin_limits(ests[0], ests[1], A, poly, delta, 200, seeds)
     for b, law in enumerate(laws):
-        one = limit_sampler(ests[0][:, b], ests[1][:, b], A, poly, delta=delta, M=200, seed=seeds[b])
+        one = limit_sampler(ests[0][b], ests[1][b], A, poly, delta=delta, M=200, seed=seeds[b])
         assert np.array_equal(law.samples, one.samples)
         assert (law.zero_feasible, law.meta, law.seed, law.delta) == (one.zero_feasible, one.meta, one.seed, one.delta)
     # Both sides' covariances come from one _sigma_batch call over the 2B
-    # columns; the draws equal those from one call per side.
-    polys = [restricted_polytope(poly, ai, aj, delta) for ai, aj in zip(ests[0].T, ests[1].T)]
+    # rows; the draws equal those from one call per side.
+    polys = [restricted_polytope(poly, ai, aj, delta) for ai, aj in zip(ests[0], ests[1])]
     per_side = _limit_draws(_sigma_batch(ests[0], A), _sigma_batch(ests[1], A), polys, seeds, 200)
     assert np.array_equal(np.stack([law.samples for law in laws]), per_side)
 
@@ -185,6 +186,67 @@ def test_limit_draws_batch_equals_batches_of_one(M):
     for b in range(5):
         one = _limit_draws(sig[[b]], sig[::-1][[b]], [polys[b]], [seeds[b]], M)
         assert np.array_equal(draws[b], one[0])
+
+
+def test_every_internal_support_call_passes_c_order_rows(monkeypatch):
+    # The plug-in sampler, both bootstraps, the pair fit and the slab target
+    # of restricted_polytope hand support_batch C-order (n, K) rows, the
+    # layout it reads without a copy.
+    calls = []
+    real = transport.support_batch
+
+    def checked(poly, directions):
+        calls.append(directions.ndim == 2 and directions.flags.c_contiguous)
+        return real(poly, directions)
+
+    monkeypatch.setattr(inference, "support_batch", checked)
+    monkeypatch.setattr(transport, "support_batch", checked)
+    A, cost, alpha, X_i, X_j = small_instance(seed=3, K=5)
+    poly = DualPolytope(cost)
+    est_i, est_j = (mle_weights(X.frequencies, A).alpha for X in (X_i, X_j))
+    X = np.stack([X_i.frequencies, X_j.frequencies])
+    runs = {
+        "plugin": lambda: limit_sampler(est_i, est_j, A, poly, delta=0.0, M=50, seed=1),
+        "deriv_bs": lambda: derivative_bootstrap(X_i, X_j, A, poly, delta=0.0, B=20, seed=1),
+        "m_of_n": lambda: m_out_of_n_bootstrap(X_i, X_j, A, poly, B=20, seed=1),
+        "fit_pairs": lambda: _fit_pairs(X, X[::-1].copy(), X_i.N, X_j.N, A, poly),
+        "restricted_polytope": lambda: restricted_polytope(poly, est_i, est_j, 0.0),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls and all(calls), name
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_limit_draws_are_orthogonal_to_one_and_free_of_the_anchor(monkeypatch, K):
+    # The plug-in law lives on the plane orthogonal to 1, where sup_f f^T z
+    # does not depend on which coordinate the polytope fixes at 0.  Every
+    # draw of a batch meets |1^T z| <= 1e-12 ||z||, and with the topics
+    # permuted so that another one is the anchor, the same draws give the
+    # same values to within the rounding of the polytope's vertices.
+    rng = np.random.default_rng(80 + K)
+    A = gen_topic_matrix(12 * K, K, 80 + K)
+    base = DualPolytope(cost_matrix(A, "tv"))
+    sig = _sigma_batch(rng.dirichlet(np.ones(K), size=8), A)
+    draws = []
+    real = inference.support_batch
+
+    def kept(poly, Z):
+        draws.append(Z)
+        return real(poly, Z)
+
+    monkeypatch.setattr(inference, "support_batch", kept)
+    values = _limit_draws(sig[:4], sig[4:], [base] * 4, [1, 2, 3, 4], 500)
+    assert len(draws) == 4
+    for Z in draws:
+        assert np.all(np.abs(Z.sum(axis=1)) <= 1e-12 * np.linalg.norm(Z, axis=1))
+    for anchor in range(1, K):
+        perm = np.roll(np.arange(K), -anchor)  # topic `anchor` comes first
+        moved = DualPolytope(CostMatrix(base.cost.entries[np.ix_(perm, perm)]))
+        for Z, v in zip(draws, values):
+            got = real(moved, Z[:, perm])
+            assert np.all(np.abs(got - v) <= 1e-9 * np.maximum(1.0, np.abs(Z).sum(axis=1))), anchor
 
 
 @pytest.mark.parametrize("K", [3, 5])
@@ -280,6 +342,11 @@ def test_non_integer_monte_carlo_sizes_are_refused():
         derivative_bootstrap(X_i, X_j, A, cost, B=2.5)
     with pytest.raises(InvalidParam, match="integer"):
         METHODS["m_of_n"].settings(B=10.0, gamma=0.5)
+    # A bool is not a count: M=True used to crash with an untyped TypeError.
+    with pytest.raises(InvalidParam, match="M must be an integer, not True"):
+        limit_sampler(est, est, A, cost, delta=None, M=True)
+    with pytest.raises(InvalidParam, match="B must be an integer, not False"):
+        METHODS["m_of_n"].settings(B=False, gamma=0.5)
     assert limit_sampler(est, est, A, cost, delta=None, M=np.int64(3)).M == 3
 
 

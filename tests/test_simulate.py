@@ -88,6 +88,8 @@ def test_config_validation():
         SimConfig(methods=("nope",))
     with pytest.raises(InvalidParam):
         SimConfig(design="both")
+    with pytest.raises(InvalidParam, match="unknown metric 'foo'"):
+        SimConfig(metric="foo")  # refused when built, not when a driver starts
 
 
 def test_config_rejects_empty_monte_carlo_and_bad_workers():
@@ -96,17 +98,31 @@ def test_config_rejects_empty_monte_carlo_and_bad_workers():
             SimConfig(**bad)
 
 
-@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.1])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.1, True])
 def test_config_rejects_non_finite_or_negative_delta(delta):
+    # delta=True used to be a slab width of 1.0.
     with pytest.raises(InvalidParam, match="delta"):
         SimConfig(delta=delta)
 
 
-@pytest.mark.parametrize("bad", [dict(M=500.5), dict(n_reps=4.5), dict(K=3.0), dict(N=100.5), dict(N_j=99.5), dict(seed=1.0)])
+_SIZES = ("K", "p", "N", "N_j", "tau", "n_reps", "n_outer", "M", "B", "seed", "workers")
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(M=500.5), dict(n_reps=4.5), dict(K=3.0), dict(N=100.5), dict(N_j=99.5), dict(seed=1.0), *({n: True} for n in _SIZES)]
+)
 def test_config_refuses_non_integer_sizes(bad):
-    # They used to pass validation; then the driver died in numpy, or N=100.5 drew 100-word documents.
+    # They used to pass validation; then the driver died in numpy, or N=100.5
+    # drew 100-word documents.  A bool is not a size: K=True ran with K=1.
     with pytest.raises(InvalidParam, match="integer"):
         SimConfig(**bad)
+
+
+@pytest.mark.parametrize("a_noise", [float("nan"), float("inf"), -0.5, "0.1"])
+def test_config_refuses_a_bad_topic_noise_when_built(a_noise):
+    # NaN used to fail in the driver as a non-finite topic matrix.
+    with pytest.raises(InvalidParam, match="a_noise must be finite and >= 0"):
+        SimConfig(a_noise=a_noise)
 
 
 def test_integer_sizes_may_be_numpy_integers():
@@ -225,9 +241,9 @@ def _em_batch_sizes(monkeypatch) -> Counter:
     sizes = Counter()
     real = estimators._em_batch
 
-    def counted(XB, *args, **kwargs):
-        sizes[XB.shape[1]] += 1
-        return real(XB, *args, **kwargs)
+    def counted(X, *args, **kwargs):
+        sizes[len(X)] += 1
+        return real(X, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "_em_batch", counted)
     return sizes
@@ -245,7 +261,7 @@ def test_ci_experiment_refuses_a_size_too_small_for_its_level_before_any_fit(mon
 
 def test_bootstraps_take_the_chunk_fits_and_refit_no_pair(monkeypatch):
     # The chunk's 8 pairs are one batch of 16 fits, and each bootstrap's B
-    # resampled pairs are 2B columns in runs of 32 (six of 32 and one of 8);
+    # resampled pairs are 2B rows in runs of 32 (six of 32 and one of 8);
     # no pair is fitted again as a batch of one.
     sizes = _em_batch_sizes(monkeypatch)
     cfg = SimConfig(
@@ -324,10 +340,10 @@ def test_plugin_chunk_loses_only_the_replicate_with_singular_information(monkeyp
     A[:10, 1:] = 0.0
     A[10:, 0] = 0.0
     A /= A.sum(axis=0)
-    counts_i = rng.multinomial(N, A @ np.full(K, 1.0 / K), size=6).T
-    counts_j = rng.multinomial(N, A @ np.full(K, 1.0 / K), size=6).T
-    counts_i[:, 2] = rng.multinomial(N, A[:, 0])
-    monkeypatch.setattr(simulate, "_draw_pairs", lambda config, outer, reps, *rest: (counts_i[:, reps], counts_j[:, reps]))
+    counts_i = rng.multinomial(N, A @ np.full(K, 1.0 / K), size=6)
+    counts_j = rng.multinomial(N, A @ np.full(K, 1.0 / K), size=6)
+    counts_i[2] = rng.multinomial(N, A[:, 0])
+    monkeypatch.setattr(simulate, "_draw_pairs", lambda config, outer, reps, *rest: (counts_i[reps], counts_j[reps]))
     config = SimConfig(K=K, p=p, N=N, M=200, level=0.3, n_reps=6, methods=("plugin",))
     poly = DualPolytope(cost_matrix(A, "tv"))
 
@@ -335,7 +351,7 @@ def test_plugin_chunk_loses_only_the_replicate_with_singular_information(monkeyp
         return simulate._ci_chunk_worker((config, A, poly, 0, np.asarray(reps), None, None, 0.0, None))
 
     records = chunk(range(6))
-    mle = [mle_weights(counts[:, 2] / N, A) for counts in (counts_i, counts_j)]
+    mle = [mle_weights(counts[2] / N, A) for counts in (counts_i, counts_j)]
     with pytest.raises(SingularInformation) as exc:
         limit_sampler(*mle, A, poly, delta=None, M=200, seed=0)
     assert [r["error"] for r in records] == [None, None, f"SingularInformation: {exc.value}", None, None, None]

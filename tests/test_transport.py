@@ -49,6 +49,17 @@ def test_topic_matrix_validation():
         TopicMatrix(np.array([[0.5, 0.2], [0.4, 0.8]]))
 
 
+def test_empty_matrices_are_refused_with_a_typed_error():
+    # They used to reach a reduction over no entries and raise numpy's ValueError.
+    for shape in ((3, 0), (0, 2), (0, 0)):
+        with pytest.raises(InvalidParam, match="nonempty"):
+            TopicMatrix(np.zeros(shape))
+    with pytest.raises(InvalidCost, match="nonempty"):
+        CostMatrix(np.zeros((0, 0)))
+    with pytest.raises(InvalidCost, match="nonempty"):
+        cost_matrix(np.zeros((3, 0)))
+
+
 # --- tv_distance ------------------------------------------------------------
 
 
