@@ -25,18 +25,25 @@ one mask and fits it by a ``Method``, with each MLE's certificate; the
 public single-document functions are batches of one.  Every per-document
 product is ``_rowdot``, a stack of fixed two-row GEMMs, or a matrix-vector
 product per row (WLS), and every Gram A^T diag(w) A is one ``_rowdot``
-against the topic matrix's outer table, which a ``TopicMatrix`` builds
-once; so a document gets the same bits in any batch.
+against the topic matrix's outer table; so a document gets the same bits
+in any batch.  A ``TopicMatrix`` builds, on first use, and keeps its outer
+table, its WLS operator and its dead words (those no topic emits, which
+``_check_rows`` refuses a count on); an array's are built per call.
 
 ``_em_batch`` fits Newton first.  Newton steps on the face of free
 coordinates (a projected Newton method, Bertsekas 1982, SIAM J. Control
-Optim.) run from the uniform point, setting exact zeros where the MLE sits
-on the simplex boundary, until a fit's KKT gap is at most ``TOL_KKT``.
-Only a fit they leave uncertified is rescued: the multiplicative EM map
-runs from the uniform point until one map moves it by at most ``EM_TOL``
-= 1e-3 in l1, and Newton polishes it from there.  Every EM map and
-Newton step keeps iterates in the simplex and the log-likelihood
-nondecreasing.  ``converged`` means exactly that the KKT certificate
+Optim.) run from each document's clipped WLS estimate, max(WLS, 0)
+renormalised, which is consistent at the MLE's root-N rate and puts most
+coordinates off the MLE's support at exact zeros at once.  A document
+starts at the uniform point instead where that point is not finite or
+gives a counted word zero probability, and every document does where the
+WLS design is singular (``_start``).  The steps set exact zeros where the
+MLE sits on the simplex boundary, until a fit's KKT gap is at most
+``TOL_KKT``.  Only a fit they leave uncertified is rescued: the
+multiplicative EM map runs from the uniform point until one map moves it
+by at most ``EM_TOL`` = 1e-3 in l1, and Newton polishes it from there.
+Every EM map and Newton step keeps iterates in the simplex and the
+log-likelihood nondecreasing.  ``converged`` means exactly that the KKT certificate
 holds; ``iterations`` counts Newton steps and EM maps.
 """
 
@@ -58,7 +65,7 @@ from .errors import (
     SingularDesign,
     SingularInformation,
 )
-from .transport import TopicMatrix, _outer_rows, _topics_array, _values
+from .transport import TopicMatrix, _dead_words, _outer_rows, _topics_array, _values, _wls_rows
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -147,17 +154,21 @@ class CovEstimate:
     rank: int
 
 
-def _check_rows(X: np.ndarray, A: np.ndarray) -> None:
+def _check_rows(X: np.ndarray, A) -> None:
     """Refuse a (B, p) batch of frequency rows with the first failing row's error.
 
     One mask for the batch.  A row's faults, in the order they are raised:
     a non-finite or negative entry, empty support, a positive count on a
     word that no topic gives positive probability, a sum off one by more
-    than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.
+    than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.  A
+    ``TopicMatrix`` keeps its dead words (``TopicMatrix.dead``); an array's
+    are found per call.
     """
-    if X.shape[1] != A.shape[0]:
-        raise InvalidParam(f"X has dim {X.shape[1]}, topics have {A.shape[0]} rows")
-    pos, sums, dead = X > 0, X.sum(axis=1), ~(A > 0.0).any(axis=1)
+    Am = _topics_array(A)
+    if X.shape[1] != Am.shape[0]:
+        raise InvalidParam(f"X has dim {X.shape[1]}, topics have {Am.shape[0]} rows")
+    pos, sums = X > 0, X.sum(axis=1)
+    dead = A.dead if isinstance(A, TopicMatrix) else _dead_words(Am)
     bad = ~(np.abs(sums - 1.0) <= TOL_KKT) | (X < 0).any(axis=1) | pos[:, dead].any(axis=1)
     if bad.any():
         b = int(bad.argmax())
@@ -165,9 +176,9 @@ def _check_rows(X: np.ndarray, A: np.ndarray) -> None:
             raise InvalidParam("frequency vector has a negative or non-finite entry")
         if not pos[b].any():
             raise InvalidParam("frequency vector has empty support")
-        words = pos[b] & dead
-        if words.any():
-            raise InfeasibleRow(f"word {int(words.argmax())} has positive count but zero probability under every topic")
+        words = dead[pos[b, dead]]
+        if words.size:
+            raise InfeasibleRow(f"word {int(words[0])} has positive count but zero probability under every topic")
         raise InvalidParam(f"frequency vector sums to {float(sums[b])!r}, not 1")
 
 
@@ -203,13 +214,13 @@ def _fitted(x: np.ndarray, AT: np.ndarray) -> np.ndarray:
     return np.maximum(_rowdot(x, AT), 1e-300)
 
 
-def _gap(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """KKT defect of each weight row x with likelihood gradient g.
+def _gap(x: np.ndarray, gm1: np.ndarray) -> np.ndarray:
+    """KKT defect of each weight row x with likelihood gradient g = gm1 + 1.
 
     At the simplex MLE g_k = 1 where x_k > 0 and g_k <= 1 where x_k = 0;
     coordinates at or below ``TAU_SUPP`` count as zero.
     """
-    return np.where(x > TAU_SUPP, np.abs(g - 1.0), np.maximum(g - 1.0, 0.0)).max(axis=1)
+    return np.where(x > TAU_SUPP, np.abs(gm1), np.maximum(gm1, 0.0)).max(axis=1)
 
 
 def _kkt_gaps(X: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -219,7 +230,7 @@ def _kkt_gaps(X: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     and the tests hold them to this, bit for bit.
     """
     A, AT, _ = _design(A)
-    return _gap(alphas, _rowdot(X / _fitted(alphas, AT), A))
+    return _gap(alphas, _rowdot(X / _fitted(alphas, AT), A) - 1.0)
 
 
 def _grams(W: np.ndarray, AA: np.ndarray) -> np.ndarray:
@@ -309,7 +320,8 @@ def _newton_finish(X, A, AT, AA, x, budget):
     A fourth array holds each row's KKT gap, from the gradient at its
     returned point.  As in ``_em``, rows are compacted only on a step
     after which some row leaves, and a step every row takes whole is not
-    scattered.
+    scattered: the halving bookkeeping starts only once a row refuses its
+    full step.
     """
     out, used, certified = x.copy(), np.zeros(len(x), dtype=np.int64), np.zeros(len(x), dtype=bool)
     gaps = np.empty(len(x))
@@ -317,64 +329,98 @@ def _newton_finish(X, A, AT, AA, x, budget):
     R = _fitted(x, AT)
     left, steps = budget, 0
     while active.size:
-        g = _rowdot(X / R, A)
-        gap = _gap(x, g)
+        XR = X / R
+        gm1 = _rowdot(XR, A) - 1.0
+        gap = _gap(x, gm1)
         ok = gap <= TOL_KKT
         keep = ~ok & (left > steps)
         if not keep.all():
             gone = active[~keep]
             out[gone], used[gone], gaps[gone], certified[active[ok]] = x[~keep], steps, gap[~keep], True
-            active, X, x, R, g, gap, left = active[keep], X[keep], x[keep], R[keep], g[keep], gap[keep], left[keep]
-            if not active.size:
+            if gone.size == active.size:
                 break
-        H = _grams(X / R / R, AA)
-        free = (x > 0.0) | (g > 1.0)
-        d = _face_step(H, g - 1.0, free)
+            active, X, XR, x, R, gm1, gap, left = active[keep], X[keep], XR[keep], x[keep], R[keep], gm1[keep], gap[keep], left[keep]
+        H = _grams(XR / R, AA)
+        free = (x > 0.0) | (gm1 > 0.0)
+        d = _face_step(H, gm1, free)
         while True:
             drop = free & (x == 0.0) & (d < 0.0)
             rows = np.flatnonzero(drop.any(axis=1))
             if not rows.size:
                 break
             free[rows] &= ~drop[rows]
-            d[rows] = _face_step(H[rows], g[rows] - 1.0, free[rows])
+            d[rows] = _face_step(H[rows], gm1[rows], free[rows])
         ratio = np.where(free & (d < 0.0), x / -d, np.inf)
         t = np.minimum(ratio.min(axis=1), 1.0)
-        moved = np.zeros(len(x), dtype=bool)
-        trial = np.arange(len(x))
-        for _ in range(_NEWTON_MAX_HALVINGS):
-            if not trial.size:
-                break
-            whole = trial.size == len(x)
-            rows = slice(None) if whole else trial
-            xt = np.maximum(x[rows] + t[rows, None] * d[rows], 0.0)
-            xt[ratio[rows] <= t[rows, None]] = 0.0
-            xt /= xt.sum(axis=1, keepdims=True)
-            dx, Xt = xt - x[rows], X[rows]
-            terms = np.where(Xt > 0.0, Xt * np.log1p(_rowdot(dx, AT) / R[rows]), 0.0)
-            acc = terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x[rows].sum(axis=1))
-            if whole and acc.all():  # every row takes its full step: no scatter
-                x, R, moved = xt, _fitted(xt, AT), acc
-                break
+        pos = X > 0.0
+        xt, acc = _trial_step(X, pos, x, R, d, t, ratio, AT)
+        steps += 1
+        if acc.all():  # every row takes its full step: no scatter
+            x, R = xt, _fitted(xt, AT)
+            continue
+        moved, trial = acc, np.flatnonzero(~acc)
+        x[acc], R[acc] = xt[acc], _fitted(xt[acc], AT)
+        for _ in range(_NEWTON_MAX_HALVINGS - 1):
+            t[trial] /= 2.0
+            xt, acc = _trial_step(X[trial], pos[trial], x[trial], R[trial], d[trial], t[trial], ratio[trial], AT)
             hit = trial[acc]
             x[hit], R[hit], moved[hit] = xt[acc], _fitted(xt[acc], AT), True
-            t[trial] /= 2.0
             trial = trial[~acc]
-        steps += 1
+            if not trial.size:
+                break
         # A row whose step failed has no way forward; its gap is still this step's.
         if not moved.all():
             gone = active[~moved]
             out[gone], used[gone], gaps[gone] = x[~moved], steps, gap[~moved]
-            active, X, x, R, left = active[moved], X[moved], x[moved], R[moved], left[moved]
-            if not active.size:
+            if gone.size == active.size:
                 break
+            active, X, x, R, left = active[moved], X[moved], x[moved], R[moved], left[moved]
     return out, used, certified, gaps
 
 
-def _first_steps(K: int) -> int:
-    """Newton steps of the first round, which starts at the uniform point.
+def _trial_step(X, pos, x, R, d, t, ratio, AT):
+    """Rows x moved by t d, and whether each move keeps the log-likelihood.
 
-    Each blocked step zeros one coordinate, so a fit may first spend up to
-    K steps reaching its face; the round allows a polish's
+    A coordinate the ratio test blocks at t is set to an exact zero, and
+    the gain is computed from the move itself (see ``_newton_finish``);
+    ``pos`` is X > 0 and R the fitted probabilities at x.
+    """
+    xt = np.maximum(x + t[:, None] * d, 0.0)
+    xt[ratio <= t[:, None]] = 0.0
+    xt /= xt.sum(axis=1, keepdims=True)
+    dx = xt - x
+    terms = np.where(pos, X * np.log1p(_rowdot(dx, AT) / R), 0.0)
+    return xt, terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x.sum(axis=1))
+
+
+def _start(X: np.ndarray, AT: np.ndarray, A) -> np.ndarray:
+    """Start (B, K) of the first Newton round: each row's clipped WLS point.
+
+    max(WLS, 0), renormalised, so most coordinates off the MLE's support
+    start as exact zeros.  A row falls back to the uniform point where its
+    clipped point is not finite or gives a word with a positive count zero
+    probability, and every row does where the WLS design is singular
+    (:class:`SingularDesign`, duplicate topics say).  The WLS products are
+    per row (``_wls_batch``), so a row gets the same start in any batch.
+    """
+    try:
+        x = np.maximum(_wls_batch(X, A), 0.0)
+    except SingularDesign:
+        return np.full((len(X), AT.shape[0]), 1.0 / AT.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x /= x.sum(axis=1, keepdims=True)
+    ok = ((_rowdot(x, AT) > 0.0) | (X == 0.0)).all(axis=1) & np.isfinite(x).all(axis=1)
+    if not ok.all():
+        x[~ok] = 1.0 / AT.shape[0]
+    return x
+
+
+def _first_steps(K: int) -> int:
+    """Newton steps of the first round.
+
+    A row that starts at the uniform point (``_start``'s fallback) reaches
+    its face one blocked step, one exact zero, at a time, so it may first
+    spend up to K steps there; the round allows a polish's
     ``_NEWTON_MAX_STEPS`` plus those, at most twice a polish in all, so a
     document it cannot certify costs at most two polishes before the rescue.
     """
@@ -385,21 +431,22 @@ def _em_batch(X: np.ndarray, A: np.ndarray, max_iter: int = EM_MAX_ITER) -> tupl
     """Simplex MLE of a (B, p) batch of frequency rows: Newton, then the rescue.
 
     Returns (alphas (B, K), iterations (B,), converged (B,), KKT gaps (B,)).
-    ``_newton_finish`` runs first on every row, from the uniform point,
-    for at most ``_first_steps(K)`` steps and ``max_iter``; ``converged``
-    certifies a KKT gap of at most ``TOL_KKT``.  Only a row it leaves
-    uncertified with budget left runs the rescue (``_rescue``) on what is
-    left of ``max_iter``.  ``iterations`` and ``max_iter`` count Newton
-    steps and EM maps together, and the gaps are the ones Newton evaluated
-    at each row's returned point.  A row's arithmetic does not depend on
+    ``_newton_finish`` runs first on every row, from its clipped WLS point
+    or the uniform point (``_start``), for at most ``_first_steps(K)``
+    steps and ``max_iter``; ``converged`` certifies a KKT gap of at most
+    ``TOL_KKT``.  Only a row it leaves uncertified with budget left runs
+    the rescue (``_rescue``) on what is left of ``max_iter``.
+    ``iterations`` and ``max_iter`` count Newton steps and EM maps
+    together, and the gaps are the ones Newton evaluated at each row's
+    returned point.  A row's arithmetic does not depend on
     the rest of the batch, so a batch of one gives the same bits.
     """
-    A, AT, AA = _design(A)
-    B, K = X.shape[0], A.shape[1]
-    out, iterations, converged, gaps = _newton_finish(X, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, min(max_iter, _first_steps(K))))
+    Am, AT, AA = _design(A)
+    start = _start(X, AT, A)
+    out, iterations, converged, gaps = _newton_finish(X, Am, AT, AA, start, np.full(len(X), min(max_iter, _first_steps(Am.shape[1]))))
     rows = np.flatnonzero(~converged & (iterations < max_iter))
     if rows.size:
-        out[rows], used, converged[rows], gaps[rows] = _rescue(X[rows], A, AT, AA, max_iter - iterations[rows])
+        out[rows], used, converged[rows], gaps[rows] = _rescue(X[rows], Am, AT, AA, max_iter - iterations[rows])
         iterations[rows] += used
     return out, iterations, converged, gaps
 
@@ -443,8 +490,10 @@ def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     """Simplex MLE of the mixture weights, certified by its KKT conditions.
 
     Maximizes sum_j X_j log(A_j . alpha) over the simplex.  Active-set
-    Newton steps run from the uniform point to the MLE, with exact zeros
-    off its support.  A fit they cannot certify is rescued by EM
+    Newton steps run to the MLE, with exact zeros off its support, from
+    the clipped WLS estimate, or from the uniform point where that gives a
+    counted word zero probability or the WLS design is singular (see
+    ``_start``).  A fit they cannot certify is rescued by EM
     (alpha_k <- alpha_k * g_k with gradient g_k = sum_j X_j A_jk /
     (A_j . alpha)) from the uniform point, and Newton finishes it from
     where EM stops (see ``_rescue``).  The fit is ``_fit_batch`` with the
@@ -502,7 +551,7 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     """
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(np.asarray(alpha_hat, dtype=float), Method.MLE, 0, True)
     X = _values(X, name="X")[None, :]
-    _check_rows(X, _topics_array(A_hat))
+    _check_rows(X, A_hat)
     alpha = _debias_batch(base.alpha[None, :], X, A_hat)[0]
     return replace(base, alpha=alpha, method=Method.DEBIASED)  # the MLE's diagnostics
 
@@ -533,10 +582,9 @@ def _fit_batch(X: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or not 0 <= max_iter <= _INT64_MAX:
         raise InvalidParam(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    Am = _topics_array(A)
-    _check_rows(X, Am)
+    _check_rows(X, A)
     if method is Method.WLS:
-        return _Fits(method, _wls_batch(X, Am), None, np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool), None)
+        return _Fits(method, _wls_batch(X, A), None, np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool), None)
     mle, iterations, converged, gaps = _em_batch(X, A, int(max_iter))
     est = _debias_batch(mle, X, A) if method is Method.DEBIASED else mle
     return _Fits(method, est, mle, iterations, converged, gaps)
@@ -588,25 +636,19 @@ def sigma_hat(alpha, A_hat) -> CovEstimate:
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)
 
 
-def _wls_operator(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with positive mass and the WLS pseudo-inverse on them.
+def _wls_operator(A) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with positive mass and the WLS pseudo-inverse on them (``_wls_rows``).
 
-    Returns (keep, Ahat^+) with Ahat^+ = Mhat^{-1} Ahat^T Dhat^{-1}, where
-    Dhat is the diagonal of topic-row l1 norms and Mhat = Ahat^T Dhat^{-1}
-    Ahat; the WLS estimate of a frequency row x is Ahat^+ @ x[keep].
+    A ``TopicMatrix`` keeps the pair (``TopicMatrix.wls``); an array's is
+    built per call.  A singular design raises :class:`SingularDesign`.
     """
-    d = A.sum(axis=1)
-    keep = np.flatnonzero(d > 0)
-    Ak = A[keep]
-    B = Ak / d[keep][:, None]  # Dhat^{-1} Ahat
-    try:
-        Minv = numlin.inv_at_rank(Ak.T @ B)
-    except numlin._SingularAtRank:
-        raise SingularDesign("weighted design matrix Ahat^T Dhat^{-1} Ahat is singular") from None
-    return keep, Minv @ B.T
+    keep, Aplus = A.wls if isinstance(A, TopicMatrix) else _wls_rows(_topics_array(A))
+    if Aplus is None:
+        raise SingularDesign("weighted design matrix Ahat^T Dhat^{-1} Ahat is singular")
+    return keep, Aplus
 
 
-def _wls_batch(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _wls_batch(X: np.ndarray, A) -> np.ndarray:
     """WLS estimates (B, K) of (B, p) frequency rows (see ``wls_weights``):
     one matrix-vector product per row, stacked, since one GEMM over the
     batch gives a row other bits at other heights."""
@@ -628,7 +670,7 @@ def wls_weights(X, A_hat) -> WeightEstimate:
 
 def _sigma_ls_batch(x: np.ndarray, R: np.ndarray, A) -> np.ndarray:
     """WLS plug-in covariances (B, K, K) of (B, K) weight and (B, p) probability rows (see ``sigma_ls``)."""
-    keep, Aplus = _wls_operator(_topics_array(A))
+    keep, Aplus = _wls_operator(A)
     sigma = (Aplus * R[:, None, keep]) @ Aplus.T - x[:, :, None] * x[:, None, :]
     return (sigma + sigma.transpose(0, 2, 1)) / 2.0
 

@@ -46,7 +46,7 @@ from scipy.special import kolmogorov
 from . import numlin
 from .errors import InvalidParam, MixwassError
 from .estimators import CountVector, Method, WeightEstimate, _fit_batch, _Fits, _sigma_batch
-from .transport import DualPolytope, restricted_polytope, support_batch
+from .transport import DualPolytope, _check_nonneg, restricted_polytope, support_batch
 
 
 def _check_count(value, name: str) -> None:
@@ -57,8 +57,16 @@ def _check_count(value, name: str) -> None:
         raise InvalidParam(f"{name} must be >= 1")
 
 
+def _refuse_bools(**sizes) -> None:
+    """Refuse a bool given as a size: True is not a document of one word."""
+    for name, value in sizes.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise InvalidParam(f"{name} must be a number, not {value!r}")
+
+
 def effective_root_n(N_i: int, N_j: int) -> float:
     """sqrt(2 N_i N_j / (N_i + N_j)); equals sqrt(N) when N_i = N_j = N."""
+    _refuse_bools(N_i=N_i, N_j=N_j)
     if not (1 <= N_i < math.inf and 1 <= N_j < math.inf):  # also refuses NaN
         raise InvalidParam("document sizes must be >= 1 and finite")
     return math.sqrt(2.0 * N_i * N_j / (N_i + N_j))
@@ -66,6 +74,7 @@ def effective_root_n(N_i: int, N_j: int) -> float:
 
 def theorem_delta(N: int, p: int, n: int | None = None) -> float:
     """Theorem-rate slab width sqrt(log L / N) (+ sqrt(p log L / (n N)))."""
+    _refuse_bools(N=N, p=p, n=n)
     if not (1 <= N < math.inf and 1 <= p < math.inf):  # also refuses NaN
         raise InvalidParam("document size N and vocabulary size p must be >= 1 and finite")
     if n is not None and not 0 <= n < math.inf:
@@ -377,8 +386,8 @@ class IntervalMethod:
     def settings(self, level: float | None = None, **values) -> dict:
         """The settings it reads, from ``values``; with a ``level``, the size meets ``confidence_interval``'s rule.
 
-        A ``delta`` is None (the unrestricted polytope) or finite and >= 0,
-        so a bad slab width is refused before any fit.
+        A ``delta`` is None (the unrestricted polytope) or a finite real >= 0,
+        not a bool, so a bad slab width is refused before any fit.
         """
         size = values[self.size]
         _check_count(size, self.size)
@@ -386,9 +395,8 @@ class IntervalMethod:
             _check_level(level, size, self.size)
         if self.setting == "gamma" and not 0.0 < values["gamma"] < 1.0:
             raise InvalidParam("gamma must be in (0, 1)")
-        delta = values[self.setting] if self.setting == "delta" else None
-        if delta is not None and not (math.isfinite(delta) and delta >= 0):
-            raise InvalidParam("delta must be finite and >= 0")
+        if self.setting == "delta" and values["delta"] is not None:
+            _check_nonneg(values["delta"], "delta")
         return {self.size: size, self.setting: values[self.setting]}
 
 

@@ -51,6 +51,7 @@ from .transport import (
     DualPolytope,
     ProbVec,
     TopicMatrix,
+    _check_nonneg,
     cost_matrix,
     wasserstein_primal,
 )
@@ -127,7 +128,7 @@ class SimConfig:
             raise InvalidParam("delta must be a float, None, or 'rate'")
         if isinstance(self.delta, (int, float)) and not (math.isfinite(self.delta) and self.delta >= 0):
             raise InvalidParam("delta must be finite and >= 0")
-        if not (isinstance(self.a_noise, numbers.Real) and math.isfinite(self.a_noise) and self.a_noise >= 0):
+        if isinstance(self.a_noise, bool) or not (isinstance(self.a_noise, numbers.Real) and math.isfinite(self.a_noise) and self.a_noise >= 0):
             raise InvalidParam(f"a_noise must be finite and >= 0, not {self.a_noise!r}")
         if self.metric not in _METRICS:
             raise InvalidParam(f"unknown metric {self.metric!r}, expected one of {_METRICS}")
@@ -238,8 +239,9 @@ def gen_topic_matrix(p: int, K: int, seed) -> TopicMatrix:
 
 def gen_weights(K: int, tau: int, seed) -> ProbVec:
     """Dense weights uniform on the simplex, or sparse with |supp| = tau."""
-    if not (tau == 0 or 1 <= tau <= K):
-        raise InvalidParam("tau must be 0 (dense) or in [1, K]")
+    _check_count(K, "K")
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Integral) or not (tau == 0 or 1 <= tau <= K):
+        raise InvalidParam(f"tau must be 0 (dense) or an integer in [1, K], not {tau!r}")
     rng = np.random.default_rng(seed)
     if tau == 0:
         return ProbVec(rng.dirichlet(np.ones(K)))
@@ -264,8 +266,7 @@ def perturb_topics(A: TopicMatrix, noise: float, seed) -> TopicMatrix:
     Exercises the estimated-topics code paths (cost, covariances) without
     implementing a topic estimator.
     """
-    if noise < 0:
-        raise InvalidParam("noise must be >= 0")
+    _check_nonneg(noise, "noise")
     if noise == 0:
         return A
     rng = np.random.default_rng(seed)

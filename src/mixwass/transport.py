@@ -28,10 +28,14 @@ is, ``support_batch`` floors its values at 0 on every route.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError
 
+from . import numlin
 from .errors import (
     DimError,
     InvalidCost,
@@ -112,6 +116,14 @@ def _slab_bounds(target: float, delta: float) -> tuple[float, float]:
 _METRICS = ("tv", "l2")
 
 
+def _check_nonneg(value, name: str) -> None:
+    """Refuse a parameter that is not a finite real >= 0; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParam(f"{name} must be a real number, not {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidParam(f"{name} must be finite and >= 0, not {value!r}")
+
+
 def _values(x, *, name: str = "vector") -> np.ndarray:
     """Coerce ProbVec / CountVector / array-like to a float 1-d array."""
     if isinstance(x, ProbVec):
@@ -159,11 +171,12 @@ class ProbVec:
 class TopicMatrix:
     """p x K matrix whose columns are mixture components in the p-simplex.
 
-    ``outers`` is built on first use and kept with the matrix, which is
-    read-only, so every estimator call on one ``TopicMatrix`` shares it.
+    ``outers``, ``wls`` and ``dead`` are built on first use and kept with
+    the matrix, which is read-only, so every estimator call on one
+    ``TopicMatrix`` shares them.
     """
 
-    __slots__ = ("matrix", "_outers")
+    __slots__ = ("matrix", "_outers", "_wls", "_dead")
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
@@ -181,6 +194,8 @@ class TopicMatrix:
         self.matrix = M
         self.matrix.flags.writeable = False
         self._outers: np.ndarray | None = None
+        self._wls: tuple[np.ndarray, np.ndarray | None] | None = None
+        self._dead: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -197,12 +212,55 @@ class TopicMatrix:
             self._outers = _outer_rows(self.matrix)
         return self._outers
 
+    @property
+    def wls(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (kept rows, WLS pseudo-inverse) pair of ``_wls_rows``."""
+        if self._wls is None:
+            self._wls = _wls_rows(self.matrix)
+        return self._wls
+
+    @property
+    def dead(self) -> np.ndarray:
+        """Indices of the words that no topic gives positive probability."""
+        if self._dead is None:
+            self._dead = _dead_words(self.matrix)
+        return self._dead
+
 
 def _outer_rows(A: np.ndarray) -> np.ndarray:
     """Table (p, K*K) whose row j is vec(A_j A_j^T), read-only."""
     AA = np.einsum("jk,jl->jkl", A, A, order="C").reshape(len(A), -1)
     AA.flags.writeable = False
     return AA
+
+
+def _wls_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows with positive mass and the WLS pseudo-inverse on them, read-only.
+
+    Returns (keep, Ahat^+) with Ahat^+ = Mhat^{-1} Ahat^T Dhat^{-1}, where
+    Dhat is the diagonal of topic-row l1 norms and Mhat = Ahat^T Dhat^{-1}
+    Ahat; the WLS estimate of a frequency row x is Ahat^+ @ x[keep].
+    Ahat^+ is None where Mhat is singular at rank tolerance.
+    """
+    d = A.sum(axis=1)
+    keep = np.flatnonzero(d > 0)
+    Ak = A[keep]
+    B = Ak / d[keep][:, None]  # Dhat^{-1} Ahat
+    keep.flags.writeable = False
+    try:
+        Minv = numlin.inv_at_rank(Ak.T @ B)
+    except numlin._SingularAtRank:
+        return keep, None
+    Aplus = Minv @ B.T
+    Aplus.flags.writeable = False
+    return keep, Aplus
+
+
+def _dead_words(A: np.ndarray) -> np.ndarray:
+    """Indices, ascending and read-only, of the rows of A with no positive entry."""
+    dead = np.flatnonzero(~(A > 0.0).any(axis=1))
+    dead.flags.writeable = False
+    return dead
 
 
 def tv_distance(u, v) -> float:
@@ -257,6 +315,8 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
     inequality).
     """
     M = _topics_array(A)
+    if M.ndim != 2 or not len(M):
+        raise InvalidParam(f"A must be a 2-d topic matrix with at least one word, got shape {M.shape}")
     K = M.shape[1]
     if isinstance(metric, str):
         if metric == "tv":
@@ -587,8 +647,8 @@ def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float | 
     vertex cache of ``base``.  ``delta=None`` is no restriction: ``base``
     itself, after the same checks.
     """
-    if delta is not None and not (np.isfinite(delta) and delta >= 0):
-        raise InvalidParam("delta must be finite and >= 0")
+    if delta is not None:
+        _check_nonneg(delta, "delta")
     a = _values(alpha_hat, name="alpha_hat")
     b = _values(beta_hat, name="beta_hat")
     if a.size != b.size or a.size != base.K:

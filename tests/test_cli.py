@@ -396,26 +396,30 @@ def _golden_digests(data, tmp_path) -> dict:
 # digests were re-pinned once more, with the plug-in driver fingerprints
 # below, for two reasons of the limit draws alone: each law now draws its
 # normals as (M, K) rows, and the root's rows are centred, so that every
-# draw is orthogonal to 1.  No fit, distance or bootstrap moved.
+# draw is orthogonal to 1.  No fit, distance or bootstrap moved.  Every
+# MLE digest was re-pinned once more when the first Newton round started
+# from the clipped WLS point instead of the uniform point: the fits moved
+# within their KKT certificates, by at most 2.1e-9, the distances by at
+# most 2.6e-11, and the WLS digests did not move.
 _GOLDEN = {
-    "files-estimate-mle": "f5a3c809e557a379d8005553bce4651718b9086f5418e72e74157a3923118d0c",
-    "files-estimate-debias": "bb1e4a59a36e89419203d9c4c9137a2c020c7bec878e33c8f748ac27f2abda27",
+    "files-estimate-mle": "29da727e20fb8f777d302afca6d6ad0e70aadf6c3c442049c5c8781e0dcb185a",
+    "files-estimate-debias": "50db7cd23372e8519c992e94aaf123e3d374e1582c4e2b58630953a9d3592aa0",
     "files-estimate-wls": "71d6ad1aee0643c24445365fd47aa02f7d29f7f131bb2ec1c4685c50d6c24650",
-    "files-distance-debias": "ac443b11d14ef80ac7bdbac028d6d2a94c37e086143f4cb254c2b6ce9b8cc04e",
-    "files-distance-mle": "f922770e059d4afa988291c7b3ee3b736f36096ee5c959a11ccc094ffdefea34",
+    "files-distance-debias": "a70cd2918cfa9cbacc9607c602012db2c542c034fdeef52b1d315abd80ce801e",
+    "files-distance-mle": "42ee0352bf08b139d0ea984d8e3397b5b3212c9a98c2e43b7f2307a03f764b35",
     "files-distance-wls": "506bd5df0856bffc693c3d06f44a82b307f77b50ff45f0a264624e48990d8c21",
-    "files-ci-plugin": "5c1bd667032484aef0e3aad1a6ec3aeec7d19f4bba52d9c84a7f71b8d806de64",
-    "files-ci-deriv-bs": "2d0b704e01b2c0465419658cccd8e5850a35b427453aa44960128a039063e3c1",
-    "files-ci-m-of-n": "a4f34524a67d6ec128d4d27f354296a3df8499b10ad3fcf1cbab6524fca0255f",
-    "corpus-estimate-mle": "7ed3e867e5ea9974fdf7cc67905132e344377ff348183cbf6342f88e510531f4",
-    "corpus-estimate-debias": "d232baa1661a51e870d8c6df8cad4133dada11de5758929052d965d8cd08c59d",
+    "files-ci-plugin": "38891b060bc233f47322d5036c6b4c94c9433d0f65c3870fc444f268f4a57727",
+    "files-ci-deriv-bs": "7eb42035d2018f5e5a28f14e451f1ccaa244b4b74ad4293181e46d45f87a661d",
+    "files-ci-m-of-n": "8dd84831cf9cec9ab355ee2f633ddeb15efa339657272a8a38eb05da637a26ab",
+    "corpus-estimate-mle": "15de830320dc15bec0053be994e87a60b6afc90059aa5a30a5742e662327b95f",
+    "corpus-estimate-debias": "423658e898759ee8fa95d91ba1fed2a4f25136929c2871e87101efbefe8abcef",
     "corpus-estimate-wls": "cabf9a0ae48353074b2815b3c77235871b50f7354f0bc63bd3dd8b9cb7a06b0e",
-    "corpus-distance-debias": "0d311b2fafb1c08af69207e1bd8e39bbb6e721da67e5c295dbf2a8f1cabdab17",
-    "corpus-distance-mle": "8e68b7949c839864a44a5d3d53efd8d605e4fac24edbe8e9d5efc857851dc4d2",
+    "corpus-distance-debias": "2e51ee2a2ea6f80b54ac2b0f878780c74bb247dbd045e6f294e882480141aece",
+    "corpus-distance-mle": "f534c9ea9a13cdc417a398b2aa7709f61a7e57dfb8c246c0eb23120316111a8a",
     "corpus-distance-wls": "5366737b489062ec44cec7b96e0199854188312edea5441edf3236c6d3d3dd8c",
-    "corpus-ci-plugin": "5bd43d75851b6bb8f06a635bb8b7e22f057204782add082a732109b76d680796",
-    "corpus-ci-deriv-bs": "035b7248ec07f4269f8eb62c9d5f6f866eb2398c375f2f99a913711e2d5aa53c",
-    "corpus-ci-m-of-n": "afbcbb681da69be33bcb9b45aa07b050826e40164fcfc76c3ba4831048adbcf1",
+    "corpus-ci-plugin": "8a58d960c5bddd8dc8eb89c8292c758b4c19bac667f69b4423801867be61e867",
+    "corpus-ci-deriv-bs": "d90b62aafc99a9ae8bc526e6bad7d982b3564436e7063866622c9cdac479cae3",
+    "corpus-ci-m-of-n": "451c9f0bc504b148d057574b9ade8418546e0300e74c3c06670ef5bd53986c70",
 }
 
 
@@ -428,13 +432,15 @@ def test_cli_reports_match_the_per_document_fits_byte_for_byte(files, corpus, tm
 # resample and the WLS driver's pairs went through one pair path, and
 # re-pinned once when the MLE became Newton first.  Every driver but
 # normality samples the plug-in law, and those four were re-pinned with the
-# ci-plugin digests above: (M, K) draws from a row-centred root.
+# ci-plugin digests above: (M, K) draws from a row-centred root.  All five
+# were re-pinned with the MLE digests above, for the WLS start alone; each
+# driver's W_tilde moved by at most 9.7e-11.
 _FINGERPRINTS = {
-    "null-ci": "5bc09cce9370c3d162961a1a8f463ca1d32f78d2f91a7d586b388af114c59607",
-    "mle-vs-wls": "21d580e887f72bbfe45dc585cea266d3b0a0786580b4fda9a821e2d0a47151ed",
-    "ks-convergence": "c381feffc335a45a4d160441c27be2ab84a2562332fda5aacf6ec54f0bd042db",
-    "normality": "d49dfcd3e12e1c7a6abeb7e42e5d796890166ae1598f45d4c2d65cc45df8d467",
-    "alt-ci": "7e4c99956caeffd6378e1fdef47b9798a4ef98639954b844a872c5ce225c06e2",
+    "null-ci": "e8e36d69c1997ae9837024cdaf7126b66b73d9a89efeab15fdbe8973838d0b00",
+    "mle-vs-wls": "d518e30581827ca97369e840d169396c266379ceb09553961c5c6442a5cb998b",
+    "ks-convergence": "515bf90d7b51ce7b556ac8fe33fbeaf917912636d73c9a1f92124e3bca01f182",
+    "normality": "1bb89657df681d69502dbc05afb2bdcca050584ad44c9661fad4b7613ec72288",
+    "alt-ci": "99f311ad2d35841c4eb582ebe86bdd744bf2104a3f1222bfadeda530cca37f0d",
 }
 
 

@@ -13,7 +13,7 @@ from mixwass import (
     sigma_ls,
     wls_weights,
 )
-from mixwass.errors import DegenerateSupport, InfeasibleRow, InvalidParam, SingularInformation
+from mixwass.errors import DegenerateSupport, InfeasibleRow, InvalidParam, SingularDesign, SingularInformation
 from mixwass import estimators, numlin
 from mixwass.transport import TopicMatrix
 from mixwass.estimators import (
@@ -374,8 +374,92 @@ def test_topic_matrix_keeps_one_outer_table_for_every_fit():
     assert T.outers is table
 
 
+def test_topic_matrix_keeps_its_wls_operator_and_dead_words():
+    rng = np.random.default_rng(10)
+    K = 4
+    A = random_topics(rng, 80, K)
+    A[[3, 17]] = 0.0  # two words no topic emits
+    A /= A.sum(axis=0)
+    T = TopicMatrix(A)
+    X = rng.multinomial(400, A @ rng.dirichlet(np.ones(K))) / 400.0
+    (keep, Aplus), dead = T.wls, T.dead
+    assert T.wls[1] is Aplus and T.dead is dead and not (Aplus.flags.writeable or dead.flags.writeable)
+    assert np.array_equal(dead, [3, 17]) and np.array_equal(keep, np.setdiff1d(np.arange(80), dead))
+    # Every reader of a cache gets the bits an array's per-call build gives.
+    est = wls_weights(X, T)
+    assert np.array_equal(est.alpha, wls_weights(X, A).alpha)
+    assert np.array_equal(sigma_ls(est, X, T).sigma, sigma_ls(est, X, A).sigma)
+    assert np.array_equal(mle_weights(X, T).alpha, mle_weights(X, A).alpha)
+    bad = X.copy()
+    bad[17], bad[0] = 0.01, bad[0] - 0.01
+    for topics in (T, A):
+        with pytest.raises(InfeasibleRow, match="word 17 "):
+            mle_weights(bad, topics)
+    # A singular design is kept too, and still refused by the WLS estimator.
+    A[:, 3] = A[:, 2]
+    D = TopicMatrix(A)
+    assert D.wls[1] is None and D.wls is D.wls
+    with pytest.raises(SingularDesign):
+        wls_weights(X, D)
+
+
+def test_em_batch_with_duplicate_topics_keeps_the_uniform_start(monkeypatch):
+    # The WLS design is singular, so every row starts where it always did,
+    # and the fits keep the bits of the uniform start.
+    rng = np.random.default_rng(13)
+    K = 4
+    A = random_topics(rng, 100, K)
+    A[:, 3] = A[:, 2]
+    XB = _documents(rng, A, K, 0, 8)
+    T = TopicMatrix(A)
+    uniform = np.full((8, K), 1.0 / K)
+    assert np.array_equal(estimators._start(XB, np.ascontiguousarray(A.T), T), uniform)
+    fits = [_em_batch(XB, T), _em_batch(XB, A)]
+    monkeypatch.setattr(estimators, "_start", lambda X, AT, A: np.full((len(X), AT.shape[0]), 1.0 / AT.shape[0]))
+    ref = _em_batch(XB, A)
+    assert ref[2].all()
+    for fit in fits:
+        for got, want in zip(fit, ref):
+            assert np.array_equal(got, want)
+
+
+def test_em_batch_start_falls_back_where_the_clipped_wls_point_misses_a_counted_word():
+    # Word 0 is under topic 0 alone and document 0 counts it once, but WLS
+    # weighs topic 0 below zero: the clipped point gives word 0 probability 0.
+    rng = np.random.default_rng(0)
+    K = 3
+    A = random_topics(rng, 30, K)
+    A[0] = [0.02, 0.0, 0.0]
+    A /= A.sum(axis=0)
+    counts = rng.multinomial(99, A @ np.r_[0.0, 0.5, 0.5])
+    counts[0] += 1
+    XB = np.stack([counts / 100.0, rng.multinomial(100, A @ np.full(K, 1.0 / K)) / 100.0])
+    AT = np.ascontiguousarray(A.T)
+    wls = estimators._wls_batch(XB, A)
+    assert wls[0, 0] < 0.0 and (wls[1] > 0.0).all()
+    start = estimators._start(XB, AT, A)
+    assert np.array_equal(start[0], np.full(K, 1.0 / K))
+    assert np.array_equal(start[1], wls[1] / wls[1].sum())
+    fit, iters, conv, gaps = _em_batch(XB, A)
+    assert conv.all() and fit[0, 0] > 0.0 and np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+    single = _em_batch(XB[[0]], A)
+    assert np.array_equal(single[0][0], fit[0]) and single[1][0] == iters[0]
+
+
+@pytest.mark.parametrize("K", [5, 8])
+def test_em_batch_certifies_in_at_most_three_and_a_half_newton_steps_on_average(K):
+    # A count, not a timing: from the uniform point these documents took
+    # 4.08 (K=5) and 5.23 (K=8) Newton steps on average.
+    rng = np.random.default_rng(23)
+    A = random_topics(rng, 500, K)
+    XB = np.concatenate([_documents(rng, A, K, tau, 32) for tau in (0, 3)])
+    fit, iters, conv, _ = _em_batch(XB, A)
+    assert conv.all() and np.all(iters <= estimators._first_steps(K))
+    assert iters.mean() <= 3.5
+
+
 def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch):
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(12)
     K = 5
     A = random_topics(rng, 200, K)
     X = _documents(rng, A, K, 3, 8)
@@ -389,14 +473,14 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
 
         monkeypatch.setattr(estimators, name, recorded)
     fit, iters, conv, _ = _em_batch(X, A)
-    # Newton from the uniform point certifies every document: no rescue.
+    # Newton from the clipped WLS point certifies every document: no rescue.
     assert conv.all() and np.all(iters <= estimators._first_steps(K))
     assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_em"] == []
     # With two steps per polish the first round has four, which leaves some
     # documents uncertified; exactly those, and in order, run the rescue.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 2)
     AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, np.full((8, K), 1.0 / K), np.full(8, 4))
+    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, estimators._start(X, AT, A), np.full(8, 4))
     assert estimators._first_steps(K) == 4 and 0 < np.count_nonzero(first_conv) < 8
     for rows in calls.values():
         rows.clear()
@@ -708,10 +792,11 @@ def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
 
 
 def test_em_batch_retry_restarts_from_the_em_stop_point(monkeypatch):
-    # One Newton step certifies none of these columns, so every one runs EM
-    # on.  It runs on from its EM stop, whatever _newton_finish left in its
-    # x argument, which it may write into.
-    rng = np.random.default_rng(21)
+    # Neither the first round's two Newton steps nor a one-step polish
+    # certifies any of these columns, so every one runs EM on.  It runs on
+    # from its EM stop, whatever _newton_finish left in its x argument,
+    # which it may write into.
+    rng = np.random.default_rng(27)
     K = 5
     A = random_topics(rng, 500, K)
     XB = _documents(rng, A, K, 3, 16)
@@ -789,8 +874,8 @@ def _hard_grid():
     near-duplicate topic pair (within 5% wordwise) at K=5, where EM is
     slowest.  At N=5 the MLE need not be unique, so only its likelihood is
     compared.  At K=13 some of the N=5 columns have five words and nine or
-    more free coordinates, and the first Newton round stalls on them far
-    from the certificate; it also hands some of the peaked fits over.
+    more free coordinates, and the first Newton round stalls on two of them
+    far from the certificate.
     """
     rng = np.random.default_rng(71)
     grid = []
@@ -825,16 +910,16 @@ def _hard_grid_tight():
 def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish):
     # Newton first must certify every column the EM-first path certifies,
     # and a column it rescues must get that path's bits.  The first round
-    # leaves the stalled K=13 columns and some peaked fits to the rescue,
-    # which certifies them.  With two steps per polish it leaves more, and
-    # EM spends its whole budget on some of the near-duplicate fits.
+    # leaves the two stalled K=13 columns to the rescue, which certifies
+    # them.  With two steps per polish it leaves 46 columns, and one K=8
+    # boundary fit stays uncertified.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
     rescued = uncertified = 0
     for (A, XB, identifiable), (tight, tight_conv) in zip(_hard_grid(), _hard_grid_tight()):
         B, K = len(XB), A.shape[1]
         fit, _, conv, _ = _em_batch(XB, A)
         AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, np.full((B, K), 1.0 / K), np.full(B, estimators._first_steps(K)))
+        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, A), np.full(B, estimators._first_steps(K)))
         # The reference gets the rescue's budget: what the first round left.
         ref, ref_conv = _em_first(XB, A, EM_MAX_ITER - first)
         assert np.all(conv | ~ref_conv)

@@ -507,3 +507,34 @@ def test_interval_settings_refuse_a_bad_slab_width(name):
     assert method.settings(0.05, **values, delta=0.0)["delta"] == 0.0
     # m-of-n reads no delta, so it does not check one.
     assert "delta" not in METHODS["m_of_n"].settings(0.05, **values, delta=float("nan"))
+
+
+@pytest.mark.parametrize("delta", [True, False, np.True_])
+def test_a_bool_slab_width_is_refused_by_name(delta):
+    # A bool used to pass as a width: delta=True sampled the slab of width 1.0.
+    A = gen_topic_matrix(30, 3, 1)
+    cost, a = cost_matrix(A), np.full(3, 1.0 / 3)
+    doc = CountVector(np.ones(30, dtype=np.int64))
+    for call in (
+        lambda: limit_sampler(a, a, A, cost, delta=delta, M=50, seed=1),
+        lambda: derivative_bootstrap(doc, doc, A, cost, delta=delta, B=50, seed=1),
+        lambda: restricted_polytope(DualPolytope(cost), a, a, delta),
+        lambda: METHODS["plugin"].settings(0.05, M=400, delta=delta),
+        lambda: METHODS["deriv_bs"].settings(0.05, B=400, delta=delta),
+    ):
+        with pytest.raises(InvalidParam, match="delta must be a real number"):
+            call()
+
+
+def test_a_bool_size_is_refused_by_name():
+    # theorem_delta(True, 30) returned 1.84 and effective_root_n(True, True) 1.0.
+    for call, name in (
+        (lambda: theorem_delta(True, 30), "N"),
+        (lambda: theorem_delta(30, True), "p"),
+        (lambda: theorem_delta(30, 30, n=True), "n"),
+        (lambda: effective_root_n(True, True), "N_i"),
+        (lambda: effective_root_n(5, np.False_), "N_j"),
+    ):
+        with pytest.raises(InvalidParam, match=f"^{name} must be a number"):
+            call()
+    assert effective_root_n(1, 1) == 1.0 and theorem_delta(30, 30, n=0) == theorem_delta(30, 30)

@@ -52,6 +52,21 @@ def test_gen_weights_validates_tau():
         gen_weights(3, 5, 0)
 
 
+def test_gen_weights_refuses_a_bool_size_by_name():
+    # gen_weights(3, True, 1) raised numpy's untyped TypeError.
+    with pytest.raises(InvalidParam, match="^tau must be"):
+        gen_weights(3, True, 1)
+    with pytest.raises(InvalidParam, match="^K must be an integer"):
+        gen_weights(True, 0, 1)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, True])
+def test_perturb_topics_refuses_a_bad_noise_by_name(noise):
+    # A NaN noise used to fail as InvalidSimplex on the perturbed matrix.
+    with pytest.raises(InvalidParam, match="^noise must be"):
+        perturb_topics(gen_topic_matrix(30, 3, 5), noise, 0)
+
+
 def test_gen_document_point_mass_and_single_draw():
     doc = gen_document(np.array([0.0, 1.0, 0.0]), 25, 0)
     assert doc.counts[1] == 25 and doc.N == 25
