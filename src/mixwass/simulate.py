@@ -230,6 +230,8 @@ def _seed_int(*parts: int) -> int:
 
 def gen_topic_matrix(p: int, K: int, seed) -> TopicMatrix:
     """Topics with i.i.d. Unif(0,1) entries, each column normalized."""
+    _check_count(p, "p")
+    _check_count(K, "K")
     if not 1 <= K <= p:
         raise InvalidParam("need p >= K >= 1")
     rng = np.random.default_rng(seed)

@@ -52,12 +52,17 @@ def test_gen_weights_validates_tau():
         gen_weights(3, 5, 0)
 
 
-def test_gen_weights_refuses_a_bool_size_by_name():
-    # gen_weights(3, True, 1) raised numpy's untyped TypeError.
+def test_generators_refuse_a_bool_size_by_name():
+    # Each of these raised numpy's untyped TypeError.
     with pytest.raises(InvalidParam, match="^tau must be"):
         gen_weights(3, True, 1)
-    with pytest.raises(InvalidParam, match="^K must be an integer"):
-        gen_weights(True, 0, 1)
+    for call, name in (
+        (lambda: gen_weights(True, 0, 1), "K"),
+        (lambda: gen_topic_matrix(40, True, 1), "K"),
+        (lambda: gen_topic_matrix(40.5, 3, 1), "p"),
+    ):
+        with pytest.raises(InvalidParam, match=f"^{name} must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, True])
