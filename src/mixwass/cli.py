@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, build_hash
-from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError
+from .errors import InvalidParam, MixwassError, NumericalError, ParseError, ValidationError, check_seed
 from .estimators import Method, _covariances
 from .inference import _CHUNK, METHODS, _fit_pairs, _fit_rows, confidence_interval, theorem_delta
 from .io import RunManifest, load_counts, load_topics, report_json, save_limit_samples, save_report
@@ -298,6 +298,7 @@ def _cmd_distance(args) -> int:
 def _cmd_ci(args) -> int:
     A, doc_i, doc_j, poly, inputs = _pair_inputs(args)
     seed = args.seed if args.seed is not None else _random_seed()
+    check_seed(seed)
     delta = theorem_delta(min(doc_i.N, doc_j.N), A.p) if args.delta == "rate" else args.delta
     method = METHODS[_CI_METHODS[args.method]]
     settings = method.settings(args.level, M=args.M, B=args.B, gamma=args.gamma, delta=delta)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -64,6 +63,9 @@ from .errors import (
     InvalidParam,
     SingularDesign,
     SingularInformation,
+    _INT64_MAX,
+    check_choice,
+    check_count,
 )
 from .transport import TopicMatrix, _dead_words, _outer_rows, _topics_array, _values, _wls_rows
 
@@ -91,13 +93,15 @@ _EM_TIGHT_TOL = 1e-10
 _NEWTON_MAX_STEPS = 20
 _NEWTON_MAX_HALVINGS = 30
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 class Method(str, enum.Enum):
     MLE = "mle"
     DEBIASED = "debiased"
     WLS = "wls"
+
+    @classmethod
+    def _missing_(cls, value):
+        check_choice(value, "Method value", [m.value for m in cls])
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,8 @@ class CountVector:
 
     def __post_init__(self):
         c = np.asarray(self.counts)
-        if c.ndim != 1 or c.size == 0:
-            raise InvalidParam("counts must be a nonempty 1-d array")
+        if c.dtype.kind not in "iuf" or c.ndim != 1 or c.size == 0:  # not bools, strings, or integers past int64
+            raise InvalidParam(f"counts must be a nonempty 1-d array of integers, not {c.dtype} of shape {c.shape}")
         if not np.issubdtype(c.dtype, np.integer):
             if not np.all(np.equal(np.mod(c, 1), 0)):
                 raise InvalidParam("counts must be integers")
@@ -120,9 +124,9 @@ class CountVector:
         # Sum exactly where an int64 sum could wrap.
         total = int(c.sum(dtype=object) if c.max() > _INT64_MAX // c.size else c.sum())
         if total > _INT64_MAX:
-            raise InvalidParam("total word count does not fit in int64")
+            raise InvalidParam("counts sum past int64")
         if total < 1:
-            raise InvalidParam("document must contain at least one word")
+            raise InvalidParam("counts must hold at least one word")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "N", total)
 
@@ -172,14 +176,16 @@ def _check_rows(X: np.ndarray, A) -> None:
     bad = ~(np.abs(sums - 1.0) <= TOL_KKT) | (X < 0).any(axis=1) | pos[:, dead].any(axis=1)
     if bad.any():
         b = int(bad.argmax())
-        if not np.isfinite(X[b]).all() or X[b].min() < 0:
-            raise InvalidParam("frequency vector has a negative or non-finite entry")
+        if not np.isfinite(X[b]).all():
+            raise InvalidParam("X must be finite: it has a non-finite entry")
+        if X[b].min() < 0:
+            raise InvalidParam("X has a negative entry")
         if not pos[b].any():
-            raise InvalidParam("frequency vector has empty support")
+            raise InvalidParam("X has empty support")
         words = dead[pos[b, dead]]
         if words.size:
             raise InfeasibleRow(f"word {int(words[0])} has positive count but zero probability under every topic")
-        raise InvalidParam(f"frequency vector sums to {float(sums[b])!r}, not 1")
+        raise InvalidParam(f"X sums to {float(sums[b])!r}, not 1")
 
 
 def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -506,12 +512,12 @@ def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     ``iterations`` and ``max_iter``, an integer >= 0, count Newton steps
     plus any EM maps.
     """
-    return _fit_batch(_values(X, name="X")[None, :], A, Method.MLE, max_iter).estimate(0)
+    return _fit_batch(_values(X, "X")[None, :], A, Method.MLE, max_iter).estimate(0)
 
 
 def mle_objective(alpha, X, A) -> float:
     """Normalized log-likelihood sum_j X_j log(A_j . alpha) on supp(X)."""
-    Xv = _values(X, name="X")
+    Xv = _values(X, "X")
     Am = _topics_array(A)
     s = Xv > 0
     r = Am[s] @ np.asarray(alpha, dtype=float)
@@ -520,22 +526,27 @@ def mle_objective(alpha, X, A) -> float:
     return float(Xv[s] @ np.log(r))
 
 
-def _debias_batch(alphas: np.ndarray, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """One-step correction of (B, K) MLE rows on their (B, p) frequency rows (see ``debias``).
+def _information(x: np.ndarray, A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Information matrices (B, K, K) of a (B, K) batch of weight rows x.
 
-    A row whose fitted probabilities all lie below ``ZETA`` raises
-    :class:`DegenerateSupport` for the batch.  The pseudo-inverses are one
-    stacked call.  Every product is per row, so a row gives the same bits
-    in any batch.
+    Returns (A, the mask J of fitted probabilities r = x A^T above ``ZETA``,
+    r on J and 1 off it, and one ``_grams`` of 1/r on J: sum_{j in J} A_j A_j^T / r_j).
+    A row with J empty raises :class:`DegenerateSupport` for the batch.
     """
     A, AT, AA = _design(A)
-    R = _rowdot(alphas, AT)  # (B, p)
-    mask = R > ZETA
-    if not mask.any(axis=1).all():
+    R = _rowdot(x, AT)
+    J = R > ZETA
+    if not J.any(axis=1).all():
         raise DegenerateSupport("no word has fitted probability above the support threshold")
-    Rsafe = np.where(mask, R, 1.0)
-    psi = _rowdot(np.where(mask, (X - R) / Rsafe, 0.0), A)  # (B, K)
-    V = _grams(np.where(mask, 1.0 / Rsafe, 0.0), AA)
+    R = np.where(J, R, 1.0)
+    return A, J, R, _grams(np.where(J, 1.0 / R, 0.0), AA)
+
+
+def _debias_batch(alphas: np.ndarray, X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """One-step correction of (B, K) MLE rows on their (B, p) frequency rows
+    (see ``debias``): ``_information``, and its pseudo-inverses in one stacked call."""
+    A, J, R, V = _information(alphas, A)
+    psi = _rowdot(np.where(J, (X - R) / R, 0.0), A)  # (B, K)
     return alphas + (numlin.pinv(V) @ psi[:, :, None])[:, :, 0]
 
 
@@ -549,11 +560,11 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     may leave the simplex.  X is refused as the MLE refuses it.  This is
     ``_debias_batch`` on a batch of one.
     """
-    base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(np.asarray(alpha_hat, dtype=float), Method.MLE, 0, True)
-    X = _values(X, name="X")[None, :]
+    alpha = _values(alpha_hat, "alpha_hat", _topics_array(A_hat).shape[1])
+    base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(alpha, Method.MLE, 0, True)
+    X = _values(X, "X")[None, :]
     _check_rows(X, A_hat)
-    alpha = _debias_batch(base.alpha[None, :], X, A_hat)[0]
-    return replace(base, alpha=alpha, method=Method.DEBIASED)  # the MLE's diagnostics
+    return replace(base, alpha=_debias_batch(alpha[None, :], X, A_hat)[0], method=Method.DEBIASED)  # the MLE's diagnostics
 
 
 class _Fits(NamedTuple):
@@ -576,12 +587,11 @@ class _Fits(NamedTuple):
 def _fit_batch(X: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
     """Fit of each (B, p) frequency row by ``method``: the one way a document is fitted.
 
-    Every method validates the batch (``_check_rows``) and ``max_iter``, an
-    integer >= 0 (not a bool).  The MLE is ``_em_batch`` with its KKT gaps,
+    Every method validates the batch (``_check_rows``) and ``max_iter``, a
+    count from 0.  The MLE is ``_em_batch`` with its KKT gaps,
     the debiased fit ``_debias_batch`` of it, and WLS ``_wls_batch``.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or not 0 <= max_iter <= _INT64_MAX:
-        raise InvalidParam(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    check_count(max_iter, "max_iter", 0)
     _check_rows(X, A)
     if method is Method.WLS:
         return _Fits(method, _wls_batch(X, A), None, np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool), None)
@@ -601,20 +611,10 @@ def _covariances(fits: _Fits, X: np.ndarray, A) -> np.ndarray | None:
 def _sigma_batch(x: np.ndarray, A) -> np.ndarray:
     """Plug-in covariances (B, K, K) of a (B, K) batch of weight rows x.
 
-    See ``sigma_hat``.  A row whose fitted probabilities all lie below
-    ``ZETA`` raises :class:`DegenerateSupport`, and one whose information
-    matrix is singular raises :class:`SingularInformation`; either error
-    fails the whole batch.  The information matrices are one ``_grams``
-    call, with weight 1/r_j on the support and 0 off it, and they are
-    inverted in one stacked call.  Every product is per row, so a row
-    gives the same bits in any batch.
+    See ``sigma_hat``.  ``_information``'s matrices, inverted in one stacked
+    call; one that is singular raises :class:`SingularInformation` for the batch.
     """
-    A, AT, AA = _design(A)
-    r = _rowdot(x, AT)
-    J = r > ZETA
-    if not J.any(axis=1).all():
-        raise DegenerateSupport("fitted word probabilities are all below the support threshold")
-    H = _grams(np.where(J, 1.0 / np.where(J, r, 1.0), 0.0), AA)
+    H = _information(x, A)[3]
     try:
         Hinv = numlin.inv_at_rank(H)
     except numlin._SingularAtRank:
@@ -631,8 +631,7 @@ def sigma_hat(alpha, A_hat) -> CovEstimate:
     information matrix is singular at rank tolerance.  This is
     ``_sigma_batch`` on a batch of one, plus the rank of the result.
     """
-    a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    sigma = _sigma_batch(a[None, :], A_hat)[0]
+    sigma = _sigma_batch(_values(alpha, "alpha", _topics_array(A_hat).shape[1])[None, :], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)
 
 
@@ -665,7 +664,7 @@ def wls_weights(X, A_hat) -> WeightEstimate:
     positive count on a zero-mass row raises :class:`InfeasibleRow`.  This
     is ``_fit_batch`` on a batch of one.
     """
-    return _fit_batch(_values(X, name="X")[None, :], A_hat, Method.WLS).estimate(0)
+    return _fit_batch(_values(X, "X")[None, :], A_hat, Method.WLS).estimate(0)
 
 
 def _sigma_ls_batch(x: np.ndarray, R: np.ndarray, A) -> np.ndarray:
@@ -683,6 +682,6 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
     supplied frequency or probability vector.  This is ``_sigma_ls_batch``
     on a batch of one.
     """
-    a = alpha.alpha if isinstance(alpha, WeightEstimate) else np.asarray(alpha, dtype=float)
-    sigma = _sigma_ls_batch(a[None, :], _values(X_or_r, name="X_or_r")[None, :], A_hat)[0]
+    p, K = _topics_array(A_hat).shape
+    sigma = _sigma_ls_batch(_values(alpha, "alpha", K)[None, :], _values(X_or_r, "X_or_r", p)[None, :], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -44,41 +43,22 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from . import numlin
-from .errors import InvalidParam, MixwassError
-from .estimators import CountVector, Method, WeightEstimate, _fit_batch, _Fits, _sigma_batch
-from .transport import DualPolytope, _check_nonneg, restricted_polytope, support_batch
-
-
-def _check_count(value, name: str) -> None:
-    """Refuse a size or a number of draws that is not an integer >= 1 (numpy integers are integers, bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParam(f"{name} must be an integer, not {value!r}")
-    if value < 1:
-        raise InvalidParam(f"{name} must be >= 1")
-
-
-def _refuse_bools(**sizes) -> None:
-    """Refuse a bool given as a size: True is not a document of one word."""
-    for name, value in sizes.items():
-        if isinstance(value, (bool, np.bool_)):
-            raise InvalidParam(f"{name} must be a number, not {value!r}")
+from .errors import InvalidParam, MixwassError, check_count, check_real, check_seed, check_unit, check_vector
+from .estimators import CountVector, Method, _fit_batch, _Fits, _sigma_batch
+from .transport import DualPolytope, _values, restricted_polytope, support_batch
 
 
 def effective_root_n(N_i: int, N_j: int) -> float:
     """sqrt(2 N_i N_j / (N_i + N_j)); equals sqrt(N) when N_i = N_j = N."""
-    _refuse_bools(N_i=N_i, N_j=N_j)
-    if not (1 <= N_i < math.inf and 1 <= N_j < math.inf):  # also refuses NaN
-        raise InvalidParam("document sizes must be >= 1 and finite")
+    N_i, N_j = check_real(N_i, "N_i", 1), check_real(N_j, "N_j", 1)  # floats: a float32 size does not compute in float32
     return math.sqrt(2.0 * N_i * N_j / (N_i + N_j))
 
 
 def theorem_delta(N: int, p: int, n: int | None = None) -> float:
     """Theorem-rate slab width sqrt(log L / N) (+ sqrt(p log L / (n N)))."""
-    _refuse_bools(N=N, p=p, n=n)
-    if not (1 <= N < math.inf and 1 <= p < math.inf):  # also refuses NaN
-        raise InvalidParam("document size N and vocabulary size p must be >= 1 and finite")
-    if n is not None and not 0 <= n < math.inf:
-        raise InvalidParam("number of documents n must be >= 0 and finite")
+    N, p = check_real(N, "N", 1), check_real(p, "p", 1)
+    if n is not None:
+        n = check_real(n, "n")
     L = max(N, p, n or 0, 2)
     d = math.sqrt(math.log(L) / N)
     if n is not None and n > 0:
@@ -98,12 +78,7 @@ class LimitSampleSet:
     __slots__ = ("samples", "M", "delta", "seed", "zero_feasible", "meta", "_sorted")
 
     def __init__(self, samples, delta, seed, zero_feasible: bool = False, meta: dict | None = None):
-        s = np.asarray(samples, dtype=float)
-        if s.ndim != 1 or s.size == 0:
-            raise InvalidParam("sample set must be a nonempty 1-d array")
-        if not np.isfinite(s).all():
-            raise InvalidParam("sample set has non-finite entries")
-        self.samples = s
+        self.samples = s = check_vector(samples, "samples")
         self.M = s.size
         self.delta = delta
         self.seed = seed
@@ -113,8 +88,7 @@ class LimitSampleSet:
 
     def quantile(self, gamma: float) -> float:
         """Order statistic at index ceil(M * gamma) (right-continuous inverse)."""
-        if not 0.0 < gamma < 1.0:
-            raise InvalidParam("quantile level must be in (0, 1)")
+        check_unit(gamma, "gamma")
         idx = min(max(int(math.ceil(self.M * gamma)), 1), self.M)
         return float(self._sorted[idx - 1])
 
@@ -139,12 +113,6 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
-def _weights(x) -> np.ndarray:
-    if isinstance(x, WeightEstimate):
-        return x.alpha
-    return np.asarray(x, dtype=float)
-
-
 def _as_polytope(cost) -> DualPolytope:
     return cost if isinstance(cost, DualPolytope) else DualPolytope(cost)
 
@@ -155,20 +123,10 @@ def distance_estimate(alpha_i, alpha_j, cost) -> float:
     Inputs may be the debiased (possibly negative-entry) estimates; the LP
     value is returned as-is.
     """
-    ai = _weights(alpha_i)
-    aj = _weights(alpha_j)
-    if ai.size != aj.size:
-        raise InvalidParam("weight estimates must have equal dimension")
     poly = _as_polytope(cost)
+    ai = _values(alpha_i, "alpha_i", poly.K)
+    aj = _values(alpha_j, "alpha_j", poly.K)
     return float(support_batch(poly, (ai - aj)[None, :])[0])
-
-
-def _rng(seed) -> np.random.Generator:
-    """The generator of a method's seed: a non-negative integer or a sequence of them."""
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise InvalidParam(f"seed must be a non-negative integer, not {seed!r}") from None
 
 
 def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int) -> np.ndarray:
@@ -187,7 +145,7 @@ def _limit_draws(sigma_i, sigma_j, polys, seeds, M: int) -> np.ndarray:
     root -= root.mean(axis=2, keepdims=True)
     out = np.empty((len(root), M))
     for b, (poly, seed) in enumerate(zip(polys, seeds)):
-        out[b] = support_batch(poly, _rng(seed).standard_normal((M, root.shape[2])) @ root[b])
+        out[b] = support_batch(poly, np.random.default_rng(seed).standard_normal((M, root.shape[2])) @ root[b])
     return out
 
 
@@ -230,14 +188,17 @@ def limit_sampler(
     procedure for testing at the null.  This is ``_plugin_limits`` on a
     batch of one.
     """
-    _check_count(M, "M")
-    return _plugin_limits(_weights(alpha_i)[None, :], _weights(alpha_j)[None, :], A_hat, _as_polytope(cost), delta, M, [seed])[0]
+    check_count(M, "M")
+    check_seed(seed)
+    poly = _as_polytope(cost)
+    ai = _values(alpha_i, "alpha_i", poly.K)[None, :]
+    aj = _values(alpha_j, "alpha_j", poly.K)[None, :]
+    return _plugin_limits(ai, aj, A_hat, poly, delta, M, [seed])[0]
 
 
 def _check_level(level: float, size: int, name: str = "M") -> None:
     """Refuse a ``level`` outside (0, 1), or one whose tail quantiles ``size`` draws cannot estimate."""
-    if not 0.0 < level < 1.0:
-        raise InvalidParam("level must be in (0, 1)")
+    check_unit(level, "level")
     if size < 20.0 / level:
         raise InvalidParam(f"need {name} >= {20.0 / level:.0f} samples for level {level}")
 
@@ -248,8 +209,9 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     ``level`` is the significance t (0.05 gives a 95% interval) and must
     satisfy M >= 20/t so the tail quantiles are estimable.
     """
-    _check_level(level, limits.M)
+    check_real(W_tilde, "W_tilde", -math.inf)
     divisor = effective_root_n(N_i, N_j)  # refuses sizes below 1 before s divides by their sum
+    _check_level(level, limits.M)
     s = math.sqrt(N_i * N_j / (N_i + N_j))
     q_hi = limits.quantile(1.0 - level / 2.0)
     q_lo = limits.quantile(level / 2.0)
@@ -344,7 +306,7 @@ def _plugin_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitS
 def _resampled_pairs(pairs: FittedPairs, c: int, sizes, A, poly, B: int, seed) -> FittedPairs:
     """``_fit_pairs`` of B multinomial resamples of each side of pair ``c``,
     of ``sizes`` words, over ``poly``; the i side's are drawn first."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     X_b = [rng.multinomial(m, X[c], size=B) / m for m, X in zip(sizes, (pairs.X_i, pairs.X_j))]
     return _fit_pairs(*X_b, *sizes, A, poly)
 
@@ -387,16 +349,16 @@ class IntervalMethod:
         """The settings it reads, from ``values``; with a ``level``, the size meets ``confidence_interval``'s rule.
 
         A ``delta`` is None (the unrestricted polytope) or a finite real >= 0,
-        not a bool, so a bad slab width is refused before any fit.
+        so a bad setting is refused before any fit.
         """
         size = values[self.size]
-        _check_count(size, self.size)
+        check_count(size, self.size)
         if level is not None:
             _check_level(level, size, self.size)
-        if self.setting == "gamma" and not 0.0 < values["gamma"] < 1.0:
-            raise InvalidParam("gamma must be in (0, 1)")
+        if self.setting == "gamma":
+            check_unit(values["gamma"], "gamma")
         if self.setting == "delta" and values["delta"] is not None:
-            _check_nonneg(values["delta"], "delta")
+            check_real(values["delta"], "delta")
         return {self.size: size, self.setting: values[self.setting]}
 
 
@@ -410,6 +372,7 @@ METHODS = {
 def _observed_pair_samples(name: str, X_i: CountVector, X_j: CountVector, A_hat, cost, seed, **values) -> LimitSampleSet:
     """Method ``name`` on one observed pair, fitted as ``ci`` fits it."""
     settings = METHODS[name].settings(**values)
+    check_seed(seed)
     poly = _as_polytope(cost)
     pairs = _fit_pairs(X_i.frequencies[None, :], X_j.frequencies[None, :], X_i.N, X_j.N, A_hat, poly)
     return METHODS[name].sampler(pairs, A_hat, poly, [seed], settings)[0]
@@ -454,12 +417,8 @@ def derivative_bootstrap(
 
 def ks_distance(samples_a, samples_b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)|."""
-    a = np.sort(np.asarray(samples_a, dtype=float))
-    b = np.sort(np.asarray(samples_b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise InvalidParam("KS distance requires nonempty samples")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidParam("KS distance requires finite samples")
+    a = np.sort(check_vector(samples_a, "samples_a"))
+    b = np.sort(check_vector(samples_b, "samples_b"))
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
@@ -468,8 +427,7 @@ def ks_distance(samples_a, samples_b) -> float:
 
 def ks_two_sample_pvalue(samples_a, samples_b) -> float:
     """Asymptotic p-value of the two-sample KS test."""
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    d = ks_distance(a, b)
-    en = math.sqrt(a.size * b.size / (a.size + b.size))
+    d = ks_distance(samples_a, samples_b)
+    n_a, n_b = np.size(samples_a), np.size(samples_b)
+    en = math.sqrt(n_a * n_b / (n_a + n_b))
     return float(min(max(kolmogorov(en * d), 0.0), 1.0))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix
+from .errors import InvalidMatrix, check_numbers
 
 # Relative rank tolerance: a (K x K) PSD matrix keeps eigenvalues above
 # dim * 1e-12 * lambda_max.  The plug-in covariance has exact rank K-1 in
@@ -44,7 +44,7 @@ class SymMatrixResult:
 
 def _as_stack(M) -> tuple[np.ndarray, bool]:
     """M as a symmetrized (B, K, K) stack, and whether it was one matrix."""
-    M = np.asarray(M, dtype=float)
+    M = check_numbers(M, "M")
     single = M.ndim == 2
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise InvalidMatrix(f"M must be square or a stack of square matrices, got shape {M.shape}")

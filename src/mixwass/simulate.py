@@ -20,21 +20,19 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, check_choice, check_count, check_real, check_seed, check_unit
 from .estimators import CountVector, Method, _sigma_batch, sigma_hat, sigma_ls
 from .inference import (
     _CHUNK,
     METHODS,
     LimitSampleSet,
     _by_row,
-    _check_count,
     _fit_pairs,
     _fit_rows,
     _limit_draws,
@@ -51,7 +49,7 @@ from .transport import (
     DualPolytope,
     ProbVec,
     TopicMatrix,
-    _check_nonneg,
+    _values,
     cost_matrix,
     wasserstein_primal,
 )
@@ -94,44 +92,23 @@ class SimConfig:
     a_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("K", "p", "N", "N_j", "tau", "n_reps", "n_outer", "M", "B", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or name == "N_j" and value is None):
-                raise InvalidParam(f"{name} must be an integer, not {value!r}")
-        if self.K < 1 or self.p < self.K:
-            raise InvalidParam("need p >= K >= 1")
-        if self.N < 1 or (self.N_j is not None and self.N_j < 1):
-            raise InvalidParam("document sizes must be >= 1")
-        if not (self.tau == 0 or 1 <= self.tau <= self.K):
-            raise InvalidParam("tau must be 0 (dense) or in [1, K]")
-        if self.n_reps < 1 or self.n_outer < 1:
-            raise InvalidParam("replicate counts must be >= 1")
-        if self.M < 1 or self.B < 1:
-            raise InvalidParam("Monte Carlo sizes M and B must be >= 1")
-        if self.workers < 1:
-            raise InvalidParam("workers must be >= 1")
-        if self.seed < 0:
-            raise InvalidParam("seed must be >= 0")
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidParam("gamma must be in (0, 1)")
-        if not 0.0 < self.level < 1.0:
-            raise InvalidParam("level must be in (0, 1)")
-        if self.design not in ("null", "alternative"):
-            raise InvalidParam("design must be 'null' or 'alternative'")
-        for m in self.methods:
-            if m not in METHODS:
-                raise InvalidParam(f"unknown method {m!r}")
-        for e in self.estimators:
-            if e not in ESTIMATORS:
-                raise InvalidParam(f"unknown estimator {e!r}")
-        if isinstance(self.delta, bool) or isinstance(self.delta, str) and self.delta != "rate":
-            raise InvalidParam("delta must be a float, None, or 'rate'")
-        if isinstance(self.delta, (int, float)) and not (math.isfinite(self.delta) and self.delta >= 0):
-            raise InvalidParam("delta must be finite and >= 0")
-        if isinstance(self.a_noise, bool) or not (isinstance(self.a_noise, numbers.Real) and math.isfinite(self.a_noise) and self.a_noise >= 0):
-            raise InvalidParam(f"a_noise must be finite and >= 0, not {self.a_noise!r}")
-        if self.metric not in _METRICS:
-            raise InvalidParam(f"unknown metric {self.metric!r}, expected one of {_METRICS}")
+        for name in ("p", "N", "n_reps", "n_outer", "M", "B", "workers"):
+            check_count(getattr(self, name), name)
+        if self.N_j is not None:
+            check_count(self.N_j, "N_j")
+        check_count(self.K, "K", 1, self.p)
+        check_count(self.seed, "seed", 0, math.inf)  # the first word of every stream's entropy
+        check_count(self.tau, "tau", 0, self.K)  # 0 is dense
+        check_unit(self.gamma, "gamma")
+        check_unit(self.level, "level")
+        check_choice(self.design, "design", ("null", "alternative"))
+        for name, names in (("methods", METHODS), ("estimators", ESTIMATORS)):
+            for value in getattr(self, name):
+                check_choice(value, name, names)
+        if not (self.delta is None or isinstance(self.delta, str) and self.delta == "rate"):
+            check_real(self.delta, "delta")
+        check_real(self.a_noise, "a_noise")
+        check_choice(self.metric, "metric", _METRICS)
 
     def size_j(self) -> int:
         return self.N_j if self.N_j is not None else self.N
@@ -230,21 +207,17 @@ def _seed_int(*parts: int) -> int:
 
 def gen_topic_matrix(p: int, K: int, seed) -> TopicMatrix:
     """Topics with i.i.d. Unif(0,1) entries, each column normalized."""
-    _check_count(p, "p")
-    _check_count(K, "K")
-    if not 1 <= K <= p:
-        raise InvalidParam("need p >= K >= 1")
-    rng = np.random.default_rng(seed)
-    M = rng.uniform(size=(p, K))
+    check_count(p, "p")
+    check_count(K, "K", 1, p)
+    M = check_seed(seed).uniform(size=(p, K))
     return TopicMatrix(M / M.sum(axis=0, keepdims=True))
 
 
 def gen_weights(K: int, tau: int, seed) -> ProbVec:
     """Dense weights uniform on the simplex, or sparse with |supp| = tau."""
-    _check_count(K, "K")
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Integral) or not (tau == 0 or 1 <= tau <= K):
-        raise InvalidParam(f"tau must be 0 (dense) or an integer in [1, K], not {tau!r}")
-    rng = np.random.default_rng(seed)
+    check_count(K, "K")
+    check_count(tau, "tau", 0, K)  # 0 is dense
+    rng = check_seed(seed)
     if tau == 0:
         return ProbVec(rng.dirichlet(np.ones(K)))
     alpha = np.zeros(K)
@@ -255,11 +228,13 @@ def gen_weights(K: int, tau: int, seed) -> ProbVec:
 
 
 def gen_document(r, N: int, seed) -> CountVector:
-    """One multinomial document of N words from word distribution r."""
-    _check_count(N, "N")
-    rv = r.values if isinstance(r, ProbVec) else np.asarray(r, dtype=float)
-    rng = np.random.default_rng(seed)
-    return CountVector(rng.multinomial(N, rv / rv.sum()))
+    """One multinomial document of N words from word distribution r, a
+    ProbVec or non-negative weights with a positive sum, normalized here."""
+    check_count(N, "N")
+    rv = _values(r, "r")
+    if rv.min() < 0 or not rv.sum() > 0:
+        raise InvalidParam("r must have non-negative entries and a positive sum")
+    return CountVector(check_seed(seed).multinomial(N, rv / rv.sum()))
 
 
 def perturb_topics(A: TopicMatrix, noise: float, seed) -> TopicMatrix:
@@ -268,10 +243,10 @@ def perturb_topics(A: TopicMatrix, noise: float, seed) -> TopicMatrix:
     Exercises the estimated-topics code paths (cost, covariances) without
     implementing a topic estimator.
     """
-    _check_nonneg(noise, "noise")
+    check_real(noise, "noise")
+    rng = check_seed(seed)
     if noise == 0:
         return A
-    rng = np.random.default_rng(seed)
     M = A.matrix * (1.0 + noise * (2.0 * rng.uniform(size=A.matrix.shape) - 1.0))
     M = np.clip(M, 1e-300, None)
     return TopicMatrix(M / M.sum(axis=0, keepdims=True))

@@ -28,9 +28,6 @@ is, ``support_batch`` floors its values at 0 on every route.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError
@@ -43,6 +40,10 @@ from .errors import (
     InvalidSimplex,
     LPFailure,
     Unbounded,
+    check_choice,
+    check_numbers,
+    check_real,
+    check_vector,
 )
 
 # Probability vectors must sum to one within this tolerance.
@@ -116,24 +117,15 @@ def _slab_bounds(target: float, delta: float) -> tuple[float, float]:
 _METRICS = ("tv", "l2")
 
 
-def _check_nonneg(value, name: str) -> None:
-    """Refuse a parameter that is not a finite real >= 0; a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParam(f"{name} must be a real number, not {value!r}")
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidParam(f"{name} must be finite and >= 0, not {value!r}")
-
-
-def _values(x, *, name: str = "vector") -> np.ndarray:
-    """Coerce ProbVec / CountVector / array-like to a float 1-d array."""
+def _values(x, name: str, K: int | None = None) -> np.ndarray:
+    """The entries of a ProbVec, CountVector (frequencies), WeightEstimate (alpha) or array-like, by ``check_vector``."""
     if isinstance(x, ProbVec):
-        return x.values
-    if hasattr(x, "frequencies"):  # CountVector
-        return np.asarray(x.frequencies, dtype=float)
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidParam(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
+        x = x.values
+    elif hasattr(x, "frequencies"):  # CountVector
+        x = x.frequencies
+    elif hasattr(x, "alpha"):  # WeightEstimate
+        x = x.alpha
+    return check_vector(x, name, K)
 
 
 class ProbVec:
@@ -146,7 +138,7 @@ class ProbVec:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = np.asarray(values, dtype=float)
+        v = check_numbers(values, "probability vector")
         if v.ndim != 1 or v.size == 0:
             raise InvalidParam("probability vector must be a nonempty 1-d array")
         if not np.all(np.isfinite(v)):
@@ -156,7 +148,7 @@ class ProbVec:
         v = np.clip(v, 0.0, None)
         s = v.sum()
         if abs(s - 1.0) > SIMPLEX_TOL:
-            raise InvalidSimplex(f"entries sum to {s!r}, expected 1")
+            raise InvalidSimplex(f"probability vector entries sum to {s!r}, expected 1")
         self.values = v
         self.values.flags.writeable = False
 
@@ -179,7 +171,7 @@ class TopicMatrix:
     __slots__ = ("matrix", "_outers", "_wls", "_dead")
 
     def __init__(self, matrix):
-        M = np.asarray(matrix, dtype=float)
+        M = check_numbers(matrix, "topic matrix")
         if M.ndim != 2 or M.size == 0:
             raise InvalidParam(f"topic matrix must be 2-d and nonempty, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
@@ -190,7 +182,7 @@ class TopicMatrix:
         sums = M.sum(axis=0)
         if np.abs(sums - 1.0).max() > SIMPLEX_TOL:
             k = int(np.abs(sums - 1.0).argmax())
-            raise InvalidSimplex(f"column {k} sums to {sums[k]!r}, expected 1")
+            raise InvalidSimplex(f"topic matrix column {k} sums to {sums[k]!r}, expected 1")
         self.matrix = M
         self.matrix.flags.writeable = False
         self._outers: np.ndarray | None = None
@@ -265,10 +257,8 @@ def _dead_words(A: np.ndarray) -> np.ndarray:
 
 def tv_distance(u, v) -> float:
     """Total variation distance ||u - v||_1 / 2 between probability vectors."""
-    a = _values(u, name="u")
-    b = _values(v, name="v")
-    if a.size != b.size:
-        raise DimError(f"dimension mismatch: {a.size} vs {b.size}")
+    a = _values(u, "u")
+    b = _values(v, "v", a.size)
     return 0.5 * float(np.abs(a - b).sum())
 
 
@@ -282,7 +272,7 @@ class CostMatrix:
     __slots__ = ("entries", "metric")
 
     def __init__(self, entries, metric: str = "table"):
-        C = np.asarray(entries, dtype=float)
+        C = check_numbers(entries, "cost table")
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
             raise InvalidCost(f"cost table must be square and nonempty, got shape {C.shape}")
         if not np.all(np.isfinite(C)):
@@ -319,19 +309,18 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
         raise InvalidParam(f"A must be a 2-d topic matrix with at least one word, got shape {M.shape}")
     K = M.shape[1]
     if isinstance(metric, str):
+        check_choice(metric, "metric", _METRICS)
         if metric == "tv":
             C = 0.5 * np.abs(M[:, :, None] - M[:, None, :]).sum(axis=0)
-        elif metric == "l2":
+        else:
             diff = M[:, :, None] - M[:, None, :]
             C = np.sqrt((diff * diff).sum(axis=0))
-        else:
-            raise InvalidParam(f"unknown metric {metric!r}, expected one of {_METRICS}")
         C = (C + C.T) / 2.0
         np.fill_diagonal(C, 0.0)
         return CostMatrix(C, metric=metric)
-    table = np.asarray(metric, dtype=float)
+    table = check_numbers(metric, "metric")
     if table.shape != (K, K):
-        raise InvalidCost(f"pairwise table must be {K}x{K}, got {table.shape}")
+        raise InvalidCost(f"metric must be {_METRICS} or a {K}x{K} pairwise table, got shape {table.shape}")
     return _metric_table(table)
 
 
@@ -560,11 +549,7 @@ def kr_dual_value(u, polytope: DualPolytope) -> tuple[float, np.ndarray]:
     Returns the optimum and one maximizer f in R^K with f_1 = 0.  The value
     is unique; the argmax may be any vertex maximizer.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (polytope.K,):
-        raise DimError(f"direction has shape {u.shape}, expected ({polytope.K},)")
-    if not np.isfinite(u).all():
-        raise InvalidParam("direction must be finite")
+    u = check_vector(u, "u", polytope.K)
     K = polytope.K
     if K == 1:
         return 0.0, np.zeros(1)
@@ -606,11 +591,11 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     over all the vertices.  On a ``zero_feasible`` polytope every value is
     floored at 0.
     """
-    U = np.ascontiguousarray(directions, dtype=float)
+    U = np.ascontiguousarray(check_numbers(directions, "directions"))
     if U.ndim == 1:
         U = U[None, :]
-    if U.shape[1] != polytope.K:
-        raise DimError(f"directions have dim {U.shape[1]}, expected {polytope.K}")
+    if U.ndim != 2 or U.shape[1] != polytope.K:
+        raise DimError(f"directions have shape {U.shape}, expected (n, {polytope.K})")
     if not np.isfinite(U).all():
         raise InvalidParam("directions must be finite")
     polytope.vertices()  # builds the support table where it can
@@ -648,11 +633,9 @@ def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float | 
     itself, after the same checks.
     """
     if delta is not None:
-        _check_nonneg(delta, "delta")
-    a = _values(alpha_hat, name="alpha_hat")
-    b = _values(beta_hat, name="beta_hat")
-    if a.size != b.size or a.size != base.K:
-        raise DimError("alpha_hat/beta_hat dimensions must match the polytope")
+        check_real(delta, "delta")
+    a = _values(alpha_hat, "alpha_hat", base.K)
+    b = _values(beta_hat, "beta_hat", base.K)
     if delta is None:
         return base
     u = a - b
@@ -669,11 +652,9 @@ def wasserstein_primal(alpha, beta, cost: CostMatrix) -> tuple[float, np.ndarray
     and beta; returns the optimal value and an optimal plan with row sums
     alpha and column sums beta.
     """
-    a = _values(alpha, name="alpha")
-    b = _values(beta, name="beta")
     K = cost.K
-    if a.size != K or b.size != K:
-        raise DimError(f"weights must have dim {K}, got {a.size} and {b.size}")
+    a = _values(alpha, "alpha", K)
+    b = _values(beta, "beta", K)
     if K == 1:
         return 0.0, np.array([[min(a[0], b[0])]])
     C = cost.entries

@@ -140,10 +140,10 @@ def test_check_columns_raises_the_first_failing_columns_error():
 
 
 _NOT_FREQUENCIES = {
-    "nan": ([np.nan, 0.5, 0.3, 0.2], "negative or non-finite"),
-    "inf": ([np.inf, 0.0, 0.0, 0.0], "negative or non-finite"),
-    "-inf": ([-np.inf, 1.0, 0.0, 0.0], "negative or non-finite"),
-    "negative": ([-0.1, 0.6, 0.3, 0.2], "negative or non-finite"),
+    "nan": ([np.nan, 0.5, 0.3, 0.2], "X must be finite: it has a non-finite entry"),
+    "inf": ([np.inf, 0.0, 0.0, 0.0], "X must be finite: it has a non-finite entry"),
+    "-inf": ([-np.inf, 1.0, 0.0, 0.0], "X must be finite: it has a non-finite entry"),
+    "negative": ([-0.1, 0.6, 0.3, 0.2], "X has a negative entry"),
     "sums-to-2": ([1.0, 0.5, 0.25, 0.25], "sums to 2.0, not 1"),
 }
 

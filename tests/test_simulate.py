@@ -52,19 +52,6 @@ def test_gen_weights_validates_tau():
         gen_weights(3, 5, 0)
 
 
-def test_generators_refuse_a_bool_size_by_name():
-    # Each of these raised numpy's untyped TypeError.
-    with pytest.raises(InvalidParam, match="^tau must be"):
-        gen_weights(3, True, 1)
-    for call, name in (
-        (lambda: gen_weights(True, 0, 1), "K"),
-        (lambda: gen_topic_matrix(40, True, 1), "K"),
-        (lambda: gen_topic_matrix(40.5, 3, 1), "p"),
-    ):
-        with pytest.raises(InvalidParam, match=f"^{name} must be an integer"):
-            call()
-
-
 @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, True])
 def test_perturb_topics_refuses_a_bad_noise_by_name(noise):
     # A NaN noise used to fail as InvalidSimplex on the perturbed matrix.
@@ -141,7 +128,8 @@ def test_config_refuses_non_integer_sizes(bad):
 @pytest.mark.parametrize("a_noise", [float("nan"), float("inf"), -0.5, "0.1"])
 def test_config_refuses_a_bad_topic_noise_when_built(a_noise):
     # NaN used to fail in the driver as a non-finite topic matrix.
-    with pytest.raises(InvalidParam, match="a_noise must be finite and >= 0"):
+    message = "a real number" if isinstance(a_noise, str) else "finite and >= 0"
+    with pytest.raises(InvalidParam, match=f"^a_noise must be {message}"):
         SimConfig(a_noise=a_noise)
 
 
