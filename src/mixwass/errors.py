@@ -12,9 +12,10 @@ from 1); ``check_unit``: a real in (0, 1) (``gamma``, ``level``);
 ``check_seed``: what ``numpy.random.default_rng`` takes; ``check_numbers``:
 an array of integers or reals, and ``check_vector``: such an array, finite,
 1-d, nonempty and of length K where given (weights, directions, samples);
-``check_choice``: one of a set of names.  None takes a bool for a number.
-Each raises :class:`InvalidParam`, or :class:`DimError` for a length that
-does not match, with a message that names the parameter.
+``check_choice``: one of a set of names; ``check_instance``: a package
+object of one class (a polytope, config, document or sample set).  None
+takes a bool for a number.  Each raises :class:`InvalidParam`, or
+:class:`DimError` for a length that does not match, naming the parameter.
 """
 
 import math
@@ -150,6 +151,13 @@ def check_vector(x, name: str, K: int | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise InvalidParam(f"{name} must be finite: it has a non-finite entry")
     return v
+
+
+def check_instance(value, name: str, cls: type):
+    """``value``, refused unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidParam(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
 
 
 def check_choice(value, name: str, choices) -> None:

@@ -26,9 +26,10 @@ public single-document functions are batches of one.  Every per-document
 product is ``_rowdot``, a stack of fixed two-row GEMMs, or a matrix-vector
 product per row (WLS), and every Gram A^T diag(w) A is one ``_rowdot``
 against the topic matrix's outer table; so a document gets the same bits
-in any batch.  A ``TopicMatrix`` builds, on first use, and keeps its outer
-table, its WLS operator and its dead words (those no topic emits, which
-``_check_rows`` refuses a count on); an array's are built per call.
+in any batch.  The kernels take only a ``TopicMatrix``, which each public
+function makes of its topics at its door (``transport._as_topics``); it
+builds, on first use, and keeps its outer table, its WLS operator and its
+dead words (those no topic emits, which ``_check_rows`` refuses a count on).
 
 ``_em_batch`` fits Newton first.  Newton steps on the face of free
 coordinates (a projected Newton method, Bertsekas 1982, SIAM J. Control
@@ -67,7 +68,7 @@ from .errors import (
     check_choice,
     check_count,
 )
-from .transport import TopicMatrix, _dead_words, _outer_rows, _topics_array, _values, _wls_rows
+from .transport import TopicMatrix, _as_topics, _values
 
 # Support threshold for Jhat = {j : Ahat_j . alpha > ZETA}; numerical
 # stand-in for strict positivity of the fitted word probabilities.
@@ -158,21 +159,19 @@ class CovEstimate:
     rank: int
 
 
-def _check_rows(X: np.ndarray, A) -> None:
+def _check_rows(X: np.ndarray, A: TopicMatrix) -> None:
     """Refuse a (B, p) batch of frequency rows with the first failing row's error.
 
     One mask for the batch.  A row's faults, in the order they are raised:
     a non-finite or negative entry, empty support, a positive count on a
     word that no topic gives positive probability, a sum off one by more
-    than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.  A
-    ``TopicMatrix`` keeps its dead words (``TopicMatrix.dead``); an array's
-    are found per call.
+    than ``TOL_KKT``, since the MLE's KKT gap is at least that offset.  The
+    dead words are the topic matrix's (``TopicMatrix.dead``).
     """
-    Am = _topics_array(A)
-    if X.shape[1] != Am.shape[0]:
-        raise InvalidParam(f"X has dim {X.shape[1]}, topics have {Am.shape[0]} rows")
+    if X.shape[1] != A.p:
+        raise InvalidParam(f"X has dim {X.shape[1]}, topics have {A.p} rows")
     pos, sums = X > 0, X.sum(axis=1)
-    dead = A.dead if isinstance(A, TopicMatrix) else _dead_words(Am)
+    dead = A.dead
     bad = ~(np.abs(sums - 1.0) <= TOL_KKT) | (X < 0).any(axis=1) | pos[:, dead].any(axis=1)
     if bad.any():
         b = int(bad.argmax())
@@ -204,15 +203,10 @@ def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (U.reshape(-1, 2, U.shape[1]) @ M).reshape(-1, M.shape[1])[:n]
 
 
-def _design(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A topic matrix (``TopicMatrix`` or array) as C-ordered A, A^T and outer table.
-
-    A ``TopicMatrix`` keeps its outer table, so every fit against it
-    shares one; an array's table is built per call.
-    """
-    Am = np.ascontiguousarray(_topics_array(A), dtype=float)
-    AA = A.outers if isinstance(A, TopicMatrix) else _outer_rows(Am)
-    return Am, np.ascontiguousarray(Am.T), AA
+def _design(A: TopicMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A topic matrix as C-ordered A, A^T and its outer table, which every fit against it shares."""
+    Am = np.ascontiguousarray(A.matrix)
+    return Am, np.ascontiguousarray(Am.T), A.outers
 
 
 def _fitted(x: np.ndarray, AT: np.ndarray) -> np.ndarray:
@@ -229,7 +223,7 @@ def _gap(x: np.ndarray, gm1: np.ndarray) -> np.ndarray:
     return np.where(x > TAU_SUPP, np.abs(gm1), np.maximum(gm1, 0.0)).max(axis=1)
 
 
-def _kkt_gaps(X: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def _kkt_gaps(X: np.ndarray, A: TopicMatrix, alphas: np.ndarray) -> np.ndarray:
     """KKT defect (B,) of each (B, K) weight row on its (B, p) frequency row.
 
     No fit calls it: ``_em_batch`` takes its gaps from the Newton finish,
@@ -399,7 +393,7 @@ def _trial_step(X, pos, x, R, d, t, ratio, AT):
     return xt, terms.sum(axis=1) >= np.log1p(dx.sum(axis=1) / x.sum(axis=1))
 
 
-def _start(X: np.ndarray, AT: np.ndarray, A) -> np.ndarray:
+def _start(X: np.ndarray, AT: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """Start (B, K) of the first Newton round: each row's clipped WLS point.
 
     max(WLS, 0), renormalised, so most coordinates off the MLE's support
@@ -433,7 +427,7 @@ def _first_steps(K: int) -> int:
     return _NEWTON_MAX_STEPS + min(K, _NEWTON_MAX_STEPS)
 
 
-def _em_batch(X: np.ndarray, A: np.ndarray, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _em_batch(X: np.ndarray, A: TopicMatrix, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simplex MLE of a (B, p) batch of frequency rows: Newton, then the rescue.
 
     Returns (alphas (B, K), iterations (B,), converged (B,), KKT gaps (B,)).
@@ -512,13 +506,13 @@ def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     ``iterations`` and ``max_iter``, an integer >= 0, count Newton steps
     plus any EM maps.
     """
-    return _fit_batch(_values(X, "X")[None, :], A, Method.MLE, max_iter).estimate(0)
+    return _fit_batch(_values(X, "X")[None, :], _as_topics(A, "A"), Method.MLE, max_iter).estimate(0)
 
 
 def mle_objective(alpha, X, A) -> float:
     """Normalized log-likelihood sum_j X_j log(A_j . alpha) on supp(X)."""
     Xv = _values(X, "X")
-    Am = _topics_array(A)
+    Am = _as_topics(A, "A").matrix
     s = Xv > 0
     r = Am[s] @ np.asarray(alpha, dtype=float)
     if np.any(r <= 0):
@@ -526,7 +520,7 @@ def mle_objective(alpha, X, A) -> float:
     return float(Xv[s] @ np.log(r))
 
 
-def _information(x: np.ndarray, A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _information(x: np.ndarray, A: TopicMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Information matrices (B, K, K) of a (B, K) batch of weight rows x.
 
     Returns (A, the mask J of fitted probabilities r = x A^T above ``ZETA``,
@@ -542,7 +536,7 @@ def _information(x: np.ndarray, A) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return A, J, R, _grams(np.where(J, 1.0 / R, 0.0), AA)
 
 
-def _debias_batch(alphas: np.ndarray, X: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _debias_batch(alphas: np.ndarray, X: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """One-step correction of (B, K) MLE rows on their (B, p) frequency rows
     (see ``debias``): ``_information``, and its pseudo-inverses in one stacked call."""
     A, J, R, V = _information(alphas, A)
@@ -560,7 +554,8 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     may leave the simplex.  X is refused as the MLE refuses it.  This is
     ``_debias_batch`` on a batch of one.
     """
-    alpha = _values(alpha_hat, "alpha_hat", _topics_array(A_hat).shape[1])
+    A_hat = _as_topics(A_hat, "A_hat")
+    alpha = _values(alpha_hat, "alpha_hat", A_hat.K)
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(alpha, Method.MLE, 0, True)
     X = _values(X, "X")[None, :]
     _check_rows(X, A_hat)
@@ -584,7 +579,7 @@ class _Fits(NamedTuple):
         return WeightEstimate(self.est[b], self.method, int(self.iterations[b]), bool(self.converged[b]), gap)
 
 
-def _fit_batch(X: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
+def _fit_batch(X: np.ndarray, A: TopicMatrix, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
     """Fit of each (B, p) frequency row by ``method``: the one way a document is fitted.
 
     Every method validates the batch (``_check_rows``) and ``max_iter``, a
@@ -600,7 +595,7 @@ def _fit_batch(X: np.ndarray, A, method: Method = Method.DEBIASED, max_iter: int
     return _Fits(method, est, mle, iterations, converged, gaps)
 
 
-def _covariances(fits: _Fits, X: np.ndarray, A) -> np.ndarray | None:
+def _covariances(fits: _Fits, X: np.ndarray, A: TopicMatrix) -> np.ndarray | None:
     """Plug-in covariances (B, K, K) of the fits of frequency rows X: at
     the MLE for the debiased fit, at the estimate for WLS, none for the MLE."""
     if fits.method is Method.WLS:
@@ -608,7 +603,7 @@ def _covariances(fits: _Fits, X: np.ndarray, A) -> np.ndarray | None:
     return _sigma_batch(fits.mle, A) if fits.method is Method.DEBIASED else None
 
 
-def _sigma_batch(x: np.ndarray, A) -> np.ndarray:
+def _sigma_batch(x: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """Plug-in covariances (B, K, K) of a (B, K) batch of weight rows x.
 
     See ``sigma_hat``.  ``_information``'s matrices, inverted in one stacked
@@ -631,23 +626,23 @@ def sigma_hat(alpha, A_hat) -> CovEstimate:
     information matrix is singular at rank tolerance.  This is
     ``_sigma_batch`` on a batch of one, plus the rank of the result.
     """
-    sigma = _sigma_batch(_values(alpha, "alpha", _topics_array(A_hat).shape[1])[None, :], A_hat)[0]
+    A_hat = _as_topics(A_hat, "A_hat")
+    sigma = _sigma_batch(_values(alpha, "alpha", A_hat.K)[None, :], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)
 
 
-def _wls_operator(A) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with positive mass and the WLS pseudo-inverse on them (``_wls_rows``).
+def _wls_operator(A: TopicMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with positive mass and the WLS pseudo-inverse on them (``TopicMatrix.wls``).
 
-    A ``TopicMatrix`` keeps the pair (``TopicMatrix.wls``); an array's is
-    built per call.  A singular design raises :class:`SingularDesign`.
+    A singular design raises :class:`SingularDesign`.
     """
-    keep, Aplus = A.wls if isinstance(A, TopicMatrix) else _wls_rows(_topics_array(A))
+    keep, Aplus = A.wls
     if Aplus is None:
         raise SingularDesign("weighted design matrix Ahat^T Dhat^{-1} Ahat is singular")
     return keep, Aplus
 
 
-def _wls_batch(X: np.ndarray, A) -> np.ndarray:
+def _wls_batch(X: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """WLS estimates (B, K) of (B, p) frequency rows (see ``wls_weights``):
     one matrix-vector product per row, stacked, since one GEMM over the
     batch gives a row other bits at other heights."""
@@ -664,10 +659,10 @@ def wls_weights(X, A_hat) -> WeightEstimate:
     positive count on a zero-mass row raises :class:`InfeasibleRow`.  This
     is ``_fit_batch`` on a batch of one.
     """
-    return _fit_batch(_values(X, "X")[None, :], A_hat, Method.WLS).estimate(0)
+    return _fit_batch(_values(X, "X")[None, :], _as_topics(A_hat, "A_hat"), Method.WLS).estimate(0)
 
 
-def _sigma_ls_batch(x: np.ndarray, R: np.ndarray, A) -> np.ndarray:
+def _sigma_ls_batch(x: np.ndarray, R: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """WLS plug-in covariances (B, K, K) of (B, K) weight and (B, p) probability rows (see ``sigma_ls``)."""
     keep, Aplus = _wls_operator(A)
     sigma = (Aplus * R[:, None, keep]) @ Aplus.T - x[:, :, None] * x[:, None, :]
@@ -682,6 +677,6 @@ def sigma_ls(alpha, X_or_r, A_hat) -> CovEstimate:
     supplied frequency or probability vector.  This is ``_sigma_ls_batch``
     on a batch of one.
     """
-    p, K = _topics_array(A_hat).shape
-    sigma = _sigma_ls_batch(_values(alpha, "alpha", K)[None, :], _values(X_or_r, "X_or_r", p)[None, :], A_hat)[0]
+    A_hat = _as_topics(A_hat, "A_hat")
+    sigma = _sigma_ls_batch(_values(alpha, "alpha", A_hat.K)[None, :], _values(X_or_r, "X_or_r", A_hat.p)[None, :], A_hat)[0]
     return CovEstimate(sigma=sigma, rank=numlin.sym_eig(sigma).rank)

@@ -43,9 +43,9 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from . import numlin
-from .errors import InvalidParam, MixwassError, check_count, check_real, check_seed, check_unit, check_vector
+from .errors import InvalidParam, MixwassError, check_count, check_instance, check_real, check_seed, check_unit, check_vector
 from .estimators import CountVector, Method, _fit_batch, _Fits, _sigma_batch
-from .transport import DualPolytope, _values, restricted_polytope, support_batch
+from .transport import DualPolytope, TopicMatrix, _as_polytope, _as_topics, _values, restricted_polytope, support_batch
 
 
 def effective_root_n(N_i: int, N_j: int) -> float:
@@ -62,7 +62,7 @@ def theorem_delta(N: int, p: int, n: int | None = None) -> float:
     L = max(N, p, n or 0, 2)
     d = math.sqrt(math.log(L) / N)
     if n is not None and n > 0:
-        d += math.sqrt(p * math.log(L) / (n * N))
+        d += math.sqrt(p) * math.sqrt(math.log(L) / N) / math.sqrt(n)  # no product that overflows before the result
     return d
 
 
@@ -80,7 +80,7 @@ class LimitSampleSet:
     def __init__(self, samples, delta, seed, zero_feasible: bool = False, meta: dict | None = None):
         self.samples = s = check_vector(samples, "samples")
         self.M = s.size
-        self.delta = delta
+        self.delta = None if delta is None else check_real(delta, "delta")
         self.seed = seed
         self.zero_feasible = bool(zero_feasible)
         self.meta = dict(meta or {})
@@ -113,17 +113,13 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
-def _as_polytope(cost) -> DualPolytope:
-    return cost if isinstance(cost, DualPolytope) else DualPolytope(cost)
-
-
 def distance_estimate(alpha_i, alpha_j, cost) -> float:
     """Support-function distance estimate sup_f f^T (alpha_i - alpha_j).
 
     Inputs may be the debiased (possibly negative-entry) estimates; the LP
     value is returned as-is.
     """
-    poly = _as_polytope(cost)
+    poly = _as_polytope(cost, "cost")
     ai = _values(alpha_i, "alpha_i", poly.K)
     aj = _values(alpha_j, "alpha_j", poly.K)
     return float(support_batch(poly, (ai - aj)[None, :])[0])
@@ -156,7 +152,7 @@ def _sample_set(samples, poly: DualPolytope, delta, seed, **meta) -> LimitSample
     return LimitSampleSet(samples, delta=delta, seed=seed, zero_feasible=poly.zero_feasible, meta={"w_hat": w_hat, **meta})
 
 
-def _plugin_limits(alphas_i, alphas_j, A_hat, base: DualPolytope, delta, M: int, seeds) -> list[LimitSampleSet]:
+def _plugin_limits(alphas_i, alphas_j, A_hat: TopicMatrix, base: DualPolytope, delta, M: int, seeds) -> list[LimitSampleSet]:
     """Plug-in limit laws of B document pairs (see ``limit_sampler``).
 
     ``alphas_i`` and ``alphas_j`` are (B, K) batches of simplex estimates
@@ -190,10 +186,10 @@ def limit_sampler(
     """
     check_count(M, "M")
     check_seed(seed)
-    poly = _as_polytope(cost)
+    poly = _as_polytope(cost, "cost")
     ai = _values(alpha_i, "alpha_i", poly.K)[None, :]
     aj = _values(alpha_j, "alpha_j", poly.K)[None, :]
-    return _plugin_limits(ai, aj, A_hat, poly, delta, M, [seed])[0]
+    return _plugin_limits(ai, aj, _as_topics(A_hat, "A_hat"), poly, delta, M, [seed])[0]
 
 
 def _check_level(level: float, size: int, name: str = "M") -> None:
@@ -211,7 +207,7 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     """
     check_real(W_tilde, "W_tilde", -math.inf)
     divisor = effective_root_n(N_i, N_j)  # refuses sizes below 1 before s divides by their sum
-    _check_level(level, limits.M)
+    _check_level(level, check_instance(limits, "limits", LimitSampleSet).M)
     s = math.sqrt(N_i * N_j / (N_i + N_j))
     q_hi = limits.quantile(1.0 - level / 2.0)
     q_lo = limits.quantile(level / 2.0)
@@ -229,7 +225,7 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
 _CHUNK = 32
 
 
-def _fit_rows(X: np.ndarray, A, method: Method = Method.DEBIASED) -> _Fits:
+def _fit_rows(X: np.ndarray, A: TopicMatrix, method: Method = Method.DEBIASED) -> _Fits:
     """Fits of the (n, p) frequency rows X by ``method``, ``_fit_batch`` on each
     run of ``_CHUNK`` rows: the one fit of documents, of a corpus and of pairs."""
     parts = [_fit_batch(X[s : s + _CHUNK], A, method) for s in range(0, len(X), _CHUNK)]
@@ -259,7 +255,7 @@ class FittedPairs:
         return dataclasses.replace(self, **{k: v[cols] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
 
 
-def _fit_pairs(X_i: np.ndarray, X_j: np.ndarray, N_i: int, N_j: int, A, poly: DualPolytope | None, method: Method = Method.DEBIASED) -> FittedPairs:
+def _fit_pairs(X_i: np.ndarray, X_j: np.ndarray, N_i: int, N_j: int, A: TopicMatrix, poly: DualPolytope | None, method: Method = Method.DEBIASED) -> FittedPairs:
     """B document pairs of (B, p) frequencies a side, fitted by ``_fit_rows``
     as 2B rows, the i sides first, and measured over ``poly`` if given."""
     B = len(X_i)
@@ -373,7 +369,8 @@ def _observed_pair_samples(name: str, X_i: CountVector, X_j: CountVector, A_hat,
     """Method ``name`` on one observed pair, fitted as ``ci`` fits it."""
     settings = METHODS[name].settings(**values)
     check_seed(seed)
-    poly = _as_polytope(cost)
+    X_i, X_j = check_instance(X_i, "X_i", CountVector), check_instance(X_j, "X_j", CountVector)
+    A_hat, poly = _as_topics(A_hat, "A_hat"), _as_polytope(cost, "cost")
     pairs = _fit_pairs(X_i.frequencies[None, :], X_j.frequencies[None, :], X_i.N, X_j.N, A_hat, poly)
     return METHODS[name].sampler(pairs, A_hat, poly, [seed], settings)[0]
 

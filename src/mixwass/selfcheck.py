@@ -303,10 +303,10 @@ def check_limit_batch_matches_single(seed: int = 29, K: int = 5, deltas=(None, 0
     of ``deltas``; by default on the full polytope and on the delta=0 face."""
     rng = np.random.default_rng(seed)
     p, N, n, M, B = 60, 300, 8, 200, 40
-    A = gen_topic_matrix(p, K, seed).matrix
+    A = gen_topic_matrix(p, K, seed)
     poly = DualPolytope(cost_matrix(A, "tv"))
     alpha = rng.dirichlet(np.ones(K), size=2)
-    counts = [rng.multinomial(N, A @ a, size=n) for a in alpha]
+    counts = [rng.multinomial(N, A.matrix @ a, size=n) for a in alpha]
     pairs, _ = _pair_estimates(*counts, N, N, A, poly)
     seeds = [int(s) for s in rng.integers(0, 2**32, size=n)]
     docs = [[CountVector(c[b]) for c in counts] for b in range(n)]

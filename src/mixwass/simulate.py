@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam, check_choice, check_count, check_real, check_seed, check_unit
+from .errors import InvalidParam, check_choice, check_count, check_instance, check_real, check_seed, check_unit
 from .estimators import CountVector, Method, _sigma_batch, sigma_hat, sigma_ls
 from .inference import (
     _CHUNK,
@@ -49,6 +49,7 @@ from .transport import (
     DualPolytope,
     ProbVec,
     TopicMatrix,
+    _as_topics,
     _values,
     cost_matrix,
     wasserstein_primal,
@@ -237,12 +238,13 @@ def gen_document(r, N: int, seed) -> CountVector:
     return CountVector(check_seed(seed).multinomial(N, rv / rv.sum()))
 
 
-def perturb_topics(A: TopicMatrix, noise: float, seed) -> TopicMatrix:
+def perturb_topics(A, noise: float, seed) -> TopicMatrix:
     """Multiplicative entrywise perturbation, columns renormalized.
 
     Exercises the estimated-topics code paths (cost, covariances) without
     implementing a topic estimator.
     """
+    A = _as_topics(A, "A")
     check_real(noise, "noise")
     rng = check_seed(seed)
     if noise == 0:
@@ -343,7 +345,7 @@ def run_ci_experiment(config: SimConfig) -> ExperimentReport:
     alternative both use the facet slab of width ``delta``.
     """
     t0 = time.time()
-    config = config.scaled()
+    config = check_instance(config, "config", SimConfig).scaled()
     facet_delta = None if config.design == "null" else config.resolve_delta()
     for name in config.methods:  # a size too small for the level is refused before any fit
         METHODS[name].settings(config.level, M=config.M, B=config.B, gamma=config.gamma, delta=facet_delta)
@@ -403,7 +405,7 @@ def run_normality_experiment(config: SimConfig) -> ExperimentReport:
     from scipy import stats as sstats  # only caller; keeps it out of `import mixwass`
 
     t0 = time.time()
-    config = config.scaled()
+    config = check_instance(config, "config", SimConfig).scaled()
     A, A_hat, _, _, _ = _setup(config)
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
@@ -478,7 +480,7 @@ def run_convergence_experiment(config: SimConfig) -> ExperimentReport:
     distance draws are compared against ``M`` limit draws.
     """
     t0 = time.time()
-    config = config.scaled()
+    config = check_instance(config, "config", SimConfig).scaled()
     A, A_hat, _, poly, true_poly = _setup(config)
     alpha = gen_weights(config.K, config.tau, [config.seed, _S_WEIGHTS]).values
     r = A.matrix @ alpha
@@ -547,7 +549,7 @@ def run_mle_vs_wls_experiment(config: SimConfig) -> ExperimentReport:
     law so the paired length difference is estimated with low noise.
     """
     t0 = time.time()
-    config = config.scaled()
+    config = check_instance(config, "config", SimConfig).scaled()
     A, A_hat, _, poly, true_poly = _setup(config)
     tasks, per_outer = [], []
     root_n = math.sqrt(config.N)

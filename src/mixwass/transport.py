@@ -39,8 +39,10 @@ from .errors import (
     InvalidParam,
     InvalidSimplex,
     LPFailure,
+    MixwassError,
     Unbounded,
     check_choice,
+    check_instance,
     check_numbers,
     check_real,
     check_vector,
@@ -148,7 +150,7 @@ class ProbVec:
         v = np.clip(v, 0.0, None)
         s = v.sum()
         if abs(s - 1.0) > SIMPLEX_TOL:
-            raise InvalidSimplex(f"probability vector entries sum to {s!r}, expected 1")
+            raise InvalidSimplex(f"probability vector entries sum to {float(s)!r}, expected 1")
         self.values = v
         self.values.flags.writeable = False
 
@@ -182,7 +184,7 @@ class TopicMatrix:
         sums = M.sum(axis=0)
         if np.abs(sums - 1.0).max() > SIMPLEX_TOL:
             k = int(np.abs(sums - 1.0).argmax())
-            raise InvalidSimplex(f"topic matrix column {k} sums to {sums[k]!r}, expected 1")
+            raise InvalidSimplex(f"topic matrix column {k} sums to {float(sums[k])!r}, expected 1")
         self.matrix = M
         self.matrix.flags.writeable = False
         self._outers: np.ndarray | None = None
@@ -199,60 +201,53 @@ class TopicMatrix:
 
     @property
     def outers(self) -> np.ndarray:
-        """The (p, K*K) table of ``_outer_rows``."""
+        """Table (p, K*K) whose row j is vec(A_j A_j^T), read-only."""
         if self._outers is None:
-            self._outers = _outer_rows(self.matrix)
+            A = self.matrix
+            self._outers = np.einsum("jk,jl->jkl", A, A, order="C").reshape(len(A), -1)
+            self._outers.flags.writeable = False
         return self._outers
 
     @property
     def wls(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The (kept rows, WLS pseudo-inverse) pair of ``_wls_rows``."""
+        """Rows with positive mass and the WLS pseudo-inverse on them, read-only:
+        (keep, Ahat^+) with Ahat^+ = Mhat^{-1} Ahat^T Dhat^{-1}, Dhat the diagonal
+        of topic-row l1 norms and Mhat = Ahat^T Dhat^{-1} Ahat, or None where Mhat
+        is singular at rank tolerance.  A frequency row x has WLS estimate Ahat^+ @ x[keep]."""
         if self._wls is None:
-            self._wls = _wls_rows(self.matrix)
+            d = self.matrix.sum(axis=1)
+            keep = np.flatnonzero(d > 0)
+            Ak = self.matrix[keep]
+            B = Ak / d[keep][:, None]  # Dhat^{-1} Ahat
+            keep.flags.writeable = False
+            try:
+                Aplus = numlin.inv_at_rank(Ak.T @ B) @ B.T
+                Aplus.flags.writeable = False
+            except numlin._SingularAtRank:
+                Aplus = None
+            self._wls = keep, Aplus
         return self._wls
 
     @property
     def dead(self) -> np.ndarray:
-        """Indices of the words that no topic gives positive probability."""
+        """Indices, ascending and read-only, of the words that no topic gives positive probability."""
         if self._dead is None:
-            self._dead = _dead_words(self.matrix)
+            self._dead = np.flatnonzero(~(self.matrix > 0.0).any(axis=1))
+            self._dead.flags.writeable = False
         return self._dead
 
 
-def _outer_rows(A: np.ndarray) -> np.ndarray:
-    """Table (p, K*K) whose row j is vec(A_j A_j^T), read-only."""
-    AA = np.einsum("jk,jl->jkl", A, A, order="C").reshape(len(A), -1)
-    AA.flags.writeable = False
-    return AA
-
-
-def _wls_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows with positive mass and the WLS pseudo-inverse on them, read-only.
-
-    Returns (keep, Ahat^+) with Ahat^+ = Mhat^{-1} Ahat^T Dhat^{-1}, where
-    Dhat is the diagonal of topic-row l1 norms and Mhat = Ahat^T Dhat^{-1}
-    Ahat; the WLS estimate of a frequency row x is Ahat^+ @ x[keep].
-    Ahat^+ is None where Mhat is singular at rank tolerance.
-    """
-    d = A.sum(axis=1)
-    keep = np.flatnonzero(d > 0)
-    Ak = A[keep]
-    B = Ak / d[keep][:, None]  # Dhat^{-1} Ahat
-    keep.flags.writeable = False
+def _named(build, value, name: str):
+    """``build(value)``, whose refusal is prefixed with the parameter ``name``."""
     try:
-        Minv = numlin.inv_at_rank(Ak.T @ B)
-    except numlin._SingularAtRank:
-        return keep, None
-    Aplus = Minv @ B.T
-    Aplus.flags.writeable = False
-    return keep, Aplus
+        return build(value)
+    except MixwassError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
-def _dead_words(A: np.ndarray) -> np.ndarray:
-    """Indices, ascending and read-only, of the rows of A with no positive entry."""
-    dead = np.flatnonzero(~(A > 0.0).any(axis=1))
-    dead.flags.writeable = False
-    return dead
+def _as_topics(A, name: str) -> TopicMatrix:
+    """``A`` as a ``TopicMatrix``: an array goes through the constructor's checks."""
+    return A if isinstance(A, TopicMatrix) else _named(TopicMatrix, A, name)
 
 
 def tv_distance(u, v) -> float:
@@ -260,10 +255,6 @@ def tv_distance(u, v) -> float:
     a = _values(u, "u")
     b = _values(v, "v", a.size)
     return 0.5 * float(np.abs(a - b).sum())
-
-
-def _topics_array(A) -> np.ndarray:
-    return A.matrix if isinstance(A, TopicMatrix) else np.asarray(A, dtype=float)
 
 
 class CostMatrix:
@@ -304,17 +295,12 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
     pairwise table (validated for symmetry, zero diagonal and the triangle
     inequality).
     """
-    M = _topics_array(A)
-    if M.ndim != 2 or not len(M):
-        raise InvalidParam(f"A must be a 2-d topic matrix with at least one word, got shape {M.shape}")
+    M = _as_topics(A, "A").matrix
     K = M.shape[1]
     if isinstance(metric, str):
         check_choice(metric, "metric", _METRICS)
-        if metric == "tv":
-            C = 0.5 * np.abs(M[:, :, None] - M[:, None, :]).sum(axis=0)
-        else:
-            diff = M[:, :, None] - M[:, None, :]
-            C = np.sqrt((diff * diff).sum(axis=0))
+        diff = M[:, :, None] - M[:, None, :]
+        C = 0.5 * np.abs(diff).sum(axis=0) if metric == "tv" else np.sqrt((diff * diff).sum(axis=0))
         C = (C + C.T) / 2.0
         np.fill_diagonal(C, 0.0)
         return CostMatrix(C, metric=metric)
@@ -349,11 +335,11 @@ class DualPolytope:
     cache of its cost.  ``restricted_polytope`` returns a view on a base: it
     adds the slab ``slab = (direction, target, delta)`` to the base's
     halfspaces and reads the base's vertices instead of enumerating again.
-    A raw cost table must be a metric; a ``CostMatrix`` is taken as it is.
+    A raw cost table enters through ``_as_polytope``, which requires a metric.
     """
 
     def __init__(self, cost: CostMatrix):
-        self.cost = cost if isinstance(cost, CostMatrix) else _metric_table(cost)
+        self.cost = check_instance(cost, "cost", CostMatrix)
         self.base: DualPolytope | None = None
         self.slab: tuple[np.ndarray, float, float] | None = None
         self._halfspaces: tuple[np.ndarray, np.ndarray] | None = None
@@ -463,6 +449,14 @@ class DualPolytope:
         return bool(np.all(A @ f[1:] <= b + tol))
 
 
+def _as_polytope(cost, name: str) -> DualPolytope:
+    """``cost`` as a ``DualPolytope``: a polytope as it is, a ``CostMatrix``
+    or a metric table (``_metric_table``) as its base polytope."""
+    if isinstance(cost, DualPolytope):
+        return cost
+    return DualPolytope(cost if isinstance(cost, CostMatrix) else _named(_metric_table, cost, name))
+
+
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Vertices of {x : A x <= b}, or None when enumeration is unavailable.
 
@@ -549,8 +543,8 @@ def kr_dual_value(u, polytope: DualPolytope) -> tuple[float, np.ndarray]:
     Returns the optimum and one maximizer f in R^K with f_1 = 0.  The value
     is unique; the argmax may be any vertex maximizer.
     """
-    u = check_vector(u, "u", polytope.K)
-    K = polytope.K
+    K = check_instance(polytope, "polytope", DualPolytope).K
+    u = check_vector(u, "u", K)
     if K == 1:
         return 0.0, np.zeros(1)
     A, b = polytope.halfspaces()
@@ -591,6 +585,7 @@ def support_batch(polytope: DualPolytope, directions) -> np.ndarray:
     over all the vertices.  On a ``zero_feasible`` polytope every value is
     floored at 0.
     """
+    check_instance(polytope, "polytope", DualPolytope)
     U = np.ascontiguousarray(check_numbers(directions, "directions"))
     if U.ndim == 1:
         U = U[None, :]
@@ -634,7 +629,7 @@ def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float | 
     """
     if delta is not None:
         check_real(delta, "delta")
-    a = _values(alpha_hat, "alpha_hat", base.K)
+    a = _values(alpha_hat, "alpha_hat", check_instance(base, "base", DualPolytope).K)
     b = _values(beta_hat, "beta_hat", base.K)
     if delta is None:
         return base
@@ -645,13 +640,15 @@ def restricted_polytope(base: DualPolytope, alpha_hat, beta_hat, delta: float | 
     return poly
 
 
-def wasserstein_primal(alpha, beta, cost: CostMatrix) -> tuple[float, np.ndarray]:
+def wasserstein_primal(alpha, beta, cost) -> tuple[float, np.ndarray]:
     """Exact Wasserstein distance between K-atom mixing measures.
 
     Solves the transportation LP min <gamma, cost> over couplings of alpha
     and beta; returns the optimal value and an optimal plan with row sums
-    alpha and column sums beta.
+    alpha and column sums beta.  ``cost`` is a ``CostMatrix``, a metric
+    table or a ``DualPolytope`` (its cost), as ``_as_polytope`` reads it.
     """
+    cost = _as_polytope(cost, "cost").cost
     K = cost.K
     a = _values(alpha, "alpha", K)
     b = _values(beta, "beta", K)

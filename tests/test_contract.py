@@ -19,9 +19,13 @@ Valid sizes stay small (M, B <= 64, p <= 40), and a hostile size is one the
 door refuses before it allocates anything (2**64, -1, 1.5, True), never a
 large size that is valid.  ``mixwass.io.load_counts`` is not exported by
 ``mixwass`` and is not in the table: without ``p`` it sizes a document by
-its largest word id.  Parameters whose domain is a package object (topics,
-a cost or polytope, a sample set, a config, a document) are drawn from valid
-objects only; their constructors' rows draw the hostile arrays.
+its largest word id.  A parameter that takes a package object draws the
+fixture objects as valid values, and as hostile ones the arrays and wrong
+objects it must refuse: topics draw the hostile topic arrays, a cost the
+hostile cost tables, a table off the triangle inequality and wrong types; a
+polytope, a config, a document or a sample set draws arrays, dicts, other
+package objects and None.  Only the flag ``quick`` and a sample set's record
+of its seed are drawn valid only (``test_only_records_and_flags_are_drawn_valid_only``).
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from mixwass import (
     DimError,
     DualPolytope,
     ExperimentReport,
+    InvalidCost,
     InvalidParam,
+    InvalidSimplex,
     LimitSampleSet,
     Method,
     MixwassError,
@@ -311,6 +317,15 @@ DIRECTIONS = Domain(
 METRIC = Domain(_values("tv", "l2", COST.entries), _values("foo", "", "TV", None, 5, True, (1.0,)))
 DELTA = optional(real(0.0, 2.0))
 DOC_SIZE = real(1.0, 1e6)
+
+# Package objects: the fixture objects valid, arrays and wrong objects hostile.
+TOPIC_ARGS = Domain(st.one_of(_values(A), _layouts(A.matrix)), TOPICS.hostile)
+_NOT_METRIC = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])  # 3 > 1 + 1
+COSTS = Domain(st.one_of(_values(COST, POLY), _layouts(COST.entries)), st.one_of(TABLE.hostile, _values(_NOT_METRIC, "x", 1.0, A, {})))
+POLYTOPES = Domain(_values(POLY), _values(COST, COST.entries, None))
+DOCS_I, DOCS_J = (Domain(_values(doc), _values(doc.counts, doc.frequencies, None)) for doc in (DOC_I, DOC_J))
+LIMIT_SETS = Domain(_values(LIMITS), _values(LIMITS.samples, np.ones(1000), None))
+CONFIGS = Domain(_values(CONFIG), _values({"K": 3}, CONFIG.to_dict(), None))
 METHOD_VALUES = Domain(_values("mle", "debiased", "wls", Method.WLS), _values("x", "", "MLE", None, 1, True))
 
 
@@ -379,7 +394,7 @@ class Row(NamedTuple):
 
     ``labels`` gives the words a message names a parameter by where they
     are not its name (the one argument of a constructor); ``examples`` is
-    the number of Hypothesis draws.
+    the number of Hypothesis draws for the valid call and for each hostile parameter.
     """
 
     fn: Callable
@@ -393,41 +408,41 @@ class Row(NamedTuple):
         return self.labels.get(name, name)
 
 
-_RUN = (dict(config=given_objects(CONFIG)), dict(config=CONFIG), _report, {}, 1)
+_RUN = (dict(config=CONFIGS), dict(config=CONFIG), _report, {}, 4)
 ROWS: dict[str, Row] = {
     # transport
     "ProbVec": Row(ProbVec, dict(values=PROB), dict(values=ALPHA), lambda r, kw: _simplex(r.values), dict(values="probability vector")),
     "TopicMatrix": Row(TopicMatrix, dict(matrix=TOPICS), dict(matrix=A.matrix), _topic_matrix, dict(matrix="topic matrix")),
     "CostMatrix": Row(CostMatrix, dict(entries=TABLE), dict(entries=COST.entries), _cost, dict(entries="cost table")),
-    "cost_matrix": Row(cost_matrix, dict(A=given_objects(A, A.matrix), metric=METRIC), dict(A=A, metric="tv"), lambda C, kw: _cost(C, kw) and C.K == K),
+    "cost_matrix": Row(cost_matrix, dict(A=TOPIC_ARGS, metric=METRIC), dict(A=A, metric="tv"), lambda C, kw: _cost(C, kw) and C.K == K),
     "DualPolytope": Row(
         DualPolytope,
-        dict(cost=Domain(st.one_of(_values(COST), TABLE.valid), st.one_of(TABLE.hostile, _values(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]))))),
+        dict(cost=Domain(_values(COST, cost_matrix(A, "l2")), st.one_of(TABLE.valid, TABLE.hostile, _values(POLY, "x")))),
         dict(cost=COST),
         lambda poly, kw: poly.K >= 1,
     ),
     "kr_dual_value": Row(
         kr_dual_value,
-        dict(u=vector(K, st.floats(-10.0, 10.0)), polytope=given_objects(POLY)),
+        dict(u=vector(K, st.floats(-10.0, 10.0)), polytope=POLYTOPES),
         dict(u=ALPHA, polytope=POLY),
         lambda r, kw: _finite(r[0], r[1]) and r[1].shape == (K,) and r[1][0] == 0.0,
     ),
     "restricted_polytope": Row(
         restricted_polytope,
-        dict(base=given_objects(POLY), alpha_hat=WEIGHTS, beta_hat=WEIGHTS, delta=DELTA),
+        dict(base=POLYTOPES, alpha_hat=WEIGHTS, beta_hat=WEIGHTS, delta=DELTA),
         dict(base=POLY, alpha_hat=ALPHA, beta_hat=ALPHA[::-1], delta=0.0),
         lambda poly, kw: poly.K == K,
     ),
     "support_batch": Row(
         support_batch,
-        dict(polytope=given_objects(POLY), directions=DIRECTIONS),
+        dict(polytope=POLYTOPES, directions=DIRECTIONS),
         dict(polytope=POLY, directions=np.eye(K)),
         lambda out, kw: out.shape == (np.size(kw["directions"]) // K,) and _finite(out) and out.min() >= 0.0,
     ),
     "tv_distance": Row(tv_distance, dict(u=Domain(WEIGHTS.valid, _values(*_array_hostiles(K)[:-2])), v=WEIGHTS), dict(u=ALPHA, v=ALPHA[::-1]), lambda d, kw: 0.0 <= d <= 1.0 + 1e-12),
     "wasserstein_primal": Row(
         wasserstein_primal,
-        dict(alpha=WEIGHTS, beta=WEIGHTS, cost=given_objects(COST)),
+        dict(alpha=WEIGHTS, beta=WEIGHTS, cost=COSTS),
         dict(alpha=ALPHA, beta=ALPHA[::-1], cost=COST),
         lambda r, kw: _finite(r[0], r[1]) and r[0] >= 0.0 and r[1].shape == (K, K) and r[1].min() >= 0.0,
     ),
@@ -448,38 +463,38 @@ ROWS: dict[str, Row] = {
         lambda d, kw: d.counts.dtype.kind in "iu" and d.counts.ndim == 1 and d.N == int(d.counts.sum(dtype=object)) >= 1,
     ),
     "Method": Row(Method, dict(value=METHOD_VALUES), dict(value="mle"), lambda m, kw: isinstance(m, Method), dict(value="Method value")),
-    "mle_weights": Row(mle_weights, dict(X=FREQ, A=given_objects(A, A.matrix), max_iter=count(0, 64)), dict(X=X, A=A, max_iter=100), _mle),
+    "mle_weights": Row(mle_weights, dict(X=FREQ, A=TOPIC_ARGS, max_iter=count(0, 64)), dict(X=X, A=A, max_iter=100), _mle),
     "debias": Row(
         debias,
-        dict(alpha_hat=WEIGHTS, X=FREQ, A_hat=given_objects(A)),
+        dict(alpha_hat=WEIGHTS, X=FREQ, A_hat=TOPIC_ARGS),
         dict(alpha_hat=ALPHA, X=X, A_hat=A),
         lambda est, kw: _weight_estimate(est, False) and est.method is Method.DEBIASED,
     ),
-    "wls_weights": Row(wls_weights, dict(X=FREQ, A_hat=given_objects(A)), dict(X=X, A_hat=A), lambda est, kw: _weight_estimate(est, False) and abs(est.alpha.sum() - 1.0) <= 1e-6),
-    "sigma_hat": Row(sigma_hat, dict(alpha=WEIGHTS, A_hat=given_objects(A)), dict(alpha=ALPHA, A_hat=A), _covariance),
+    "wls_weights": Row(wls_weights, dict(X=FREQ, A_hat=TOPIC_ARGS), dict(X=X, A_hat=A), lambda est, kw: _weight_estimate(est, False) and abs(est.alpha.sum() - 1.0) <= 1e-6),
+    "sigma_hat": Row(sigma_hat, dict(alpha=WEIGHTS, A_hat=TOPIC_ARGS), dict(alpha=ALPHA, A_hat=A), _covariance),
     "sigma_ls": Row(
         sigma_ls,
-        dict(alpha=WEIGHTS, X_or_r=vector(P, st.floats(0.0, 1.0)), A_hat=given_objects(A)),
+        dict(alpha=WEIGHTS, X_or_r=vector(P, st.floats(0.0, 1.0)), A_hat=TOPIC_ARGS),
         dict(alpha=ALPHA, X_or_r=X, A_hat=A),
         _covariance,
     ),
     # inference
     "LimitSampleSet": Row(
         LimitSampleSet,
-        dict(samples=SAMPLES, delta=given_objects(None, 0.0), seed=given_objects(0)),
+        dict(samples=SAMPLES, delta=DELTA, seed=given_objects(0)),
         dict(samples=np.arange(5.0), delta=None, seed=0),
         lambda s, kw: s.M == np.size(kw["samples"]) and _finite(s.samples),
     ),
     "LimitSampleSet.quantile": Row(LIMITS.quantile, dict(gamma=UNIT), dict(gamma=0.5), lambda q, kw: 0.0 <= q <= 1.0),
     "confidence_interval": Row(
         confidence_interval,
-        dict(W_tilde=Domain(st.floats(-1e3, 1e3), _values(*BOOLS, *NOT_NUMBERS, *NON_FINITE)), limits=given_objects(LIMITS), level=UNIT, N_i=DOC_SIZE, N_j=DOC_SIZE),
+        dict(W_tilde=Domain(st.floats(-1e3, 1e3), _values(*BOOLS, *NOT_NUMBERS, *NON_FINITE)), limits=LIMIT_SETS, level=UNIT, N_i=DOC_SIZE, N_j=DOC_SIZE),
         dict(W_tilde=0.3, limits=LIMITS, level=0.05, N_i=40, N_j=40),
         lambda ci, kw: _finite(ci.lower, ci.upper, ci.scale) and ci.lower <= ci.upper,
     ),
     "distance_estimate": Row(
         distance_estimate,
-        dict(alpha_i=WEIGHTS, alpha_j=WEIGHTS, cost=given_objects(POLY, COST)),
+        dict(alpha_i=WEIGHTS, alpha_j=WEIGHTS, cost=COSTS),
         dict(alpha_i=ALPHA, alpha_j=ALPHA[::-1], cost=POLY),
         lambda d, kw: math.isfinite(d) and d >= 0.0,
     ),
@@ -496,21 +511,21 @@ ROWS: dict[str, Row] = {
     ),
     "limit_sampler": Row(
         limit_sampler,
-        dict(alpha_i=WEIGHTS, alpha_j=WEIGHTS, A_hat=given_objects(A), cost=given_objects(POLY, COST), delta=DELTA, M=count(1, 64), seed=SEED),
+        dict(alpha_i=WEIGHTS, alpha_j=WEIGHTS, A_hat=TOPIC_ARGS, cost=COSTS, delta=DELTA, M=count(1, 64), seed=SEED),
         dict(alpha_i=ALPHA, alpha_j=ALPHA[::-1], A_hat=A, cost=POLY, delta=0.0, M=20, seed=0),
         _sample_set("M"),
         examples=30,
     ),
     "m_out_of_n_bootstrap": Row(
         m_out_of_n_bootstrap,
-        dict(X_i=given_objects(DOC_I), X_j=given_objects(DOC_J), A_hat=given_objects(A), cost=given_objects(POLY), gamma=UNIT, B=count(1, 16), seed=SEED),
+        dict(X_i=DOCS_I, X_j=DOCS_J, A_hat=TOPIC_ARGS, cost=COSTS, gamma=UNIT, B=count(1, 16), seed=SEED),
         dict(X_i=DOC_I, X_j=DOC_J, A_hat=A, cost=POLY, gamma=0.5, B=8, seed=0),
         _sample_set("B"),
         examples=20,
     ),
     "derivative_bootstrap": Row(
         derivative_bootstrap,
-        dict(X_i=given_objects(DOC_I), X_j=given_objects(DOC_J), A_hat=given_objects(A), cost=given_objects(POLY), delta=DELTA, B=count(1, 16), seed=SEED),
+        dict(X_i=DOCS_I, X_j=DOCS_J, A_hat=TOPIC_ARGS, cost=COSTS, delta=DELTA, B=count(1, 16), seed=SEED),
         dict(X_i=DOC_I, X_j=DOC_J, A_hat=A, cost=POLY, delta=0.0, B=8, seed=0),
         _sample_set("B"),
         examples=20,
@@ -563,7 +578,7 @@ ROWS: dict[str, Row] = {
     ),
     "perturb_topics": Row(
         perturb_topics,
-        dict(A=given_objects(A), noise=real(0.0, 1.0), seed=SEED),
+        dict(A=TOPIC_ARGS, noise=real(0.0, 1.0), seed=SEED),
         dict(A=A, noise=0.1, seed=0),
         lambda T, kw: _topic_matrix(T, kw) and T.matrix.shape == (P, K),
     ),
@@ -612,6 +627,13 @@ def test_every_public_callable_has_a_row():
     assert public - errors - records == {name for name in ROWS if "." not in name}
 
 
+def test_only_records_and_flags_are_drawn_valid_only():
+    # A package-object parameter drawn from valid objects alone would leave its door untested.
+    # ``quick`` takes any truth value, and a sample set keeps its seed as a record of its caller's stream.
+    valid_only = {f"{name}.{p}" for name, row in ROWS.items() for p, d in row.domains.items() if d.hostile is None}
+    assert valid_only == {"LimitSampleSet.seed", "SimConfig.quick"}
+
+
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_each_row_keeps_its_promise_at_its_defaults(name):
     # The table names real parameters, and a call with its defaults is valid.
@@ -623,21 +645,19 @@ def test_each_row_keeps_its_promise_at_its_defaults(name):
 
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_door_contract(name):
+    # The valid call and each hostile parameter in turn get the row's draws:
+    # one shared draw of the target left some parameters never drawn hostile.
     row = ROWS[name]
-    if not row.domains:
-        return
+    targets = [None] + [p for p, d in row.domains.items() if d.hostile is not None]
+    for target in targets if row.domains else []:
 
-    @settings(max_examples=row.examples, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
-    @given(st.data())
-    def hold(data):
-        targets = [None] + [p for p, d in row.domains.items() if d.hostile is not None]
-        target = data.draw(st.sampled_from(targets), label="hostile parameter")
-        kwargs = {}
-        for p, domain in row.domains.items():
-            kwargs[p] = data.draw(domain.hostile if p == target else domain.valid, label=p)
-        _hold(name, kwargs, target)
+        @settings(max_examples=row.examples, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
+        @given(st.data())
+        def hold(data):
+            kwargs = {p: data.draw(domain.hostile if p == target else domain.valid, label=p) for p, domain in row.domains.items()}
+            _hold(name, kwargs, target)
 
-    hold()
+        hold()
 
 
 # Seed cases: each failed at the parent of the shared checkers, with an
@@ -682,6 +702,37 @@ SEED_CASES = [
     ("theorem_delta", dict(N=30, p=30, n=True), "n", InvalidParam, "^n must be a real number"),
     ("effective_root_n", dict(N_i=True, N_j=True), "N_i", InvalidParam, "^N_i must be a real number"),
     ("effective_root_n", dict(N_i=5, N_j=np.False_), "N_j", InvalidParam, "^N_j must be a real number"),
+    # Package objects at their doors: each raised an untyped AttributeError, AxisError, IndexError or
+    # ValueError, returned a NaN or an uncertified fit, or stored a bad value.  A raw metric table and a
+    # polytope are valid costs of wasserstein_primal, which read neither.
+    ("mle_weights", dict(A=_BAD_TOPICS), "A", InvalidSimplex, "^A: topic matrix has non-finite entries"),
+    ("mle_weights", dict(A=A.matrix[:, 0]), "A", InvalidParam, "^A: topic matrix must be 2-d"),
+    ("mle_weights", dict(A=np.full((P, K), "a")), "A", InvalidParam, "^A: topic matrix must be an array of real numbers"),
+    ("mle_weights", dict(A=None), "A", InvalidParam, "^A: topic matrix must be an array of real numbers"),
+    ("mle_weights", dict(A=2.0 * A.matrix), "A", InvalidSimplex, r"^A: topic matrix column \d sums to 2\.0"),
+    ("wls_weights", dict(A_hat=A.matrix[:, 0]), "A_hat", InvalidParam, "^A_hat: topic matrix must be 2-d"),
+    ("sigma_ls", dict(A_hat=None), "A_hat", InvalidParam, "^A_hat: topic matrix must be an array"),
+    ("limit_sampler", dict(A_hat="x"), "A_hat", InvalidParam, "^A_hat: topic matrix must be an array"),
+    ("cost_matrix", dict(A="x"), "A", InvalidParam, "^A: topic matrix must be an array"),
+    ("wasserstein_primal", dict(cost=COST.entries), None, None, None),
+    ("wasserstein_primal", dict(cost=POLY), None, None, None),
+    ("wasserstein_primal", dict(cost=_NOT_METRIC), "cost", InvalidCost, "^cost: cost table violates the triangle inequality"),
+    ("kr_dual_value", dict(polytope=COST), "polytope", InvalidParam, "^polytope must be a DualPolytope, not CostMatrix"),
+    ("support_batch", dict(polytope=COST), "polytope", InvalidParam, "^polytope must be a DualPolytope, not CostMatrix"),
+    ("restricted_polytope", dict(base=COST), "base", InvalidParam, "^base must be a DualPolytope, not CostMatrix"),
+    ("run_ci_experiment", dict(config={"K": 3}), "config", InvalidParam, "^config must be a SimConfig, not dict"),
+    ("run_convergence_experiment", dict(config={"K": 3}), "config", InvalidParam, "^config must be a SimConfig"),
+    ("run_mle_vs_wls_experiment", dict(config={"K": 3}), "config", InvalidParam, "^config must be a SimConfig"),
+    ("run_normality_experiment", dict(config={"K": 3}), "config", InvalidParam, "^config must be a SimConfig"),
+    ("m_out_of_n_bootstrap", dict(X_i=DOC_I.counts), "X_i", InvalidParam, "^X_i must be a CountVector, not ndarray"),
+    ("derivative_bootstrap", dict(X_j=DOC_J.counts), "X_j", InvalidParam, "^X_j must be a CountVector, not ndarray"),
+    ("confidence_interval", dict(limits=np.ones(1000)), "limits", InvalidParam, "^limits must be a LimitSampleSet, not ndarray"),
+    ("LimitSampleSet", dict(delta=-1.0), "delta", InvalidParam, "^delta must be finite and >= 0"),
+    ("LimitSampleSet", dict(delta=True), "delta", InvalidParam, "^delta must be a real number"),
+    # Found by drawing every hostile parameter of a row: a subnormal n overflowed p log L / (n N) to
+    # inf, and so does a p near the float range, whose width is finite.
+    ("theorem_delta", dict(N=1.0, p=6.0, n=5.461797373542294e-308), None, None, None),
+    ("theorem_delta", dict(N=1.0, p=1e308, n=1.0), None, None, None),
 ]
 
 

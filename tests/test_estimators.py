@@ -127,16 +127,16 @@ def test_check_columns_raises_the_first_failing_columns_error():
     # document 2 is the first to fail (on word 3), document 3 has empty support.
     A = np.array([[0.5, 0.2], [0.0, 0.0], [0.5, 0.8], [0.0, 0.0]])
     X = np.array([[0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]])
-    _check_rows(X[:2], A)
+    _check_rows(X[:2], TopicMatrix(A))
     with pytest.raises(InfeasibleRow, match="^word 3 has positive count"):
-        _check_rows(X, A)
+        _check_rows(X, TopicMatrix(A))
     with pytest.raises(InvalidParam, match="empty support"):
-        _check_rows(X[[0, 3, 2]], A)
+        _check_rows(X[[0, 3, 2]], TopicMatrix(A))
     X[2, 1] = 0.1  # the first bad word of the document is named
     with pytest.raises(InfeasibleRow, match="^word 1 has positive count"):
-        _check_rows(X, A)
+        _check_rows(X, TopicMatrix(A))
     with pytest.raises(InvalidParam, match="X has dim 3, topics have 4 rows"):
-        _check_rows(X[:, :3], A)
+        _check_rows(X[:, :3], TopicMatrix(A))
 
 
 _NOT_FREQUENCIES = {
@@ -165,9 +165,9 @@ def test_every_entry_point_refuses_a_column_that_is_not_a_frequency_vector(case)
     # A batch raises its first failing row's error.
     good, empty = np.full(4, 0.25), np.zeros(4)
     with pytest.raises(InvalidParam, match=message):
-        _check_rows(np.stack([good, X, empty]), A)
+        _check_rows(np.stack([good, X, empty]), TopicMatrix(A))
     with pytest.raises(InvalidParam, match="empty support"):
-        _check_rows(np.stack([good, empty, X]), A)
+        _check_rows(np.stack([good, empty, X]), TopicMatrix(A))
 
 
 @pytest.mark.parametrize("max_iter", [np.inf, 2.7, -5, "3", 2**63, False, True])
@@ -225,8 +225,8 @@ def test_debias_mean_recovers_sparse_truth():
     X = rng.multinomial(N, r, size=reps) / N
     # Boundary fits may hit the iteration cap; the estimator contract keeps
     # the best iterate, which is what the correction consumes.
-    mle, _, _, _ = _em_batch(X, A)
-    deb = _debias_batch(mle, X, A)
+    mle, _, _, _ = _em_batch(X, TopicMatrix(A))
+    deb = _debias_batch(mle, X, TopicMatrix(A))
     mean = deb.mean(axis=0)
     stderr = deb.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean - alpha) <= 3.0 * stderr + 1e-12)
@@ -284,10 +284,10 @@ def test_sigma_batch_equals_sigma_hat_bit_for_bit(K, p):
         alphas[7] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
         if A[0, 1] == 0.0:
             assert np.all((alphas[[3, 7]] @ A.T <= estimators.ZETA).any(axis=1))
-        batch = _sigma_batch(alphas, A)
+        batch = _sigma_batch(alphas, TopicMatrix(A))
         for b in range(len(alphas)):
             assert np.array_equal(batch[b], sigma_hat(alphas[b], A).sigma), b
-        assert np.array_equal(_sigma_batch(alphas[[7]], A)[0], batch[7])
+        assert np.array_equal(_sigma_batch(alphas[[7]], TopicMatrix(A))[0], batch[7])
 
 
 def test_sigma_batch_raises_for_a_failing_column():
@@ -296,20 +296,20 @@ def test_sigma_batch_raises_for_a_failing_column():
     A = _sparse_topics(rng, 30, K)
     alphas = rng.dirichlet(np.ones(K), size=3)
     alphas[1] = np.eye(K)[0]  # words 5-9 drop out, the shared words keep full rank
-    assert np.all(np.isfinite(_sigma_batch(alphas, A)))
+    assert np.all(np.isfinite(_sigma_batch(alphas, TopicMatrix(A))))
     col = np.full(6, 1.0 / 6)
     dup = np.column_stack([col, col])
     with pytest.raises(SingularInformation):
-        _sigma_batch(np.array([[0.3, 0.7], [0.5, 0.5]]), dup)
+        _sigma_batch(np.array([[0.3, 0.7], [0.5, 0.5]]), TopicMatrix(dup))
     with pytest.raises(DegenerateSupport):
-        _sigma_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), np.eye(2))
+        _sigma_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), TopicMatrix(np.eye(2)))
 
 
 def test_debias_batch_refuses_a_column_without_support():
     # A row no word can carry fails the batch, as ``debias`` fails it.
     X = np.full((2, 2), 0.5)
     with pytest.raises(DegenerateSupport, match="no word has fitted probability"):
-        _debias_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), X, np.eye(2))
+        _debias_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), X, TopicMatrix(np.eye(2)))
     with pytest.raises(DegenerateSupport, match="no word has fitted probability"):
         debias(np.zeros(2), X[0], np.eye(2))
 
@@ -347,7 +347,7 @@ def test_sigma_batch_matches_the_support_restricted_formula():
     alphas = rng.dirichlet(np.ones(K), size=4)
     alphas[1] = np.r_[0.0, 1e-14, np.full(K - 2, (1.0 - 1e-14) / (K - 2))]
     alphas[2] = np.r_[0.0, rng.dirichlet(np.ones(K - 1))]
-    batch = _sigma_batch(alphas, A)
+    batch = _sigma_batch(alphas, TopicMatrix(A))
     for b in (1, 2):
         a = alphas[b]
         r = A @ a
@@ -385,7 +385,7 @@ def test_topic_matrix_keeps_its_wls_operator_and_dead_words():
     (keep, Aplus), dead = T.wls, T.dead
     assert T.wls[1] is Aplus and T.dead is dead and not (Aplus.flags.writeable or dead.flags.writeable)
     assert np.array_equal(dead, [3, 17]) and np.array_equal(keep, np.setdiff1d(np.arange(80), dead))
-    # Every reader of a cache gets the bits an array's per-call build gives.
+    # Every reader of a cache gets the bits of an array, typed afresh at each door.
     est = wls_weights(X, T)
     assert np.array_equal(est.alpha, wls_weights(X, A).alpha)
     assert np.array_equal(sigma_ls(est, X, T).sigma, sigma_ls(est, X, A).sigma)
@@ -414,9 +414,9 @@ def test_em_batch_with_duplicate_topics_keeps_the_uniform_start(monkeypatch):
     T = TopicMatrix(A)
     uniform = np.full((8, K), 1.0 / K)
     assert np.array_equal(estimators._start(XB, np.ascontiguousarray(A.T), T), uniform)
-    fits = [_em_batch(XB, T), _em_batch(XB, A)]
+    fits = [_em_batch(XB, T), _em_batch(XB, TopicMatrix(A))]
     monkeypatch.setattr(estimators, "_start", lambda X, AT, A: np.full((len(X), AT.shape[0]), 1.0 / AT.shape[0]))
-    ref = _em_batch(XB, A)
+    ref = _em_batch(XB, TopicMatrix(A))
     assert ref[2].all()
     for fit in fits:
         for got, want in zip(fit, ref):
@@ -435,14 +435,14 @@ def test_em_batch_start_falls_back_where_the_clipped_wls_point_misses_a_counted_
     counts[0] += 1
     XB = np.stack([counts / 100.0, rng.multinomial(100, A @ np.full(K, 1.0 / K)) / 100.0])
     AT = np.ascontiguousarray(A.T)
-    wls = estimators._wls_batch(XB, A)
+    wls = estimators._wls_batch(XB, TopicMatrix(A))
     assert wls[0, 0] < 0.0 and (wls[1] > 0.0).all()
-    start = estimators._start(XB, AT, A)
+    start = estimators._start(XB, AT, TopicMatrix(A))
     assert np.array_equal(start[0], np.full(K, 1.0 / K))
     assert np.array_equal(start[1], wls[1] / wls[1].sum())
-    fit, iters, conv, gaps = _em_batch(XB, A)
-    assert conv.all() and fit[0, 0] > 0.0 and np.array_equal(gaps, _kkt_gaps(XB, A, fit))
-    single = _em_batch(XB[[0]], A)
+    fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A))
+    assert conv.all() and fit[0, 0] > 0.0 and np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
+    single = _em_batch(XB[[0]], TopicMatrix(A))
     assert np.array_equal(single[0][0], fit[0]) and single[1][0] == iters[0]
 
 
@@ -453,7 +453,7 @@ def test_em_batch_certifies_in_at_most_three_and_a_half_newton_steps_on_average(
     rng = np.random.default_rng(23)
     A = random_topics(rng, 500, K)
     XB = np.concatenate([_documents(rng, A, K, tau, 32) for tau in (0, 3)])
-    fit, iters, conv, _ = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
     assert conv.all() and np.all(iters <= estimators._first_steps(K))
     assert iters.mean() <= 3.5
 
@@ -472,7 +472,7 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
             return _real(X, *args)
 
         monkeypatch.setattr(estimators, name, recorded)
-    fit, iters, conv, _ = _em_batch(X, A)
+    fit, iters, conv, _ = _em_batch(X, TopicMatrix(A))
     # Newton from the clipped WLS point certifies every document: no rescue.
     assert conv.all() and np.all(iters <= estimators._first_steps(K))
     assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_em"] == []
@@ -480,18 +480,18 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
     # documents uncertified; exactly those, and in order, run the rescue.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 2)
     AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, estimators._start(X, AT, A), np.full(8, 4))
+    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, estimators._start(X, AT, TopicMatrix(A)), np.full(8, 4))
     assert estimators._first_steps(K) == 4 and 0 < np.count_nonzero(first_conv) < 8
     for rows in calls.values():
         rows.clear()
-    fit, iters, conv, _ = _em_batch(X, A)
+    fit, iters, conv, _ = _em_batch(X, TopicMatrix(A))
     assert np.array_equal(calls["_newton_finish"][0], X)
     assert np.array_equal(calls["_em"][0], X[~first_conv])
     assert np.all(iters[first_conv] == first[first_conv]) and np.all(iters[~first_conv] > 4)
     # No document has budget left after the first round: no rescue either.
     for rows in calls.values():
         rows.clear()
-    _, iters, conv, _ = _em_batch(X, A, max_iter=4)
+    _, iters, conv, _ = _em_batch(X, TopicMatrix(A), max_iter=4)
     assert calls["_em"] == [] and len(calls["_newton_finish"]) == 1
     assert np.array_equal(conv, first_conv) and np.all(iters == first)
 
@@ -571,11 +571,11 @@ def test_batch_paths_match_single():
     A = random_topics(rng, p, K)
     alpha = rng.dirichlet(np.ones(K))
     X = rng.multinomial(300, A @ alpha, size=B) / 300.0
-    mle_b, iters, conv, _ = _em_batch(X, A)
+    mle_b, iters, conv, _ = _em_batch(X, TopicMatrix(A))
     assert conv.all()
-    deb_b = _debias_batch(mle_b, X, A)
+    deb_b = _debias_batch(mle_b, X, TopicMatrix(A))
     # The drivers' batched WLS: the operator applied to all rows at once.
-    keep, Aplus = _wls_operator(A)
+    keep, Aplus = _wls_operator(TopicMatrix(A))
     wls_b = X[:, keep] @ Aplus.T
     for b in range(B):
         single = mle_weights(X[b], A)
@@ -590,12 +590,12 @@ def test_debias_batch_bits_do_not_depend_on_batch_size():
     for K, p in [(3, 40), (5, 200), (8, 500), (10, 500)]:
         A = random_topics(rng, p, K)
         X = rng.multinomial(300, A @ rng.dirichlet(np.ones(K)), size=40) / 300.0
-        mle, _, _, _ = _em_batch(X, A)
-        whole = _debias_batch(mle, X, A)
+        mle, _, _, _ = _em_batch(X, TopicMatrix(A))
+        whole = _debias_batch(mle, X, TopicMatrix(A))
         for size in (1, 3):
             for s in range(0, 40, size):
                 rows = slice(s, s + size)
-                assert np.array_equal(_debias_batch(mle[rows], X[rows], A), whole[rows])
+                assert np.array_equal(_debias_batch(mle[rows], X[rows], TopicMatrix(A)), whole[rows])
 
 
 def _em_first(X, A, budget):
@@ -641,7 +641,7 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
     A = random_topics(rng, p, K)
     alphas = [rng.dirichlet(np.ones(K)) if tau == 0 else _sparse_weights(rng, K, tau) for _ in range(B)]
     XB = np.stack([rng.multinomial(N, A @ a) / N for a in alphas])
-    fit, _, conv, _ = _em_batch(XB, A)
+    fit, _, conv, _ = _em_batch(XB, TopicMatrix(A))
     tight, tight_conv = _tight_fit(XB, A)
     assert conv.all() and tight_conv.all()
 
@@ -650,7 +650,7 @@ def test_em_default_tol_close_to_tight_fit(K, tau):
 
     assert np.all(loglik(fit) >= loglik(tight) - 1e-9)
     # Every fit carries its KKT certificate, boundary weights included.
-    assert _kkt_gaps(XB, A, fit).max() <= TOL_KKT
+    assert _kkt_gaps(XB, TopicMatrix(A), fit).max() <= TOL_KKT
     assert np.abs(fit - tight).max() <= 1e-6
 
 
@@ -664,12 +664,12 @@ def test_newton_finished_fits_equal_single_fits_bit_for_bit(K, tau):
     rng = np.random.default_rng(19)
     A = random_topics(rng, 500, K)
     XB = _documents(rng, A, K, tau, 24)
-    fit, iters, conv, _ = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
     assert conv.all()
     if tau:  # the finish sets exact zeros on the boundary
         assert (fit == 0.0).any()
     for b in range(len(XB)):
-        single, s_iters, s_conv, _ = _em_batch(XB[[b]], A)
+        single, s_iters, s_conv, _ = _em_batch(XB[[b]], TopicMatrix(A))
         assert np.array_equal(single[0], fit[b])
         assert s_iters[0] == iters[b] and s_conv[0] == conv[b]
 
@@ -711,15 +711,15 @@ def test_em_batch_gaps_are_the_kkt_gaps_bit_for_bit(monkeypatch):
     A = random_topics(rng, 500, K)
     XB = _mixed_documents(rng, A, K, 31)
     for max_iter in (1, 2, 5, 12, 20, EM_MAX_ITER):
-        fit, iters, conv, gaps = _em_batch(XB, A, max_iter=max_iter)
-        assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+        fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A), max_iter=max_iter)
+        assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
         assert np.array_equal(conv, gaps <= TOL_KKT)
     # No Newton step allowed: every column runs EM on to the tight step and
     # is polished once more, and its gap still comes from that polish.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    fit, iters, conv, gaps = _em_batch(XB, A)
-    assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
-    fits = estimators._fit_batch(XB, A, Method.MLE)
+    fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A))
+    assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
+    fits = estimators._fit_batch(XB, TopicMatrix(A), Method.MLE)
     assert np.array_equal(fits.kkt_gap, gaps)
 
 
@@ -730,17 +730,17 @@ def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is
     K = 5
     A = random_topics(rng, 500, K)
     XB = _mixed_documents(rng, A, K, 31)
-    fit, iters, conv, gaps = _em_batch(XB, A, max_iter=3)
+    fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A), max_iter=3)
     assert np.all(iters[~conv] == 3) and 0 < np.count_nonzero(conv) < 31
-    assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+    assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
     assert np.array_equal(conv, gaps <= TOL_KKT)
     # With no Newton step allowed every column is rescued by EM alone.  At
     # 230 maps none has reached EM's tight stop, so each ends at max_iter
     # and Newton only checks it; one of them is already certified.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    fit, iters, conv, gaps = _em_batch(XB, A, max_iter=230)
+    fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A), max_iter=230)
     assert np.all(iters == 230) and 0 < np.count_nonzero(conv) < 31
-    assert np.array_equal(gaps, _kkt_gaps(XB, A, fit))
+    assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
     assert np.array_equal(conv, gaps <= TOL_KKT)
 
 
@@ -751,9 +751,9 @@ def test_em_near_degenerate_boundary_certifies():
     A = random_topics(rng, 500, 5)
     XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)])
     x = XB[[5]]
-    fit, _, conv, _ = _em_batch(x, A)
+    fit, _, conv, _ = _em_batch(x, TopicMatrix(A))
     tight, _ = _tight_fit(x, A)
-    assert conv[0] and _kkt_gaps(x, A, fit)[0] <= TOL_KKT
+    assert conv[0] and _kkt_gaps(x, TopicMatrix(A), fit)[0] <= TOL_KKT
     assert np.abs(fit - tight).max() <= 1e-6
 
 
@@ -762,17 +762,17 @@ def test_em_column_with_fewer_words_than_topics_is_isolated():
     K = 8
     A = random_topics(rng, 200, K)
     XB = _documents(rng, A, K, 3, 12)
-    fit, iters, conv, _ = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
     odd = XB.copy()
     odd[4] = 0.0
     odd[4, [3, 50, 70]] = [0.5, 0.25, 0.25]  # three distinct words, K = 8 topics
-    odd_fit, odd_iters, odd_conv, _ = _em_batch(odd, A)
+    odd_fit, odd_iters, odd_conv, _ = _em_batch(odd, TopicMatrix(A))
     others = np.arange(len(XB)) != 4
     assert np.array_equal(odd_fit[others], fit[others])
     assert np.array_equal(odd_iters[others], iters[others]) and np.array_equal(odd_conv[others], conv[others])
     assert np.all(odd_fit[4] >= 0.0) and abs(odd_fit[4].sum() - 1.0) <= 1e-12
     # Its face systems are singular; the minimum-norm step still certifies it.
-    assert odd_conv[4] and _kkt_gaps(odd[[4]], A, odd_fit[[4]])[0] <= TOL_KKT
+    assert odd_conv[4] and _kkt_gaps(odd[[4]], TopicMatrix(A), odd_fit[[4]])[0] <= TOL_KKT
 
 
 def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
@@ -784,9 +784,9 @@ def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
     XB = _documents(rng, A, K, 3, 16)
     tight, _ = _tight_fit(XB, A)
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    fit, iters, conv, _ = _em_batch(XB, A)
+    fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
     assert not conv.all()
-    assert np.array_equal(conv, _kkt_gaps(XB, A, fit) <= TOL_KKT)
+    assert np.array_equal(conv, _kkt_gaps(XB, TopicMatrix(A), fit) <= TOL_KKT)
     gain = (XB * np.log(fit @ A.T)).sum(axis=1) - (XB * np.log(tight @ A.T)).sum(axis=1)
     assert np.all(gain >= -1e-9)
 
@@ -815,7 +815,7 @@ def test_em_batch_retry_restarts_from_the_em_stop_point(monkeypatch):
     monkeypatch.setattr(estimators, "_em", recorded)
     monkeypatch.setattr(estimators, "_newton_finish", scribbling)
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
-    _em_batch(XB, A)
+    _em_batch(XB, TopicMatrix(A))
     (_, stop), (restart, _) = runs
     assert len(restart) == 16 and np.array_equal(restart, stop)
 
@@ -826,7 +826,7 @@ def test_em_batch_matches_single_on_sparse_batch():
     p, K, B = 500, 5, 64
     A = random_topics(rng, p, K)
     XB = rng.multinomial(32, A @ rng.dirichlet(np.ones(K)), size=B) / 32.0
-    mle_b, iters, conv, _ = _em_batch(XB, A)
+    mle_b, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
     for b in range(B):
         single = mle_weights(XB[b], A)
         assert np.abs(single.alpha - mle_b[b]).max() <= 1e-8
@@ -845,18 +845,18 @@ def test_em_max_iter_is_honoured(monkeypatch):
     for polish in (1, estimators._NEWTON_MAX_STEPS):
         monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
         for max_iter in (0, 1, 2, 3, 4, 5, 7, 11, 40):
-            alphas, iters, conv, _ = _em_batch(XB, A, max_iter=max_iter)
+            alphas, iters, conv, _ = _em_batch(XB, TopicMatrix(A), max_iter=max_iter)
             assert np.all(iters <= max_iter) and np.all(iters[~conv] == max_iter)
             assert np.abs(alphas.sum(axis=1) - 1.0).max() <= 1e-12 and alphas.min() >= 0.0
             est = mle_weights(XB[0], A, max_iter=max_iter)
             assert (est.iterations, est.converged) == (iters[0], conv[0])
-        assert not _em_batch(XB, A, max_iter=1)[2].any()
+        assert not _em_batch(XB, TopicMatrix(A), max_iter=1)[2].any()
     # A cap between the columns' own iteration counts stops exactly the
     # columns that need more, and leaves the others as they were.
-    full, iters, conv, _ = _em_batch(XB, A)
+    full, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
     assert conv.all()
     cap = int(np.median(iters))
-    capped, capped_iters, capped_conv, _ = _em_batch(XB, A, max_iter=cap)
+    capped, capped_iters, capped_conv, _ = _em_batch(XB, TopicMatrix(A), max_iter=cap)
     early = iters <= cap
     assert early.any() and not early.all()
     assert np.array_equal(capped_conv, early)
@@ -917,9 +917,9 @@ def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish)
     rescued = uncertified = 0
     for (A, XB, identifiable), (tight, tight_conv) in zip(_hard_grid(), _hard_grid_tight()):
         B, K = len(XB), A.shape[1]
-        fit, _, conv, _ = _em_batch(XB, A)
+        fit, _, conv, _ = _em_batch(XB, TopicMatrix(A))
         AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, A), np.full(B, estimators._first_steps(K)))
+        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, TopicMatrix(A)), np.full(B, estimators._first_steps(K)))
         # The reference gets the rescue's budget: what the first round left.
         ref, ref_conv = _em_first(XB, A, EM_MAX_ITER - first)
         assert np.all(conv | ~ref_conv)
@@ -947,7 +947,7 @@ def test_em_objective_monotone_in_max_iter():
     XB = np.stack([rng.multinomial(N, A @ _sparse_weights(rng, K, 3)) / N for _ in range(B)])
     prev = np.full(B, -np.inf)
     for max_iter in range(1, 120):
-        alphas, _, _, _ = _em_batch(XB, A, max_iter=max_iter)
+        alphas, _, _, _ = _em_batch(XB, TopicMatrix(A), max_iter=max_iter)
         cur = (XB * np.log(alphas @ A.T)).sum(axis=1)
         assert np.all(cur >= prev - 1e-12)
         prev = cur

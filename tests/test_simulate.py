@@ -10,7 +10,7 @@ from scipy import stats as sstats
 
 import mixwass
 from mixwass import SimConfig, gen_document, gen_topic_matrix, gen_weights, perturb_topics
-from mixwass import DualPolytope, cost_matrix, estimators, inference, limit_sampler, mle_weights, simulate
+from mixwass import DualPolytope, TopicMatrix, cost_matrix, estimators, inference, limit_sampler, mle_weights, simulate
 from mixwass.errors import InvalidParam, LPFailure, SingularInformation
 from mixwass.simulate import (
     run_ci_experiment,
@@ -356,7 +356,7 @@ def test_plugin_chunk_loses_only_the_replicate_with_singular_information(monkeyp
     poly = DualPolytope(cost_matrix(A, "tv"))
 
     def chunk(reps):
-        return simulate._ci_chunk_worker((config, A, poly, 0, np.asarray(reps), None, None, 0.0, None))
+        return simulate._ci_chunk_worker((config, TopicMatrix(A), poly, 0, np.asarray(reps), None, None, 0.0, None))
 
     records = chunk(range(6))
     mle = [mle_weights(counts[2] / N, A) for counts in (counts_i, counts_j)]

@@ -56,14 +56,14 @@ def test_empty_matrices_are_refused_with_a_typed_error():
             TopicMatrix(np.zeros(shape))
     with pytest.raises(InvalidCost, match="nonempty"):
         CostMatrix(np.zeros((0, 0)))
-    with pytest.raises(InvalidCost, match="nonempty"):
+    with pytest.raises(InvalidParam, match="^A: topic matrix must be 2-d and nonempty"):
         cost_matrix(np.zeros((3, 0)))
 
 
 @pytest.mark.parametrize("shape", [(0, 2), (0, 0), (3,)])
 def test_cost_matrix_refuses_a_topic_array_without_words_by_name(shape):
     # A (0, 2) array used to give a valid 2x2 all-zero CostMatrix.
-    with pytest.raises(InvalidParam, match="^A must be a 2-d topic matrix"):
+    with pytest.raises(InvalidParam, match="^A: topic matrix must be 2-d and nonempty"):
         cost_matrix(np.zeros(shape))
 
 
