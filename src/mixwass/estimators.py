@@ -4,8 +4,8 @@ Given (known or estimated) topics A, three estimators of the mixture
 weights are provided:
 
 * ``mle_weights`` -- the simplex-constrained maximum-likelihood estimate,
-  computed by active-set Newton steps to a KKT certificate, with EM as
-  the rescue of a fit they cannot certify;
+  computed by active-set Newton steps to a KKT certificate, with EM and
+  a Newton polish for a fit they cannot certify;
 * ``debias`` -- the one-step correction alpha_hat + Vhat^+ Psi(alpha_hat)
   that removes the boundary-induced asymptotic bias of the MLE and admits
   a Gaussian limit even for sparse weights;
@@ -31,21 +31,23 @@ function makes of its topics at its door (``transport._as_topics``); it
 builds, on first use, and keeps its outer table, its WLS operator and its
 dead words (those no topic emits, which ``_check_rows`` refuses a count on).
 
-``_em_batch`` fits Newton first.  Newton steps on the face of free
-coordinates (a projected Newton method, Bertsekas 1982, SIAM J. Control
-Optim.) run from each document's clipped WLS estimate, max(WLS, 0)
-renormalised, which is consistent at the MLE's root-N rate and puts most
-coordinates off the MLE's support at exact zeros at once.  A document
-starts at the uniform point instead where that point is not finite or
-gives a counted word zero probability, and every document does where the
-WLS design is singular (``_start``).  The steps set exact zeros where the
-MLE sits on the simplex boundary, until a fit's KKT gap is at most
-``TOL_KKT``.  Only a fit they leave uncertified is rescued: the
-multiplicative EM map runs from the uniform point until one map moves it
-by at most ``EM_TOL`` = 1e-3 in l1, and Newton polishes it from there.
-Every EM map and Newton step keeps iterates in the simplex and the
-log-likelihood nondecreasing.  ``converged`` means exactly that the KKT certificate
-holds; ``iterations`` counts Newton steps and EM maps.
+``_em_batch`` is one pipeline: a polish's Newton steps, then one EM-and-polish
+loop.  Newton steps on the face of free coordinates (a projected Newton
+method, Bertsekas 1982, SIAM J. Control Optim.) run from each document's
+clipped WLS estimate, max(WLS, 0) renormalised, which is consistent at the
+MLE's root-N rate and puts most coordinates off the MLE's support at exact
+zeros at once.  A document starts at the uniform point instead where that
+point is not finite or gives a counted word zero probability, and every
+document does where the WLS design is singular (``_start``).  The steps set
+exact zeros where the MLE sits on the simplex boundary, until a fit's KKT
+gap is at most ``TOL_KKT``.  A fit they leave uncertified after
+``_NEWTON_MAX_STEPS`` runs the multiplicative EM map from the uniform point
+until one map moves it by at most ``EM_TOL`` = 1e-3 in l1, and Newton
+polishes it from there; one still uncertified runs EM on to a step of
+``_EM_TIGHT_TOL`` and is polished once more.  Every EM map and Newton step
+keeps iterates in the simplex and the log-likelihood nondecreasing.
+``converged`` means exactly that the KKT certificate holds; ``iterations``
+counts Newton steps and EM maps.
 """
 
 from __future__ import annotations
@@ -82,15 +84,15 @@ TAU_SUPP = 1e-8
 # but 3e-8 at c = 0.026 (13 topics, a five-word document).
 TOL_KKT = 1e-9
 
-# A fit the first Newton round cannot certify is rescued by EM, which stops
-# once one map moves it by at most EM_TOL in l1 and hands it to a Newton
-# polish; EM's slow tail is what Newton replaces.
+# A fit the first Newton round cannot certify runs EM, which stops once one
+# map moves it by at most EM_TOL in l1 and hands it to a Newton polish; EM's
+# slow tail is what Newton replaces.  A fit that polish cannot certify runs
+# EM on to a step of _EM_TIGHT_TOL and is polished again.
 EM_TOL = 1e-3
 EM_MAX_ITER = 10_000
-# A fit the polish cannot certify runs EM on to this step and is polished again.
 _EM_TIGHT_TOL = 1e-10
-# Newton steps per polish (the first round allows more, ``_first_steps``),
-# and halvings per step, before a fit is uncertified.
+# Newton steps per round, the first and each polish, and halvings per step,
+# before a fit is uncertified.
 _NEWTON_MAX_STEPS = 20
 _NEWTON_MAX_HALVINGS = 30
 
@@ -117,6 +119,8 @@ class CountVector:
         if c.dtype.kind not in "iuf" or c.ndim != 1 or c.size == 0:  # not bools, strings, or integers past int64
             raise InvalidParam(f"counts must be a nonempty 1-d array of integers, not {c.dtype} of shape {c.shape}")
         if not np.issubdtype(c.dtype, np.integer):
+            if not np.isfinite(c).all():  # before np.mod, which warns on inf
+                raise InvalidParam("counts must be finite: it has a non-finite count")
             if not np.all(np.equal(np.mod(c, 1), 0)):
                 raise InvalidParam("counts must be integers")
             c = c.astype(np.int64)
@@ -415,63 +419,34 @@ def _start(X: np.ndarray, AT: np.ndarray, A: TopicMatrix) -> np.ndarray:
     return x
 
 
-def _first_steps(K: int) -> int:
-    """Newton steps of the first round.
-
-    A row that starts at the uniform point (``_start``'s fallback) reaches
-    its face one blocked step, one exact zero, at a time, so it may first
-    spend up to K steps there; the round allows a polish's
-    ``_NEWTON_MAX_STEPS`` plus those, at most twice a polish in all, so a
-    document it cannot certify costs at most two polishes before the rescue.
-    """
-    return _NEWTON_MAX_STEPS + min(K, _NEWTON_MAX_STEPS)
-
-
 def _em_batch(X: np.ndarray, A: TopicMatrix, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simplex MLE of a (B, p) batch of frequency rows: Newton, then the rescue.
+    """Simplex MLE of a (B, p) batch of frequency rows: a polish's Newton steps, then EM and a polish.
 
     Returns (alphas (B, K), iterations (B,), converged (B,), KKT gaps (B,)).
     ``_newton_finish`` runs first on every row, from its clipped WLS point
-    or the uniform point (``_start``), for at most ``_first_steps(K)``
+    or the uniform point (``_start``), for at most ``_NEWTON_MAX_STEPS``
     steps and ``max_iter``; ``converged`` certifies a KKT gap of at most
-    ``TOL_KKT``.  Only a row it leaves uncertified with budget left runs
-    the rescue (``_rescue``) on what is left of ``max_iter``.
-    ``iterations`` and ``max_iter`` count Newton steps and EM maps
-    together, and the gaps are the ones Newton evaluated at each row's
-    returned point.  A row's arithmetic does not depend on
-    the rest of the batch, so a batch of one gives the same bits.
+    ``TOL_KKT``.  Then, for each EM stop in turn, ``EM_TOL`` and
+    ``_EM_TIGHT_TOL``, every row still uncertified with budget left runs
+    EM (``_em``) on from where the previous round's EM left it, the
+    uniform point the first time, leaving a polish's steps of its budget,
+    and ``_polish`` finishes it within what is left.  ``iterations`` and
+    ``max_iter`` count Newton steps and EM maps together, and the gaps are
+    the ones Newton evaluated at each row's returned point.  A row's
+    arithmetic does not depend on the rest of the batch, so a batch of one
+    gives the same bits.
     """
     Am, AT, AA = _design(A)
-    start = _start(X, AT, A)
-    out, iterations, converged, gaps = _newton_finish(X, Am, AT, AA, start, np.full(len(X), min(max_iter, _first_steps(Am.shape[1]))))
-    rows = np.flatnonzero(~converged & (iterations < max_iter))
-    if rows.size:
-        out[rows], used, converged[rows], gaps[rows] = _rescue(X[rows], Am, AT, AA, max_iter - iterations[rows])
-        iterations[rows] += used
-    return out, iterations, converged, gaps
-
-
-def _rescue(X, A, AT, AA, budget):
-    """EM first, for rows the first Newton round left uncertified.
-
-    Returns (weights, iterations, certified, KKT gaps) of rows X.  EM
-    (``_em``) runs from the uniform point until one map moves a row by at
-    most ``EM_TOL`` in l1, and ``_polish`` finishes each row within what is
-    left of its budget; a row EM stopped at its budget gets no step and is
-    only checked.  A row still uncertified, with budget left, runs EM on
-    from its EM stop to ``_EM_TIGHT_TOL``, leaving a polish's steps of its
-    budget, and is polished once more.
-    """
-    K = A.shape[1]
-    start, iterations = _em(X, A, AT, np.full((len(X), K), 1.0 / K), EM_TOL, budget)
-    out, used, converged, gaps = _polish(X, A, AT, AA, start, budget - iterations)
-    iterations += used
-    rows = np.flatnonzero(~converged & (iterations < budget))
-    left = budget[rows] - iterations[rows]
-    x, used = _em(X[rows], A, AT, start[rows], _EM_TIGHT_TOL, np.maximum(left - _NEWTON_MAX_STEPS, 0))
-    iterations[rows] += used
-    out[rows], used, converged[rows], gaps[rows] = _polish(X[rows], A, AT, AA, x, left - used)
-    iterations[rows] += used
+    out, iterations, converged, gaps = _newton_finish(X, Am, AT, AA, _start(X, AT, A), np.full(len(X), min(max_iter, _NEWTON_MAX_STEPS)))
+    x = np.full_like(out, 1.0 / Am.shape[1])
+    for tol in (EM_TOL, _EM_TIGHT_TOL):
+        rows = np.flatnonzero(~converged & (iterations < max_iter))
+        if not rows.size:
+            break
+        left = max_iter - iterations[rows]
+        x[rows], used = _em(X[rows], Am, AT, x[rows], tol, np.maximum(left - _NEWTON_MAX_STEPS, 0))
+        out[rows], steps, converged[rows], gaps[rows] = _polish(X[rows], Am, AT, AA, x[rows], left - used)
+        iterations[rows] += used + steps
     return out, iterations, converged, gaps
 
 
@@ -493,12 +468,13 @@ def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     Newton steps run to the MLE, with exact zeros off its support, from
     the clipped WLS estimate, or from the uniform point where that gives a
     counted word zero probability or the WLS design is singular (see
-    ``_start``).  A fit they cannot certify is rescued by EM
-    (alpha_k <- alpha_k * g_k with gradient g_k = sum_j X_j A_jk /
-    (A_j . alpha)) from the uniform point, and Newton finishes it from
-    where EM stops (see ``_rescue``).  The fit is ``_fit_batch`` with the
-    document as a batch of one, so it equals the batched fit of the same
-    document.
+    ``_start``), for at most ``_NEWTON_MAX_STEPS`` steps.  A fit they
+    cannot certify runs EM (alpha_k <- alpha_k * g_k with gradient
+    g_k = sum_j X_j A_jk / (A_j . alpha)) from the uniform point, and
+    Newton polishes it from where EM stops, once at a step of ``EM_TOL``
+    and, if still uncertified, once more at a step of ``_EM_TIGHT_TOL``
+    (see ``_em_batch``).  The fit is ``_fit_batch`` with the document as a
+    batch of one, so it equals the batched fit of the same document.
 
     ``kkt_gap`` is the stationarity defect of the returned point:
     max |g_k - 1| over coordinates above ``TAU_SUPP`` and max (g_k - 1)_+

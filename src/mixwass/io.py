@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSimplex, ParseError
+from .errors import InvalidSimplex, ParseError, check_count
 from .estimators import CountVector
 from .inference import LimitSampleSet
 from .transport import TopicMatrix
@@ -96,7 +96,7 @@ def _read_table(lines: list[str], width: int, checks=(), start: int = 0) -> np.n
     return table
 
 
-def _count_checks(long_form: bool, p: int | None) -> list:
+def _count_checks(long_form: bool, p: int) -> list:
     """Checks of a counts table: long form with word ids below ``p``, or dense.
 
     Counts are summed in int64, so a file's running total stays below 2**62.
@@ -110,41 +110,33 @@ def _count_checks(long_form: bool, p: int | None) -> list:
         ("an entry is negative", lambda T: (T < 0).any(axis=1)),
         ("the counts up to this line sum past 2**62", lambda T: np.cumsum(counts(T)) >= 2.0**62),
     ]
-    if long_form and p is not None:
+    if long_form:
         checks.append((f"word_id out of range [0, {p})", lambda T: T[:, 1] >= p))
     return checks
 
 
-def load_counts(path, p: int | None = None) -> list[CountVector]:
-    """Load per-document word counts from CSV.
+def load_counts(path, p: int) -> list[CountVector]:
+    """Load per-document word counts over a vocabulary of ``p`` words from CSV.
 
     Long form (``doc_id,word_id,count`` header, or headerless three-column
-    rows unless ``p`` is 3) sums the counts of each document over its rows;
-    dense form has one document per row with ``p`` columns.  Raises
-    :class:`ParseError` with a line number on malformed input.
-
-    Without ``p``, long form sizes every document by its largest word id.
-    A word id for which numpy refuses that matrix, such as 2**61, raises
-    :class:`ParseError` at its line; one near 1e9 is still allocated, at
-    about 8 GB per document.  The CLI always passes ``p``.
+    rows unless ``p`` is 3) sums the counts of each document over its rows,
+    whose word ids lie in [0, p); dense form has one document per row with
+    ``p`` columns.  Raises :class:`ParseError` with a line number on
+    malformed input, and :class:`InvalidParam` unless ``p`` is an integer >= 1.
     """
+    check_count(p, "p")
     lines = _read_lines(path)
     head = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if head is None:
         return []
     first = tuple(t.strip().lower() for t in lines[head].split(","))
     long_form = first == LONG_HEADER or (len(first) == 3 and p != 3)
-    width = 3 if long_form else (len(first) if p is None else p)
+    width = 3 if long_form else p
     start = head + 1 if first == LONG_HEADER else head
     table = _read_table(lines, width, _count_checks(long_form, p), start).astype(np.int64)
     if long_form and len(table):
         doc_ids, doc = np.unique(table[:, 0], return_inverse=True)
-        try:
-            counts = np.zeros((doc_ids.size, p if p is not None else int(table[:, 1].max()) + 1), dtype=np.int64)
-        except (ValueError, MemoryError):  # numpy refuses the size
-            largest = ("word_id too large to size the count matrix", lambda T: T[:, 1] == T[:, 1].max())
-            _read_table(lines, width, [largest], start)  # raises at the largest word id's line
-            raise
+        counts = np.zeros((doc_ids.size, p), dtype=np.int64)
         np.add.at(counts, (doc, table[:, 1]), table[:, 2])
         table = counts
     return [CountVector(row) for row in table]

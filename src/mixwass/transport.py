@@ -260,9 +260,9 @@ def tv_distance(u, v) -> float:
 class CostMatrix:
     """K x K symmetric non-negative distances between mixture components."""
 
-    __slots__ = ("entries", "metric")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, metric: str = "table"):
+    def __init__(self, entries):
         C = check_numbers(entries, "cost table")
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
             raise InvalidCost(f"cost table must be square and nonempty, got shape {C.shape}")
@@ -278,7 +278,6 @@ class CostMatrix:
         np.fill_diagonal(C, 0.0)
         self.entries = C
         self.entries.flags.writeable = False
-        self.metric = metric
 
     @property
     def K(self) -> int:
@@ -303,7 +302,7 @@ def cost_matrix(A, metric="tv") -> CostMatrix:
         C = 0.5 * np.abs(diff).sum(axis=0) if metric == "tv" else np.sqrt((diff * diff).sum(axis=0))
         C = (C + C.T) / 2.0
         np.fill_diagonal(C, 0.0)
-        return CostMatrix(C, metric=metric)
+        return CostMatrix(C)
     table = check_numbers(metric, "metric")
     if table.shape != (K, K):
         raise InvalidCost(f"metric must be {_METRICS} or a {K}x{K} pairwise table, got shape {table.shape}")
@@ -316,7 +315,7 @@ def _metric_table(table) -> CostMatrix:
     Off a metric the dual value is the shortest-path transport cost, which
     falls below the primal one; C[k, l] <= C[k, m] + C[m, l] for all m.
     """
-    cost = CostMatrix(table, metric="table")
+    cost = CostMatrix(table)
     C = cost.entries
     if (C - (C[:, :, None] + C[None, :, :]).min(axis=1)).max(initial=0.0) > 1e-10:
         raise InvalidCost("cost table violates the triangle inequality")
@@ -440,9 +439,7 @@ class DualPolytope:
         return 0.0 <= hi + CONTAINS_TOL and 0.0 <= -lo + CONTAINS_TOL
 
     def contains(self, f, tol: float = CONTAINS_TOL) -> bool:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.K,):
-            raise DimError(f"f has shape {f.shape}, expected ({self.K},)")
+        f, tol = check_vector(f, "f", self.K), check_real(tol, "tol")
         if abs(f[0]) > tol:
             return False
         A, b = self.halfspaces()

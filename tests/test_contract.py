@@ -18,13 +18,14 @@ Any other exception, a result of a hostile call, or a broken promise fails.
 Valid sizes stay small (M, B <= 64, p <= 40), and a hostile size is one the
 door refuses before it allocates anything (2**64, -1, 1.5, True), never a
 large size that is valid.  ``mixwass.io.load_counts`` is not exported by
-``mixwass`` and is not in the table: without ``p`` it sizes a document by
-its largest word id.  A parameter that takes a package object draws the
-fixture objects as valid values, and as hostile ones the arrays and wrong
-objects it must refuse: topics draw the hostile topic arrays, a cost the
-hostile cost tables, a table off the triangle inequality and wrong types; a
-polytope, a config, a document or a sample set draws arrays, dicts, other
-package objects and None.  Only the flag ``quick`` and a sample set's record
+``mixwass`` and is not in the table: it reads a file, and its required
+``p`` is checked by ``check_count`` like every size here.  A parameter
+that takes a package object draws the fixture objects as valid values,
+and as hostile ones the arrays and wrong objects it must refuse: topics
+draw the hostile topic arrays, a cost the hostile cost tables, a table
+off the triangle inequality and wrong types; a polytope, a config, a
+document or a sample set draws arrays, dicts, other package objects and
+None.  Only the flag ``quick`` and a sample set's record
 of its seed are drawn valid only (``test_only_records_and_flags_are_drawn_valid_only``).
 """
 
@@ -421,6 +422,7 @@ ROWS: dict[str, Row] = {
         dict(cost=COST),
         lambda poly, kw: poly.K >= 1,
     ),
+    "DualPolytope.contains": Row(POLY.contains, dict(f=vector(K, st.floats(-10.0, 10.0)), tol=real(0.0, 1.0)), dict(f=np.zeros(K), tol=1e-9), lambda r, kw: isinstance(r, bool)),
     "kr_dual_value": Row(
         kr_dual_value,
         dict(u=vector(K, st.floats(-10.0, 10.0)), polytope=POLYTOPES),
@@ -733,6 +735,11 @@ SEED_CASES = [
     # inf, and so does a p near the float range, whose width is finite.
     ("theorem_delta", dict(N=1.0, p=6.0, n=5.461797373542294e-308), None, None, None),
     ("theorem_delta", dict(N=1.0, p=1e308, n=1.0), None, None, None),
+    # DualPolytope.contains read f with np.asarray: a string raised numpy's untyped ValueError and a
+    # NaN returned False.  An inf count raised a numpy RuntimeWarning before its refusal as a non-integer.
+    ("DualPolytope.contains", dict(f="x"), "f", InvalidParam, "^f must be an array of real numbers"),
+    ("DualPolytope.contains", dict(f=[0.0, math.nan, 0.0]), "f", InvalidParam, "^f must be finite"),
+    ("CountVector", dict(counts=np.array([1.0, math.inf])), "counts", InvalidParam, "^counts must be finite"),
 ]
 
 

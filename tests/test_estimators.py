@@ -454,7 +454,7 @@ def test_em_batch_certifies_in_at_most_three_and_a_half_newton_steps_on_average(
     A = random_topics(rng, 500, K)
     XB = np.concatenate([_documents(rng, A, K, tau, 32) for tau in (0, 3)])
     fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
-    assert conv.all() and np.all(iters <= estimators._first_steps(K))
+    assert conv.all() and np.all(iters <= estimators._NEWTON_MAX_STEPS)
     assert iters.mean() <= 3.5
 
 
@@ -473,25 +473,25 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
 
         monkeypatch.setattr(estimators, name, recorded)
     fit, iters, conv, _ = _em_batch(X, TopicMatrix(A))
-    # Newton from the clipped WLS point certifies every document: no rescue.
-    assert conv.all() and np.all(iters <= estimators._first_steps(K))
+    # Newton from the clipped WLS point certifies every document: no EM.
+    assert conv.all() and np.all(iters <= estimators._NEWTON_MAX_STEPS)
     assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_em"] == []
-    # With two steps per polish the first round has four, which leaves some
-    # documents uncertified; exactly those, and in order, run the rescue.
+    # With two steps per round the first round leaves some documents
+    # uncertified; exactly those, and in order, run EM.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 2)
     AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, estimators._start(X, AT, TopicMatrix(A)), np.full(8, 4))
-    assert estimators._first_steps(K) == 4 and 0 < np.count_nonzero(first_conv) < 8
+    _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, estimators._start(X, AT, TopicMatrix(A)), np.full(8, 2))
+    assert estimators._NEWTON_MAX_STEPS == 2 and 0 < np.count_nonzero(first_conv) < 8
     for rows in calls.values():
         rows.clear()
     fit, iters, conv, _ = _em_batch(X, TopicMatrix(A))
     assert np.array_equal(calls["_newton_finish"][0], X)
     assert np.array_equal(calls["_em"][0], X[~first_conv])
-    assert np.all(iters[first_conv] == first[first_conv]) and np.all(iters[~first_conv] > 4)
-    # No document has budget left after the first round: no rescue either.
+    assert np.all(iters[first_conv] == first[first_conv]) and np.all(iters[~first_conv] > 2)
+    # No document has budget left after the first round: no EM either.
     for rows in calls.values():
         rows.clear()
-    _, iters, conv, _ = _em_batch(X, TopicMatrix(A), max_iter=4)
+    _, iters, conv, _ = _em_batch(X, TopicMatrix(A), max_iter=2)
     assert calls["_em"] == [] and len(calls["_newton_finish"]) == 1
     assert np.array_equal(conv, first_conv) and np.all(iters == first)
 
@@ -599,7 +599,7 @@ def test_debias_batch_bits_do_not_depend_on_batch_size():
 
 
 def _em_first(X, A, budget):
-    """The rescue's path, the reference for the rows the first Newton
+    """The EM-first path, the reference for the rows the first Newton
     round hands over: EM from the uniform point to ``EM_TOL``, a Newton
     polish and, for the rows still uncertified with budget left, EM on
     from the EM stop to the tight step and one more polish, each row
@@ -734,7 +734,7 @@ def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is
     assert np.all(iters[~conv] == 3) and 0 < np.count_nonzero(conv) < 31
     assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
     assert np.array_equal(conv, gaps <= TOL_KKT)
-    # With no Newton step allowed every column is rescued by EM alone.  At
+    # With no Newton step allowed every column is fitted by EM alone.  At
     # 230 maps none has reached EM's tight stop, so each ends at max_iter
     # and Newton only checks it; one of them is already certified.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
@@ -834,9 +834,9 @@ def test_em_batch_matches_single_on_sparse_batch():
 
 
 def test_em_max_iter_is_honoured(monkeypatch):
-    # max_iter bounds Newton steps plus EM maps.  With one step per polish
-    # the first round has two, and the other columns spend the rest of the
-    # cap in the rescue; EM reaches its tight stop only far beyond these
+    # max_iter bounds Newton steps plus EM maps.  With one step per round
+    # the first round has one, and the other columns spend the rest of the
+    # cap in EM and its polishes; EM reaches its tight stop only far beyond these
     # caps, so every uncertified column ends exactly at the cap.
     rng = np.random.default_rng(17)
     K, p, B = 5, 100, 8
@@ -907,20 +907,20 @@ def _hard_grid_tight():
 
 
 @pytest.mark.parametrize("polish", [estimators._NEWTON_MAX_STEPS, 2])
-def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish):
+def test_em_batch_certifies_what_the_em_first_path_alone_certifies(monkeypatch, polish):
     # Newton first must certify every column the EM-first path certifies,
-    # and a column it rescues must get that path's bits.  The first round
-    # leaves the two stalled K=13 columns to the rescue, which certifies
-    # them.  With two steps per polish it leaves 46 columns, and one K=8
-    # boundary fit stays uncertified.
+    # and a column it hands to EM must get that path's bits.  The first
+    # round leaves the two stalled K=13 columns to EM and a polish, which
+    # certify them.  With two steps per round it leaves 83 columns, and one
+    # K=8 boundary fit stays uncertified.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
     rescued = uncertified = 0
     for (A, XB, identifiable), (tight, tight_conv) in zip(_hard_grid(), _hard_grid_tight()):
         B, K = len(XB), A.shape[1]
         fit, _, conv, _ = _em_batch(XB, TopicMatrix(A))
         AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, TopicMatrix(A)), np.full(B, estimators._first_steps(K)))
-        # The reference gets the rescue's budget: what the first round left.
+        _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, TopicMatrix(A)), np.full(B, estimators._NEWTON_MAX_STEPS))
+        # The reference gets EM's budget: what the first round left.
         ref, ref_conv = _em_first(XB, A, EM_MAX_ITER - first)
         assert np.all(conv | ~ref_conv)
         assert np.array_equal(fit[~first_conv], ref[~first_conv])
@@ -936,6 +936,53 @@ def test_em_batch_certifies_what_the_rescue_alone_certifies(monkeypatch, polish)
         if identifiable:
             assert np.abs(fit - tight)[both].max() <= 1e-6
     assert rescued > 0 and (polish == 2 or uncertified == 0)
+
+
+def _stress_grid():
+    """Seeded stress groups: (topics, (160, p) frequency rows), 30,720 columns.
+
+    K in {2, 3, 5, 8, 13, 20}; four kinds of topics: dense (uniform
+    entries, p = 300), sparse (p = 60, each word under one or two topics,
+    A[k, k] = 1), peaked (Dirichlet(0.05) columns, p = 300) and a
+    near-duplicate pair (column 1 within 5% of column 0 wordwise); N in
+    {5, 50, 1e3, 1e5}; Dirichlet(1) weights and sparse weights on
+    max(1, K // 3) topics.  One generator draws them all.
+    """
+    rng = np.random.default_rng(25)
+    for K in (2, 3, 5, 8, 13, 20):
+        for kind in ("dense", "sparse", "peaked", "near-duplicate"):
+            if kind == "sparse":
+                A = np.zeros((60, K))
+                for j in range(60):
+                    A[j, rng.choice(K, size=1 + j % 2, replace=False)] = rng.uniform(0.1, 1.0)
+                A[np.arange(K), np.arange(K)] = 1.0
+                A /= A.sum(axis=0)
+            elif kind == "peaked":
+                A = rng.dirichlet(np.full(300, 0.05), size=K).T
+            else:
+                A = random_topics(rng, 300, K)
+                if kind == "near-duplicate":
+                    A[:, 1] = A[:, 0] * rng.uniform(0.95, 1.05, size=300)
+                    A /= A.sum(axis=0)
+            for N in (5, 50, 1_000, 100_000):
+                for tau in (0, max(1, K // 3)):
+                    yield A, _documents(rng, A, K, tau, 160, N=N)
+
+
+def test_em_batch_certifies_every_column_of_the_stress_grid(monkeypatch):
+    # Every column is certified, and both EM stops run on some column, so
+    # the grid exercises the second EM-and-polish round too.
+    tols = set()
+    real = estimators._em
+
+    def recorded(X, A, AT, x, tol, budget):
+        tols.add(tol)
+        return real(X, A, AT, x, tol, budget)
+
+    monkeypatch.setattr(estimators, "_em", recorded)
+    for A, XB in _stress_grid():
+        assert _em_batch(XB, TopicMatrix(A))[2].all()
+    assert tols == {estimators.EM_TOL, estimators._EM_TIGHT_TOL}
 
 
 def test_em_objective_monotone_in_max_iter():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mixwass
 from mixwass import CountVector, gen_topic_matrix
 from mixwass.cli import main
-from mixwass.errors import InvalidSimplex, MixwassError, ParseError
+from mixwass.errors import InvalidParam, InvalidSimplex, MixwassError, ParseError
 from mixwass.io import (
     RunManifest,
     load_counts,
@@ -34,7 +34,7 @@ from mixwass.inference import LimitSampleSet
 def test_load_counts_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    assert load_counts(path) == []
+    assert load_counts(path, p=3) == []
 
 
 def test_load_counts_single_long_row(tmp_path):
@@ -49,7 +49,7 @@ def test_load_counts_single_long_row(tmp_path):
 def test_load_counts_long_form_with_header(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("doc_id,word_id,count\n0,0,2\n0,1,3\n1,2,4\n")
-    docs = load_counts(path)
+    docs = load_counts(path, p=3)
     assert len(docs) == 2
     assert docs[0].counts.tolist() == [2, 3, 0]
     assert docs[1].counts.tolist() == [0, 0, 4]
@@ -58,7 +58,7 @@ def test_load_counts_long_form_with_header(tmp_path):
 def test_load_counts_dense_form(tmp_path):
     path = tmp_path / "dense.csv"
     path.write_text("1,2,3,4\n4,3,2,1\n")
-    docs = load_counts(path)
+    docs = load_counts(path, p=4)
     assert len(docs) == 2
     assert docs[0].N == 10
 
@@ -67,27 +67,37 @@ def test_load_counts_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("doc_id,word_id,count\n0,1,2\n0,2,-3\n")
     with pytest.raises(ParseError, match="line 3"):
-        load_counts(path)
+        load_counts(path, p=3)
     path.write_text("doc_id,word_id,count\n0,1,2.5\n")
     with pytest.raises(ParseError, match="line 2"):
-        load_counts(path)
+        load_counts(path, p=3)
     path.write_text("1,2\n1,2,3\n")
     with pytest.raises(ParseError):
         load_counts(path, p=4)
     for token in ("inf", "nan", "1e300", "9.3e18"):
         path.write_text(f"doc_id,word_id,count\n0,1,2\n\n0,2,{token}\n")
         with pytest.raises(ParseError, match="line 4"):
-            load_counts(path)
+            load_counts(path, p=3)
     # Counts are summed in int64: a running total past 2**62 is refused.
     path.write_text("doc_id,word_id,count\n0,1,3000000000000000000\n0,1,3000000000000000000\n")
     with pytest.raises(ParseError, match="line 3"):
-        load_counts(path)
-    # Without p the count matrix is as wide as the largest word id, which
-    # numpy refuses to allocate at 2**50 (MemoryError) and 2**61 (ValueError).
+        load_counts(path, p=3)
+    # A word id at or past p is refused at its line, however large.
     for word in (2**50, 2**61):
         path.write_text(f"doc_id,word_id,count\n0,1,2\n0,{word},1\n\n1,{word},1\n")
-        with pytest.raises(ParseError, match="line 3: word_id too large"):
-            load_counts(path)
+        with pytest.raises(ParseError, match=r"line 3: word_id out of range \[0, 3\)"):
+            load_counts(path, p=3)
+
+
+def test_load_counts_requires_an_integer_p(tmp_path):
+    # Without p a long-form file would size each document by its largest word id.
+    path = tmp_path / "long.csv"
+    path.write_text("doc_id,word_id,count\n0,1,2\n")
+    for p in (None, 0, True, 2.0, "3"):
+        with pytest.raises(InvalidParam, match="^p must be"):
+            load_counts(path, p=p)
+    with pytest.raises(TypeError):
+        load_counts(path)
 
 
 @st.composite
@@ -495,9 +505,9 @@ def _read_counts(path, p, one_pass: bool):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_counts_text(), st.sampled_from([None, 12]))
+@given(_counts_text(), st.sampled_from([3, 12]))
 @example("doc_id,word_id,count\r\n0,1,3\x1f\r\n0,2,1_000\r\n", 12)
-@example("\n".join(_DENSE[:1] + ["  "] + _DENSE[1:]) + "\n", None)
+@example("\n".join(_DENSE[:1] + ["  "] + _DENSE[1:]) + "\n", 12)
 def test_one_pass_and_line_by_line_reading_agree(text, p):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
