@@ -4,8 +4,8 @@ Given (known or estimated) topics A, three estimators of the mixture
 weights are provided:
 
 * ``mle_weights`` -- the simplex-constrained maximum-likelihood estimate,
-  computed by active-set Newton steps to a KKT certificate, with EM and
-  a Newton polish for a fit they cannot certify;
+  computed by active-set Newton steps to a KKT certificate, with one
+  interior-point pass and a Newton polish for a fit they cannot certify;
 * ``debias`` -- the one-step correction alpha_hat + Vhat^+ Psi(alpha_hat)
   that removes the boundary-induced asymptotic bias of the MLE and admits
   a Gaussian limit even for sparse weights;
@@ -31,23 +31,23 @@ function makes of its topics at its door (``transport._as_topics``); it
 builds, on first use, and keeps its outer table, its WLS operator and its
 dead words (those no topic emits, which ``_check_rows`` refuses a count on).
 
-``_em_batch`` is one pipeline: a polish's Newton steps, then one EM-and-polish
-loop.  Newton steps on the face of free coordinates (a projected Newton
-method, Bertsekas 1982, SIAM J. Control Optim.) run from each document's
-clipped WLS estimate, max(WLS, 0) renormalised, which is consistent at the
-MLE's root-N rate and puts most coordinates off the MLE's support at exact
-zeros at once.  A document starts at the uniform point instead where that
-point is not finite or gives a counted word zero probability, and every
-document does where the WLS design is singular (``_start``).  The steps set
-exact zeros where the MLE sits on the simplex boundary, until a fit's KKT
-gap is at most ``TOL_KKT``.  A fit they leave uncertified after
-``_NEWTON_MAX_STEPS`` runs the multiplicative EM map from the uniform point
-until one map moves it by at most ``EM_TOL`` = 1e-3 in l1, and Newton
-polishes it from there; one still uncertified runs EM on to a step of
-``_EM_TIGHT_TOL`` and is polished once more.  Every EM map and Newton step
-keeps iterates in the simplex and the log-likelihood nondecreasing.
-``converged`` means exactly that the KKT certificate holds; ``iterations``
-counts Newton steps and EM maps.
+``_em_batch`` is one pipeline: a polish's Newton steps, then one
+interior-point rescue.  Newton steps on the face of free coordinates (a
+projected Newton method, Bertsekas 1982, SIAM J. Control Optim.) run from
+each document's clipped WLS estimate, max(WLS, 0) renormalised, which is
+consistent at the MLE's root-N rate and puts most coordinates off the MLE's
+support at exact zeros at once.  A document starts at the uniform point
+instead where that point is not finite or gives a counted word zero
+probability, and every document does where the WLS design is singular
+(``_start``).  The steps keep the log-likelihood nondecreasing and set exact
+zeros where the MLE sits on the simplex boundary, until a fit's KKT gap is
+at most ``TOL_KKT``.  A fit they leave uncertified after ``_NEWTON_MAX_STEPS``
+runs one primal-dual interior-point pass (``_interior``; Koenker & Mizera
+2014, JASA), whose step count does not depend on how flat the likelihood
+is, and Newton polishes it; the polish may certify it with weights at or
+below ``TAU_SUPP``, which the certificate counts as zeros.  ``converged``
+means exactly that the KKT certificate holds; ``iterations`` counts Newton
+and interior-point steps.
 """
 
 from __future__ import annotations
@@ -84,13 +84,9 @@ TAU_SUPP = 1e-8
 # but 3e-8 at c = 0.026 (13 topics, a five-word document).
 TOL_KKT = 1e-9
 
-# A fit the first Newton round cannot certify runs EM, which stops once one
-# map moves it by at most EM_TOL in l1 and hands it to a Newton polish; EM's
-# slow tail is what Newton replaces.  A fit that polish cannot certify runs
-# EM on to a step of _EM_TIGHT_TOL and is polished again.
-EM_TOL = 1e-3
-EM_MAX_ITER = 10_000
-_EM_TIGHT_TOL = 1e-10
+# Default cap on an MLE fit's Newton and interior-point steps together; no
+# column of the tests' 30,720-column stress grid takes more than 37.
+MAX_ITER = 100
 # Newton steps per round, the first and each polish, and halvings per step,
 # before a fit is uncertified.
 _NEWTON_MAX_STEPS = 20
@@ -123,6 +119,8 @@ class CountVector:
                 raise InvalidParam("counts must be finite: it has a non-finite count")
             if not np.all(np.equal(np.mod(c, 1), 0)):
                 raise InvalidParam("counts must be integers")
+            if np.abs(c).max() >= 2.0**63:  # before the cast, which warns past int64
+                raise InvalidParam("counts must lie within int64: it has a count past 2**63")
             c = c.astype(np.int64)
         if c.min() < 0:
             raise InvalidParam("counts must be non-negative")
@@ -249,30 +247,6 @@ def _grams(W: np.ndarray, AA: np.ndarray) -> np.ndarray:
     return _rowdot(W, AA).reshape(-1, K, K)
 
 
-def _em(X, A, AT, x, tol, budget):
-    """Multiplicative EM on frequency rows X from weight rows x.
-
-    Returns (weights, EM maps used).  The map x_k <- x_k * g_k, with
-    gradient g_k = sum_j X_j A_jk / (A_j . x), never lowers the
-    log-likelihood.  Row b stops once one map moves it by at most ``tol``
-    in l1, or after ``budget[b]`` maps; the working rows are compacted only
-    on a map after which some row leaves.
-    """
-    out, used = x.copy(), budget.copy()
-    active = np.flatnonzero(budget > 0)
-    X, x, left, it = X[active], x[active], budget[active], 0
-    while active.size:
-        x1 = x * _rowdot(X / _fitted(x, AT), A)
-        it += 1
-        keep = (np.abs(x1 - x).sum(axis=1) > tol) & (left > it)
-        if not keep.all():
-            out[active[~keep]], used[active[~keep]] = x1[~keep], it
-            active, X, x1, left = active[keep], X[keep], x1[keep], left[keep]
-        x = x1
-    out /= out.sum(axis=1, keepdims=True)
-    return out, used
-
-
 def _face_step(H: np.ndarray, gm1: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Newton direction of each row on its face.
 
@@ -292,15 +266,22 @@ def _face_step(H: np.ndarray, gm1: np.ndarray, free: np.ndarray) -> np.ndarray:
         M[:, :K, :K] = np.where(both, H, np.eye(K) * ~free[:, :, None])
         M[:, :K, K] = M[:, K, :K] = free
         rhs[:, :K, 0] = np.where(free, gm1, 0.0)
+    return _solve(M, rhs)[:, :K, 0]
+
+
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve of (n, m, m) systems M against (n, m, 1) right-hand sides.
+    One singular system fails the whole stack; then each is solved apart,
+    and a singular one gets its minimum-norm least-squares solution."""
     try:
-        return np.linalg.solve(M, rhs)[:, :K, 0]
-    except np.linalg.LinAlgError:  # one singular system fails the whole stack
-        d = np.empty((n, K))
-        for b in range(n):
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        d = np.empty_like(rhs)
+        for b in range(len(M)):
             try:
-                d[b] = np.linalg.solve(M[b], rhs[b])[:K, 0]
+                d[b] = np.linalg.solve(M[b], rhs[b])
             except np.linalg.LinAlgError:
-                d[b] = np.linalg.lstsq(M[b], rhs[b], rcond=None)[0][:K, 0]
+                d[b] = np.linalg.lstsq(M[b], rhs[b], rcond=None)[0]
         return d
 
 
@@ -322,10 +303,9 @@ def _newton_finish(X, A, AT, AA, x, budget):
     or when no halving keeps its likelihood.
 
     A fourth array holds each row's KKT gap, from the gradient at its
-    returned point.  As in ``_em``, rows are compacted only on a step
-    after which some row leaves, and a step every row takes whole is not
-    scattered: the halving bookkeeping starts only once a row refuses its
-    full step.
+    returned point.  Rows are compacted only on a step after which some
+    row leaves, and a step every row takes whole is not scattered: the
+    halving bookkeeping starts only once a row refuses its full step.
     """
     out, used, certified = x.copy(), np.zeros(len(x), dtype=np.int64), np.zeros(len(x), dtype=bool)
     gaps = np.empty(len(x))
@@ -419,49 +399,74 @@ def _start(X: np.ndarray, AT: np.ndarray, A: TopicMatrix) -> np.ndarray:
     return x
 
 
-def _em_batch(X: np.ndarray, A: TopicMatrix, max_iter: int = EM_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simplex MLE of a (B, p) batch of frequency rows: a polish's Newton steps, then EM and a polish.
+def _interior(X, A, AT, AA, budget):
+    """Primal-dual interior-point pass on frequency rows X from the uniform point.
+
+    Returns (weights, steps used).  It minimises -sum_j X_j log(A_j . x)
+    + 1^T x over x >= 0, whose minimiser is the simplex MLE, from x = 1/K
+    with the bound multipliers z = 1.  Each step aims at the centre at
+    sigma mu, with sigma = 0.1 and mu = x^T z / K: it solves one system
+    (H + Z/X) dx = g - 1 + sigma mu / x, with g the likelihood gradient
+    and H = A^T diag(X / r^2) A its Hessian, sets dz = sigma mu / x - z
+    - (z / x) dx, and moves by the smaller of 1 and 0.995 of the longest
+    step that keeps x and z positive.  Row b stops once mu and
+    |1 - g - z|_inf are at most 1e-13, or after ``budget[b]`` steps, at
+    max(x, 0) renormalised.  As in ``_newton_finish``, rows are compacted
+    only on a step after which some row leaves.
+    """
+    n, K = len(X), A.shape[1]
+    out, used = np.full((n, K), 1.0 / K), np.zeros(n, dtype=np.int64)
+    active, x, z, left, steps = np.arange(n), out.copy(), np.ones((n, K)), budget, 0
+    while active.size:
+        R = _fitted(x, AT)
+        XR = X / R
+        g = _rowdot(XR, A)
+        mu = (x * z).sum(axis=1) / K
+        keep = ((mu > 1e-13) | (np.abs(1.0 - g - z).max(axis=1) > 1e-13)) & (left > steps)
+        if not keep.all():
+            out[active[~keep]], used[active[~keep]] = x[~keep], steps
+            active, X, XR, R, g, x, z, mu, left = (v[keep] for v in (active, X, XR, R, g, x, z, mu, left))
+            if not active.size:
+                break
+        c = 0.1 * mu[:, None] / x
+        dx = _solve(_grams(XR / R, AA) + (z / x)[:, :, None] * np.eye(K), (g - 1.0 + c)[:, :, None])[:, :, 0]
+        dz = c - z - z / x * dx
+        v, dv = np.concatenate((x, z), axis=1), np.concatenate((dx, dz), axis=1)
+        longest = np.divide(v, -dv, out=np.full_like(v, np.inf), where=dv < 0.0).min(axis=1)
+        t = np.minimum(1.0, 0.995 * longest)[:, None]
+        x, z, steps = x + t * dx, z + t * dz, steps + 1
+    out = np.maximum(out, 0.0)
+    return out / out.sum(axis=1, keepdims=True), used
+
+
+def _em_batch(X: np.ndarray, A: TopicMatrix, max_iter: int = MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simplex MLE of a (B, p) batch of frequency rows: a polish's Newton steps, then an interior-point rescue.
 
     Returns (alphas (B, K), iterations (B,), converged (B,), KKT gaps (B,)).
     ``_newton_finish`` runs first on every row, from its clipped WLS point
     or the uniform point (``_start``), for at most ``_NEWTON_MAX_STEPS``
     steps and ``max_iter``; ``converged`` certifies a KKT gap of at most
-    ``TOL_KKT``.  Then, for each EM stop in turn, ``EM_TOL`` and
-    ``_EM_TIGHT_TOL``, every row still uncertified with budget left runs
-    EM (``_em``) on from where the previous round's EM left it, the
-    uniform point the first time, leaving a polish's steps of its budget,
-    and ``_polish`` finishes it within what is left.  ``iterations`` and
-    ``max_iter`` count Newton steps and EM maps together, and the gaps are
-    the ones Newton evaluated at each row's returned point.  A row's
-    arithmetic does not depend on the rest of the batch, so a batch of one
-    gives the same bits.
+    ``TOL_KKT``.  Every row still uncertified with budget left then runs
+    one interior-point pass (``_interior``), leaving a polish's steps of
+    its budget, and one ``_newton_finish`` of at most ``_NEWTON_MAX_STEPS``
+    steps finishes it within what is left.  ``iterations`` and
+    ``max_iter`` count Newton and interior-point steps together, and the
+    gaps are the ones Newton evaluated at each row's returned point.  A
+    row's arithmetic does not depend on the rest of the batch, so a batch
+    of one gives the same bits.
     """
     Am, AT, AA = _design(A)
     out, iterations, converged, gaps = _newton_finish(X, Am, AT, AA, _start(X, AT, A), np.full(len(X), min(max_iter, _NEWTON_MAX_STEPS)))
-    x = np.full_like(out, 1.0 / Am.shape[1])
-    for tol in (EM_TOL, _EM_TIGHT_TOL):
-        rows = np.flatnonzero(~converged & (iterations < max_iter))
-        if not rows.size:
-            break
+    rows = np.flatnonzero(~converged & (iterations < max_iter))
+    if rows.size:
         left = max_iter - iterations[rows]
-        x[rows], used = _em(X[rows], Am, AT, x[rows], tol, np.maximum(left - _NEWTON_MAX_STEPS, 0))
-        out[rows], steps, converged[rows], gaps[rows] = _polish(X[rows], Am, AT, AA, x[rows], left - used)
+        x, used = _interior(X[rows], Am, AT, AA, np.maximum(left - _NEWTON_MAX_STEPS, 0))
+        out[rows], steps, converged[rows], gaps[rows] = _newton_finish(X[rows], Am, AT, AA, x, np.minimum(left - used, _NEWTON_MAX_STEPS))
         iterations[rows] += used + steps
     return out, iterations, converged, gaps
 
 
-def _polish(X, A, AT, AA, x, budget):
-    """``_newton_finish`` of EM stops x within ``_NEWTON_MAX_STEPS`` and ``budget``,
-    from x with its weights at or below ``TAU_SUPP`` set to exact zeros where
-    the rest still give every word of X a probability: EM leaves boundary
-    weights down to 1e-300, below what the ratio test can zero, and zeroing
-    x_k moves the log-likelihood by about x_k (1 - g_k)."""
-    z = np.where(x > TAU_SUPP, x, 0.0)
-    z = np.where(((_rowdot(z, AT) > 0.0) | (X == 0.0)).all(axis=1)[:, None], z, x)
-    return _newton_finish(X, A, AT, AA, z / z.sum(axis=1, keepdims=True), np.minimum(budget, _NEWTON_MAX_STEPS))
-
-
-def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
+def mle_weights(X, A, max_iter: int = MAX_ITER) -> WeightEstimate:
     """Simplex MLE of the mixture weights, certified by its KKT conditions.
 
     Maximizes sum_j X_j log(A_j . alpha) over the simplex.  Active-set
@@ -469,18 +474,16 @@ def mle_weights(X, A, max_iter: int = EM_MAX_ITER) -> WeightEstimate:
     the clipped WLS estimate, or from the uniform point where that gives a
     counted word zero probability or the WLS design is singular (see
     ``_start``), for at most ``_NEWTON_MAX_STEPS`` steps.  A fit they
-    cannot certify runs EM (alpha_k <- alpha_k * g_k with gradient
-    g_k = sum_j X_j A_jk / (A_j . alpha)) from the uniform point, and
-    Newton polishes it from where EM stops, once at a step of ``EM_TOL``
-    and, if still uncertified, once more at a step of ``_EM_TIGHT_TOL``
-    (see ``_em_batch``).  The fit is ``_fit_batch`` with the document as a
-    batch of one, so it equals the batched fit of the same document.
+    cannot certify runs one primal-dual interior-point pass from the uniform
+    point and a Newton polish (see ``_em_batch``).  The fit is
+    ``_fit_batch`` with the document as a batch of one, so it equals the
+    batched fit of the same document.
 
     ``kkt_gap`` is the stationarity defect of the returned point:
     max |g_k - 1| over coordinates above ``TAU_SUPP`` and max (g_k - 1)_+
     over the others.  ``converged`` certifies ``kkt_gap <= TOL_KKT``.
     ``iterations`` and ``max_iter``, an integer >= 0, count Newton steps
-    plus any EM maps.
+    plus any interior-point steps.
     """
     return _fit_batch(_values(X, "X")[None, :], _as_topics(A, "A"), Method.MLE, max_iter).estimate(0)
 
@@ -555,7 +558,7 @@ class _Fits(NamedTuple):
         return WeightEstimate(self.est[b], self.method, int(self.iterations[b]), bool(self.converged[b]), gap)
 
 
-def _fit_batch(X: np.ndarray, A: TopicMatrix, method: Method = Method.DEBIASED, max_iter: int = EM_MAX_ITER) -> _Fits:
+def _fit_batch(X: np.ndarray, A: TopicMatrix, method: Method = Method.DEBIASED, max_iter: int = MAX_ITER) -> _Fits:
     """Fit of each (B, p) frequency row by ``method``: the one way a document is fitted.
 
     Every method validates the batch (``_check_rows``) and ``max_iter``, a

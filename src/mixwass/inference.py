@@ -48,10 +48,22 @@ from .estimators import CountVector, Method, _fit_batch, _Fits, _sigma_batch
 from .transport import DualPolytope, TopicMatrix, _as_polytope, _as_topics, _values, restricted_polytope, support_batch
 
 
+def _half_harmonic(N_i: float, N_j: float) -> float:
+    """N_i N_j / (N_i + N_j) of sizes >= 1.  Where the product or the sum
+    overflows it is a / (1 + a / b) with a <= b, whose terms cannot, and
+    not 1 / (1/N_i + 1/N_j), whose reciprocals of sizes near the float
+    range are subnormal: at N_i = N_j = 1.8e308 its double overflows."""
+    h = N_i * N_j / (N_i + N_j)
+    if math.isfinite(h):
+        return h
+    a, b = sorted((N_i, N_j))
+    return a / (1.0 + a / b)
+
+
 def effective_root_n(N_i: int, N_j: int) -> float:
     """sqrt(2 N_i N_j / (N_i + N_j)); equals sqrt(N) when N_i = N_j = N."""
     N_i, N_j = check_real(N_i, "N_i", 1), check_real(N_j, "N_j", 1)  # floats: a float32 size does not compute in float32
-    return math.sqrt(2.0 * N_i * N_j / (N_i + N_j))
+    return math.sqrt(2.0 * _half_harmonic(N_i, N_j))  # doubling is exact: the bits of 2 N_i N_j / (N_i + N_j)
 
 
 def theorem_delta(N: int, p: int, n: int | None = None) -> float:
@@ -208,7 +220,7 @@ def confidence_interval(W_tilde: float, limits: LimitSampleSet, level: float, N_
     check_real(W_tilde, "W_tilde", -math.inf)
     divisor = effective_root_n(N_i, N_j)  # refuses sizes below 1 before s divides by their sum
     _check_level(level, check_instance(limits, "limits", LimitSampleSet).M)
-    s = math.sqrt(N_i * N_j / (N_i + N_j))
+    s = math.sqrt(_half_harmonic(float(N_i), float(N_j)))
     q_hi = limits.quantile(1.0 - level / 2.0)
     q_lo = limits.quantile(level / 2.0)
     return ConfidenceInterval(
@@ -315,7 +327,8 @@ def _derivative_samples(pairs: FittedPairs, A, base, seeds, settings) -> list[Li
         # The resamples' own distances are not needed; beyond K = 10 each is an LP.
         boot = _resampled_pairs(pairs, c, (pairs.N_i, pairs.N_j), A, None, settings["B"], seed)
         directions = scale * ((boot.est_i - boot.est_j) - (pairs.est_i[c] - pairs.est_j[c]))
-        out.append(_sample_set(support_batch(poly, directions), poly, delta, seed, W_tilde=float(pairs.W[c])))
+        unconverged = int(np.count_nonzero(~boot.converged))
+        out.append(_sample_set(support_batch(poly, directions), poly, delta, seed, W_tilde=float(pairs.W[c]), unconverged=unconverged))
     return out
 
 
@@ -324,9 +337,9 @@ def _m_of_n_samples(pairs: FittedPairs, A, poly, seeds, settings) -> list[LimitS
     gamma, out = settings["gamma"], []
     m_i, m_j = (math.ceil(N**gamma) for N in (pairs.N_i, pairs.N_j))
     for c, seed in enumerate(seeds):
-        W_b = _resampled_pairs(pairs, c, (m_i, m_j), A, poly, settings["B"], seed).W
-        samples = effective_root_n(m_i, m_j) * (W_b - pairs.W[c])
-        meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": float(pairs.W[c])}
+        boot = _resampled_pairs(pairs, c, (m_i, m_j), A, poly, settings["B"], seed)
+        samples = effective_root_n(m_i, m_j) * (boot.W - pairs.W[c])
+        meta = {"m_i": m_i, "m_j": m_j, "gamma": gamma, "W_tilde": float(pairs.W[c]), "unconverged": int(np.count_nonzero(~boot.converged))}
         out.append(LimitSampleSet(samples, delta=None, seed=seed, zero_feasible=False, meta=meta))
     return out
 
@@ -388,7 +401,8 @@ def m_out_of_n_bootstrap(
 
     Each replicate resamples m_l = ceil(N_l^gamma) words from the observed
     frequencies of document l, reruns the MLE + debias + distance pipeline,
-    and emits the centered, sqrt(m)-scaled distance.
+    and emits the centered, sqrt(m)-scaled distance.  ``meta["unconverged"]``
+    counts the resample MLE fits without a KKT certificate.
     """
     return _observed_pair_samples("m_of_n", X_i, X_j, A_hat, cost, seed, B=B, gamma=gamma)
 
@@ -408,6 +422,8 @@ def derivative_bootstrap(
     Full-size multinomial resamples give debiased estimates per replicate;
     the direction sqrt(N_eff)(alpha_b_i - alpha_b_j - alpha_i + alpha_j) is
     evaluated on the same data-driven polytope as the plug-in sampler.
+    ``meta["unconverged"]`` counts the resample MLE fits without a KKT
+    certificate.
     """
     return _observed_pair_samples("deriv_bs", X_i, X_j, A_hat, cost, seed, B=B, delta=delta)
 

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from . import numlin
-from .estimators import TOL_KKT, CountVector, Method, _covariances, _em, debias, mle_objective, mle_weights, sigma_hat, sigma_ls, wls_weights
+from .estimators import MAX_ITER, TOL_KKT, CountVector, Method, _covariances, _design, _interior, _kkt_gaps, debias, mle_weights, sigma_hat, sigma_ls, wls_weights
 from .inference import METHODS, _fit_rows, _pair_estimates, confidence_interval, derivative_bootstrap, limit_sampler, m_out_of_n_bootstrap
 from .simulate import SimConfig, gen_topic_matrix, gen_weights, run_ci_experiment
 from .transport import (
@@ -156,26 +156,21 @@ def check_vertex_lp_agreement(n_instances: int = 30, seed: int = 17) -> tuple[st
     return ("vertex-lp-agreement", ok, f"max |vertex - LP| {worst:.2e}, on the delta=0 face {worst_face:.2e}")
 
 
-def check_em_monotone(n_instances: int = 20, seed: int = 18) -> tuple[str, bool, str]:
-    """The MLE kernel's EM map (``estimators._em``) never lowers the objective."""
+def check_interior_certified(n_instances: int = 20, seed: int = 18) -> tuple[str, bool, str]:
+    """The MLE kernel's interior-point pass (``estimators._interior``) alone,
+    from the uniform point, ends strictly inside the simplex within the KKT
+    certificate, in at most 30 steps."""
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    one = np.ones(1, dtype=np.int64)
-    for _ in range(n_instances):
+    worst, most, inside = 0.0, 0, True
+    for i in range(n_instances):
         K = int(rng.integers(2, 6))
-        p = 6 * K
-        A = rng.uniform(size=(p, K))
-        A /= A.sum(axis=0)
-        alpha = rng.dirichlet(np.ones(K))
-        X = rng.multinomial(200, A @ alpha) / 200.0
-        a, AT = np.full((1, K), 1.0 / K), np.ascontiguousarray(A.T)
-        prev = mle_objective(a[0], X, A)
-        for _ in range(200):
-            a, _ = _em(X[None], A, AT, a, 0.0, one)
-            cur = mle_objective(a[0], X, A)
-            worst = max(worst, prev - cur)
-            prev = cur
-    return ("em-monotone", worst <= 1e-12, f"max objective drop {worst:.2e}")
+        A = gen_topic_matrix(6 * K, K, [seed, i])
+        alpha = rng.dirichlet(np.ones(K)) if i % 2 else np.eye(K)[0]  # odd: dense, even: on the boundary
+        X = rng.multinomial(200, A.matrix @ alpha)[None] / 200.0
+        x, used = _interior(X, *_design(A), np.full(1, MAX_ITER))
+        worst, most, inside = max(worst, float(_kkt_gaps(X, A, x)[0])), max(most, int(used[0])), inside and x.min() > 0.0
+    ok = inside and worst <= TOL_KKT and most <= 30
+    return ("interior-certified", ok, f"max KKT gap {worst:.2e} in at most {most} steps{'' if inside else ', a weight at 0'}")
 
 
 def check_debias_fixed_point(n_instances: int = 30, seed: int = 19) -> tuple[str, bool, str]:
@@ -373,7 +368,7 @@ ALL_CHECKS = [
     check_tv_upper_bound,
     check_support_stability,
     check_vertex_lp_agreement,
-    check_em_monotone,
+    check_interior_certified,
     check_debias_fixed_point,
     check_sigma_nullspace,
     check_pinv_psd,

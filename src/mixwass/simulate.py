@@ -104,8 +104,13 @@ class SimConfig:
         check_unit(self.level, "level")
         check_choice(self.design, "design", ("null", "alternative"))
         for name, names in (("methods", METHODS), ("estimators", ESTIMATORS)):
-            for value in getattr(self, name):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not values:  # a bare string would be read by letter
+                raise InvalidParam(f"{name} must be a non-empty tuple of names from {tuple(names)}, not {values!r}")
+            for value in values:
                 check_choice(value, name, names)
+            if len(set(values)) < len(values):
+                raise InvalidParam(f"{name} repeats a name: {values!r}")
         if not (self.delta is None or isinstance(self.delta, str) and self.delta == "rate"):
             check_real(self.delta, "delta")
         check_real(self.a_noise, "a_noise")

@@ -333,7 +333,7 @@ METHOD_VALUES = Domain(_values("mle", "debiased", "wls", Method.WLS), _values("x
 def _choices(names) -> Domain:
     return Domain(
         st.lists(_values(*names), min_size=1, max_size=len(names), unique=True).map(tuple),
-        _values(("nope",), (names[0], "x"), (None,), (1,), (True,)),
+        _values(("nope",), (names[0], "x"), (None,), (1,), (True,), names[0], (), (names[0], names[0])),
     )
 
 
@@ -740,6 +740,14 @@ SEED_CASES = [
     ("DualPolytope.contains", dict(f="x"), "f", InvalidParam, "^f must be an array of real numbers"),
     ("DualPolytope.contains", dict(f=[0.0, math.nan, 0.0]), "f", InvalidParam, "^f must be finite"),
     ("CountVector", dict(counts=np.array([1.0, math.inf])), "counts", InvalidParam, "^counts must be finite"),
+    # A float count past int64 raised numpy's cast RuntimeWarning, then was refused as negative.
+    ("CountVector", dict(counts=np.array([1e300])), "counts", InvalidParam, "^counts must lie within int64"),
+    ("CountVector", dict(counts=np.array([2.0**63])), "counts", InvalidParam, "^counts must lie within int64"),
+    ("CountVector", dict(counts=np.array([1e19, 1.0])), "counts", InvalidParam, "^counts must lie within int64"),
+    # A bare string was read letter by letter, an empty tuple ran no method, and a repeated one ran twice.
+    ("SimConfig", dict(methods="plugin"), "methods", InvalidParam, "^methods must be a non-empty tuple"),
+    ("SimConfig", dict(estimators=()), "estimators", InvalidParam, "^estimators must be a non-empty tuple"),
+    ("SimConfig", dict(methods=("plugin", "plugin")), "methods", InvalidParam, "^methods repeats a name"),
 ]
 
 

@@ -17,7 +17,7 @@ from mixwass.errors import DegenerateSupport, InfeasibleRow, InvalidParam, Singu
 from mixwass import estimators, numlin
 from mixwass.transport import TopicMatrix
 from mixwass.estimators import (
-    EM_MAX_ITER,
+    MAX_ITER,
     TOL_KKT,
     Method,
     _debias_batch,
@@ -463,7 +463,7 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
     K = 5
     A = random_topics(rng, 200, K)
     X = _documents(rng, A, K, 3, 8)
-    calls = {"_em": [], "_newton_finish": []}
+    calls = {"_interior": [], "_newton_finish": []}
     for name, rows in calls.items():
         real = getattr(estimators, name)
 
@@ -473,11 +473,11 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
 
         monkeypatch.setattr(estimators, name, recorded)
     fit, iters, conv, _ = _em_batch(X, TopicMatrix(A))
-    # Newton from the clipped WLS point certifies every document: no EM.
+    # Newton from the clipped WLS point certifies every document: no rescue.
     assert conv.all() and np.all(iters <= estimators._NEWTON_MAX_STEPS)
-    assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_em"] == []
+    assert [len(x) for x in calls["_newton_finish"]] == [8] and calls["_interior"] == []
     # With two steps per round the first round leaves some documents
-    # uncertified; exactly those, and in order, run EM.
+    # uncertified; exactly those, and in order, run the interior-point pass.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 2)
     AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
     _, first, first_conv, _ = estimators._newton_finish(X, A, AT, AA, estimators._start(X, AT, TopicMatrix(A)), np.full(8, 2))
@@ -486,13 +486,13 @@ def test_em_batch_runs_the_retry_round_only_for_columns_that_need_it(monkeypatch
         rows.clear()
     fit, iters, conv, _ = _em_batch(X, TopicMatrix(A))
     assert np.array_equal(calls["_newton_finish"][0], X)
-    assert np.array_equal(calls["_em"][0], X[~first_conv])
+    assert np.array_equal(calls["_interior"][0], X[~first_conv])
     assert np.all(iters[first_conv] == first[first_conv]) and np.all(iters[~first_conv] > 2)
-    # No document has budget left after the first round: no EM either.
+    # No document has budget left after the first round: no rescue either.
     for rows in calls.values():
         rows.clear()
     _, iters, conv, _ = _em_batch(X, TopicMatrix(A), max_iter=2)
-    assert calls["_em"] == [] and len(calls["_newton_finish"]) == 1
+    assert calls["_interior"] == [] and len(calls["_newton_finish"]) == 1
     assert np.array_equal(conv, first_conv) and np.all(iters == first)
 
 
@@ -598,27 +598,8 @@ def test_debias_batch_bits_do_not_depend_on_batch_size():
                 assert np.array_equal(_debias_batch(mle[rows], X[rows], TopicMatrix(A)), whole[rows])
 
 
-def _em_first(X, A, budget):
-    """The EM-first path, the reference for the rows the first Newton
-    round hands over: EM from the uniform point to ``EM_TOL``, a Newton
-    polish and, for the rows still uncertified with budget left, EM on
-    from the EM stop to the tight step and one more polish, each row
-    within its ``budget``.  Returns (alphas (B, K), converged (B,))."""
-    A = np.ascontiguousarray(A)  # the kernel's layout, so its products' bits
-    AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
-    (B, K), polish = (X.shape[0], A.shape[1]), estimators._NEWTON_MAX_STEPS
-    start, iters = estimators._em(X, A, AT, np.full((B, K), 1.0 / K), estimators.EM_TOL, budget)
-    out, used, conv, _ = estimators._polish(X, A, AT, AA, start, budget - iters)
-    iters += used
-    r = ~conv & (iters < budget)
-    left = budget[r] - iters[r]
-    x, used = estimators._em(X[r], A, AT, start[r], estimators._EM_TIGHT_TOL, np.maximum(left - polish, 0))
-    out[r], _, conv[r], _ = estimators._polish(X[r], A, AT, AA, x, left - used)
-    return out, conv
-
-
 def _tight_fit(X, A):
-    """An MLE that does not start with Newton, nor run the kernel's EM:
+    """An MLE that does not start with Newton, nor run the kernel's rescue:
     SQUAREM (``oracles.squarem_mle``) from the uniform point to a 1e-15
     step or 20,000 maps, then a Newton polish of up to 100 steps, whatever
     the kernel's polish allows.  Returns (alphas (B, K), converged (B,))."""
@@ -687,13 +668,14 @@ def _mixed_documents(rng, A, K, B):
 @pytest.mark.parametrize("K", [5, 8])
 def test_em_batch_single_columns_equal_every_batch_bit_for_bit(K):
     # Under the caps, columns leave the kernel's working rows on different
-    # EM maps and Newton steps, so every batch compacts on other iterations.
+    # Newton and interior-point steps, so every batch compacts on other
+    # iterations.
     rng = np.random.default_rng(40 + K)
     A = TopicMatrix(random_topics(rng, 500, K))
     XB = _mixed_documents(rng, A.matrix, K, 32)
-    for max_iter in (1, 2, 3, 5, 12, EM_MAX_ITER):
+    for max_iter in (1, 2, 3, 5, 12, MAX_ITER):
         singles = [_em_batch(XB[[b]], A, max_iter=max_iter) for b in range(32)]
-        if max_iter in (12, EM_MAX_ITER):
+        if max_iter in (12, MAX_ITER):
             assert len({int(s[1][0]) for s in singles}) > 1
         for B in (1, 2, 3, 31, 32):
             fit, iters, conv, gaps = _em_batch(XB[:B], A, max_iter=max_iter)
@@ -710,12 +692,12 @@ def test_em_batch_gaps_are_the_kkt_gaps_bit_for_bit(monkeypatch):
     K = 5
     A = random_topics(rng, 500, K)
     XB = _mixed_documents(rng, A, K, 31)
-    for max_iter in (1, 2, 5, 12, 20, EM_MAX_ITER):
+    for max_iter in (1, 2, 5, 12, 20, MAX_ITER):
         fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A), max_iter=max_iter)
         assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
         assert np.array_equal(conv, gaps <= TOL_KKT)
-    # No Newton step allowed: every column runs EM on to the tight step and
-    # is polished once more, and its gap still comes from that polish.
+    # No Newton step allowed: every column runs the interior-point pass, and
+    # its gap still comes from the Newton check after it.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
     fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A))
     assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
@@ -734,19 +716,20 @@ def test_em_batch_column_capped_by_max_iter_is_converged_exactly_when_its_gap_is
     assert np.all(iters[~conv] == 3) and 0 < np.count_nonzero(conv) < 31
     assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
     assert np.array_equal(conv, gaps <= TOL_KKT)
-    # With no Newton step allowed every column is fitted by EM alone.  At
-    # 230 maps none has reached EM's tight stop, so each ends at max_iter
-    # and Newton only checks it; one of them is already certified.
+    # With no Newton step allowed every column is fitted by the
+    # interior-point pass alone.  At 10 steps none has reached its stop, so
+    # each ends at max_iter and Newton only checks it; four of them are
+    # already certified.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A), max_iter=230)
-    assert np.all(iters == 230) and 0 < np.count_nonzero(conv) < 31
+    fit, iters, conv, gaps = _em_batch(XB, TopicMatrix(A), max_iter=10)
+    assert np.all(iters == 10) and 0 < np.count_nonzero(conv) < 31
     assert np.array_equal(gaps, _kkt_gaps(XB, TopicMatrix(A), fit))
     assert np.array_equal(conv, gaps <= TOL_KKT)
 
 
 def test_em_near_degenerate_boundary_certifies():
-    # Document 5 has a weight that the MLE puts on the boundary while EM
-    # leaves it decaying; Newton must zero it and certify the rest.
+    # Document 5 has a weight that the MLE puts on the boundary; Newton
+    # must zero it and certify the rest.
     rng = np.random.default_rng(16)
     A = random_topics(rng, 500, 5)
     XB = np.stack([rng.multinomial(1000, A @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(16)])
@@ -776,48 +759,20 @@ def test_em_column_with_fewer_words_than_topics_is_isolated():
 
 
 def test_em_uncertified_column_reruns_em_and_reports_unconverged(monkeypatch):
-    # With no Newton steps allowed, a fit is certified only if EM alone
-    # reaches the KKT tolerance; the rest run EM on to the tight step.
+    # With no Newton steps allowed, a fit is certified only if the
+    # interior-point pass alone reaches the KKT tolerance.  Uncapped it
+    # certifies all 16 columns; 13 steps cut it short on 7 of them.
     rng = np.random.default_rng(21)
     K = 5
     A = random_topics(rng, 500, K)
     XB = _documents(rng, A, K, 3, 16)
     tight, _ = _tight_fit(XB, A)
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 0)
-    fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
+    fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A), max_iter=13)
     assert not conv.all()
     assert np.array_equal(conv, _kkt_gaps(XB, TopicMatrix(A), fit) <= TOL_KKT)
     gain = (XB * np.log(fit @ A.T)).sum(axis=1) - (XB * np.log(tight @ A.T)).sum(axis=1)
     assert np.all(gain >= -1e-9)
-
-
-def test_em_batch_retry_restarts_from_the_em_stop_point(monkeypatch):
-    # Neither the first round's two Newton steps nor a one-step polish
-    # certifies any of these columns, so every one runs EM on.  It runs on
-    # from its EM stop, whatever _newton_finish left in its x argument,
-    # which it may write into.
-    rng = np.random.default_rng(27)
-    K = 5
-    A = random_topics(rng, 500, K)
-    XB = _documents(rng, A, K, 3, 16)
-    runs, em, newton = [], estimators._em, estimators._newton_finish
-
-    def recorded(X, A, AT, x, tol, budget):
-        out = em(X, A, AT, x, tol, budget)
-        runs.append((x.copy(), out[0]))
-        return out
-
-    def scribbling(X, A, AT, AA, x, budget):
-        out = newton(X, A, AT, AA, x, budget)
-        x[:] = np.nan
-        return out
-
-    monkeypatch.setattr(estimators, "_em", recorded)
-    monkeypatch.setattr(estimators, "_newton_finish", scribbling)
-    monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
-    _em_batch(XB, TopicMatrix(A))
-    (_, stop), (restart, _) = runs
-    assert len(restart) == 16 and np.array_equal(restart, stop)
 
 
 def test_em_batch_matches_single_on_sparse_batch():
@@ -834,10 +789,11 @@ def test_em_batch_matches_single_on_sparse_batch():
 
 
 def test_em_max_iter_is_honoured(monkeypatch):
-    # max_iter bounds Newton steps plus EM maps.  With one step per round
-    # the first round has one, and the other columns spend the rest of the
-    # cap in EM and its polishes; EM reaches its tight stop only far beyond these
-    # caps, so every uncertified column ends exactly at the cap.
+    # max_iter bounds Newton plus interior-point steps.  With one step per
+    # round the first round has one, and the other columns spend the rest
+    # of the cap in the interior-point pass and its polish; the pass reaches
+    # its stop only beyond the caps up to 11, so every uncertified column
+    # ends exactly at the cap.
     rng = np.random.default_rng(17)
     K, p, B = 5, 100, 8
     A = random_topics(rng, p, K)
@@ -871,11 +827,12 @@ def _hard_grid():
     Sparse topics (each word under one or two topics) at N=5, K=20
     one-topic documents, boundary fits (tau = 1 and 3) at K=5 and 8,
     peaked topics (Dirichlet(0.05) columns) at K=5 and N=1e5, and a
-    near-duplicate topic pair (within 5% wordwise) at K=5, where EM is
-    slowest.  At N=5 the MLE need not be unique, so only its likelihood is
-    compared.  At K=13 some of the N=5 columns have five words and nine or
-    more free coordinates, and the first Newton round stalls on two of them
-    far from the certificate.
+    near-duplicate topic pair (within 5% wordwise) at K=5, where the
+    likelihood is flattest.  At N=5 the MLE need not be unique, so only its
+    likelihood is compared.  At K=13 some of the N=5 columns have five words
+    and nine or more free coordinates, and the first Newton round stalls on
+    two of them far from the certificate; the one interior-point pass and
+    its polish certify them.
     """
     rng = np.random.default_rng(71)
     grid = []
@@ -908,22 +865,17 @@ def _hard_grid_tight():
 
 @pytest.mark.parametrize("polish", [estimators._NEWTON_MAX_STEPS, 2])
 def test_em_batch_certifies_what_the_em_first_path_alone_certifies(monkeypatch, polish):
-    # Newton first must certify every column the EM-first path certifies,
-    # and a column it hands to EM must get that path's bits.  The first
-    # round leaves the two stalled K=13 columns to EM and a polish, which
-    # certify them.  With two steps per round it leaves 83 columns, and one
-    # K=8 boundary fit stays uncertified.
+    # Every column is certified, and its fit matches the oracle's.  The
+    # first round leaves the two stalled K=13 columns to the interior-point
+    # pass and a polish, which certify them.  With two steps per round it
+    # leaves 83 columns, and the pass certifies those too.
     monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", polish)
     rescued = uncertified = 0
     for (A, XB, identifiable), (tight, tight_conv) in zip(_hard_grid(), _hard_grid_tight()):
-        B, K = len(XB), A.shape[1]
+        B = len(XB)
         fit, _, conv, _ = _em_batch(XB, TopicMatrix(A))
         AT, AA = np.ascontiguousarray(A.T), TopicMatrix(A).outers
         _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, TopicMatrix(A)), np.full(B, estimators._NEWTON_MAX_STEPS))
-        # The reference gets EM's budget: what the first round left.
-        ref, ref_conv = _em_first(XB, A, EM_MAX_ITER - first)
-        assert np.all(conv | ~ref_conv)
-        assert np.array_equal(fit[~first_conv], ref[~first_conv])
         rescued += np.count_nonzero(~first_conv)
         uncertified += np.count_nonzero(~conv)
         both = conv & tight_conv
@@ -935,7 +887,7 @@ def test_em_batch_certifies_what_the_em_first_path_alone_certifies(monkeypatch, 
         assert np.all(np.abs(loglik(fit) - loglik(tight))[both] <= 1e-9)
         if identifiable:
             assert np.abs(fit - tight)[both].max() <= 1e-6
-    assert rescued > 0 and (polish == 2 or uncertified == 0)
+    assert rescued > 0 and uncertified == 0
 
 
 def _stress_grid():
@@ -970,24 +922,26 @@ def _stress_grid():
 
 
 def test_em_batch_certifies_every_column_of_the_stress_grid(monkeypatch):
-    # Every column is certified, and both EM stops run on some column, so
-    # the grid exercises the second EM-and-polish round too.
-    tols = set()
-    real = estimators._em
+    # Every column is certified within MAX_ITER, and the interior-point pass
+    # runs on some rows, so the grid exercises the rescue too.
+    rescued = []
+    real = estimators._interior
 
-    def recorded(X, A, AT, x, tol, budget):
-        tols.add(tol)
-        return real(X, A, AT, x, tol, budget)
+    def recorded(X, *args):
+        rescued.append(len(X))
+        return real(X, *args)
 
-    monkeypatch.setattr(estimators, "_em", recorded)
+    monkeypatch.setattr(estimators, "_interior", recorded)
     for A, XB in _stress_grid():
-        assert _em_batch(XB, TopicMatrix(A))[2].all()
-    assert tols == {estimators.EM_TOL, estimators._EM_TIGHT_TOL}
+        _, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
+        assert conv.all() and iters.max() <= 100
+    assert sum(rescued) > 0
 
 
 def test_em_objective_monotone_in_max_iter():
-    # Each EM map or Newton step the kernel spends leaves the
-    # log-likelihood no lower than before.
+    # Each Newton step the kernel spends leaves the log-likelihood no lower
+    # than before.  No column here reaches the interior-point pass, whose
+    # iterates need not raise it.
     rng = np.random.default_rng(18)
     K, p, N, B = 5, 300, 1000, 32
     A = random_topics(rng, p, K)

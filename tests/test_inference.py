@@ -25,7 +25,7 @@ from mixwass import (
     theorem_delta,
     wasserstein_primal,
 )
-from mixwass import inference, transport
+from mixwass import estimators, inference, transport
 from mixwass.inference import METHODS, _fit_pairs, _limit_draws, _plugin_limits
 from mixwass.selfcheck import check_limit_batch_matches_single
 from mixwass.errors import InvalidCost, InvalidParam
@@ -333,6 +333,17 @@ def test_non_finite_document_sizes_are_refused(bad):
     assert confidence_interval(0.1, samples, 0.2, 300, 500).scale == np.sqrt(300 * 500 / 800)
 
 
+@pytest.mark.parametrize("N_i,N_j,h", [(1e308, 1e308, 5e307), (1, 1e308, 1.0), (1e200, 1e200, 5e199)])
+def test_sizes_near_the_float_range_give_a_finite_scale(N_i, N_j, h):
+    # 2 N_i N_j overflowed before its division: (1e308, 1e308) gave NaN and the others inf.
+    samples = LimitSampleSet(np.linspace(0, 1, 1000), delta=None, seed=0)
+    assert effective_root_n(N_i, N_j) == pytest.approx(np.sqrt(2.0 * h), rel=1e-15)
+    ci = confidence_interval(0.1, samples, 0.2, N_i, N_j)
+    assert ci.scale == pytest.approx(np.sqrt(h), rel=1e-15) and np.isfinite([ci.lower, ci.upper]).all()
+    # Doubling is exact, so sizes whose product is finite keep the old bits.
+    assert effective_root_n(300, 500) == np.sqrt(2.0 * 300 * 500 / 800)
+
+
 def test_non_integer_monte_carlo_sizes_are_refused():
     A, cost, alpha, X_i, X_j = small_instance(seed=17)
     est = mle_weights(X_i.frequencies, A)
@@ -395,6 +406,26 @@ def test_m_of_n_single_replicate_deterministic():
     assert s1.M == 1
     assert np.array_equal(s1.samples, s2.samples)
     assert s1.meta["m_i"] == int(np.ceil(X_i.N**0.5))
+
+
+def test_both_bootstraps_count_their_uncertified_resample_fits(monkeypatch):
+    A, cost, alpha, X_i, X_j = small_instance(seed=10)
+    runs = {
+        "deriv_bs": lambda: derivative_bootstrap(X_i, X_j, A, cost, delta=0.0, B=20, seed=1),
+        "m_of_n": lambda: m_out_of_n_bootstrap(X_i, X_j, A, cost, B=20, seed=1),
+    }
+    assert all(run().meta["unconverged"] == 0 for run in runs.values())
+    # Each fit batch gets its first row's certificate taken away: the pair's
+    # own batch, and the resamples' 40 rows in two batches of 32 and 8.
+    real = estimators._em_batch
+
+    def one_uncertified(X, A, max_iter):
+        out, iterations, converged, gaps = real(X, A, max_iter)
+        converged[0] = False
+        return out, iterations, converged, gaps
+
+    monkeypatch.setattr(estimators, "_em_batch", one_uncertified)
+    assert all(run().meta["unconverged"] == 2 for run in runs.values())
 
 
 def test_m_of_n_validates_gamma():
