@@ -28,8 +28,8 @@ product per row (WLS), and every Gram A^T diag(w) A is one ``_rowdot``
 against the topic matrix's outer table; so a document gets the same bits
 in any batch.  The kernels take only a ``TopicMatrix``, which each public
 function makes of its topics at its door (``transport._as_topics``); it
-builds, on first use, and keeps its outer table, its WLS operator and its
-dead words (those no topic emits, which ``_check_rows`` refuses a count on).
+keeps its transpose, information factors (``_factors``), outer table, WLS
+operator and dead words (which no topic emits, and no counted word may be).
 
 ``_em_batch`` is one pipeline: a polish's Newton steps, then one
 interior-point rescue.  Newton steps on the face of free coordinates (a
@@ -44,8 +44,8 @@ zeros where the MLE sits on the simplex boundary, until a fit's KKT gap is
 at most ``TOL_KKT``.  A fit they leave uncertified after ``_NEWTON_MAX_STEPS``
 runs one primal-dual interior-point pass (``_interior``; Koenker & Mizera
 2014, JASA), whose step count does not depend on how flat the likelihood
-is, and Newton polishes it; the polish may certify it with weights at or
-below ``TAU_SUPP``, which the certificate counts as zeros.  ``converged``
+is, and Newton polishes it from there with its weights at or below
+``TAU_SUPP``, the certificate's zeros, made exact zeros.  ``converged``
 means exactly that the KKT certificate holds; ``iterations`` counts Newton
 and interior-point steps.
 """
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +91,7 @@ MAX_ITER = 100
 # before a fit is uncertified.
 _NEWTON_MAX_STEPS = 20
 _NEWTON_MAX_HALVINGS = 30
+_FACTORS_KEPT = 64  # rows' information factors kept: the 2 x ``inference._CHUNK`` sides of a plug-in chunk
 
 
 class Method(str, enum.Enum):
@@ -207,8 +208,7 @@ def _rowdot(U: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _design(A: TopicMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A topic matrix as C-ordered A, A^T and its outer table, which every fit against it shares."""
-    Am = np.ascontiguousarray(A.matrix)
-    return Am, np.ascontiguousarray(Am.T), A.outers
+    return np.ascontiguousarray(A.matrix), A.transposed, A.outers
 
 
 def _fitted(x: np.ndarray, AT: np.ndarray) -> np.ndarray:
@@ -449,7 +449,8 @@ def _em_batch(X: np.ndarray, A: TopicMatrix, max_iter: int = MAX_ITER) -> tuple[
     ``TOL_KKT``.  Every row still uncertified with budget left then runs
     one interior-point pass (``_interior``), leaving a polish's steps of
     its budget, and one ``_newton_finish`` of at most ``_NEWTON_MAX_STEPS``
-    steps finishes it within what is left.  ``iterations`` and
+    steps from its point, with weights at or below ``TAU_SUPP`` made exact
+    zeros, finishes it within what is left.  ``iterations`` and
     ``max_iter`` count Newton and interior-point steps together, and the
     gaps are the ones Newton evaluated at each row's returned point.  A
     row's arithmetic does not depend on the rest of the batch, so a batch
@@ -461,7 +462,8 @@ def _em_batch(X: np.ndarray, A: TopicMatrix, max_iter: int = MAX_ITER) -> tuple[
     if rows.size:
         left = max_iter - iterations[rows]
         x, used = _interior(X[rows], Am, AT, AA, np.maximum(left - _NEWTON_MAX_STEPS, 0))
-        out[rows], steps, converged[rows], gaps[rows] = _newton_finish(X[rows], Am, AT, AA, x, np.minimum(left - used, _NEWTON_MAX_STEPS))
+        x = np.where(x > TAU_SUPP, x, 0.0)
+        out[rows], steps, converged[rows], gaps[rows] = _newton_finish(X[rows], Am, AT, AA, x / x.sum(axis=1, keepdims=True), np.minimum(left - used, _NEWTON_MAX_STEPS))
         iterations[rows] += used + steps
     return out, iterations, converged, gaps
 
@@ -475,7 +477,7 @@ def mle_weights(X, A, max_iter: int = MAX_ITER) -> WeightEstimate:
     counted word zero probability or the WLS design is singular (see
     ``_start``), for at most ``_NEWTON_MAX_STEPS`` steps.  A fit they
     cannot certify runs one primal-dual interior-point pass from the uniform
-    point and a Newton polish (see ``_em_batch``).  The fit is
+    point and a Newton polish to exact zeros (see ``_em_batch``).  The fit is
     ``_fit_batch`` with the document as a batch of one, so it equals the
     batched fit of the same document.
 
@@ -499,28 +501,47 @@ def mle_objective(alpha, X, A) -> float:
     return float(Xv[s] @ np.log(r))
 
 
-def _information(x: np.ndarray, A: TopicMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Information matrices (B, K, K) of a (B, K) batch of weight rows x.
+def _information(x: np.ndarray, A: TopicMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(J, R) of (B, K) weight rows x: the mask of fitted probabilities r = x A^T above ``ZETA``, and r on J, 1 off it.
 
-    Returns (A, the mask J of fitted probabilities r = x A^T above ``ZETA``,
-    r on J and 1 off it, and one ``_grams`` of 1/r on J: sum_{j in J} A_j A_j^T / r_j).
-    A row with J empty raises :class:`DegenerateSupport` for the batch.
+    Row b's information matrix is sum_{j in J} A_j A_j^T / r_j.  A row with J empty raises :class:`DegenerateSupport`.
     """
-    A, AT, AA = _design(A)
-    R = _rowdot(x, AT)
+    R = _rowdot(x, A.transposed)
     J = R > ZETA
     if not J.any(axis=1).all():
         raise DegenerateSupport("no word has fitted probability above the support threshold")
-    R = np.where(J, R, 1.0)
-    return A, J, R, _grams(np.where(J, 1.0 / R, 0.0), AA)
+    return J, np.where(J, R, 1.0)
+
+
+def _factor(x: np.ndarray, A: TopicMatrix, J: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (``numlin._eig_stack``, read-only) of the information matrices of (B, K) weight rows x.
+
+    From their ``_information`` J, R: one ``_grams`` of 1/r on J, one ``numlin._as_stack`` check and one
+    ``eigh`` per slice, so a row's bits do not depend on its batch; ``A.factors`` keeps ``_FACTORS_KEPT`` rows'.
+    """
+    w, U = numlin._eig_stack(numlin._as_stack(_grams(np.where(J, 1.0 / R, 0.0), A.outers))[0])
+    w.flags.writeable = U.flags.writeable = False
+    for b, row in enumerate(x):
+        A.factors[row.tobytes()] = w, U, b
+    for _ in range(len(A.factors) - _FACTORS_KEPT):
+        A.factors.popitem(last=False)  # the oldest
+    return w, U
+
+
+def _factors(x: np.ndarray, A: TopicMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``_factor`` of (B, K) weight rows x, read from ``A.factors`` where it holds them all."""
+    hits = [A.factors.get(row.tobytes()) for row in x]  # one read per row: a thread may evict between two
+    if None in hits or not hits:
+        return _factor(x, A, *_information(x, A))
+    return np.stack([w[b] for w, _, b in hits]), np.stack([U[b] for _, U, b in hits])
 
 
 def _debias_batch(alphas: np.ndarray, X: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """One-step correction of (B, K) MLE rows on their (B, p) frequency rows
-    (see ``debias``): ``_information``, and its pseudo-inverses in one stacked call."""
-    A, J, R, V = _information(alphas, A)
-    psi = _rowdot(np.where(J, (X - R) / R, 0.0), A)  # (B, K)
-    return alphas + (numlin.pinv(V) @ psi[:, :, None])[:, :, 0]
+    (see ``debias``): the pseudo-inverses of their information matrices' ``_factor``."""
+    J, R = _information(alphas, A)
+    psi = _rowdot(np.where(J, (X - R) / R, 0.0), np.ascontiguousarray(A.matrix))  # (B, K)
+    return alphas + (numlin._pinv_of(*_factor(alphas, A, J, R)) @ psi[:, :, None])[:, :, 0]
 
 
 def debias(alpha_hat, X, A_hat) -> WeightEstimate:
@@ -538,7 +559,7 @@ def debias(alpha_hat, X, A_hat) -> WeightEstimate:
     base = alpha_hat if isinstance(alpha_hat, WeightEstimate) else WeightEstimate(alpha, Method.MLE, 0, True)
     X = _values(X, "X")[None, :]
     _check_rows(X, A_hat)
-    return replace(base, alpha=_debias_batch(alpha[None, :], X, A_hat)[0], method=Method.DEBIASED)  # the MLE's diagnostics
+    return WeightEstimate(_debias_batch(alpha[None, :], X, A_hat)[0], Method.DEBIASED, base.iterations, base.converged, base.kkt_gap)  # the MLE's diagnostics
 
 
 class _Fits(NamedTuple):
@@ -585,12 +606,11 @@ def _covariances(fits: _Fits, X: np.ndarray, A: TopicMatrix) -> np.ndarray | Non
 def _sigma_batch(x: np.ndarray, A: TopicMatrix) -> np.ndarray:
     """Plug-in covariances (B, K, K) of a (B, K) batch of weight rows x.
 
-    See ``sigma_hat``.  ``_information``'s matrices, inverted in one stacked
-    call; one that is singular raises :class:`SingularInformation` for the batch.
+    See ``sigma_hat``.  The inverses of the information matrices' ``_factors``;
+    one that is singular raises :class:`SingularInformation` for the batch.
     """
-    H = _information(x, A)[3]
     try:
-        Hinv = numlin.inv_at_rank(H)
+        Hinv = numlin._inv_of(*_factors(x, A))
     except numlin._SingularAtRank:
         raise SingularInformation("plug-in information matrix is singular") from None
     sigma = Hinv - x[:, :, None] * x[:, None, :]

@@ -40,7 +40,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from . import numlin
 from .errors import InvalidParam, MixwassError, check_count, check_instance, check_real, check_seed, check_unit, check_vector
@@ -440,6 +439,7 @@ def ks_distance(samples_a, samples_b) -> float:
 
 def ks_two_sample_pvalue(samples_a, samples_b) -> float:
     """Asymptotic p-value of the two-sample KS test."""
+    from scipy.special import kolmogorov
     d = ks_distance(samples_a, samples_b)
     n_a, n_b = np.size(samples_a), np.size(samples_b)
     en = math.sqrt(n_a * n_b / (n_a + n_b))

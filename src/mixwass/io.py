@@ -4,8 +4,8 @@ Counts are read from CSV in two shapes: long form with header
 ``doc_id,word_id,count`` or a dense matrix with one document per row.
 Topics are a headerless CSV of p rows by K columns.  Reports are JSON with
 the full config echo and seed; sample dumps are single-column CSV.  Every
-table is parsed in one C pass; only a table that pass or a check refuses is
-read again line by line, for the line of its :class:`ParseError`.
+table is parsed in one C pass (for counts int64, then float); only a table the
+passes or a check refuse is read again line by line, for its :class:`ParseError`'s line.
 """
 
 from __future__ import annotations
@@ -44,21 +44,24 @@ def _floats(lines: list[str], width: int) -> np.ndarray | None:
         return None
 
 
-def _one_pass(lines: list[str]) -> np.ndarray | None:
-    """The non-empty lines as a float table parsed in one C pass, or None.
+def _one_pass(lines: list[str], dtype=float) -> np.ndarray | None:
+    """The non-empty lines as a ``dtype`` table parsed in one C pass, or None.
 
-    None leaves the lines to ``_read_table``'s line-by-line reading: no
-    non-empty line, a ragged line, a token numpy's parser refuses, a line
-    of only white space, or a U+001F anywhere, which numpy's parser strips
-    as white space and ``float`` does not.  What the pass accepts it reads
-    as ``float`` reads each token.
+    None leaves the lines to another reading: no non-empty line, a ragged
+    line, a token numpy's parser refuses (an int64 pass: any point or
+    exponent), a line of only white space, or a U+001F anywhere, which numpy's
+    parser strips as white space and ``float`` does not.  What the pass takes
+    it reads as ``float`` reads each token: an int64 pass takes only entries in
+    [0, 2**53) summing below 2**60, which meet ``_count_checks`` but the word ids'.
     """
     if not any(lines) or "\x1f" in "".join(lines):
         return None
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
+    ok = dtype is float or (table.min(initial=0) >= 0 and table.max(initial=0) < 2**53 and table.sum(dtype=float) < 2.0**60)
+    return table if ok else None
 
 
 def _read_table(lines: list[str], width: int, checks=(), start: int = 0) -> np.ndarray:
@@ -133,7 +136,9 @@ def load_counts(path, p: int) -> list[CountVector]:
     long_form = first == LONG_HEADER or (len(first) == 3 and p != 3)
     width = 3 if long_form else p
     start = head + 1 if first == LONG_HEADER else head
-    table = _read_table(lines, width, _count_checks(long_form, p), start).astype(np.int64)
+    table = _one_pass(lines[start:], np.int64)
+    if table is None or table.shape[1] != width or (long_form and table[:, 1].max(initial=0) >= p):
+        table = _read_table(lines, width, _count_checks(long_form, p), start).astype(np.int64)
     if long_form and len(table):
         doc_ids, doc = np.unique(table[:, 0], return_inverse=True)
         counts = np.zeros((doc_ids.size, p), dtype=np.int64)

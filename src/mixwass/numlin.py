@@ -8,9 +8,9 @@ via numpy.
 
 One stacked eigensolver, ``_eig_stack``, factors a (B, K, K) stack in one
 LAPACK call.  ``pinv``, ``psd_sqrt`` and ``inv_at_rank`` take a single
-matrix or such a stack, and ``sym_eig`` is a stack of one.  Each slice is
-factored and multiplied on its own, so a matrix gets the same bits alone
-as in any stack.
+matrix or such a stack (``_pinv_of`` and ``_inv_of``: kept eigenpairs),
+and ``sym_eig`` is a stack of one.  Each slice is factored and multiplied
+on its own, so a matrix gets the same bits alone as in any stack.
 """
 
 from __future__ import annotations
@@ -113,9 +113,13 @@ def pinv(M) -> np.ndarray:
     indefinite symmetric inputs as well as PSD ones.
     """
     S, single = _as_stack(M)
-    w, U = _eig_stack(S)
+    return _pinv_of(*_eig_stack(S), single)
+
+
+def _pinv_of(w: np.ndarray, U: np.ndarray, single: bool = False) -> np.ndarray:
+    """``pinv`` of each slice of a stack from its eigenpairs (``_eig_stack``)."""
     # The largest |lambda| of a descending row is its first or its last.
-    keep = np.abs(w) > S.shape[-1] * RANK_TOL_UNIT * np.maximum(w[:, :1], -w[:, -1:])
+    keep = np.abs(w) > w.shape[-1] * RANK_TOL_UNIT * np.maximum(w[:, :1], -w[:, -1:])
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     return _compose(U * inv[:, None, :], U, single)
 
@@ -137,8 +141,12 @@ def inv_at_rank(M) -> np.ndarray:
     caller translates into its domain-specific error type.
     """
     S, single = _as_stack(M)
-    w, U = _eig_stack(S)
-    if np.any(_rank(w) < S.shape[-1]):
+    return _inv_of(*_eig_stack(S), single)
+
+
+def _inv_of(w: np.ndarray, U: np.ndarray, single: bool = False) -> np.ndarray:
+    """``inv_at_rank`` of each slice of a stack from its eigenpairs (``_eig_stack``)."""
+    if np.any(_rank(w) < w.shape[-1]):
         raise _SingularAtRank()
     return _compose(U / w[:, None, :], U, single)
 

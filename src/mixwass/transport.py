@@ -28,9 +28,9 @@ is, ``support_batch`` floors its values at 0 on every route.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import numlin
 from .errors import (
@@ -165,12 +165,12 @@ class ProbVec:
 class TopicMatrix:
     """p x K matrix whose columns are mixture components in the p-simplex.
 
-    ``outers``, ``wls`` and ``dead`` are built on first use and kept with
-    the matrix, which is read-only, so every estimator call on one
-    ``TopicMatrix`` shares them.
+    ``outers``, ``wls`` and ``dead`` are built on first use and kept, with
+    ``transposed`` and ``factors`` (``estimators._factor``), beside the
+    read-only matrix, so every estimator call on one ``TopicMatrix`` shares them.
     """
 
-    __slots__ = ("matrix", "_outers", "_wls", "_dead")
+    __slots__ = ("matrix", "transposed", "_outers", "_wls", "_dead", "factors")
 
     def __init__(self, matrix):
         M = check_numbers(matrix, "topic matrix")
@@ -187,9 +187,12 @@ class TopicMatrix:
             raise InvalidSimplex(f"topic matrix column {k} sums to {float(sums[k])!r}, expected 1")
         self.matrix = M
         self.matrix.flags.writeable = False
+        self.transposed = np.ascontiguousarray(M.T)  # C-ordered, read-only
+        self.transposed.flags.writeable = False
         self._outers: np.ndarray | None = None
         self._wls: tuple[np.ndarray, np.ndarray | None] | None = None
         self._dead: np.ndarray | None = None
+        self.factors: OrderedDict[bytes, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
 
     @property
     def p(self) -> int:
@@ -485,6 +488,7 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         if center is None or center[1] <= 1e-10:
             return None
         interior = center[0]
+    from scipy.spatial import HalfspaceIntersection, QhullError
     try:
         hs = HalfspaceIntersection(np.column_stack([A, -b]), interior)
     except QhullError:
@@ -520,6 +524,7 @@ def _support_table(V: np.ndarray, base: bool) -> tuple[np.ndarray, bool, int]:
 
 def _chebyshev_center(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Strictly interior point via the Chebyshev-center LP."""
+    from scipy.optimize import linprog
     n = A.shape[1]
     norms = np.linalg.norm(A, axis=1)
     res = linprog(
@@ -545,6 +550,7 @@ def kr_dual_value(u, polytope: DualPolytope) -> tuple[float, np.ndarray]:
     if K == 1:
         return 0.0, np.zeros(1)
     A, b = polytope.halfspaces()
+    from scipy.optimize import linprog
     res = linprog(
         -u[1:],
         A_ub=A,
@@ -661,6 +667,7 @@ def wasserstein_primal(alpha, beta, cost) -> tuple[float, np.ndarray]:
     for l in range(K - 1):
         A_eq[K + l, l::K] = 1.0
         b_eq[K + l] = b[l]
+    from scipy.optimize import linprog
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=_LP_OPTIONS)
     if res.status != 0:
         raise LPFailure(f"transportation LP failed with status {res.status}: {res.message}")

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from mixwass import (
     CountVector,
+    DualPolytope,
+    cost_matrix,
     debias,
+    limit_sampler,
     mle_weights,
     sigma_hat,
     sigma_ls,
@@ -260,6 +263,65 @@ def test_sigma_singular_information():
     A = np.column_stack([col, col])
     with pytest.raises(SingularInformation):
         sigma_hat(np.array([0.5, 0.5]), A)
+
+
+def test_sigma_singular_information_read_from_the_factor_memo():
+    # debias takes the pseudo-inverse of the singular information matrix and
+    # leaves its factor in the memo, where the covariance still refuses it.
+    col = np.full(6, 1.0 / 6)
+    A = TopicMatrix(np.column_stack([col, col]))
+    debias(np.array([0.5, 0.5]), col, A)
+    assert len(A.factors) == 1
+    with pytest.raises(SingularInformation):
+        sigma_hat(np.array([0.5, 0.5]), A)
+
+
+def test_one_plugin_ci_of_a_pair_factors_each_information_matrix_once(monkeypatch):
+    # debias twice, then limit_sampler: one eigh per debias and one for the
+    # PSD root; the covariances read the factors debias left.
+    rng = np.random.default_rng(8)
+    A = TopicMatrix(random_topics(rng, 200, 5))
+    poly = DualPolytope(cost_matrix(A, "tv"))
+    X = [rng.multinomial(1000, A.matrix @ rng.dirichlet(np.ones(5))) / 1000 for _ in range(2)]
+    mles = [mle_weights(x, A) for x in X]
+    assert A.factors == {}  # the MLE builds no information matrix
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M, *args, _eigh=np.linalg.eigh: calls.append(M.shape) or _eigh(M, *args))
+    for mle, x in zip(mles, X):
+        debias(mle, x, A)
+    limit_sampler(*mles, A, poly, M=100, seed=1)
+    assert len(calls) == 3
+
+
+def test_information_factors_give_the_same_bits_cold_warm_alone_and_batched():
+    rng = np.random.default_rng(27)
+    K, p = 8, 300
+    Am = random_topics(rng, p, K)
+    X = np.stack([rng.multinomial(500, Am @ rng.dirichlet(np.ones(K))) / 500 for _ in range(48)])
+    mle = _em_batch(X, TopicMatrix(Am))[0]
+    poly = DualPolytope(cost_matrix(Am, "tv"))
+    alone = [(debias(mle[b], X[b], TopicMatrix(Am)).alpha, sigma_hat(mle[b], TopicMatrix(Am)).sigma) for b in range(32)]
+    law = limit_sampler(mle[0], mle[1], TopicMatrix(Am), poly, M=200, seed=3).samples
+    mixed = _sigma_batch(mle[16:], TopicMatrix(Am))
+    A = TopicMatrix(Am)
+    deb, sig = _debias_batch(mle[:32], X[:32], A), _sigma_batch(mle[:32], A)  # cold, then warm
+    assert len(A.factors) == 32
+    for b in range(32):
+        assert np.array_equal(deb[b], alone[b][0]) and np.array_equal(sig[b], alone[b][1])
+        assert np.array_equal(debias(mle[b], X[b], A).alpha, alone[b][0])
+        assert np.array_equal(sigma_hat(mle[b], A).sigma, alone[b][1])
+    assert np.array_equal(limit_sampler(mle[0], mle[1], A, poly, M=200, seed=3).samples, law)
+    assert np.array_equal(_sigma_batch(mle[16:], A), mixed)  # half warm, half cold
+
+
+def test_the_factor_memo_keeps_the_last_rows_at_its_bound():
+    rng = np.random.default_rng(3)
+    A = TopicMatrix(random_topics(rng, 20, 3))
+    rows = rng.dirichlet(np.ones(3), size=10_000)
+    for s in range(0, len(rows), 500):
+        _sigma_batch(rows[s : s + 500], A)
+    assert list(A.factors) == [row.tobytes() for row in rows[-estimators._FACTORS_KEPT :]]
+    assert _sigma_batch(rows[:0], A).shape == (0, 3, 3)  # an empty batch gives empty covariances
 
 
 def _sparse_topics(rng, p, K):
@@ -878,6 +940,7 @@ def test_em_batch_certifies_what_the_em_first_path_alone_certifies(monkeypatch, 
         _, first, first_conv, _ = estimators._newton_finish(XB, A, AT, AA, estimators._start(XB, AT, TopicMatrix(A)), np.full(B, estimators._NEWTON_MAX_STEPS))
         rescued += np.count_nonzero(~first_conv)
         uncertified += np.count_nonzero(~conv)
+        assert np.all((fit == 0.0) | (fit > estimators.TAU_SUPP))
         both = conv & tight_conv
 
         def loglik(alphas):
@@ -922,8 +985,9 @@ def _stress_grid():
 
 
 def test_em_batch_certifies_every_column_of_the_stress_grid(monkeypatch):
-    # Every column is certified within MAX_ITER, and the interior-point pass
-    # runs on some rows, so the grid exercises the rescue too.
+    # Every column is certified within MAX_ITER, with each weight an exact
+    # zero or above TAU_SUPP, and the interior-point pass runs on some rows,
+    # so the grid exercises the rescue's fits too.
     rescued = []
     real = estimators._interior
 
@@ -933,8 +997,9 @@ def test_em_batch_certifies_every_column_of_the_stress_grid(monkeypatch):
 
     monkeypatch.setattr(estimators, "_interior", recorded)
     for A, XB in _stress_grid():
-        _, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
+        fit, iters, conv, _ = _em_batch(XB, TopicMatrix(A))
         assert conv.all() and iters.max() <= 100
+        assert np.all((fit == 0.0) | (fit > estimators.TAU_SUPP))
     assert sum(rescued) > 0
 
 

@@ -469,8 +469,11 @@ def test_cli_malformed_inputs_exit_2_or_3(which, command, data):
 
 
 _DENSE = [",".join(map(str, row)) for row in np.random.default_rng(5).integers(0, 20, size=(3, 12))]
-# Tokens on which numpy's one-pass parser and ``float`` could part ways.
-_READER_TOKENS = ["3.0", "1e3", "1_000", "#", "#3", '"3"', "'3'", " 7 ", "", "3\x1f", str(2**61), str(2**62 - 1), str(2**62), "4.611686018427388e18"]
+# Tokens on which numpy's one-pass parsers, integer or float, and ``float`` could part ways.
+_READER_TOKENS = [
+    *("3.0", "1e3", "1_000", "#", "#3", '"3"', "'3'", " 7 ", "", "3\x1f", str(2**61), str(2**62 - 1), str(2**62), "4.611686018427388e18"),
+    *(str(2**53 + 1), str(2**63 - 1), str(2**63), "+3", "-0", "007", "\uff13", "1.", ".5", "inf", "nan", "3\t"),
+]
 
 
 @st.composite
@@ -497,7 +500,7 @@ def _read_counts(path, p, one_pass: bool):
     """load_counts' documents or error text, with or without the one-pass parse."""
     with pytest.MonkeyPatch.context() as mp:
         if not one_pass:
-            mp.setattr(mixwass.io, "_one_pass", lambda lines: None)
+            mp.setattr(mixwass.io, "_one_pass", lambda lines, dtype=float: None)
         try:
             return [d.counts.tolist() for d in load_counts(path, p=p)]
         except MixwassError as exc:
@@ -540,6 +543,17 @@ def test_cli_subprocess_non_finite_count_is_a_clean_error(tmp_path):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert [ln for ln in res.stderr.splitlines() if ln.startswith("error:")] == ["error: line 3: an entry is not an int64 integer: '0,2,inf'"]
+
+
+def test_cli_subprocess_estimate_loads_no_scipy_module(tmp_path):
+    (tmp_path / "topics.csv").write_text("\n".join(_TOPICS) + "\n")
+    (tmp_path / "counts.csv").write_text("\n".join(_COUNTS) + "\n")
+    src = str(Path(mixwass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["estimate", "--counts", str(tmp_path / "counts.csv"), "--topics", str(tmp_path / "topics.csv"), "--out", str(tmp_path / "e.json")]
+    code = f"import sys; from mixwass.cli import main; rc = main({argv!r}); print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_counts_read_against_topics_p(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import HalfspaceIntersection
 
 from mixwass import (
     CostMatrix,
@@ -670,7 +671,7 @@ def test_one_vertex_face_values_do_not_depend_on_the_rows_layout():
 def _chebyshev_seeded_vertices(A, b):
     center, radius = transport._chebyshev_center(A, b)
     assert radius > 1e-10
-    hs = transport.HalfspaceIntersection(np.column_stack([A, -b]), center)
+    hs = HalfspaceIntersection(np.column_stack([A, -b]), center)
     return np.unique(np.round(hs.intersections, 10), axis=0)
 
 
